@@ -25,6 +25,7 @@ from .matrix_core import (
 )
 from .order import FinitePoset, verify_poset
 from .report import VerificationReport
+from .semilogic import orthogonal_families
 
 
 @dataclass
@@ -206,17 +207,7 @@ def verify_clan(clan: Clan, tol: Tolerance) -> VerificationReport:
 def _orthogonal_member_families(clan: Clan, tol: Tolerance) -> list[tuple[int, ...]]:
     orth = relation_tables(clan, tol)["orthogonal"]
     nonzero = [i for i in range(clan.n) if op_norm(clan.members[i]) > tol.eps]
-    fams: list[tuple[int, ...]] = []
-    stack: list[tuple[tuple[int, ...], list[int]]] = [((), nonzero)]
-    while stack:
-        cur, cands = stack.pop()
-        for k, x in enumerate(cands):
-            fam = cur + (x,)
-            fams.append(fam)
-            rest = [y for y in cands[k + 1 :] if orth[x, y]]
-            if rest:
-                stack.append((fam, rest))
-    return fams
+    return [fam for fam, _ in orthogonal_families(nonzero, orth)]
 
 
 def vector_state(clan: Clan, xi: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, VerificationReport]:

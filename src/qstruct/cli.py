@@ -52,8 +52,18 @@ def _tolerance(args: argparse.Namespace) -> Tolerance:
     eps = getattr(args, "tol", None)
     if eps is None:
         raw = os.environ.get(TOL_ENV)
-        eps = float(raw) if raw else DEFAULT_EPS
+        try:
+            eps = float(raw) if raw else DEFAULT_EPS
+        except ValueError:
+            raise ParseError(f"{TOL_ENV} is not a number", value=raw) from None
     return Tolerance.with_eps(eps)
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ParseError("cannot write file", path=path, error=exc.strerror) from exc
 
 
 def _emit(args: argparse.Namespace, payload: dict, reports: list[VerificationReport]) -> int:
@@ -152,12 +162,14 @@ def cmd_dilate(args: argparse.Namespace) -> int:
     reports.append(verify_dilation(dil, tol))
     extra: dict = {}
     if args.out:
-        Path(args.out).write_text(json.dumps(serialize_dilation(dil), indent=2))
+        _write_text(args.out, json.dumps(serialize_dilation(dil), indent=2))
         extra["output_path"] = args.out
     return _emit(args, _payload("dilate", reports, **extra), reports)
 
 
 def cmd_gns(args: argparse.Namespace) -> int:
+    if args.samples < 0:
+        raise ParseError("--samples must not be negative", samples=args.samples)
     tol = _tolerance(args)
     alg, state = load_algebra(args.file)
     if state is None:
@@ -185,7 +197,7 @@ def cmd_property(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "failures": [r.to_dict() for r in results if not r.passed],
         }
-        Path(args.witness).write_text(json.dumps(witness, indent=2, default=repr))
+        _write_text(args.witness, json.dumps(witness, indent=2, default=repr))
         payload["witness_path"] = args.witness
     if args.json:
         print(json.dumps(payload, indent=2, default=repr))

@@ -1,12 +1,23 @@
 """Finite partially ordered sets as dense boolean order tables.
 
 Elements are integer ids into a label tuple; ``le[i, j]`` holds iff element i
-is below element j. Structures stay small (at most 256 elements), so meets and
-joins are computed by direct scans and cached per poset.
+is below element j. Structures stay small (at most 256 elements).
+
+Meets and joins go through a bitset view built on first use (Ait-Kaci, Boyer,
+Lincoln, Nasr, "Efficient implementation of lattice operations", ACM TOPLAS
+11(1), 1989): the upset of each element is a Python int, and in a partial
+order a set has a join exactly when the AND of its members' upsets is the
+upset of some element, which is then the join. Meets use the same view of
+``le.T``. A table that is not a partial order (only a direct ``FinitePoset``
+call can make one; file loading closes the order and rejects cycles) has no
+such lookup, and its bounds fall back to a scan for the candidate below all
+other candidates.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,6 +51,8 @@ class FinitePoset:
         self.le = le
         self.n = len(labels)
         self._index = {lab: i for i, lab in enumerate(labels)}
+        self._upsets: UpsetIndex | None = None
+        self._downsets: UpsetIndex | None = None
         self._meet_table: np.ndarray | None = None
         self._join_table: np.ndarray | None = None
 
@@ -73,36 +86,109 @@ class FinitePoset:
         hits = np.flatnonzero(self.le.all(axis=0))
         return int(hits[0]) if hits.size else None
 
-    # -- cached bound tables -------------------------------------------------
+    # -- cached bitset views and bound tables ------------------------------------
+
+    def upsets(self) -> UpsetIndex:
+        """Bitset view of ``le``; its bounds are joins."""
+        if self._upsets is None:
+            self._upsets = UpsetIndex(self.le)
+        return self._upsets
+
+    def downsets(self) -> UpsetIndex:
+        """Bitset view of ``le.T``; its bounds are meets."""
+        if self._downsets is None:
+            self._downsets = UpsetIndex(self.le.T)
+        return self._downsets
 
     def meet_table(self) -> np.ndarray:
         if self._meet_table is None:
-            self._meet_table = _bound_table(self.le, lower=True)
+            self._meet_table = self.downsets().table()
         return self._meet_table
 
     def join_table(self) -> np.ndarray:
         if self._join_table is None:
-            self._join_table = _bound_table(self.le, lower=False)
+            self._join_table = self.upsets().table()
         return self._join_table
 
 
-def _bound_table(le: np.ndarray, lower: bool) -> np.ndarray:
-    """Meet (lower=True) or join table; -1 where the bound does not exist."""
-    n = le.shape[0]
-    table = np.full((n, n), -1, dtype=np.int16)
-    for a in range(n):
-        for b in range(a, n):
-            mask = (le[:, a] & le[:, b]) if lower else (le[a, :] & le[b, :])
-            cand = np.flatnonzero(mask)
-            if cand.size == 0:
-                continue
-            sub = le[np.ix_(cand, cand)]
-            # the bound is the candidate comparable with (and extremal among) all
-            hits = np.flatnonzero(sub.all(axis=0) if lower else sub.all(axis=1))
-            if hits.size == 1:
-                g = int(cand[hits[0]])
-                table[a, b] = table[b, a] = g
-    return table
+class UpsetIndex:
+    """Rows of a relation as int bitsets, with a principal-upset lookup.
+
+    ``up[i]`` has bit j set iff ``rel[i, j]``. ``by_up`` maps each upset back
+    to its element, and exists only when ``rel`` is a partial order; the bound
+    of a set is then ``by_up.get`` of the AND of its members' upsets. Without
+    it, bounds come from a scan of ``rel``.
+    """
+
+    def __init__(self, rel: np.ndarray):
+        self.rel = rel
+        self.top = (1 << rel.shape[0]) - 1
+        self.up = row_bits(rel)
+        by_up = {u: i for i, u in enumerate(self.up)}
+        # reflexive and transitive (up[a] is the OR of the upsets inside it);
+        # then distinct upsets are exactly antisymmetry
+        is_order = len(by_up) == len(self.up) and all(
+            u >> a & 1
+            and reduce(or_, (self.up[b] for b in np.flatnonzero(rel[a]).tolist())) == u
+            for a, u in enumerate(self.up)
+        )
+        self.by_up = by_up if is_order else None
+        self._words: np.ndarray | None = None
+
+    def bound_of(self, acc: int) -> int | None:
+        """Bound of any set whose members' upsets AND to ``acc``, or None."""
+        if self.by_up is not None:
+            return self.by_up.get(acc)
+        mask = np.array([acc >> j & 1 for j in range(len(self.up))], dtype=bool)
+        return _scan_bound(self.rel, mask)
+
+    def bound(self, items: Iterable[int]) -> int | None:
+        """Least element above every item (empty set: least element), or None."""
+        acc = self.top
+        for x in items:
+            acc &= self.up[x]
+        return self.bound_of(acc)
+
+    def table(self) -> np.ndarray:
+        """Bounds of all pairs as int16; -1 where there is none."""
+        bounds = [[self.bound_of(x & y) for y in self.up] for x in self.up]
+        return np.array(
+            [[-1 if g is None else g for g in row] for row in bounds], dtype=np.int16
+        )
+
+    def bounds_equal(self, rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Whether the bound of the items ``rows[r]`` is ``targets[r]``, for each r.
+
+        ``rows`` is (m, k) with k >= 1 and ``targets`` holds element ids. Upsets
+        are compared as uint64 words, so all m rows are one numpy expression.
+        """
+        if self.by_up is None:
+            return np.array(
+                [self.bound(row) == t for row, t in zip(rows.tolist(), targets.tolist())],
+                dtype=bool,
+            )
+        if self._words is None:
+            n = len(self.up)
+            padded = np.zeros((n, -(-n // 64) * 64), dtype=bool)
+            padded[:, :n] = self.rel
+            self._words = np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+        w = self._words
+        return (np.bitwise_and.reduce(w[rows], axis=1) == w[targets]).all(axis=1)
+
+
+def row_bits(rel: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int with bit j = ``rel[i, j]``."""
+    return [
+        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+        for row in rel
+    ]
+
+
+def _scan_bound(rel: np.ndarray, mask: np.ndarray) -> int | None:
+    """The one candidate in ``mask`` related to every candidate, else None."""
+    cand = np.flatnonzero(mask)
+    hits = cand[rel[np.ix_(cand, cand)].all(axis=1)]
+    return int(hits[0]) if hits.size == 1 else None
 
 
 def verify_poset(p: FinitePoset) -> VerificationReport:
@@ -154,26 +240,11 @@ def join(p: FinitePoset, a: int, b: int) -> int | None:
 
 def meet_of(p: FinitePoset, items: Iterable[int]) -> int | None:
     """Greatest lower bound of a set of elements (empty set -> greatest)."""
-    mask = np.ones(p.n, dtype=bool)
-    for x in items:
-        mask &= p.le[:, x]
-    return _extremal(p.le, mask, lower=True)
+    return p.downsets().bound(items)
 
 
 def join_of(p: FinitePoset, items: Iterable[int]) -> int | None:
-    mask = np.ones(p.n, dtype=bool)
-    for x in items:
-        mask &= p.le[x, :]
-    return _extremal(p.le, mask, lower=False)
-
-
-def _extremal(le: np.ndarray, mask: np.ndarray, lower: bool) -> int | None:
-    cand = np.flatnonzero(mask)
-    if cand.size == 0:
-        return None
-    sub = le[np.ix_(cand, cand)]
-    hits = np.flatnonzero(sub.all(axis=0) if lower else sub.all(axis=1))
-    return int(cand[hits[0]]) if hits.size == 1 else None
+    return p.upsets().bound(items)
 
 
 def atoms(p: FinitePoset) -> list[int]:

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .order import FinitePoset, join_of, verify_poset
+from .order import FinitePoset, join_of, row_bits, verify_poset
 from .quasilogic import Quasilogic, partial_sum, quasicommutes, summable
 from .report import VerificationReport
 
@@ -71,26 +71,43 @@ class Semilogic:
         if z is None:
             self._families = out
             return out
-        orth = self.prod == z
+        ups = self.poset.upsets()
         elems = [i for i in range(self.n) if i != z]
-        sup0 = join_of(self.poset, ())
-        out.append(((), sup0 if sup0 is not None else -1))
-        stack: list[tuple[tuple[int, ...], list[int]]] = [((), elems)]
-        while stack:
-            cur, cands = stack.pop()
-            for k, x in enumerate(cands):
-                fam = cur + (x,)
-                if len(out) >= MAX_FAMILIES:
-                    raise StructuralError(
-                        "orthogonal family count exceeds enumeration cap"
-                    )
-                s = join_of(self.poset, fam)
-                out.append((fam, s if s is not None else -1))
-                rest = [y for y in cands[k + 1 :] if orth[x, y]]
-                if rest:
-                    stack.append((fam, rest))
+        # the empty family counts against the cap too
+        fams = orthogonal_families(elems, self.prod == z, ups.up, MAX_FAMILIES - 1)
+        for fam, acc in [((), ups.top), *fams]:
+            sup = ups.bound_of(acc)
+            out.append((fam, sup if sup is not None else -1))
         self._families = out
         return out
+
+
+def orthogonal_families(
+    elems: Sequence[int],
+    orth: np.ndarray,
+    up: Sequence[int] | None = None,
+    cap: int | None = None,
+) -> list[tuple[tuple[int, ...], int]]:
+    """Nonempty pairwise-orthogonal subsets of ``elems``, in depth-first order.
+
+    Each family comes with the AND of ``up`` over its members (-1 without
+    ``up``); for upset bitsets that is the family's set of upper bounds.
+    Reaching ``cap`` families and finding one more raises StructuralError.
+    """
+    out: list[tuple[tuple[int, ...], int]] = []
+    stack: list[tuple[tuple[int, ...], list[int], int]] = [((), list(elems), -1)]
+    while stack:
+        cur, cands, acc = stack.pop()
+        for k, x in enumerate(cands):
+            if cap is not None and len(out) >= cap:
+                raise StructuralError("orthogonal family count exceeds enumeration cap")
+            fam = cur + (x,)
+            fam_acc = acc if up is None else acc & up[x]
+            out.append((fam, fam_acc))
+            rest = [y for y in cands[k + 1 :] if orth[x, y]]
+            if rest:
+                stack.append((fam, rest, fam_acc))
+    return out
 
 
 def summable_families(
@@ -149,23 +166,24 @@ def verify_semilogic(s: Semilogic) -> VerificationReport:
         ({"a": labels[a]} for a in range(n) if prod[a, a] != a),
     )
 
-    coh = []
-    for a in range(n):
-        for b in range(n):
-            if le[a, b] and prod[a, b] != a:
-                coh.append({"a": labels[a], "b": labels[b], "reason": "a <= b needs ab = a"})
-            elif prod[a, b] == a and not le[a, b]:
-                coh.append({"a": labels[a], "b": labels[b], "reason": "ab = a needs a <= b"})
-    rep.record("order-coherence", coh)
+    rep.record(
+        "order-coherence",
+        (
+            {
+                "a": labels[a],
+                "b": labels[b],
+                "reason": "a <= b needs ab = a" if le[a, b] else "ab = a needs a <= b",
+            }
+            for a, b in zip(*np.nonzero(le != (prod == np.arange(n)[:, None])))
+        ),
+    )
 
     mt = s.poset.meet_table()
     rep.record(
         "product-is-meet",
         (
             {"a": labels[a], "b": labels[b]}
-            for a in range(n)
-            for b in range(a, n)
-            if prod[a, b] >= 0 and mt[a, b] != prod[a, b]
+            for a, b in zip(*np.nonzero(np.triu((prod >= 0) & (mt != prod))))
         ),
     )
 
@@ -195,46 +213,59 @@ def verify_semilogic(s: Semilogic) -> VerificationReport:
     # product distributes over realized sums: a(sum a_i) = sum(a a_i)
     sumlaw = []
     if z is not None:
+        ups = s.poset.upsets()
+        pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # length -> column pairs
         for fam, sup in summable_families(s):
             if not fam:
                 continue
-            for a in range(n):
-                if any(prod[a, m] < 0 for m in fam):
-                    continue
-                images = [int(prod[a, m]) for m in fam]
-                nonzero = [p for p in images if p != z]
-                w = {"a": labels[a], "family": [labels[m] for m in fam]}
-                if len(set(nonzero)) != len(nonzero):
+            if len(fam) not in pairs:
+                pairs[len(fam)] = np.triu_indices(len(fam), 1)
+            # one row of images a*m per element a defined on the whole family
+            rows = np.flatnonzero((prod[:, fam] >= 0).all(axis=1))
+            img = prod[rows][:, fam]
+            srt = np.sort(img, axis=1)
+            dup = ((srt[:, 1:] == srt[:, :-1]) & (srt[:, 1:] != z)).any(axis=1)
+            i, j = pairs[len(fam)]
+            p, q = img[:, i], img[:, j]
+            clash = ((p != z) & (q != z) & (prod[p, q] != z)).any(axis=1)
+            target = prod[rows, sup]
+            undefined = target < 0
+            failed = dup | clash | undefined
+            summed = ~failed
+            # zero images drop out: the zero's upset is every element
+            failed[summed] = ~ups.bounds_equal(img[summed], target[summed])
+            for r in np.flatnonzero(failed):
+                w = {"a": labels[rows[r]], "family": [labels[m] for m in fam]}
+                if dup[r]:
                     sumlaw.append(w | {"reason": "image family not summable"})
-                    continue
-                if any(
-                    prod[p, q] != z
-                    for i, p in enumerate(nonzero)
-                    for q in nonzero[i + 1 :]
-                ):
+                elif clash[r]:
                     sumlaw.append(w | {"reason": "image family not orthogonal"})
-                    continue
-                img_sum = join_of(s.poset, nonzero)
-                if prod[a, sup] < 0:
+                elif undefined[r]:
                     sumlaw.append(w | {"reason": "product with sum undefined"})
-                elif img_sum is None or img_sum != prod[a, sup]:
+                else:
                     sumlaw.append(w)
     rep.record("product-additivity", sumlaw)
 
     # every defined product must come from a common orthogonal refinement
     compat = []
     if z is not None:
-        by_sup: dict[int, list[tuple[int, ...]]] = {}
+        # per decomposition of its sup: (member mask, elements orthogonal to
+        # or inside every member)
+        orth_bits = row_bits(s.prod == z)
+        by_sup: dict[int, list[tuple[int, int]]] = {}
         for fam, sup in summable_families(s):
-            if sup >= 0:
-                by_sup.setdefault(sup, []).append(fam)
-        orth = s.prod == z
+            members, allowed = 0, -1
+            for x in fam:
+                members |= 1 << x
+                allowed &= orth_bits[x] | 1 << x
+            by_sup.setdefault(sup, []).append((members, allowed))
+        joins: dict[int, int | None] = {}  # member mask -> join
         for a in range(n):
             for b in range(a, n):
                 ab = prod[a, b]
                 if ab < 0:
                     continue
-                if not _has_common_refinement(s, by_sup, orth, a, b, int(ab)):
+                if not _has_common_refinement(s, by_sup, joins, a, b, int(ab)):
                     compat.append({"a": labels[a], "b": labels[b]})
     rep.record("compatibility-decomposition", compat)
 
@@ -246,22 +277,21 @@ def verify_semilogic(s: Semilogic) -> VerificationReport:
 
 def _has_common_refinement(
     s: Semilogic,
-    by_sup: dict[int, list[tuple[int, ...]]],
-    orth: np.ndarray,
+    by_sup: dict[int, list[tuple[int, int]]],
+    joins: dict[int, int | None],
     a: int,
     b: int,
     ab: int,
 ) -> bool:
     """Search decompositions A of a, B of b inside one orthogonal family."""
-    for fam_a in by_sup.get(a, ()):
-        set_a = set(fam_a)
-        for fam_b in by_sup.get(b, ()):
-            merged = set_a | set(fam_b)
-            if not all(orth[x, y] for x in merged for y in merged if x < y):
+    for mask_a, allowed_a in by_sup.get(a, ()):
+        for mask_b, allowed_b in by_sup.get(b, ()):
+            if (mask_a | mask_b) & ~(allowed_a & allowed_b):
                 continue
-            common = sorted(set_a & set(fam_b))
-            total = join_of(s.poset, common)
-            if total is not None and total == ab:
+            common = mask_a & mask_b
+            if common not in joins:
+                joins[common] = join_of(s.poset, (x for x in range(s.n) if common >> x & 1))
+            if joins[common] == ab:
                 return True
     return False
 

@@ -14,7 +14,8 @@ from functools import lru_cache
 import numpy as np
 
 from .boolean_rep import BooleanSemiring
-from .order import FinitePoset
+from .errors import StructuralError
+from .order import MAX_ELEMENTS, FinitePoset
 from .ortho import OrthoLogic
 from .quasilogic import Quasilogic
 from .semilogic import Semilogic
@@ -28,6 +29,8 @@ def _mask_label(mask: int) -> str:
 
 def powerset_poset(k: int) -> FinitePoset:
     n = 1 << k
+    if n > MAX_ELEMENTS:  # before anything of size n is allocated
+        raise StructuralError(f"too many elements ({n} > {MAX_ELEMENTS})")
     masks = np.arange(n)
     le = (masks[:, None] & ~masks[None, :]) == 0
     return FinitePoset([_mask_label(m) for m in range(n)], le)

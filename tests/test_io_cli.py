@@ -44,6 +44,7 @@ from qstruct import (
     verify_povm,
     Tolerance,
 )
+import qstruct.cli
 from qstruct.cli import main
 
 REPORT_SCHEMA = {
@@ -377,6 +378,66 @@ def test_tolerance_env_and_flag(capsys, valid_dir, monkeypatch):
         capsys, "dilate", "--tol", "1e-10", str(valid_dir / "trine_povm.json")
     )
     assert code == 0
+
+
+def error_payload(out):
+    payload = json.loads(out)
+    jsonschema.validate(payload, ERROR_SCHEMA)
+    return payload["error"]
+
+
+def test_unparsable_tolerance_env_is_a_parse_error(capsys, valid_dir, monkeypatch):
+    monkeypatch.setenv("QSTRUCT_TOL", "abc")
+    code, out, _ = run_cli(capsys, "dilate", "--json", str(valid_dir / "trine_povm.json"))
+    assert code == 2
+    error = error_payload(out)
+    assert error["type"] == "ParseError"
+    assert error["details"] == {"value": "abc"}
+
+
+def test_dilate_out_to_a_missing_directory_is_a_parse_error(capsys, valid_dir, tmp_path):
+    target = tmp_path / "missing_dir" / "o.json"
+    code, out, _ = run_cli(
+        capsys, "dilate", "--json", str(valid_dir / "trine_povm.json"), "--out", str(target)
+    )
+    assert code == 2
+    error = error_payload(out)
+    assert error["type"] == "ParseError"
+    assert error["message"] == "cannot write file"
+    assert error["details"] == {"path": str(target), "error": "No such file or directory"}
+    assert not target.parent.exists()
+
+
+def test_negative_gns_samples_are_a_parse_error(capsys, valid_dir, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(qstruct.cli, "schwartz_check", no_sampling)
+    code, out, _ = run_cli(
+        capsys, "gns", "--json", "--samples", "-1", str(valid_dir / "m2_algebra.json")
+    )
+    assert code == 2
+    error = error_payload(out)
+    assert error["type"] == "ParseError"
+    assert error["details"] == {"samples": -1}
+
+
+def test_too_many_outcomes_exit_2_with_the_error_object(capsys, tmp_path):
+    outcomes = [f"o{i}" for i in range(64)]
+    effect = [[1.0 / 64, 0.0]]
+    data = {
+        "kind": "povm",
+        "dim": 1,
+        "outcomes": outcomes,
+        "effects": dict.fromkeys(outcomes, effect),
+    }
+    path = tmp_path / "wide_povm.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "dilate", "--json", str(path))
+    assert code == 2
+    error = error_payload(out)
+    assert error["type"] == "StructuralError"
+    assert error["message"].startswith("too many elements")
 
 
 def test_console_script_matches_the_module_entry(valid_dir, mutants_dir):

@@ -8,9 +8,11 @@ three-dimensional. Projective measures must dilate without growing at all.
 import numpy as np
 import pytest
 
+import qstruct.standard
 from qstruct import (
     DomainError,
     FinitePovm,
+    StructuralError,
     Tolerance,
     dilate,
     gram_block,
@@ -43,6 +45,17 @@ def random_povm(outcomes, dim, seed):
     w, u = np.linalg.eigh(total)
     root = u @ np.diag(1.0 / np.sqrt(w)) @ u.conj().T
     return [root @ m @ root for m in mats]
+
+
+@pytest.mark.parametrize("outcomes", [9, 64])
+def test_too_many_outcomes_are_rejected_before_any_allocation(outcomes, monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("powerset table allocated before the size check")
+
+    monkeypatch.setattr(qstruct.standard.np, "arange", no_allocation)
+    effects = [np.eye(1) / outcomes] * outcomes
+    with pytest.raises(StructuralError, match=rf"too many elements \({1 << outcomes} > 256\)"):
+        povm_from_outcomes(effects, dim=1)
 
 
 def test_trivial_measure_has_the_unit_interval_gram():

@@ -2,6 +2,9 @@
 
 Expected meets and joins for the powerset posets are recomputed here from raw
 set operations so the table code is checked against an independent oracle.
+The direct candidate scan that once computed every bound is kept below as a
+second oracle for the bitset view, on random posets and on tables that are
+not partial orders.
 """
 
 import itertools
@@ -26,6 +29,44 @@ from qstruct import (
     transitive_reduction,
     verify_poset,
 )
+
+
+def _extremal(le, mask, lower):
+    cand = np.flatnonzero(mask)
+    if cand.size == 0:
+        return None
+    sub = le[np.ix_(cand, cand)]
+    hits = np.flatnonzero(sub.all(axis=0) if lower else sub.all(axis=1))
+    return int(cand[hits[0]]) if hits.size == 1 else None
+
+
+def scan_bound_of(p, items, lower):
+    """Meet (lower=True) or join of a set by scanning its common bounds."""
+    mask = np.ones(p.n, dtype=bool)
+    for x in items:
+        mask &= p.le[:, x] if lower else p.le[x, :]
+    return _extremal(p.le, mask, lower)
+
+
+def scan_bound_table(le, lower):
+    """Meet (lower=True) or join table; -1 where the bound does not exist."""
+    n = le.shape[0]
+    table = np.full((n, n), -1, dtype=np.int16)
+    for a in range(n):
+        for b in range(a, n):
+            mask = (le[:, a] & le[:, b]) if lower else (le[a, :] & le[b, :])
+            g = _extremal(le, mask, lower)
+            if g is not None:
+                table[a, b] = table[b, a] = g
+    return table
+
+
+def assert_bounds_match_the_scan(p, subsets_drawn):
+    assert np.array_equal(p.meet_table(), scan_bound_table(p.le, lower=True))
+    assert np.array_equal(p.join_table(), scan_bound_table(p.le, lower=False))
+    for items in subsets_drawn:
+        assert meet_of(p, items) == scan_bound_of(p, items, lower=True)
+        assert join_of(p, items) == scan_bound_of(p, items, lower=False)
 
 
 def subsets(k):
@@ -61,18 +102,31 @@ def test_verify_poset_facts_and_checks():
     assert rep.facts["greatest"] == "{0,1}"
 
 
-def test_verify_poset_reports_missing_transitivity():
+def non_transitive_poset():
     le = np.eye(3, dtype=bool)
     le[0, 1] = le[1, 2] = True  # 0<1<2 without 0<2
-    rep = verify_poset(FinitePoset(["x", "y", "z"], le))
+    return FinitePoset(["x", "y", "z"], le)
+
+
+def non_antisymmetric_poset():
+    return FinitePoset(["x", "y"], np.ones((2, 2), dtype=bool))
+
+
+def non_reflexive_poset():
+    le = np.zeros((3, 3), dtype=bool)
+    le[0, :] = True  # 0 is below everything; y and z are not even below themselves
+    return FinitePoset(["x", "y", "z"], le)
+
+
+def test_verify_poset_reports_missing_transitivity():
+    rep = verify_poset(non_transitive_poset())
     assert not rep.ok
     assert not rep.get("transitive").passed
     assert rep.get("transitive").witnesses[0] == {"a": "x", "b": "y", "c": "z"}
 
 
 def test_verify_poset_reports_antisymmetry_violation():
-    le = np.ones((2, 2), dtype=bool)
-    rep = verify_poset(FinitePoset(["x", "y"], le))
+    rep = verify_poset(non_antisymmetric_poset())
     assert not rep.get("antisymmetric").passed
     assert rep.get("reflexive").passed
 
@@ -157,10 +211,13 @@ def random_posets(draw):
     return FinitePoset([f"e{i}" for i in range(n)], reach)
 
 
-@given(random_posets())
+@given(random_posets(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_random_closed_dags_verify_and_bound_tables_are_bounds(p):
+def test_random_closed_dags_verify_and_bound_tables_are_bounds(p, data):
     assert verify_poset(p).ok
+    assert p.upsets().by_up is not None and p.downsets().by_up is not None
+    items = st.lists(st.integers(min_value=0, max_value=p.n - 1), max_size=p.n)
+    assert_bounds_match_the_scan(p, [data.draw(items) for _ in range(8)])
     mt, jt = p.meet_table(), p.join_table()
     assert np.array_equal(mt, mt.T) and np.array_equal(jt, jt.T)
     for a in range(p.n):
@@ -172,3 +229,41 @@ def test_random_closed_dags_verify_and_bound_tables_are_bounds(p):
             j = int(jt[a, b])
             if j >= 0:
                 assert p.leq(a, j) and p.leq(b, j)
+
+
+@st.composite
+def random_relations(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    return FinitePoset([f"e{i}" for i in range(n)], np.array(bits).reshape(n, n))
+
+
+@given(random_relations(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_bounds_match_the_scan_on_arbitrary_relations(p, data):
+    # mostly not partial orders: the fallback must give the scan's answers
+    assert (p.upsets().by_up is not None) == verify_poset(p).ok
+    items = st.lists(st.integers(min_value=0, max_value=p.n - 1), max_size=p.n)
+    assert_bounds_match_the_scan(p, [data.draw(items) for _ in range(8)])
+
+
+@pytest.mark.parametrize(
+    "make", [non_transitive_poset, non_antisymmetric_poset, non_reflexive_poset]
+)
+def test_non_order_tables_fall_back_to_the_scan(make):
+    p = make()
+    assert p.upsets().by_up is None and p.downsets().by_up is None
+    everything = [
+        list(c) for r in range(p.n + 1) for c in itertools.combinations(range(p.n), r)
+    ]
+    assert_bounds_match_the_scan(p, everything)
+
+
+def test_bounds_equal_agrees_with_bound_on_both_paths():
+    for p in (powerset_poset(3), non_transitive_poset()):
+        ups = p.upsets()
+        rows = np.array(list(itertools.product(range(p.n), repeat=2)))
+        for t in range(p.n):
+            targets = np.full(len(rows), t)
+            want = [ups.bound(row) == t for row in rows.tolist()]
+            assert ups.bounds_equal(rows, targets).tolist() == want

@@ -3,11 +3,19 @@
 The MO2 structure is small enough to enumerate by hand, so its filter and
 ideal lattice, its orthogonal families and its homomorphisms onto the
 two-element algebra are all frozen here as explicit expectations.
+
+The per-(family, element) product-additivity loop and the set-based common
+refinement search that ``verify_semilogic`` once ran are kept here as oracles
+for its vectorized and bitmask versions: the witness lists must agree in full
+and in order.
 """
+
+import json
 
 import numpy as np
 import pytest
 
+import qstruct.report
 from qstruct import (
     ClosurePair,
     DistributionTable,
@@ -15,15 +23,21 @@ from qstruct import (
     Filter,
     HomomorphismMap,
     Ideal,
+    QstructError,
     Semilogic,
+    FinitePoset,
     StructuralError,
     chain_quasilogic,
     check_regularity,
+    diamond_semiring,
+    join_of,
+    parse_structure,
     mo2_quasilogic,
     mo2_semilogic,
     powerset_quasilogic,
     powerset_semiring,
     relative_complement,
+    shuffled_powerset_semiring,
     summable_families,
     support,
     verify_closure,
@@ -246,3 +260,158 @@ def test_relative_complement_on_the_square():
     s = powerset_semiring(2)
     assert relative_complement(s, s.index("{0}"), s.index("{0,1}")) == s.index("{1}")
     assert relative_complement(s, s.index("{0}"), s.index("{0}")) == s.index("{}")
+
+
+# -- oracles for the product-additivity and compatibility checks ---------------
+
+
+def oracle_product_additivity(s):
+    labels, prod, z = s.labels, s.prod, s.zero()
+    sumlaw = []
+    for fam, sup in summable_families(s):
+        if not fam:
+            continue
+        for a in range(s.n):
+            if any(prod[a, m] < 0 for m in fam):
+                continue
+            images = [int(prod[a, m]) for m in fam]
+            nonzero = [p for p in images if p != z]
+            w = {"a": labels[a], "family": [labels[m] for m in fam]}
+            if len(set(nonzero)) != len(nonzero):
+                sumlaw.append(w | {"reason": "image family not summable"})
+                continue
+            if any(
+                prod[p, q] != z
+                for i, p in enumerate(nonzero)
+                for q in nonzero[i + 1 :]
+            ):
+                sumlaw.append(w | {"reason": "image family not orthogonal"})
+                continue
+            img_sum = join_of(s.poset, nonzero)
+            if prod[a, sup] < 0:
+                sumlaw.append(w | {"reason": "product with sum undefined"})
+            elif img_sum is None or img_sum != prod[a, sup]:
+                sumlaw.append(w)
+    return sumlaw
+
+
+def oracle_has_common_refinement(s, by_sup, orth, a, b, ab):
+    for fam_a in by_sup.get(a, ()):
+        set_a = set(fam_a)
+        for fam_b in by_sup.get(b, ()):
+            merged = set_a | set(fam_b)
+            if not all(orth[x, y] for x in merged for y in merged if x < y):
+                continue
+            common = sorted(set_a & set(fam_b))
+            total = join_of(s.poset, common)
+            if total is not None and total == ab:
+                return True
+    return False
+
+
+def oracle_compatibility(s):
+    by_sup = {}
+    for fam, sup in summable_families(s):
+        by_sup.setdefault(sup, []).append(fam)
+    orth = s.prod == s.zero()
+    return [
+        {"a": s.labels[a], "b": s.labels[b]}
+        for a in range(s.n)
+        for b in range(a, s.n)
+        if s.prod[a, b] >= 0
+        and not oracle_has_common_refinement(s, by_sup, orth, a, b, int(s.prod[a, b]))
+    ]
+
+
+def zeroed_semiring(k, a, b):
+    """2^k with the product of masks a and b set to the empty set."""
+    good = powerset_semiring(k)
+    prod = good.prod.copy()
+    prod[a, b] = prod[b, a] = 0
+    return Semilogic(good.poset, prod)
+
+
+def perturbed_semilogics(count, seed):
+    """2^3 products with a few symmetric entries overwritten, -1 included."""
+    rng = np.random.default_rng(seed)
+    base = powerset_semiring(3)
+    for _ in range(count):
+        prod = base.prod.copy()
+        for _ in range(int(rng.integers(1, 4))):
+            a, b = (int(x) for x in rng.integers(0, 8, size=2))
+            prod[a, b] = prod[b, a] = int(rng.integers(-1, 8))
+        yield Semilogic(base.poset, prod)
+
+
+def mo2_semilogic_files(valid_dir, mutants_dir):
+    """MO2 semilogic fixtures; mo2_as_semiring is read as the semilogic it is."""
+    paths = [valid_dir / "mo2_semilogic.json", *sorted(mutants_dir.glob("mo2_*.json"))]
+    out = []
+    for path in paths:
+        data = json.loads(path.read_text())
+        if data.get("kind") == "boolean_semiring":
+            data["kind"] = "semilogic"
+        try:
+            obj = parse_structure(data)
+        except QstructError:
+            continue  # mo2_prod_conflict and mo2_neg_not_involutive never parse
+        if isinstance(obj, Semilogic):
+            out.append(obj)
+    return out
+
+
+def assert_matches_the_oracles(s):
+    rep = verify_semilogic(s)
+    for name, want in (
+        ("product-additivity", oracle_product_additivity(s)),
+        ("compatibility-decomposition", oracle_compatibility(s)),
+    ):
+        check = rep.get(name)
+        assert check.violation_count == len(want), name
+        assert check.witnesses == want, name
+
+
+@pytest.fixture
+def all_witnesses(monkeypatch):
+    monkeypatch.setattr(qstruct.report, "MAX_WITNESSES", 10**6)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_powerset_semirings_match_the_oracles(all_witnesses, k):
+    assert_matches_the_oracles(powerset_semiring(k))
+    assert_matches_the_oracles(shuffled_powerset_semiring(k, seed=k))
+
+
+def test_broken_semirings_match_the_oracles(all_witnesses):
+    zeroed = zeroed_semiring(4, 0b0011, 0b0110)
+    assert not verify_semilogic(zeroed).get("product-additivity").passed
+    assert_matches_the_oracles(zeroed)
+    assert_matches_the_oracles(diamond_semiring())
+    reasons = set()
+    for s in perturbed_semilogics(60, seed=7):
+        assert_matches_the_oracles(s)
+        reasons |= {w.get("reason") for w in oracle_product_additivity(s)}
+    assert reasons == {
+        None,
+        "image family not summable",
+        "image family not orthogonal",
+        "product with sum undefined",
+    }
+
+
+def test_mo2_files_match_the_oracles(all_witnesses, valid_dir, mutants_dir):
+    structures = mo2_semilogic_files(valid_dir, mutants_dir)
+    assert len(structures) == 4
+    for s in structures:
+        assert_matches_the_oracles(s)
+
+
+def test_semilogic_on_a_non_order_table_matches_the_oracles(all_witnesses):
+    le = np.eye(4, dtype=bool)
+    le[0, :] = True
+    le[1, 2] = le[2, 3] = True  # 1 <= 2 <= 3 without 1 <= 3
+    poset = FinitePoset(["0", "a", "b", "c"], le)
+    assert poset.upsets().by_up is None
+    prod = np.zeros((4, 4), dtype=np.int16)
+    np.fill_diagonal(prod, np.arange(4))
+    assert_matches_the_oracles(Semilogic(poset, prod))
