@@ -176,6 +176,29 @@ class UpsetIndex:
         return (np.bitwise_and.reduce(w[rows], axis=1) == w[targets]).all(axis=1)
 
 
+def sentinel_padded(table: np.ndarray) -> np.ndarray:
+    """Copy of an n x n table that uses -1 for "undefined", padded to (n+1) x (n+1).
+
+    The extra last row and column are all -1, so indexing the copy with -1
+    lands on them: an undefined entry stays -1 through nested lookups.
+    """
+    n = table.shape[0]
+    out = np.full((n + 1, n + 1), -1, dtype=np.int16)
+    out[:n, :n] = table
+    return out
+
+
+def upper_blocks(n: int, rows: int = 64) -> Iterable[tuple[int, int, int]]:
+    """(a, b0, b1) for each a and each run b0 <= b < b1 of at most ``rows`` b in [a, n).
+
+    The runs follow the row-major order of the pairs a <= b. Kernels that scan
+    one (b, c) block per run keep their temporaries to ``rows`` x n entries.
+    """
+    for a in range(n):
+        for b0 in range(a, n, rows):
+            yield a, b0, min(b0 + rows, n)
+
+
 def row_bits(rel: np.ndarray) -> list[int]:
     """Each row of a boolean matrix as an int with bit j = ``rel[i, j]``."""
     return [
@@ -264,11 +287,12 @@ def atoms(p: FinitePoset) -> list[int]:
 
 def is_upward_directed(p: FinitePoset) -> tuple[bool, tuple[str, str] | None]:
     """Every pair must admit a common upper bound; returns a witness pair if not."""
-    for a in range(p.n):
-        for b in range(a + 1, p.n):
-            if not (p.le[a, :] & p.le[b, :]).any():
-                return False, (p.labels[a], p.labels[b])
-    return True, None
+    # bool matmul: a uint8 count of 256 common upper bounds would wrap to 0
+    lonely = np.triu(~(p.le @ p.le.T), 1)
+    if not lonely.any():
+        return True, None
+    a, b = np.unravel_index(lonely.argmax(), lonely.shape)
+    return False, (p.labels[a], p.labels[b])
 
 
 def segment(p: FinitePoset, a: int, c: int) -> tuple[FinitePoset, list[int]]:

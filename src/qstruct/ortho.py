@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConstructionError, StructuralError
-from .order import segment
+from .order import segment, sentinel_padded, upper_blocks
 from .quasilogic import Quasilogic, verify_quasilogic
 from .report import VerificationReport
 
@@ -70,55 +70,27 @@ def verify_logic(ol: OrthoLogic) -> VerificationReport:
     rep.record("complement-join", cj)
     rep.record("complement-meet", cm)
 
+    anti = le & ~le[np.ix_(neg, neg)].T  # a <= b without ~b <= ~a
     rep.record(
         "complement-antitone",
-        (
-            {"a": labels[a], "b": labels[b]}
-            for a in range(n)
-            for b in range(n)
-            if le[a, b] and not le[neg[b], neg[a]]
-        ),
+        ({"a": labels[a], "b": labels[b]} for a, b in zip(*np.nonzero(anti))),
     )
 
-    dm_join, dm_meet = [], []
-    for a in range(n):
-        for b in range(a, n):
-            w = {"a": labels[a], "b": labels[b]}
-            j = int(jt[a, b])
-            if j >= 0:
-                m = int(mt[neg[a], neg[b]])
-                if m < 0:
-                    dm_join.append(w | {"reason": "meet of complements undefined"})
-                elif m != neg[j]:
-                    dm_join.append(w)
-            m = int(mt[a, b])
-            if m >= 0:
-                j2 = int(jt[neg[a], neg[b]])
-                if j2 < 0:
-                    dm_meet.append(w | {"reason": "join of complements undefined"})
-                elif j2 != neg[m]:
-                    dm_meet.append(w)
-    rep.record("de-morgan-join", dm_join)
-    rep.record("de-morgan-meet", dm_meet)
-
-    # (a v b) ^ c = a v (b ^ c) whenever a <= ~b <= c
-    rel = []
-    for b in range(n):
-        nb = int(neg[b])
-        for a in np.flatnonzero(le[:, nb]):
-            for c in np.flatnonzero(le[nb, :]):
-                w = {"a": labels[a], "b": labels[b], "c": labels[c]}
-                ab = int(jt[a, b])
-                bc = int(mt[b, c])
-                if ab < 0 or bc < 0:
-                    rel.append(w | {"reason": "bound undefined"})
-                    continue
-                lhs, rhs = int(mt[ab, c]), int(jt[a, bc])
-                if lhs < 0 or rhs < 0:
-                    rel.append(w | {"reason": "bound undefined"})
-                elif lhs != rhs:
-                    rel.append(w | {"lhs": labels[lhs], "rhs": labels[rhs]})
-    rep.record("relative-distributivity", rel)
+    # ~(a v b) = ~a ^ ~b and dually, for a <= b, one row a at a time
+    for name, bound, dual, what in (
+        ("de-morgan-join", jt, mt, "meet"),
+        ("de-morgan-meet", mt, jt, "join"),
+    ):
+        viol = []
+        for a in range(n):
+            row, comp = bound[a, a:], dual[neg[a], neg[a:]]
+            for k in np.flatnonzero((row >= 0) & (comp != neg[row])):
+                w = {"a": labels[a], "b": labels[a + k]}
+                if comp[k] < 0:
+                    w["reason"] = f"{what} of complements undefined"
+                viol.append(w)
+        rep.record(name, viol)
+    rep.record("relative-distributivity", _relative_distributivity(ol))
 
     diff = ol.ql.diff
     rep.record(
@@ -146,38 +118,56 @@ def verify_logic(ol: OrthoLogic) -> VerificationReport:
     return rep
 
 
+def _relative_distributivity(ol: OrthoLogic) -> list[dict]:
+    """(a v b) ^ c = a v (b ^ c) whenever a <= ~b <= c; one (a, c) block per b."""
+    labels, neg, le = ol.labels, ol.neg, ol.poset.le
+    mt = sentinel_padded(ol.poset.meet_table())
+    jt = sentinel_padded(ol.poset.join_table())
+    rel = []
+    for b in range(ol.n):
+        avals, cvals = np.flatnonzero(le[:, neg[b]]), np.flatnonzero(le[neg[b], :])
+        lhs = mt[jt[avals, b][:, None], cvals]
+        rhs = jt[avals[:, None], mt[b, cvals]]
+        for i, k in zip(*np.nonzero((lhs != rhs) | (lhs < 0))):
+            left, right = lhs[i, k], rhs[i, k]
+            w = {"a": labels[avals[i]], "b": labels[b], "c": labels[cvals[k]]}
+            if min(left, right) < 0:
+                rel.append(w | {"reason": "bound undefined"})
+            else:
+                rel.append(w | {"lhs": labels[left], "rhs": labels[right]})
+    return rel
+
+
 def boolean_criterion(ol: OrthoLogic) -> tuple[bool, dict | None]:
     """Boolean iff disjointness coincides with lying under the complement."""
     z = ol.poset.least()
     if z is None:
         return False, {"reason": "no least element"}
     mt, le, labels = ol.poset.meet_table(), ol.poset.le, ol.labels
-    for a in range(ol.n):
-        for b in range(ol.n):
-            disjoint = mt[a, b] == z
-            under = bool(le[b, ol.neg[a]])
-            if disjoint != under:
-                return False, {"a": labels[a], "b": labels[b]}
-    return True, None
+    # bad[a, b]: a ^ b = 0 disagrees with b <= ~a
+    bad = (mt == z) != le[:, ol.neg].T
+    if not bad.any():
+        return True, None
+    a, b = np.unravel_index(bad.argmax(), bad.shape)
+    return False, {"a": labels[a], "b": labels[b]}
 
 
 def is_distributive(ol: OrthoLogic) -> tuple[bool, dict | None]:
-    """Meet distributes over join wherever all four bounds exist."""
-    mt, jt, labels = ol.poset.meet_table(), ol.poset.join_table(), ol.labels
+    """Meet distributes over join wherever all four bounds exist.
+
+    One (b, c) block per a, for b >= a: (a v b) ^ c against (a ^ c) v (b ^ c).
+    An undefined bound is -1 and, through the padded tables, stays -1.
+    """
+    mt = sentinel_padded(ol.poset.meet_table())
+    jt = sentinel_padded(ol.poset.join_table())
     n = ol.n
-    for a in range(n):
-        for b in range(a, n):
-            j = int(jt[a, b])
-            if j < 0:
-                continue
-            for c in range(n):
-                ac, bc = int(mt[a, c]), int(mt[b, c])
-                if ac < 0 or bc < 0:
-                    continue
-                rhs = int(jt[ac, bc])
-                lhs = int(mt[j, c])
-                if lhs >= 0 and rhs >= 0 and lhs != rhs:
-                    return False, {"a": labels[a], "b": labels[b], "c": labels[c]}
+    for a, b0, b1 in upper_blocks(n):
+        rhs = jt[mt[a, :n], mt[b0:b1, :n]]
+        lhs = mt[jt[a, b0:b1], :n]
+        bad = (lhs != rhs) & (lhs >= 0) & (rhs >= 0)
+        if bad.any():
+            b, c = np.unravel_index(bad.argmax(), bad.shape)
+            return False, {"a": ol.labels[a], "b": ol.labels[b0 + b], "c": ol.labels[c]}
     return True, None
 
 

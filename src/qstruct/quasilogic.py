@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AxiomViolationError, DomainError, StructuralError
-from .order import FinitePoset, join, meet, verify_poset
+from .order import FinitePoset, join, meet, sentinel_padded, upper_blocks, verify_poset
 from .report import VerificationReport
 
 CLASSIFICATION_LABELS = (
@@ -272,24 +272,24 @@ def quasiproduct(q: Quasilogic, a: int, b: int, c: int) -> int:
 def check_de_morgan(q: Quasilogic) -> VerificationReport:
     """c - (a v b) = (c-a) ^ (c-b) and c - (a ^ b) = (c-a) v (c-b), c >= a, b."""
     rep = VerificationReport(subject="de-morgan")
-    le, diff, labels = q.poset.le, q.diff, q.labels
+    le, diff, labels, n = q.poset.le, q.diff, q.labels, q.n
     mt, jt = q.poset.meet_table(), q.poset.join_table()
     join_viol, meet_viol = [], []
-    for a in range(q.n):
-        for b in range(a, q.n):
-            m, j = int(mt[a, b]), int(jt[a, b])
-            if m < 0 or j < 0:
-                continue
-            for c in np.flatnonzero(le[a, :] & le[b, :]):
-                ca, cb = int(diff[c, a]), int(diff[c, b])
-                w = {"a": labels[a], "b": labels[b], "c": labels[int(c)]}
-                if ca < 0 or cb < 0:
-                    join_viol.append(w | {"reason": "difference undefined"})
-                    continue
-                if int(diff[c, j]) != int(mt[ca, cb]):
-                    join_viol.append(w)
-                if int(diff[c, m]) != int(jt[ca, cb]):
-                    meet_viol.append(w)
+    for a, b0, b1 in upper_blocks(n):
+        bs = b0 + np.flatnonzero((mt[a, b0:b1] >= 0) & (jt[a, b0:b1] >= 0))
+        cs = np.flatnonzero(le[a])
+        pairs = le[np.ix_(bs, cs)]  # [b, c]: c >= a, b
+        ca, cb = diff[cs, a], diff[np.ix_(cs, bs)].T
+        undefined = pairs & ((ca < 0) | (cb < 0))
+        defined = pairs & ~undefined  # only these cells read mt[ca, cb] and jt[ca, cb]
+        bad_join = undefined | (defined & (diff[np.ix_(cs, jt[a, bs])].T != mt[ca, cb]))
+        bad_meet = defined & (diff[np.ix_(cs, mt[a, bs])].T != jt[ca, cb])
+        for viol, bad in ((join_viol, bad_join), (meet_viol, bad_meet)):
+            for i, k in zip(*np.nonzero(bad)):
+                w = {"a": labels[a], "b": labels[bs[i]], "c": labels[cs[k]]}
+                if undefined[i, k]:
+                    w["reason"] = "difference undefined"
+                viol.append(w)
     rep.record("difference-of-join", join_viol)
     rep.record("difference-of-meet", meet_viol)
     return rep
@@ -325,60 +325,41 @@ def classify(q: Quasilogic) -> str:
 
     quasiring demands a witness-independent quasiproduct on top of trivial
     quasicommutation; without that refinement every chain would pass the ring
-    test through degenerate witnesses.
+    test through degenerate witnesses. Both scans take one (b, c) block per a
+    and run of rows b >= a, with c over the elements above a, and read the
+    padded difference table.
     """
     info = q._sum_info()
     mt = q.poset.meet_table()
     zero = q.zero()
-    n = q.n
+    le, n = q.poset.le, q.n
+    diff = sentinel_padded(q.diff)
 
-    def disjoint(x: int, y: int) -> bool:
-        return bool(info.summable[x, y]) and int(mt[x, y]) == zero
+    logic_p = zero is not None and not np.triu(info.summable & (mt != zero)).any()
+    if zero is not None:
+        disjoint = np.zeros((n + 1, n + 1), dtype=bool)
+        disjoint[:n, :n] = info.summable & (mt == zero)
 
-    logic_p = zero is not None
-    if logic_p:
-        for a in range(n):
-            for b in range(a, n):
-                if info.summable[a, b] and not disjoint(a, b):
-                    logic_p = False
-                    break
-            if not logic_p:
-                break
-
-    quasiring_p = True
-    for a in range(n):
-        for b in range(a, n):
-            witnesses = _product_witnesses(q, a, b)
-            if not witnesses:
-                quasiring_p = False
-                break
-            try:
-                values = {quasiproduct(q, a, b, c) for c in witnesses}
-            except AxiomViolationError:
-                quasiring_p = False
-                break
-            if len(values) != 1:
-                quasiring_p = False
-                break
-        if not quasiring_p:
+    quasiring_p, ring_p = True, zero is not None
+    for a, b0, b1 in upper_blocks(n):
+        # c - a >= 0 needs a <= c, so only such c can be witnesses or majorants
+        cs = np.flatnonzero(le[a])
+        ca = diff[cs, a]  # c - a
+        cb = diff[cs, b0:b1].T  # [b, c] = c - b
+        # witnesses of quasiproduct(a, b, c)
+        wit = (ca >= 0) & le[b0:b1, cs] & le[ca, b0:b1].T
+        if not wit.any(axis=1).all():
+            quasiring_p = False
             break
-
-    ring_p = quasiring_p and zero is not None
-    if ring_p:
-        le, diff = q.poset.le, q.diff
-        for a in range(n):
-            for b in range(a, n):
-                ok = False
-                for c in np.flatnonzero(le[a, :] & le[b, :]):
-                    ca, cb = int(diff[c, a]), int(diff[c, b])
-                    if ca >= 0 and cb >= 0 and disjoint(ca, cb):
-                        ok = True
-                        break
-                if not ok:
-                    ring_p = False
-                    break
-            if not ring_p:
-                break
+        v1 = diff[a, cb]  # a - (c - b)
+        v2 = diff[b0:b1, ca]  # b - (c - a)
+        first = v1[np.arange(b1 - b0), wit.argmax(axis=1)][:, None]
+        if (wit & ((v1 < 0) | (v1 != v2) | (v1 != first))).any():
+            quasiring_p = False
+            break
+        if ring_p:
+            ring_p = bool(disjoint[ca, cb].any(axis=1).all())
+    ring_p = ring_p and quasiring_p
 
     if ring_p and q.poset.greatest() is not None:
         return "boolean-algebra"

@@ -1,7 +1,16 @@
-"""Orthocomplemented logics: verification, criteria and segment structures."""
+"""Orthocomplemented logics: verification, criteria and segment structures.
+
+The table loops that ``boolean_criterion``, ``is_distributive`` and the
+order-theoretic checks of ``verify_logic`` once ran are kept here as oracles
+for their table kernels: verdicts and witness lists must agree in full and in
+order.
+"""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import fixture_structures, horizontal_sum, random_logics
 
 from qstruct import (
     OrthoLogic,
@@ -15,6 +24,7 @@ from qstruct import (
     o6_logic,
     powerset_logic,
     segment_logic,
+    shuffled_powerset_logic,
     verify_logic,
 )
 
@@ -111,3 +121,140 @@ def test_hexagon_segment_has_no_consistent_complement():
     ol = o6_logic()
     with pytest.raises(StructuralError, match="involution"):
         segment_logic(ol, 0, ol.index("b'"))
+
+
+# -- oracles for the table kernels ---------------------------------------------
+
+
+def oracle_boolean_criterion(ol):
+    z = ol.poset.least()
+    if z is None:
+        return False, {"reason": "no least element"}
+    mt, le, labels = ol.poset.meet_table(), ol.poset.le, ol.labels
+    for a in range(ol.n):
+        for b in range(ol.n):
+            if (mt[a, b] == z) != bool(le[b, ol.neg[a]]):
+                return False, {"a": labels[a], "b": labels[b]}
+    return True, None
+
+
+def oracle_is_distributive(ol):
+    mt, jt, labels, n = ol.poset.meet_table(), ol.poset.join_table(), ol.labels, ol.n
+    for a in range(n):
+        for b in range(a, n):
+            j = int(jt[a, b])
+            if j < 0:
+                continue
+            for c in range(n):
+                ac, bc = int(mt[a, c]), int(mt[b, c])
+                if ac < 0 or bc < 0:
+                    continue
+                rhs, lhs = int(jt[ac, bc]), int(mt[j, c])
+                if lhs >= 0 and rhs >= 0 and lhs != rhs:
+                    return False, {"a": labels[a], "b": labels[b], "c": labels[c]}
+    return True, None
+
+
+def oracle_logic_witnesses(ol):
+    """verify_logic's order-theoretic checks as plain loops over the tables."""
+    labels, neg, n, le = ol.labels, ol.neg, ol.n, ol.poset.le
+    mt, jt = ol.poset.meet_table(), ol.poset.join_table()
+    out = {
+        "complement-antitone": [
+            {"a": labels[a], "b": labels[b]}
+            for a in range(n)
+            for b in range(n)
+            if le[a, b] and not le[neg[b], neg[a]]
+        ],
+        "de-morgan-join": [],
+        "de-morgan-meet": [],
+        "relative-distributivity": [],
+    }
+    for a in range(n):
+        for b in range(a, n):
+            w = {"a": labels[a], "b": labels[b]}
+            for name, bound, dual, what in (
+                ("de-morgan-join", jt, mt, "meet"),
+                ("de-morgan-meet", mt, jt, "join"),
+            ):
+                x = int(bound[a, b])
+                if x < 0:
+                    continue
+                y = int(dual[neg[a], neg[b]])
+                if y < 0:
+                    out[name].append(w | {"reason": f"{what} of complements undefined"})
+                elif y != neg[x]:
+                    out[name].append(w)
+    for b in range(n):
+        nb = int(neg[b])
+        for a in np.flatnonzero(le[:, nb]):
+            for c in np.flatnonzero(le[nb, :]):
+                w = {"a": labels[a], "b": labels[b], "c": labels[c]}
+                ab, bc = int(jt[a, b]), int(mt[b, c])
+                lhs = int(mt[ab, c]) if ab >= 0 and bc >= 0 else -1
+                rhs = int(jt[a, bc]) if ab >= 0 and bc >= 0 else -1
+                if lhs < 0 or rhs < 0:
+                    out["relative-distributivity"].append(w | {"reason": "bound undefined"})
+                elif lhs != rhs:
+                    out["relative-distributivity"].append(
+                        w | {"lhs": labels[lhs], "rhs": labels[rhs]}
+                    )
+    return out
+
+
+def assert_logic_matches_the_oracles(ol):
+    assert boolean_criterion(ol) == oracle_boolean_criterion(ol)
+    assert is_distributive(ol) == oracle_is_distributive(ol)
+    rep = verify_logic(ol)
+    for name, want in oracle_logic_witnesses(ol).items():
+        check = rep.get(name)
+        assert check.violation_count == len(want), name
+        assert check.witnesses == want, name
+
+
+def chain_logic(n):
+    return OrthoLogic(chain_quasilogic(n), np.arange(n)[::-1])
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_shuffled_powerset_logics_match_the_oracles(all_witnesses, k):
+    assert_logic_matches_the_oracles(shuffled_powerset_logic(k, seed=k))
+
+
+def test_standard_logics_match_the_oracles(all_witnesses):
+    logics = [mo2_logic(), o6_logic(), *(chain_logic(n) for n in range(2, 7))]
+    logics += [horizontal_sum(blocks, k) for blocks, k in ((2, 2), (3, 2), (2, 3), (3, 3))]
+    for ol in logics:
+        assert_logic_matches_the_oracles(ol)
+    assert not is_distributive(horizontal_sum(2, 3))[0]
+
+
+def test_fixture_logics_match_the_oracles(all_witnesses):
+    logics = fixture_structures(OrthoLogic)
+    assert len(logics) >= 7
+    for ol in logics:
+        assert_logic_matches_the_oracles(ol)
+
+
+def test_random_orders_with_missing_bounds_match_the_oracles(all_witnesses):
+    logics = list(random_logics(120, seed=3))
+    assert any((ol.poset.meet_table() < 0).any() for ol in logics)
+    assert any((ol.poset.join_table() < 0).any() for ol in logics)
+    assert {is_distributive(ol)[0] for ol in logics} == {True, False}
+    for ol in logics:
+        assert_logic_matches_the_oracles(ol)
+
+
+def test_table_kernels_stay_small_at_the_size_ceiling():
+    # full n^3 index arrays at n=256 take ~134 MB each; the per-row kernels
+    # need well under 1 MB (numpy reports its buffers to tracemalloc)
+    ol = powerset_logic(8)
+    ol.poset.meet_table(), ol.poset.join_table(), ol.ql._sum_info()
+    for kernel, arg in ((is_distributive, ol), (classify, ol.ql)):
+        tracemalloc.start()
+        try:
+            kernel(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, kernel.__name__

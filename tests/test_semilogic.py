@@ -15,7 +15,6 @@ import json
 import numpy as np
 import pytest
 
-import qstruct.report
 from qstruct import (
     ClosurePair,
     DistributionTable,
@@ -369,11 +368,6 @@ def assert_matches_the_oracles(s):
         check = rep.get(name)
         assert check.violation_count == len(want), name
         assert check.witnesses == want, name
-
-
-@pytest.fixture
-def all_witnesses(monkeypatch):
-    monkeypatch.setattr(qstruct.report, "MAX_WITNESSES", 10**6)
 
 
 @pytest.mark.parametrize("k", range(1, 6))
