@@ -23,6 +23,7 @@ from .semilogic import (
     Filter,
     HomomorphismMap,
     Semilogic,
+    distribution_mass,
     summable_families,
     verify_semilogic,
 )
@@ -250,10 +251,7 @@ def represent_distribution(
     rep.record("additive-consistency", disagreements)
 
     full = frozenset(range(len(sr.points)))
-    dist_mass = 0.0
-    for fam, _ in bs._all_orthogonal_families():
-        if fam:
-            dist_mass = max(dist_mass, float(sum(vals[list(fam)])))
+    dist_mass = distribution_mass(bs, vals)
     if full in measure:
         rep.record(
             "mass-preserved",

@@ -10,6 +10,7 @@ witness carries the product norm and the overlap ||P1 P2 P1||.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -23,9 +24,9 @@ from .matrix_core import (
     range_join,
     range_meet,
 )
-from .order import FinitePoset, verify_poset
+from .order import FinitePoset, first_nondistributive, verify_poset
 from .report import VerificationReport
-from .semilogic import orthogonal_families
+from .semilogic import additivity_witnesses, family_residuals, orthogonal_families
 
 
 @dataclass
@@ -132,23 +133,14 @@ def distributivity_criterion(clan: Clan, tol: Tolerance) -> dict:
                         "overlap": overlap,
                     }
 
-    distributive, dist_witness = True, None
-    for a in range(clan.n):
-        for b in range(a, clan.n):
-            j = int(join_idx[a, b])
-            for c in range(clan.n):
-                lhs = int(meet_idx[j, c])
-                rhs = int(join_idx[meet_idx[a, c], meet_idx[b, c]])
-                if lhs != rhs:
-                    distributive = False
-                    if dist_witness is None:
-                        dist_witness = {"a": labels[a], "b": labels[b], "c": labels[c]}
+    hit = first_nondistributive(meet_idx, join_idx)
+    dist_witness = None if hit is None else dict(zip("abc", (labels[x] for x in hit)))
     return {
-        "distributive": distributive,
+        "distributive": hit is None,
         "distributive_witness": dist_witness,
         "criterion": criterion,
         "criterion_witness": crit_witness,
-        "agree": distributive == criterion,
+        "agree": (hit is None) == criterion,
     }
 
 
@@ -204,10 +196,16 @@ def verify_clan(clan: Clan, tol: Tolerance) -> VerificationReport:
     return rep
 
 
-def _orthogonal_member_families(clan: Clan, tol: Tolerance) -> list[tuple[int, ...]]:
+def _orthogonal_member_families(clan: Clan, tol: Tolerance) -> list[tuple[tuple[int, ...], int]]:
+    """Orthogonal families of two or more nonzero members, each with its join."""
+    _, join_idx = bound_tables(clan, tol)
     orth = relation_tables(clan, tol)["orthogonal"]
     nonzero = [i for i in range(clan.n) if op_norm(clan.members[i]) > tol.eps]
-    return [fam for fam, _ in orthogonal_families(nonzero, orth)]
+    return [
+        (fam, reduce(lambda total, x: int(join_idx[total, x]), fam))
+        for fam, _ in orthogonal_families(nonzero, orth)
+        if len(fam) > 1
+    ]
 
 
 def vector_state(clan: Clan, xi: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, VerificationReport]:
@@ -237,20 +235,9 @@ def vector_state(clan: Clan, xi: np.ndarray, tol: Tolerance) -> tuple[np.ndarray
     except DomainError:
         rep.record("unit-normalized", [{"reason": "no absorbing unit"}])
 
-    meet_idx, join_idx = bound_tables(clan, tol)
-    additive = []
-    for fam in _orthogonal_member_families(clan, tol):
-        if len(fam) < 2:
-            continue
-        total = fam[0]
-        for x in fam[1:]:
-            total = int(join_idx[total, x])
-        gap = float(vals[total] - sum(vals[list(fam)]))
-        if abs(gap) > tol.eps:
-            additive.append(
-                {"family": [clan.labels[x] for x in fam], "sum": clan.labels[total], "gap": gap}
-            )
-    rep.record("additive", additive)
+    fams = _orthogonal_member_families(clan, tol)
+    gaps = family_residuals(vals, fams)
+    rep.record("additive", additivity_witnesses(clan.labels, fams, gaps, tol.eps))
     return vals, rep
 
 
@@ -293,20 +280,9 @@ def operator_distribution(
         else [{"defect": op_norm(images[g] - np.eye(r))}],
     )
 
-    meet_idx, join_idx = bound_tables(clan, tol)
-    additive = []
-    for fam in _orthogonal_member_families(clan, tol):
-        if len(fam) < 2:
-            continue
-        total = fam[0]
-        for x in fam[1:]:
-            total = int(join_idx[total, x])
-        gap = op_norm(images[total] - sum(images[x] for x in fam))
-        if gap > tol.eps:
-            additive.append(
-                {"family": [clan.labels[x] for x in fam], "sum": clan.labels[total], "gap": gap}
-            )
-    rep.record("additive", additive)
+    fams = _orthogonal_member_families(clan, tol)
+    gaps = family_residuals(images, fams)
+    rep.record("additive", additivity_witnesses(clan.labels, fams, gaps, tol.eps))
     return images, rep
 
 

@@ -53,13 +53,18 @@ def eig_herm(a: Array) -> tuple[Array, Array]:
     return np.linalg.eigh(herm(a))
 
 
-def op_norm(a: Array) -> float:
-    """Spectral norm, via the top eigenvalue of a*a."""
+def op_norms(a: Array) -> Array:
+    """Spectral norm of each matrix in an (N, r, c) stack, via the top eigenvalue of a*a."""
     a = np.asarray(a, dtype=np.complex128)
     if a.size == 0:
-        return 0.0
-    w, _ = np.linalg.eigh(a.conj().T @ a)
-    return float(np.sqrt(max(float(w[-1]), 0.0)))
+        return np.zeros(a.shape[0])
+    w, _ = np.linalg.eigh(a.conj().transpose(0, 2, 1) @ a)
+    return np.sqrt(np.maximum(w[:, -1], 0.0))
+
+
+def op_norm(a: Array) -> float:
+    """Spectral norm of one matrix: the one-matrix case of ``op_norms``."""
+    return float(op_norms(np.asarray(a)[None])[0])
 
 
 def is_hermitian(a: Array, tol: Tolerance) -> bool:

@@ -25,11 +25,12 @@ from .matrix_core import (
     canonical_phases,
     eig_herm,
     op_norm,
+    op_norms,
     pseudo_inverse,
     rank_decomposition,
 )
 from .report import VerificationReport
-from .semilogic import summable_families
+from .semilogic import additivity_witnesses, family_residuals, summable_families
 from .standard import powerset_semiring
 
 
@@ -94,16 +95,9 @@ def verify_povm(povm: FinitePovm, tol: Tolerance) -> VerificationReport:
         [] if op_norm(effects[z]) <= tol.eps else [{"norm": op_norm(effects[z])}],
     )
 
-    additive = []
-    for fam, sup in summable_families(bs):
-        if len(fam) < 2:
-            continue
-        gap = op_norm(effects[sup] - sum(effects[x] for x in fam))
-        if gap > tol.eps:
-            additive.append(
-                {"family": [labels[x] for x in fam], "sum": labels[sup], "gap": gap}
-            )
-    rep.record("additive", additive)
+    fams = [(fam, sup) for fam, sup in summable_families(bs) if len(fam) > 1]
+    gaps = family_residuals(effects, fams)
+    rep.record("additive", additivity_witnesses(labels, fams, gaps, tol.eps))
 
     u = bs.unit()
     if u is None:
@@ -190,23 +184,18 @@ def verify_dilation(dil: Dilation, tol: Tolerance) -> VerificationReport:
     rep.record("images-are-projections", proj_viol)
     rep.record("compression-recovers-measure", dilation_viol)
 
-    additive = []
-    for fam, sup in summable_families(bs):
-        if len(fam) < 2:
-            continue
-        gap = op_norm(dil.images[sup] - sum(dil.images[x] for x in fam))
-        if gap > tol.eps:
-            additive.append({"family": [labels[x] for x in fam], "sum": labels[sup], "gap": gap})
-    rep.record("additive", additive)
+    images = np.array(dil.images)
+    fams = [(fam, sup) for fam, sup in summable_families(bs) if len(fam) > 1]
+    gaps = family_residuals(images, fams)
+    rep.record("additive", additivity_witnesses(labels, fams, gaps, tol.eps))
 
     mult = []
     for a in range(bs.n):
-        for b in range(a, bs.n):
-            gap = op_norm(
-                dil.images[a] @ dil.images[b] - dil.images[int(bs.prod[a, b])]
-            )
-            if gap > tol.eps:
-                mult.append({"a": labels[a], "b": labels[b], "defect": gap})
+        gaps = op_norms(images[a] @ images[a:] - images[bs.prod[a, a:]])
+        mult += (
+            {"a": labels[a], "b": labels[a + k], "defect": float(gaps[k])}
+            for k in np.flatnonzero(gaps > tol.eps)
+        )
     rep.record("multiplicative", mult)
 
     iso_gap = op_norm(dil.f.conj().T @ dil.f - np.eye(d))

@@ -199,6 +199,25 @@ def upper_blocks(n: int, rows: int = 64) -> Iterable[tuple[int, int, int]]:
             yield a, b0, min(b0 + rows, n)
 
 
+def first_nondistributive(mt: np.ndarray, jt: np.ndarray) -> tuple[int, int, int] | None:
+    """First (a, b >= a, c), row-major, where (a v b) ^ c != (a ^ c) v (b ^ c), else None.
+
+    ``mt`` and ``jt`` are n x n meet and join tables with -1 for undefined;
+    a triple counts only where both sides are defined. One (b, c) block per
+    run of rows b; through the padded tables an undefined bound stays -1.
+    """
+    n = mt.shape[0]
+    mt, jt = sentinel_padded(mt), sentinel_padded(jt)
+    for a, b0, b1 in upper_blocks(n):
+        rhs = jt[mt[a, :n], mt[b0:b1, :n]]
+        lhs = mt[jt[a, b0:b1], :n]
+        bad = (lhs != rhs) & (lhs >= 0) & (rhs >= 0)
+        if bad.any():
+            b, c = np.unravel_index(bad.argmax(), bad.shape)
+            return a, b0 + int(b), int(c)
+    return None
+
+
 def row_bits(rel: np.ndarray) -> list[int]:
     """Each row of a boolean matrix as an int with bit j = ``rel[i, j]``."""
     return [

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConstructionError, StructuralError
-from .order import segment, sentinel_padded, upper_blocks
+from .order import first_nondistributive, segment, sentinel_padded
 from .quasilogic import Quasilogic, verify_quasilogic
 from .report import VerificationReport
 
@@ -153,22 +153,11 @@ def boolean_criterion(ol: OrthoLogic) -> tuple[bool, dict | None]:
 
 
 def is_distributive(ol: OrthoLogic) -> tuple[bool, dict | None]:
-    """Meet distributes over join wherever all four bounds exist.
-
-    One (b, c) block per a, for b >= a: (a v b) ^ c against (a ^ c) v (b ^ c).
-    An undefined bound is -1 and, through the padded tables, stays -1.
-    """
-    mt = sentinel_padded(ol.poset.meet_table())
-    jt = sentinel_padded(ol.poset.join_table())
-    n = ol.n
-    for a, b0, b1 in upper_blocks(n):
-        rhs = jt[mt[a, :n], mt[b0:b1, :n]]
-        lhs = mt[jt[a, b0:b1], :n]
-        bad = (lhs != rhs) & (lhs >= 0) & (rhs >= 0)
-        if bad.any():
-            b, c = np.unravel_index(bad.argmax(), bad.shape)
-            return False, {"a": ol.labels[a], "b": ol.labels[b0 + b], "c": ol.labels[c]}
-    return True, None
+    """Meet distributes over join wherever all four bounds exist."""
+    hit = first_nondistributive(ol.poset.meet_table(), ol.poset.join_table())
+    if hit is None:
+        return True, None
+    return False, dict(zip("abc", (ol.labels[x] for x in hit)))
 
 
 def segment_logic(ol: OrthoLogic, lo: int, hi: int) -> OrthoLogic:

@@ -320,6 +320,13 @@ def check_sum_lattice_identity(q: Quasilogic) -> VerificationReport:
 # -- classification -----------------------------------------------------------
 
 
+def is_logic(q: Quasilogic) -> bool:
+    """A zero exists and only disjoint pairs are summable."""
+    info = q._sum_info()
+    zero = q.zero()
+    return zero is not None and not np.triu(info.summable & (q.poset.meet_table() != zero)).any()
+
+
 def classify(q: Quasilogic) -> str:
     """Strongest applicable label, checked strongest-first.
 
@@ -335,7 +342,7 @@ def classify(q: Quasilogic) -> str:
     le, n = q.poset.le, q.n
     diff = sentinel_padded(q.diff)
 
-    logic_p = zero is not None and not np.triu(info.summable & (mt != zero)).any()
+    logic_p = is_logic(q)
     if zero is not None:
         disjoint = np.zeros((n + 1, n + 1), dtype=bool)
         disjoint[:n, :n] = info.summable & (mt == zero)

@@ -14,11 +14,13 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, StructuralError
+from .matrix_core import op_norms
 from .order import FinitePoset, join_of, row_bits, verify_poset
-from .quasilogic import Quasilogic, partial_sum, quasicommutes, summable
+from .quasilogic import Quasilogic, is_logic, partial_sum, quasicommutes, summable
 from .report import VerificationReport
 
 MAX_FAMILIES = 200_000
+FAMILY_BLOCK = 256  # families per block in family_residuals
 EXACT_TOL = 1e-12  # additivity / regularity comparisons are essentially exact
 
 Structure = Union["Semilogic", Quasilogic]
@@ -108,6 +110,51 @@ def orthogonal_families(
             if rest:
                 stack.append((fam, rest, fam_acc))
     return out
+
+
+def family_residuals(
+    values: np.ndarray, families: Sequence[tuple[tuple[int, ...], int]]
+) -> np.ndarray:
+    """``values[sup]`` minus the sum of ``values`` over the family, per (family, sup).
+
+    ``values`` stacks scalars ``(n,)`` or matrices ``(n, d, d)``; a matrix
+    residual is reduced to its operator norm. A sup of -1 reads a zero row,
+    which gives minus the family sum. Members sit in a padded index whose
+    sentinel is that zero row, and each sum runs from 0 over the members left
+    to right, like the builtin ``sum``, so every float is the one a loop over
+    single families gives. Families go ``FAMILY_BLOCK`` at a time, so no
+    temporary grows with the family count.
+    """
+    values = np.asarray(values)
+    n = values.shape[0]
+    padded = np.zeros((n + 1, *values.shape[1:]), dtype=values.dtype)
+    padded[:n] = values
+    out = np.empty(len(families))
+    for lo in range(0, len(families), FAMILY_BLOCK):
+        block = families[lo : lo + FAMILY_BLOCK]
+        sizes = np.array([len(fam) for fam, _ in block])
+        members = np.full((len(block), sizes.max()), n)
+        members[np.arange(sizes.max()) < sizes[:, None]] = [x for fam, _ in block for x in fam]
+        total = np.zeros((len(block), *values.shape[1:]), dtype=values.dtype)
+        for col in members.T:
+            total = total + padded[col]
+        residual = padded[[sup for _, sup in block]] - total
+        out[lo : lo + len(block)] = residual if values.ndim == 1 else op_norms(residual)
+    return out
+
+
+def additivity_witnesses(
+    labels: Sequence[str],
+    families: Sequence[tuple[tuple[int, ...], int]],
+    gaps: np.ndarray,
+    tol: float,
+) -> list[dict]:
+    """One witness per (family, sup) whose gap exceeds ``tol`` in absolute value."""
+    return [
+        {"family": [labels[x] for x in fam], "sum": labels[sup], "gap": float(gap)}
+        for (fam, sup), gap in zip(families, gaps)
+        if abs(gap) > tol
+    ]
 
 
 def summable_families(
@@ -338,31 +385,22 @@ def verify_distribution(
             if s.poset.le[a, b] and vals[a] > vals[b] + tol
         ),
     )
-    additive = []
-    for fam, sup in summable_families(s):
-        if len(fam) < 2:
-            continue
-        total = float(sum(vals[list(fam)]))
-        if abs(total - vals[sup]) > tol:
-            additive.append(
-                {
-                    "family": [s.labels[x] for x in fam],
-                    "sum": s.labels[sup],
-                    "gap": float(total - vals[sup]),
-                }
-            )
-    rep.record("additive", additive)
-
-    mass = 0.0
-    for fam, _ in s._all_orthogonal_families():
-        if fam:
-            mass = max(mass, float(sum(vals[list(fam)])))
+    fams = [(fam, sup) for fam, sup in summable_families(s) if len(fam) > 1]
+    gaps = -family_residuals(vals, fams)  # family sum minus the value of its sup
+    rep.record("additive", additivity_witnesses(s.labels, fams, gaps, tol))
+    mass = distribution_mass(s, vals)
     rep.facts["mass"] = mass
     rep.facts["is_probability"] = abs(mass - 1.0) <= tol
     rep.facts["is_state"] = rep.facts["is_probability"] and bool(
         (np.abs(vals - 1.0) <= tol).any()
     )
     return rep
+
+
+def distribution_mass(s: Semilogic, vals: np.ndarray) -> float:
+    """Largest sum of ``vals`` over a nonempty orthogonal family; 0.0 if none is positive."""
+    sums = -family_residuals(vals, [(fam, -1) for fam, _ in s._all_orthogonal_families() if fam])
+    return float(sums[sums > 0.0].max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -565,22 +603,6 @@ def _image_sum(t: Structure, images: Sequence[int]) -> int | None:
     return acc
 
 
-def _is_logic(t: Structure) -> bool:
-    """Only disjoint pairs summable; the commutation-preservation gate."""
-    if not isinstance(t, Quasilogic):
-        return False
-    info = t._sum_info()
-    mt = t.poset.meet_table()
-    z = t.zero()
-    if z is None:
-        return False
-    for a in range(t.n):
-        for b in range(a, t.n):
-            if info.summable[a, b] and mt[a, b] != z:
-                return False
-    return True
-
-
 def verify_homomorphism(h: HomomorphismMap) -> VerificationReport:
     rep = VerificationReport(subject="homomorphism")
     src, tgt, f = h.source, h.target, h.mapping
@@ -631,8 +653,7 @@ def verify_homomorphism(h: HomomorphismMap) -> VerificationReport:
                     sub.append({"b": sl[b], "a": sl[int(a)]})
         rep.record("subtraction-preserved", sub)
 
-    if _is_logic(tgt):
-        assert isinstance(tgt, Quasilogic)
+    if isinstance(tgt, Quasilogic) and is_logic(tgt):
         comm = []
         for a in range(src.n):
             for b in range(a, src.n):
@@ -760,7 +781,7 @@ def verify_closure(
         ),
     )
 
-    up_viol = _upper_family_violations(s, opens)
+    up_viol = _family_violations(le, labels, opens, ("i1", "i2"), "no member above")
     rep.record("open-upper-family", up_viol)
 
     interior, int_viol = [], []
@@ -785,37 +806,27 @@ def verify_closure(
     return rep
 
 
-def _upper_family_violations(s: Semilogic, fam: Sequence[int]) -> list[dict]:
-    le, labels = s.poset.le, s.labels
-    out = []
-    for a in range(s.n):
-        above = [i for i in fam if le[a, i]]
-        if not above:
-            out.append({"a": labels[a], "reason": "no member above"})
-            continue
-        for i1 in above:
-            for i2 in above:
-                if i1 > i2:
-                    continue
-                if not any(le[a, i] and le[i, i1] and le[i, i2] for i in fam):
-                    out.append({"a": labels[a], "i1": labels[i1], "i2": labels[i2]})
-    return out
+def _family_violations(
+    rel: np.ndarray, labels: Sequence[str], fam: Sequence[int], keys: tuple[str, str], reason: str
+) -> list[dict]:
+    """Directedness of ``fam`` toward each element a, as a witness list.
 
-
-def _lower_family_violations(s: Semilogic, fam: Sequence[int]) -> list[dict]:
-    le, labels = s.poset.le, s.labels
+    Each a needs a member m with rel[a, m], and each pair of such members a
+    common one between: rel = le checks an upper family, le.T a lower one.
+    ``keys`` name the two members of a failing pair, ``reason`` an a with none.
+    """
+    fam = np.asarray(fam, dtype=np.intp)
     out = []
-    for a in range(s.n):
-        below = [x for x in fam if le[x, a]]
-        if not below:
-            out.append({"a": labels[a], "reason": "no member below"})
+    for a, row in enumerate(rel):
+        near = fam[row[fam]]
+        if not near.size:
+            out.append({"a": labels[a], "reason": reason})
             continue
-        for k1 in below:
-            for k2 in below:
-                if k1 > k2:
-                    continue
-                if not any(le[x, a] and le[k1, x] and le[k2, x] for x in fam):
-                    out.append({"a": labels[a], "k1": labels[k1], "k2": labels[k2]})
+        sub = rel[np.ix_(near, near)]
+        # common[p, q]: some member m near a with rel[m, p] and rel[m, q]
+        common = sub.T @ sub
+        for p, q in zip(*np.nonzero(~common & (near[:, None] <= near))):
+            out.append({"a": labels[a], keys[0]: labels[near[p]], keys[1]: labels[near[q]]})
     return out
 
 
@@ -828,10 +839,10 @@ def check_regularity(
     tol: float = EXACT_TOL,
 ) -> VerificationReport:
     """m(a) must be reached from below by `lower` and from above by `upper`."""
-    up_viol = _upper_family_violations(s, upper)
+    up_viol = _family_violations(s.poset.le, s.labels, upper, ("i1", "i2"), "no member above")
     if up_viol:
         raise DomainError("upper family axioms fail", which="upper", witness=up_viol[0])
-    low_viol = _lower_family_violations(s, lower)
+    low_viol = _family_violations(s.poset.le.T, s.labels, lower, ("k1", "k2"), "no member below")
     if low_viol:
         raise DomainError("lower family axioms fail", which="lower", witness=low_viol[0])
 

@@ -5,6 +5,7 @@ import pytest
 
 import qstruct.report
 from qstruct import (
+    Clan,
     FinitePoset,
     OrthoLogic,
     QstructError,
@@ -112,3 +113,71 @@ def fixture_structures(kinds):
         if isinstance(obj, kinds):
             out.append(obj)
     return out
+
+
+# -- operator corpora for the additivity oracles --------------------------------
+
+
+def oracle_op_norm(a):
+    """The one-matrix spectral norm that ``op_norm`` computed before ``op_norms``."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.size == 0:
+        return 0.0
+    w, _ = np.linalg.eigh(a.conj().T @ a)
+    return float(np.sqrt(max(float(w[-1]), 0.0)))
+
+
+def random_povm(outcomes, dim, seed):
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(outcomes):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        mats.append(a @ a.conj().T)
+    total = sum(mats)
+    w, u = np.linalg.eigh(total)
+    root = u @ np.diag(1.0 / np.sqrt(w)) @ u.conj().T
+    return [root @ m @ root for m in mats]
+
+
+def diagonal_clan(d):
+    members, labels = [], []
+    for mask in range(1 << d):
+        members.append(np.diag([float(mask >> i & 1) for i in range(d)]))
+        labels.append(f"D{mask}")
+    return Clan(members, labels)
+
+
+def crossed_clan():
+    plus = np.full((2, 2), 0.5)
+    minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
+    members = [np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), plus, minus, np.eye(2)]
+    return Clan(members, ["0", "z+", "z-", "x+", "x-", "1"])
+
+
+def mo_clan(n):
+    """0, 1 and n pairs of complementary lines in R^2: the lattice MO_n."""
+    members, labels = [np.zeros((2, 2)), np.eye(2)], ["0", "1"]
+    for k in range(n):
+        t = k * np.pi / (2 * n)
+        v = np.array([np.cos(t), np.sin(t)])
+        members += [np.outer(v, v), np.eye(2) - np.outer(v, v)]
+        labels += [f"L{k}", f"L{k}'"]
+    return Clan(members, labels)
+
+
+def skewed_clan(s):
+    """0, 1, three lines of R^3 at pairwise overlap s, and the planes they span.
+
+    At eps just above s the lines count as orthogonal and the clan is closed,
+    but P1 + P2 + P3 misses the unit by 2s in operator norm.
+    """
+    gram = (1 - s) * np.eye(3) + s
+    w, u = np.linalg.eigh(gram)
+    vecs = u @ np.diag(np.sqrt(w)) @ u.T  # rows have inner products gram
+    lines = [np.outer(v, v) for v in vecs]
+    planes = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        q, _ = np.linalg.qr(np.stack([vecs[i], vecs[j]], axis=1))
+        planes.append(q @ q.T)
+    labels = ["0", "P1", "P2", "P3", "P12", "P13", "P23", "1"]
+    return Clan([np.zeros((3, 3)), *lines, *planes, np.eye(3)], labels)

@@ -3,10 +3,14 @@
 The two-dimensional clan mixing the computational and the diagonal basis is
 the smallest case where both verdicts go negative together, with the overlap
 ||P1 P2 P1|| = 1/2 sitting strictly between zero and one.
+
+The triple loop over the meet and join tables that ``distributivity_criterion``
+once ran is kept as the oracle for the shared table kernel.
 """
 
 import numpy as np
 import pytest
+from conftest import crossed_clan, diagonal_clan, mo_clan, skewed_clan
 
 from qstruct import (
     Clan,
@@ -19,24 +23,9 @@ from qstruct import (
     verify_clan,
     verify_observable,
 )
-from qstruct.clan import unit_index
+from qstruct.clan import bound_tables, unit_index
 
 TOL = Tolerance()
-
-
-def diagonal_clan(d):
-    members, labels = [], []
-    for mask in range(1 << d):
-        members.append(np.diag([float(mask >> i & 1) for i in range(d)]))
-        labels.append(f"D{mask}")
-    return Clan(members, labels)
-
-
-def crossed_clan():
-    plus = np.full((2, 2), 0.5)
-    minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
-    members = [np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), plus, minus, np.eye(2)]
-    return Clan(members, ["0", "z+", "z-", "x+", "x-", "1"])
 
 
 def test_diagonal_clans_are_distributive_and_satisfy_the_criterion():
@@ -137,3 +126,44 @@ def test_observable_resolution_and_spectrum():
         verify_observable(clan, ids, [1.0], TOL)
     with pytest.raises(DomainError, match="empty"):
         verify_observable(clan, [], [], TOL)
+
+
+def oracle_distributivity(clan, tol):
+    meet_idx, join_idx = bound_tables(clan, tol)
+    labels = clan.labels
+    distributive, dist_witness = True, None
+    for a in range(clan.n):
+        for b in range(a, clan.n):
+            j = int(join_idx[a, b])
+            for c in range(clan.n):
+                lhs = int(meet_idx[j, c])
+                rhs = int(join_idx[meet_idx[a, c], meet_idx[b, c]])
+                if lhs != rhs:
+                    distributive = False
+                    if dist_witness is None:
+                        dist_witness = {"a": labels[a], "b": labels[b], "c": labels[c]}
+    return distributive, dist_witness
+
+
+def test_distributivity_matches_the_clan_loop():
+    clans = [diagonal_clan(2), diagonal_clan(3), crossed_clan()]
+    clans += [mo_clan(n) for n in range(2, 7)]
+    verdicts = set()
+    for clan in clans:
+        v = distributivity_criterion(clan, TOL)
+        assert (v["distributive"], v["distributive_witness"]) == oracle_distributivity(clan, TOL)
+        verdicts.add(v["distributive"])
+    assert verdicts == {True, False}
+
+
+def test_skewed_clan_misses_additivity_by_twice_the_overlap():
+    clan, tol = skewed_clan(0.8e-3), Tolerance.with_eps(1e-3)
+    _, rep = operator_distribution(clan, np.eye(3), tol)
+    (wit,) = rep.get("additive").witnesses
+    assert wit["family"] == ["P1", "P2", "P3"] and wit["sum"] == "1"
+    assert wit["gap"] == pytest.approx(1.6e-3, rel=1e-6)
+    # the state of the all-ones direction sees the same defect, with a sign
+    _, rep = vector_state(clan, np.ones(3) / np.sqrt(3), tol)
+    (wit,) = rep.get("additive").witnesses
+    assert wit["family"] == ["P1", "P2", "P3"] and wit["sum"] == "1"
+    assert wit["gap"] == pytest.approx(-1.6e-3, rel=1e-6)

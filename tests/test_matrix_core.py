@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import oracle_op_norm
 
 from qstruct import (
     DomainError,
@@ -16,6 +17,7 @@ from qstruct import (
     range_projector,
     rank_decomposition,
 )
+from qstruct.matrix_core import op_norms
 
 TOL = Tolerance()
 
@@ -26,6 +28,19 @@ def test_op_norm_matches_numpy():
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         assert op_norm(a) == pytest.approx(np.linalg.norm(a, 2), abs=1e-10)
     assert op_norm(np.diag([3.0, -7.0])) == pytest.approx(7.0)
+
+
+def test_op_norms_match_the_single_matrix_oracle_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for rows in range(0, 7):
+        for cols in range(0, 7):
+            a = rng.normal(size=(5, rows, cols)) + 1j * rng.normal(size=(5, rows, cols))
+            a[1] *= 1e-9
+            a[2] = 0.0
+            want = [oracle_op_norm(m) for m in a]
+            assert np.array_equal(op_norms(a), want)
+            assert [op_norm(m) for m in a] == want
+    assert op_norms(np.zeros((0, 3, 3))).shape == (0,)
 
 
 def test_tolerance_with_eps_scales_the_rank_cutoff():

@@ -7,6 +7,7 @@ three-dimensional. Projective measures must dilate without growing at all.
 
 import numpy as np
 import pytest
+from conftest import random_povm
 
 import qstruct.standard
 from qstruct import (
@@ -23,6 +24,7 @@ from qstruct import (
     verify_dilation,
     verify_povm,
 )
+from qstruct.semilogic import family_residuals
 
 TOL = Tolerance()
 
@@ -33,18 +35,6 @@ def trine_effects():
         for k in range(3)
     ]
     return [(2.0 / 3.0) * np.outer(v, v) for v in vecs]
-
-
-def random_povm(outcomes, dim, seed):
-    rng = np.random.default_rng(seed)
-    mats = []
-    for _ in range(outcomes):
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        mats.append(a @ a.conj().T)
-    total = sum(mats)
-    w, u = np.linalg.eigh(total)
-    root = u @ np.diag(1.0 / np.sqrt(w)) @ u.conj().T
-    return [root @ m @ root for m in mats]
 
 
 @pytest.mark.parametrize("outcomes", [9, 64])
@@ -149,3 +139,22 @@ def test_nonpositive_effects_fail_verification():
     povm = povm_from_outcomes([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])], dim=2)
     rep = verify_povm(povm, TOL)
     assert not rep.get("effects-are-positive-contractions").passed
+
+
+def test_a_non_additive_measure_names_the_family_its_sum_and_the_gap():
+    s = powerset_semiring(2)
+    effects = {"{}": np.zeros((2, 2)), "{0}": np.diag([0.5, 0.0]), "{1}": np.diag([0.0, 0.25])}
+    effects["{0,1}"] = np.eye(2)
+    povm = FinitePovm(s, [effects[label] for label in s.labels], dim=2)
+    rep = verify_povm(povm, TOL)
+    want = {"family": ["{0}", "{1}"], "sum": "{0,1}", "gap": 0.75}
+    assert rep.get("additive").witnesses == [want]
+
+
+def test_a_one_outcome_measure_has_no_family_to_check():
+    povm = povm_from_outcomes([np.eye(2)], dim=2)
+    assert family_residuals(np.array(povm.effects), []).shape == (0,)
+    assert verify_povm(povm, TOL).get("additive").passed
+    rep = verify_dilation(dilate(povm, TOL), TOL)
+    assert rep.ok
+    assert rep.get("additive").violation_count == 0

@@ -3,7 +3,8 @@
 Powerset structures index elements by bitmask, so expected sums and products
 are plain bit operations; those serve as the oracle throughout. The loops that
 ``classify``, ``is_upward_directed`` and ``check_de_morgan`` once ran are kept
-as oracles for their table kernels.
+as oracles for their table kernels, and so is the pair loop of the logic test
+that ``verify_homomorphism`` once ran for ``is_logic``.
 """
 
 import numpy as np
@@ -41,7 +42,7 @@ from qstruct import (
     summable,
     verify_quasilogic,
 )
-from qstruct.quasilogic import _product_witnesses
+from qstruct.quasilogic import _product_witnesses, is_logic
 
 
 def test_powerset_verifies_and_sums_are_disjoint_unions():
@@ -256,6 +257,19 @@ def oracle_classify(q):
     return "quasilogic"
 
 
+def oracle_is_logic(q):
+    info = q._sum_info()
+    mt = q.poset.meet_table()
+    z = q.zero()
+    if z is None:
+        return False
+    for a in range(q.n):
+        for b in range(a, q.n):
+            if info.summable[a, b] and mt[a, b] != z:
+                return False
+    return True
+
+
 def oracle_is_upward_directed(p):
     for a in range(p.n):
         for b in range(a + 1, p.n):
@@ -288,6 +302,7 @@ def oracle_de_morgan(q):
 
 def assert_quasilogic_matches_the_oracles(q):
     assert classify(q) == oracle_classify(q)
+    assert is_logic(q) == oracle_is_logic(q)
     assert is_upward_directed(q.poset) == oracle_is_upward_directed(q.poset)
     rep = check_de_morgan(q)
     for name, want in oracle_de_morgan(q).items():
@@ -324,6 +339,7 @@ def test_shuffled_powersets_match_the_oracles(all_witnesses, k):
 def test_standard_structures_match_the_oracles(all_witnesses):
     structures = [mo2_quasilogic(), o6_logic().ql, *(chain_quasilogic(n) for n in range(2, 7))]
     structures += [horizontal_sum(b, k).ql for b, k in ((2, 2), (3, 2), (2, 3), (3, 3))]
+    assert {is_logic(q) for q in structures} == {True, False}
     for q in structures:
         assert_quasilogic_matches_the_oracles(q)
 

@@ -7,7 +7,9 @@ two-element algebra are all frozen here as explicit expectations.
 The per-(family, element) product-additivity loop and the set-based common
 refinement search that ``verify_semilogic`` once ran are kept here as oracles
 for its vectorized and bitmask versions: the witness lists must agree in full
-and in order.
+and in order. So are the upper- and lower-family loops that ``verify_closure``
+and ``check_regularity`` once ran, for the one ``_family_violations`` over
+``le`` and ``le.T``.
 """
 
 import json
@@ -46,6 +48,7 @@ from qstruct import (
     verify_ideal,
     verify_semilogic,
 )
+from qstruct.semilogic import _family_violations
 
 
 def test_powerset_semiring_verifies():
@@ -409,3 +412,66 @@ def test_semilogic_on_a_non_order_table_matches_the_oracles(all_witnesses):
     prod = np.zeros((4, 4), dtype=np.int16)
     np.fill_diagonal(prod, np.arange(4))
     assert_matches_the_oracles(Semilogic(poset, prod))
+
+
+# -- oracles for the upper and lower family checks -----------------------------
+
+
+def oracle_upper_family_violations(s, fam):
+    le, labels = s.poset.le, s.labels
+    out = []
+    for a in range(s.n):
+        above = [i for i in fam if le[a, i]]
+        if not above:
+            out.append({"a": labels[a], "reason": "no member above"})
+            continue
+        for i1 in above:
+            for i2 in above:
+                if i1 > i2:
+                    continue
+                if not any(le[a, i] and le[i, i1] and le[i, i2] for i in fam):
+                    out.append({"a": labels[a], "i1": labels[i1], "i2": labels[i2]})
+    return out
+
+
+def oracle_lower_family_violations(s, fam):
+    le, labels = s.poset.le, s.labels
+    out = []
+    for a in range(s.n):
+        below = [x for x in fam if le[x, a]]
+        if not below:
+            out.append({"a": labels[a], "reason": "no member below"})
+            continue
+        for k1 in below:
+            for k2 in below:
+                if k1 > k2:
+                    continue
+                if not any(le[x, a] and le[k1, x] and le[k2, x] for x in fam):
+                    out.append({"a": labels[a], "k1": labels[k1], "k2": labels[k2]})
+    return out
+
+
+def test_family_checks_match_the_oracles():
+    rng = np.random.default_rng(11)
+    structures = [powerset_semiring(k) for k in (1, 2, 3)]
+    structures += [shuffled_powerset_semiring(4, seed=4), diamond_semiring(), mo2_semilogic()]
+    kinds = set()
+    for s in structures:
+        families = [[], list(range(s.n))]
+        for _ in range(40):
+            size = int(rng.integers(1, s.n + 1))
+            # unsorted, and with repeats when drawn with replacement
+            repeats = bool(rng.random() < 0.3)
+            families.append([int(x) for x in rng.choice(s.n, size, replace=repeats)])
+        for fam in families:
+            le = s.poset.le
+            upper = _family_violations(le, s.labels, fam, ("i1", "i2"), "no member above")
+            lower = _family_violations(le.T, s.labels, fam, ("k1", "k2"), "no member below")
+            assert upper == oracle_upper_family_violations(s, fam)
+            assert lower == oracle_lower_family_violations(s, fam)
+            kinds |= {frozenset(w) for w in upper + lower}
+    assert kinds == {
+        frozenset({"a", "reason"}),
+        frozenset({"a", "i1", "i2"}),
+        frozenset({"a", "k1", "k2"}),
+    }
