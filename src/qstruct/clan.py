@@ -19,10 +19,14 @@ from .matrix_core import (
     Array,
     Tolerance,
     as_complex,
-    op_norm,
+    op_norms,
+    op_norms_exceed,
     operator_order,
+    projection_defects,
     range_join,
     range_meet,
+    screened_op_norm,
+    screened_op_norms,
 )
 from .order import FinitePoset, first_nondistributive, verify_poset
 from .report import VerificationReport
@@ -31,50 +35,62 @@ from .semilogic import additivity_witnesses, family_residuals, orthogonal_famili
 
 @dataclass
 class Clan:
-    members: list[Array]
+    """Members as one read-only (n, d, d) stack, so tables built from them can be kept."""
+
+    members: Array
     labels: list[str] = field(default_factory=list)
+    # (table name, tolerance) -> table, filled by _cached
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.members = [as_complex(m) for m in self.members]
-        if not self.members:
+        members = [as_complex(m) for m in self.members]
+        if not members:
             raise DomainError("empty clan")
-        d = self.members[0].shape[0]
-        if any(m.shape != (d, d) for m in self.members):
+        d = members[0].shape[0]
+        if any(m.shape != (d, d) for m in members):
             raise DomainError("clan members live on different spaces")
         if not self.labels:
-            self.labels = [f"P{i}" for i in range(len(self.members))]
-        if len(self.labels) != len(self.members):
+            self.labels = [f"P{i}" for i in range(len(members))]
+        if len(self.labels) != len(members):
             raise DomainError("label count mismatch")
+        self.members = np.array(members)
+        self.members.setflags(write=False)
         self.dim = d
-        self.n = len(self.members)
+        self.n = len(members)
 
 
-def projection_defects(a: Array) -> tuple[float, float]:
-    """(hermiticity defect, idempotence defect), both in operator norm."""
-    return op_norm(a - a.conj().T), op_norm(a @ a - a)
+def _cached(clan: Clan, tol: Tolerance, build):
+    """``build(clan, tol)``, computed once per clan and tolerance."""
+    key = (build.__name__, tol)
+    if key not in clan._tables:
+        clan._tables[key] = build(clan, tol)
+    return clan._tables[key]
 
 
 def relation_tables(clan: Clan, tol: Tolerance) -> dict[str, np.ndarray]:
     """Boolean order / orthogonality / commutation tables over member pairs."""
-    n = clan.n
+    n, m = clan.n, clan.members
     order = np.zeros((n, n), dtype=bool)
     orth = np.zeros((n, n), dtype=bool)
     comm = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(clan.members):
-        for j, b in enumerate(clan.members):
-            ab = a @ b
-            ba = b @ a
-            order[i, j] = op_norm(ab - a) <= tol.eps and op_norm(ba - a) <= tol.eps
-            orth[i, j] = op_norm(ab) <= tol.eps
-            comm[i, j] = op_norm(ab - ba) <= tol.eps
+    for i in range(n):
+        ab = m[i] @ m
+        ba = m @ m[i]
+        over = op_norms_exceed(np.concatenate([ab - m[i], ba - m[i], ab, ab - ba]), tol.eps)
+        order[i] = ~(over[:n] | over[n : 2 * n])
+        orth[i] = ~over[2 * n : 3 * n]
+        comm[i] = ~over[3 * n :]
     return {"order": order, "orthogonal": orth, "commute": comm}
 
 
+def _first_within(stack: Array, tol: Tolerance) -> int:
+    """Index of the first matrix of norm at most eps, or -1."""
+    hits = np.flatnonzero(~op_norms_exceed(stack, tol.eps))
+    return int(hits[0]) if hits.size else -1
+
+
 def _match_member(clan: Clan, target: Array, tol: Tolerance) -> int:
-    for i, m in enumerate(clan.members):
-        if op_norm(m - target) <= tol.eps:
-            return i
-    return -1
+    return _first_within(clan.members - target, tol)
 
 
 def bound_tables(clan: Clan, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
@@ -109,29 +125,25 @@ def distributivity_criterion(clan: Clan, tol: Tolerance) -> dict:
     ||P1 P2 P1|| = ||P1 P2||^2, the quantity that measures how far the pair
     is from being compatible.
     """
-    meet_idx, join_idx = bound_tables(clan, tol)
-    labels = clan.labels
-    zero_i = next(
-        (i for i, m in enumerate(clan.members) if op_norm(m) <= tol.eps), -1
-    )
+    meet_idx, join_idx = _cached(clan, tol, bound_tables)
+    labels, m = clan.labels, clan.members
+    zero_i = _first_within(m, tol)
 
     criterion, crit_witness = True, None
     for i in range(clan.n):
-        for j in range(i + 1, clan.n):
-            if meet_idx[i, j] != zero_i:
-                continue
-            prod = clan.members[i] @ clan.members[j]
-            norm = op_norm(prod)
-            if norm > tol.eps:
-                overlap = op_norm(prod @ clan.members[i])
-                criterion = False
-                if crit_witness is None or overlap > crit_witness["overlap"]:
-                    crit_witness = {
-                        "a": labels[i],
-                        "b": labels[j],
-                        "product_norm": norm,
-                        "overlap": overlap,
-                    }
+        js = i + 1 + np.flatnonzero(meet_idx[i, i + 1 :] == zero_i)
+        prods = m[i] @ m[js]
+        norms = screened_op_norms(prods, tol.eps)
+        hit = np.flatnonzero(norms > tol.eps)
+        for k, overlap in zip(hit, op_norms(prods[hit] @ m[i])):
+            criterion = False
+            if crit_witness is None or overlap > crit_witness["overlap"]:
+                crit_witness = {
+                    "a": labels[i],
+                    "b": labels[js[k]],
+                    "product_norm": float(norms[k]),
+                    "overlap": float(overlap),
+                }
 
     hit = first_nondistributive(meet_idx, join_idx)
     dist_witness = None if hit is None else dict(zip("abc", (labels[x] for x in hit)))
@@ -144,23 +156,31 @@ def distributivity_criterion(clan: Clan, tol: Tolerance) -> dict:
     }
 
 
+def _unit(clan: Clan, tol: Tolerance) -> int:
+    m = clan.members
+    for g in range(clan.n):
+        if not op_norms_exceed(m @ m[g] - m, tol.eps).any():
+            return g
+    return -1
+
+
 def unit_index(clan: Clan, tol: Tolerance) -> int:
     """Index of the absorbing member P with AP = A for every member."""
-    for g, cand in enumerate(clan.members):
-        if all(op_norm(a @ cand - a) <= tol.eps for a in clan.members):
-            return g
-    raise DomainError("clan has no absorbing unit")
+    g = _cached(clan, tol, _unit)
+    if g < 0:
+        raise DomainError("clan has no absorbing unit")
+    return g
 
 
 def verify_clan(clan: Clan, tol: Tolerance) -> VerificationReport:
     rep = VerificationReport(subject="clan")
-    labels = clan.labels
+    labels, m = clan.labels, clan.members
 
-    proj_viol = []
-    for i, m in enumerate(clan.members):
-        h, p = projection_defects(m)
-        if h > tol.eps or p > tol.eps:
-            proj_viol.append({"member": labels[i], "hermitian": h, "idempotent": p})
+    bad, dh, di = projection_defects(m, tol.eps)
+    proj_viol = [
+        {"member": labels[i], "hermitian": float(h), "idempotent": float(p)}
+        for i, h, p in zip(bad, dh, di)
+    ]
     rep.record("members-are-projections", proj_viol)
 
     rep.record(
@@ -168,12 +188,11 @@ def verify_clan(clan: Clan, tol: Tolerance) -> VerificationReport:
         (
             {"a": labels[i], "b": labels[j]}
             for i in range(clan.n)
-            for j in range(i + 1, clan.n)
-            if op_norm(clan.members[i] - clan.members[j]) <= tol.eps
+            for j in i + 1 + np.flatnonzero(~op_norms_exceed(m[i] - m[i + 1 :], tol.eps))
         ),
     )
 
-    tables = relation_tables(clan, tol)
+    tables = _cached(clan, tol, relation_tables)
     rep.facts["order_pairs"] = int(tables["order"].sum())
     rep.facts["orthogonal_pairs"] = int(tables["orthogonal"].sum())
     rep.facts["commuting_pairs"] = int(tables["commute"].sum())
@@ -198,9 +217,9 @@ def verify_clan(clan: Clan, tol: Tolerance) -> VerificationReport:
 
 def _orthogonal_member_families(clan: Clan, tol: Tolerance) -> list[tuple[tuple[int, ...], int]]:
     """Orthogonal families of two or more nonzero members, each with its join."""
-    _, join_idx = bound_tables(clan, tol)
-    orth = relation_tables(clan, tol)["orthogonal"]
-    nonzero = [i for i in range(clan.n) if op_norm(clan.members[i]) > tol.eps]
+    _, join_idx = _cached(clan, tol, bound_tables)
+    orth = _cached(clan, tol, relation_tables)["orthogonal"]
+    nonzero = np.flatnonzero(op_norms_exceed(clan.members, tol.eps)).tolist()
     return [
         (fam, reduce(lambda total, x: int(join_idx[total, x]), fam))
         for fam, _ in orthogonal_families(nonzero, orth)
@@ -253,7 +272,7 @@ def operator_distribution(
     if f.ndim != 2 or f.shape[0] != clan.dim:
         raise DomainError("isometry shape mismatch", shape=list(f.shape))
     r = f.shape[1]
-    if op_norm(f.conj().T @ f - np.eye(r)) > tol.eps:
+    if op_norms_exceed((f.conj().T @ f - np.eye(r))[None], tol.eps)[0]:
         raise DomainError("f is not an isometry")
     g = unit_index(clan, tol)
     if not operator_order(f @ f.conj().T, clan.members[g], tol):
@@ -273,15 +292,11 @@ def operator_distribution(
             )
         ),
     )
-    rep.record(
-        "unit-to-identity",
-        []
-        if op_norm(images[g] - np.eye(r)) <= tol.eps
-        else [{"defect": op_norm(images[g] - np.eye(r))}],
-    )
+    defect = screened_op_norm(images[g] - np.eye(r), tol.eps)
+    rep.record("unit-to-identity", [] if defect <= tol.eps else [{"defect": defect}])
 
     fams = _orthogonal_member_families(clan, tol)
-    gaps = family_residuals(images, fams)
+    gaps = family_residuals(images, fams, tol.eps)
     rep.record("additive", additivity_witnesses(clan.labels, fams, gaps, tol.eps))
     return images, rep
 
@@ -296,7 +311,7 @@ def verify_observable(
         raise DomainError("empty observable")
     rep = VerificationReport(subject="observable")
     labels = clan.labels
-    orth = relation_tables(clan, tol)["orthogonal"]
+    orth = _cached(clan, tol, relation_tables)["orthogonal"]
     rep.record(
         "pairwise-orthogonal",
         (
@@ -308,7 +323,7 @@ def verify_observable(
     )
     g = unit_index(clan, tol)
     total = sum(clan.members[i] for i in member_ids)
-    defect = op_norm(total - clan.members[g])
+    defect = screened_op_norm(total - clan.members[g], tol.eps)
     rep.record("resolves-unit", [] if defect <= tol.eps else [{"defect": defect}])
     rep.facts["norm"] = max(abs(v) for v in values)
     rep.facts["spectrum"] = sorted(set(float(v) for v in values))

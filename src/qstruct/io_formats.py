@@ -19,10 +19,10 @@ from typing import Any
 import numpy as np
 
 from .boolean_rep import BooleanSemiring
-from .errors import ParseError
+from .errors import ParseError, StructuralError
 from .gns import AlgebraState, ConcreteStarAlgebra
 from .naimark import FinitePovm, povm_from_outcomes
-from .order import FinitePoset, transitive_reduction
+from .order import MAX_DIM, MAX_ELEMENTS, MAX_SPACE, FinitePoset, transitive_reduction
 from .ortho import OrthoLogic
 from .quasilogic import Quasilogic
 from .semilogic import Semilogic
@@ -241,6 +241,18 @@ def matrix_to_json(m: np.ndarray) -> list[list[float]]:
 # -- operator measures ------------------------------------------------------------
 
 
+def _check_operator_size(n: int, dim: int) -> None:
+    """Bound an operator input by its element count and dimension, before any matrix is read."""
+    if n > MAX_ELEMENTS:
+        raise StructuralError(f"too many elements ({n} > {MAX_ELEMENTS})")
+    if dim > MAX_DIM:
+        raise StructuralError(f"dim too large ({dim} > {MAX_DIM})")
+    if n * dim > MAX_SPACE:
+        raise StructuralError(
+            f"operator space too large ({n} elements x dim {dim} > {MAX_SPACE})"
+        )
+
+
 def parse_povm(data: Any, base_dir: Path | None = None) -> FinitePovm:
     _require(isinstance(data, dict), "measure file must be a JSON object")
     _require(data.get("kind") == "povm", "kind must be 'povm'", kind=data.get("kind"))
@@ -261,6 +273,7 @@ def parse_povm(data: Any, base_dir: Path | None = None) -> FinitePovm:
             missing=sorted(set(outcomes) - set(effects)),
             extra=sorted(set(effects) - set(outcomes)),
         )
+        _check_operator_size(1 << len(outcomes), dim)
         atoms = [matrix_from_json(effects[o], dim, f"effects[{o}]") for o in outcomes]
         return povm_from_outcomes(atoms, dim)
 
@@ -287,6 +300,7 @@ def parse_povm(data: Any, base_dir: Path | None = None) -> FinitePovm:
         missing=sorted(set(semiring.labels) - set(effects)),
         extra=sorted(set(effects) - set(semiring.labels)),
     )
+    _check_operator_size(semiring.n, dim)
     mats = [matrix_from_json(effects[lab], dim, f"effects[{lab}]") for lab in semiring.labels]
     return FinitePovm(semiring, mats, dim)
 
@@ -328,6 +342,7 @@ def parse_algebra(data: Any) -> tuple[ConcreteStarAlgebra, AlgebraState | None]:
     basis = data.get("basis")
     _require(isinstance(basis, dict) and basis, "basis must map labels to matrices")
     labels = list(basis)
+    _check_operator_size(len(labels), dim)
     mats = [matrix_from_json(basis[lab], dim, f"basis[{lab}]") for lab in labels]
 
     unit = data.get("unit")

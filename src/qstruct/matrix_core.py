@@ -1,9 +1,18 @@
 """Shared numerical kernel for the operator-valued structures.
 
-Every spectral quantity in the package funnels through numpy's Hermitian
-eigendecomposition; pseudo-inverses, operator norms, range projectors and
-PSD tests are all phrased in terms of it so that tolerance behaviour is
-uniform and reruns are bitwise reproducible.
+Every spectral quantity in the package is read off numpy's Hermitian
+eigendecomposition: pseudo-inverses, operator norms, range projectors and
+PSD tests are all phrased in terms of it, so tolerance behaviour is uniform
+and reruns are bitwise reproducible.
+
+Thresholds ``||A|| <= eps`` are screened first. The Frobenius norm F brackets
+the spectral norm, ||A|| <= F <= sqrt(k) ||A|| with k = min(rows, cols)
+(Golub & Van Loan, Matrix Computations, 2.3), so F alone settles every
+matrix outside the band [eps, sqrt(k) eps], with a relative margin that
+covers rounding. Only matrices inside the band, or with a non-finite F, pay
+for an eigendecomposition; ``op_norms_exceed`` still answers exactly what
+``op_norms(a) > eps`` answers, and every norm that is reported comes from
+``op_norms``.
 """
 
 from __future__ import annotations
@@ -62,18 +71,107 @@ def op_norms(a: Array) -> Array:
     return np.sqrt(np.maximum(w[:, -1], 0.0))
 
 
+# relative margin of the Frobenius screen; see _screen for why it is safe
+SCREEN_MARGIN = 1e-9
+# below this eps, F^2 near eps^2 could be subnormal: everything goes to eigh
+SCREEN_FLOOR = 1e-140
+# above this side the rounding bound of _screen is not claimed: everything goes to eigh
+SCREEN_MAX_SIDE = 256
+
+
+def _screen(a: Array, eps: float) -> tuple[Array, Array, Array]:
+    """Frobenius norms of an (N, r, c) stack, and which matrices they decide.
+
+    Returns (F, over, undecided): ``over`` marks F > sqrt(k) eps (1 + d),
+    where the norm surely exceeds eps; ``undecided`` marks the band
+    eps (1 - d) < F <= sqrt(k) eps (1 + d) and every F that is not finite,
+    so overflow and NaN reach eigh as they do without the screen. The rest,
+    F <= eps (1 - d), surely pass.
+
+    Why the margin d = SCREEN_MARGIN is safe, with u = 2^-53: the computed
+    F is one sum of squares, off by a relative 2 r c u at most. The computed
+    norm is sqrt(lambda_max) of the computed A* A: the product is off by at
+    most r u F^2 <= r k u ||A||^2 and the eigensolver by about c u ||A||^2,
+    so the norm is off by a relative (r k + c) u at most. For sides up to
+    SCREEN_MAX_SIDE all of this stays under 2 dim^2 u, about 1.5e-11, and
+    d = 1e-9 clears it sixty times over. So a matrix the screen passes has a
+    computed norm below eps, and one it fails a computed norm above eps,
+    exactly as ``op_norms`` finds. For larger sides, or for eps below
+    SCREEN_FLOOR (where squares go subnormal and lose their relative
+    accuracy), nothing is screened.
+    """
+    n, r, c = a.shape
+    x = np.ascontiguousarray(a, dtype=np.complex128).reshape(n, -1).view(np.float64)
+    fro = np.sqrt(np.einsum("ij,ij->i", x, x))
+    if not (eps >= SCREEN_FLOOR and max(r, c) <= SCREEN_MAX_SIDE):
+        return fro, np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+    over = np.isfinite(fro) & (fro > np.sqrt(min(r, c)) * eps * (1.0 + SCREEN_MARGIN))
+    undecided = ~(over | (fro <= eps * (1.0 - SCREEN_MARGIN)))
+    return fro, over, undecided
+
+
+def op_norms_exceed(a: Array, eps: float) -> Array:
+    """Exactly ``op_norms(a) > eps`` for an (N, r, c) stack, screened by Frobenius norms.
+
+    Only the matrices the screen cannot decide run ``eigh``.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    if a.size == 0:
+        return op_norms(a) > eps
+    _, over, undecided = _screen(a, eps)
+    idx = np.flatnonzero(undecided)
+    if idx.size:
+        over[idx] = op_norms(a[idx]) > eps
+    return over
+
+
+def screened_op_norms(a: Array, eps: float) -> Array:
+    """``op_norms(a)`` wherever it exceeds eps; elsewhere a bound that does not.
+
+    Matrices the Frobenius screen passes get their Frobenius norm, which is
+    at most eps (1 - SCREEN_MARGIN); every other matrix gets ``op_norms`` on
+    the flagged subset, so ``result > eps`` is exactly ``op_norms(a) > eps``
+    and every value above eps carries the bits ``op_norms`` gives it.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    if a.size == 0:
+        return op_norms(a)
+    fro, over, undecided = _screen(a, eps)
+    idx = np.flatnonzero(over | undecided)
+    if idx.size:
+        fro[idx] = op_norms(a[idx])
+    return fro
+
+
+def screened_op_norm(a: Array, eps: float) -> float:
+    """One matrix's case of ``screened_op_norms``: its norm if above eps, else a bound."""
+    return float(screened_op_norms(np.asarray(a)[None], eps)[0])
+
+
+def projection_defects(a: Array, eps: float) -> tuple[Array, Array, Array]:
+    """The matrices of an (N, d, d) stack that are no orthoprojection within eps.
+
+    Returns their indices and, for each, the hermiticity defect ||A - A*||
+    and the idempotence defect ||A A - A||, both exact.
+    """
+    skew = a - a.conj().transpose(0, 2, 1)
+    square = a @ a - a
+    bad = np.flatnonzero(op_norms_exceed(skew, eps) | op_norms_exceed(square, eps))
+    return bad, op_norms(skew[bad]), op_norms(square[bad])
+
+
 def op_norm(a: Array) -> float:
     """Spectral norm of one matrix: the one-matrix case of ``op_norms``."""
     return float(op_norms(np.asarray(a)[None])[0])
 
 
 def is_hermitian(a: Array, tol: Tolerance) -> bool:
-    return op_norm(a - a.conj().T) <= tol.eps
+    return screened_op_norm(a - a.conj().T, tol.eps) <= tol.eps
 
 
 def is_orthoprojection(a: Array, tol: Tolerance) -> bool:
     a = as_complex(a)
-    return is_hermitian(a, tol) and op_norm(a @ a - a) <= tol.eps
+    return is_hermitian(a, tol) and screened_op_norm(a @ a - a, tol.eps) <= tol.eps
 
 
 def operator_order(a: Array, b: Array, tol: Tolerance) -> bool:

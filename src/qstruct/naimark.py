@@ -24,14 +24,20 @@ from .matrix_core import (
     as_complex,
     canonical_phases,
     eig_herm,
-    op_norm,
     op_norms,
+    op_norms_exceed,
+    projection_defects,
     pseudo_inverse,
     rank_decomposition,
+    screened_op_norm,
+    screened_op_norms,
 )
 from .report import VerificationReport
 from .semilogic import additivity_witnesses, family_residuals, summable_families
 from .standard import powerset_semiring
+
+# complex entries per stacked temporary of verify_dilation: 1 MB
+STACK_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -75,35 +81,41 @@ def povm_from_outcomes(atom_effects: Sequence[Array], dim: int) -> FinitePovm:
 
 def verify_povm(povm: FinitePovm, tol: Tolerance) -> VerificationReport:
     rep = VerificationReport(subject="operator-measure")
-    bs, effects = povm.semiring, povm.effects
+    bs = povm.semiring
+    effects = np.array(povm.effects)
     labels = bs.labels
     eye = np.eye(povm.dim)
 
-    bad_eff = []
-    for i, e in enumerate(effects):
-        h = op_norm(e - e.conj().T)
-        w, _ = eig_herm(e)
-        if h > tol.eps or float(w[0]) < -tol.eps or float(w[-1]) > 1.0 + tol.eps:
-            bad_eff.append(
-                {"element": labels[i], "hermitian": h, "spectrum": [float(w[0]), float(w[-1])]}
-            )
-    rep.record("effects-are-positive-contractions", bad_eff)
-
-    z = bs.zero()
+    adjoint = effects.conj().transpose(0, 2, 1)
+    skew = effects - adjoint
+    w, _ = np.linalg.eigh((effects + adjoint) / 2.0)
+    bad = np.flatnonzero(
+        op_norms_exceed(skew, tol.eps) | (w[:, 0] < -tol.eps) | (w[:, -1] > 1.0 + tol.eps)
+    )
     rep.record(
-        "zero-effect",
-        [] if op_norm(effects[z]) <= tol.eps else [{"norm": op_norm(effects[z])}],
+        "effects-are-positive-contractions",
+        (
+            {
+                "element": labels[i],
+                "hermitian": float(h),
+                "spectrum": [float(w[i, 0]), float(w[i, -1])],
+            }
+            for i, h in zip(bad, op_norms(skew[bad]))
+        ),
     )
 
+    zero_norm = screened_op_norm(effects[bs.zero()], tol.eps)
+    rep.record("zero-effect", [] if zero_norm <= tol.eps else [{"norm": zero_norm}])
+
     fams = [(fam, sup) for fam, sup in summable_families(bs) if len(fam) > 1]
-    gaps = family_residuals(effects, fams)
+    gaps = family_residuals(effects, fams, tol.eps)
     rep.record("additive", additivity_witnesses(labels, fams, gaps, tol.eps))
 
     u = bs.unit()
     if u is None:
         rep.record("normalized", [{"reason": "semiring has no unit"}])
     else:
-        gap = op_norm(effects[u] - eye)
+        gap = screened_op_norm(effects[u] - eye, tol.eps)
         rep.record("normalized", [] if gap <= tol.eps else [{"defect": gap}])
     return rep
 
@@ -111,12 +123,11 @@ def verify_povm(povm: FinitePovm, tol: Tolerance) -> VerificationReport:
 def gram_block(povm: FinitePovm) -> Array:
     """H[(B,s),(C,t)] = m(BC)[s,t] over all elements in semiring order."""
     n, d = povm.semiring.n, povm.dim
-    h = np.empty((n * d, n * d), dtype=np.complex128)
-    prod = povm.semiring.prod
-    for b in range(n):
-        for c in range(n):
-            h[b * d : (b + 1) * d, c * d : (c + 1) * d] = povm.effects[int(prod[b, c])]
-    return h
+    h = np.empty((n, d, n, d), dtype=np.complex128)
+    # filled in place through its [b, c, s, t] view, so no second copy of h is made
+    blocks = h.transpose(0, 2, 1, 3)
+    np.take(np.array(povm.effects), povm.semiring.prod, axis=0, out=blocks, mode="clip")
+    return h.reshape(n * d, n * d)
 
 
 @dataclass
@@ -134,7 +145,7 @@ def dilate(povm: FinitePovm, tol: Tolerance) -> Dilation:
     u = bs.unit()
     if u is None:
         raise DomainError("dilation needs a unit element in the semiring")
-    unit_gap = op_norm(povm.effects[u] - np.eye(d))
+    unit_gap = screened_op_norm(povm.effects[u] - np.eye(d), tol.eps)
     if unit_gap > tol.eps:
         w_unit, _ = eig_herm(povm.effects[u])
         if float(w_unit[-1]) <= 1.0 + tol.eps:
@@ -154,14 +165,9 @@ def dilate(povm: FinitePovm, tol: Tolerance) -> Dilation:
     w = v.conj().T
     w_pinv = pseudo_inverse(w, tol)
 
-    n = bs.n
-    prod = bs.prod
-    images = []
-    for b in range(n):
-        gather = np.empty(n * d, dtype=np.int64)
-        for c in range(n):
-            gather[c * d : (c + 1) * d] = np.arange(d) + int(prod[b, c]) * d
-        images.append(w[:, gather] @ w_pinv)
+    # h(B) maps the basis vector (C, t) to (BC, t)
+    gather = (bs.prod.astype(np.intp)[:, :, None] * d + np.arange(d)).reshape(bs.n, -1)
+    images = [w[:, cols] @ w_pinv for cols in gather]
     f = w[:, u * d : (u + 1) * d]
     return Dilation(povm=povm, w=w, w_pinv=w_pinv, dim_e=dim_e, images=images, f=f)
 
@@ -172,35 +178,42 @@ def verify_dilation(dil: Dilation, tol: Tolerance) -> VerificationReport:
     labels = bs.labels
     u = bs.unit()
 
+    images = np.array(dil.images)
+    effects = np.array(dil.povm.effects)
+    fh = dil.f.conj().T
     proj_viol, dilation_viol = [], []
-    for i, hb in enumerate(dil.images):
-        dh = op_norm(hb - hb.conj().T)
-        di = op_norm(hb @ hb - hb)
-        if dh > tol.eps or di > tol.eps:
-            proj_viol.append({"element": labels[i], "hermitian": dh, "idempotent": di})
-        gap = op_norm(dil.f.conj().T @ hb @ dil.f - dil.povm.effects[i])
-        if gap > tol.eps:
-            dilation_viol.append({"element": labels[i], "defect": gap})
+    step = max(1, STACK_ENTRIES // max(1, dil.dim_e**2))
+    for lo in range(0, bs.n, step):
+        hb = images[lo : lo + step]
+        bad, dh, di = projection_defects(hb, tol.eps)
+        proj_viol += (
+            {"element": labels[lo + i], "hermitian": float(h), "idempotent": float(p)}
+            for i, h, p in zip(bad, dh, di)
+        )
+        gaps = screened_op_norms(fh @ hb @ dil.f - effects[lo : lo + step], tol.eps)
+        dilation_viol += (
+            {"element": labels[lo + i], "defect": float(gaps[i])}
+            for i in np.flatnonzero(gaps > tol.eps)
+        )
     rep.record("images-are-projections", proj_viol)
     rep.record("compression-recovers-measure", dilation_viol)
 
-    images = np.array(dil.images)
     fams = [(fam, sup) for fam, sup in summable_families(bs) if len(fam) > 1]
-    gaps = family_residuals(images, fams)
+    gaps = family_residuals(images, fams, tol.eps)
     rep.record("additive", additivity_witnesses(labels, fams, gaps, tol.eps))
 
     mult = []
     for a in range(bs.n):
-        gaps = op_norms(images[a] @ images[a:] - images[bs.prod[a, a:]])
+        gaps = screened_op_norms(images[a] @ images[a:] - images[bs.prod[a, a:]], tol.eps)
         mult += (
             {"a": labels[a], "b": labels[a + k], "defect": float(gaps[k])}
             for k in np.flatnonzero(gaps > tol.eps)
         )
     rep.record("multiplicative", mult)
 
-    iso_gap = op_norm(dil.f.conj().T @ dil.f - np.eye(d))
+    iso_gap = screened_op_norm(fh @ dil.f - np.eye(d), tol.eps)
     rep.record("embedding-isometric", [] if iso_gap <= tol.eps else [{"defect": iso_gap}])
-    unit_gap = op_norm(dil.images[u] @ dil.f - dil.f)
+    unit_gap = screened_op_norm(dil.images[u] @ dil.f - dil.f, tol.eps)
     rep.record("unit-fixes-embedding", [] if unit_gap <= tol.eps else [{"defect": unit_gap}])
 
     stacked = np.hstack([hb @ dil.f for hb in dil.images])
@@ -244,17 +257,20 @@ def unitary_equivalence(
         u = m2 @ pseudo_inverse(m1, tol)
 
     eye = np.eye(d1.dim_e)
-    unit_gap = max(op_norm(u.conj().T @ u - eye), op_norm(u @ u.conj().T - eye))
+    uh = u.conj().T
+    unit_gap = float(screened_op_norms(np.array([uh @ u - eye, u @ uh - eye]), tol.eps).max())
     rep.record("unitary", [] if unit_gap <= tol.eps else [{"defect": unit_gap}])
 
-    inter = []
-    for i, (a, b) in enumerate(zip(d1.images, d2.images)):
-        gap = op_norm(u @ a @ u.conj().T - b)
-        if gap > tol.eps:
-            inter.append({"element": d1.povm.semiring.labels[i], "defect": gap})
-    rep.record("intertwines-projections", inter)
+    gaps = screened_op_norms(u @ np.array(d1.images) @ uh - np.array(d2.images), tol.eps)
+    rep.record(
+        "intertwines-projections",
+        (
+            {"element": d1.povm.semiring.labels[i], "defect": float(gaps[i])}
+            for i in np.flatnonzero(gaps > tol.eps)
+        ),
+    )
 
-    f_gap = op_norm(u @ d1.f - d2.f)
+    f_gap = screened_op_norm(u @ d1.f - d2.f, tol.eps)
     rep.record("intertwines-embedding", [] if f_gap <= tol.eps else [{"defect": f_gap}])
     rep.facts["identity"] = bool(same)
     return u, rep

@@ -26,6 +26,10 @@ from .errors import DomainError, StructuralError
 from .report import VerificationReport
 
 MAX_ELEMENTS = 256
+# operator inputs: the Hilbert-space dimension, and elements x dimension,
+# the side of a dilation's Gram matrix; at the bounds a file verifies in seconds
+MAX_DIM = 64
+MAX_SPACE = 512
 
 
 class FinitePoset:

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .matrix_core import op_norms
+from .matrix_core import screened_op_norms
 from .order import FinitePoset, join_of, row_bits, verify_poset
 from .quasilogic import Quasilogic, is_logic, partial_sum, quasicommutes, summable
 from .report import VerificationReport
@@ -113,12 +113,16 @@ def orthogonal_families(
 
 
 def family_residuals(
-    values: np.ndarray, families: Sequence[tuple[tuple[int, ...], int]]
+    values: np.ndarray, families: Sequence[tuple[tuple[int, ...], int]], eps: float = 0.0
 ) -> np.ndarray:
     """``values[sup]`` minus the sum of ``values`` over the family, per (family, sup).
 
-    ``values`` stacks scalars ``(n,)`` or matrices ``(n, d, d)``; a matrix
-    residual is reduced to its operator norm. A sup of -1 reads a zero row,
+    ``values`` stacks scalars ``(n,)`` or matrices ``(n, d, d)``. A matrix
+    residual is reduced by ``screened_op_norms``: its exact operator norm
+    where that exceeds ``eps``, and elsewhere a Frobenius bound that is at
+    most ``eps``; so ``> eps`` reads the same either way, and every gap above
+    eps is the exact norm. The default eps of 0 gives exact norms throughout.
+    A sup of -1 reads a zero row,
     which gives minus the family sum. Members sit in a padded index whose
     sentinel is that zero row, and each sum runs from 0 over the members left
     to right, like the builtin ``sum``, so every float is the one a loop over
@@ -139,7 +143,9 @@ def family_residuals(
         for col in members.T:
             total = total + padded[col]
         residual = padded[[sup for _, sup in block]] - total
-        out[lo : lo + len(block)] = residual if values.ndim == 1 else op_norms(residual)
+        out[lo : lo + len(block)] = (
+            residual if values.ndim == 1 else screened_op_norms(residual, eps)
+        )
     return out
 
 

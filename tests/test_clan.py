@@ -5,12 +5,13 @@ the smallest case where both verdicts go negative together, with the overlap
 ||P1 P2 P1|| = 1/2 sitting strictly between zero and one.
 
 The triple loop over the meet and join tables that ``distributivity_criterion``
-once ran is kept as the oracle for the shared table kernel.
+once ran is kept as the oracle for the shared table kernel, and the per-pair
+and per-member ``op_norm`` loops as oracles for the stacked threshold kernel.
 """
 
 import numpy as np
 import pytest
-from conftest import crossed_clan, diagonal_clan, mo_clan, skewed_clan
+from conftest import crossed_clan, diagonal_clan, mo_clan, oracle_op_norm, skewed_clan
 
 from qstruct import (
     Clan,
@@ -19,11 +20,12 @@ from qstruct import (
     distributivity_criterion,
     operator_distribution,
     op_norm,
+    range_meet,
     vector_state,
     verify_clan,
     verify_observable,
 )
-from qstruct.clan import bound_tables, unit_index
+from qstruct.clan import _match_member, bound_tables, relation_tables, unit_index
 
 TOL = Tolerance()
 
@@ -167,3 +169,149 @@ def test_skewed_clan_misses_additivity_by_twice_the_overlap():
     (wit,) = rep.get("additive").witnesses
     assert wit["family"] == ["P1", "P2", "P3"] and wit["sum"] == "1"
     assert wit["gap"] == pytest.approx(-1.6e-3, rel=1e-6)
+
+
+# -- the per-pair loops that the stacked threshold kernel replaced ------------------
+
+
+def oracle_relation_tables(clan, tol):
+    n = clan.n
+    order, orth, comm = (np.zeros((n, n), dtype=bool) for _ in range(3))
+    for i, a in enumerate(clan.members):
+        for j, b in enumerate(clan.members):
+            ab, ba = a @ b, b @ a
+            order[i, j] = oracle_op_norm(ab - a) <= tol.eps and oracle_op_norm(ba - a) <= tol.eps
+            orth[i, j] = oracle_op_norm(ab) <= tol.eps
+            comm[i, j] = oracle_op_norm(ab - ba) <= tol.eps
+    return {"order": order, "orthogonal": orth, "commute": comm}
+
+
+def oracle_match_member(clan, target, tol):
+    for i, m in enumerate(clan.members):
+        if oracle_op_norm(m - target) <= tol.eps:
+            return i
+    return -1
+
+
+def oracle_unit_index(clan, tol):
+    for g, cand in enumerate(clan.members):
+        if all(oracle_op_norm(a @ cand - a) <= tol.eps for a in clan.members):
+            return g
+    return -1
+
+
+def oracle_criterion(clan, tol):
+    """The zero-meet/zero-product pair loop, with its witness floats."""
+    meet_idx, _ = bound_tables(clan, tol)
+    zero_i = next((i for i, m in enumerate(clan.members) if oracle_op_norm(m) <= tol.eps), -1)
+    criterion, witness = True, None
+    for i in range(clan.n):
+        for j in range(i + 1, clan.n):
+            if meet_idx[i, j] != zero_i:
+                continue
+            prod = clan.members[i] @ clan.members[j]
+            norm = oracle_op_norm(prod)
+            if norm > tol.eps:
+                overlap = oracle_op_norm(prod @ clan.members[i])
+                criterion = False
+                if witness is None or overlap > witness["overlap"]:
+                    witness = {
+                        "a": clan.labels[i],
+                        "b": clan.labels[j],
+                        "product_norm": norm,
+                        "overlap": overlap,
+                    }
+    return criterion, witness
+
+
+def oracle_clan_checks(clan, tol):
+    """members-are-projections and members-distinct, witness lists in full."""
+    proj, distinct = [], []
+    for i, m in enumerate(clan.members):
+        h, p = oracle_op_norm(m - m.conj().T), oracle_op_norm(m @ m - m)
+        if h > tol.eps or p > tol.eps:
+            proj.append({"member": clan.labels[i], "hermitian": h, "idempotent": p})
+    for i in range(clan.n):
+        for j in range(i + 1, clan.n):
+            if oracle_op_norm(clan.members[i] - clan.members[j]) <= tol.eps:
+                distinct.append({"a": clan.labels[i], "b": clan.labels[j]})
+    return proj, distinct
+
+
+def noisy(clan, size, rng):
+    """The clan with every member moved by a Hermitian matrix of norm ``size``."""
+    members = []
+    for m in clan.members:
+        h = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
+        h = h + h.conj().T
+        members.append(m + size * h / np.linalg.norm(h, 2))
+    return Clan(members, clan.labels)
+
+
+def clan_corpus():
+    rng = np.random.default_rng(41)
+    corpus = [(c, TOL) for c in (diagonal_clan(2), diagonal_clan(3), crossed_clan())]
+    corpus += [(mo_clan(n), TOL) for n in range(2, 7)]
+    corpus += [(skewed_clan(s), Tolerance.with_eps(1e-3)) for s in (0.2e-3, 0.8e-3, 1.2e-3)]
+    # members moved to norms around eps: the pair tests land inside the screen's band
+    for size in (0.3e-9, 0.5e-9, 1e-9 * (1 - 1e-12), 2e-9):
+        corpus += [(noisy(c, size, rng), TOL) for c in (diagonal_clan(3), mo_clan(3))]
+    # near-copies of one member, at distances around eps
+    base = diagonal_clan(2)
+    twins = [base.members[1] + s * np.diag([1.0, 0.0]) for s in (0.5e-9, 1e-9 * (1 + 1e-12), 3e-9)]
+    corpus.append((Clan([*base.members, *twins], [*base.labels, "T1", "T2", "T3"]), TOL))
+    return corpus
+
+
+def test_relation_tables_match_the_pair_loop():
+    for clan, tol in clan_corpus():
+        got, want = relation_tables(clan, tol), oracle_relation_tables(clan, tol)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
+
+def test_member_matching_matches_the_member_loop():
+    rng = np.random.default_rng(42)
+    hits = misses = 0
+    for clan, tol in clan_corpus():
+        targets = [range_meet(a, b, tol) for a in clan.members for b in clan.members]
+        targets += [m + tol.eps * s * np.eye(clan.dim) for m in clan.members for s in (0.5, 1.5)]
+        targets += [m + tol.eps * rng.normal(size=m.shape) for m in clan.members]
+        for target in targets:
+            want = oracle_match_member(clan, target, tol)
+            assert _match_member(clan, target, tol) == want
+            hits, misses = hits + (want >= 0), misses + (want < 0)
+    assert hits > 0 and misses > 0
+
+
+def test_unit_index_matches_the_member_loop():
+    found = set()
+    for clan, tol in clan_corpus():
+        want = oracle_unit_index(clan, tol)
+        if want < 0:
+            with pytest.raises(DomainError, match="absorbing unit"):
+                unit_index(clan, tol)
+        else:
+            assert unit_index(clan, tol) == want
+        found.add(want >= 0)
+    assert found == {True, False}
+
+
+def test_clan_checks_match_the_loops(all_witnesses):
+    failed = criteria = twins = 0
+    for clan, tol in clan_corpus():
+        proj, distinct = oracle_clan_checks(clan, tol)
+        try:
+            rep = verify_clan(clan, tol)
+        except DomainError:
+            continue  # not closed under meets and joins
+        assert rep.get("members-are-projections").witnesses == proj
+        assert rep.get("members-distinct").witnesses == distinct
+        failed += bool(proj)
+        twins += bool(distinct)
+        if not proj:
+            verdicts = rep.facts
+            want = oracle_criterion(clan, tol)
+            assert (verdicts["criterion"], verdicts["criterion_witness"]) == want
+            criteria += not verdicts["criterion"]
+    assert failed > 0 and criteria > 0 and twins > 0

@@ -440,6 +440,60 @@ def test_too_many_outcomes_exit_2_with_the_error_object(capsys, tmp_path):
     assert error["message"].startswith("too many elements")
 
 
+def _flat_identity(dim, scale):
+    return [[scale if i == j else 0.0, 0.0] for i in range(dim) for j in range(dim)]
+
+
+def _outcome_povm(outcomes, dim):
+    names = [f"o{i}" for i in range(outcomes)]
+    return {
+        "kind": "povm",
+        "dim": dim,
+        "outcomes": names,
+        "effects": dict.fromkeys(names, _flat_identity(dim, 1.0 / outcomes)),
+    }
+
+
+def _unit_algebra(dim):
+    return {"kind": "star_algebra", "dim": dim, "basis": {"I": _flat_identity(dim, 1.0)}}
+
+
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        # 8 outcomes on C^64 once asked gram_block for a 4 GiB array
+        ("dilate", _outcome_povm(8, 64), "operator space too large (256 elements x dim 64 > 512)"),
+        ("dilate", _outcome_povm(1, 65), "dim too large (65 > 64)"),
+        ("dilate", _outcome_povm(3, 65), "dim too large (65 > 64)"),
+        ("gns", _unit_algebra(65), "dim too large (65 > 64)"),
+    ],
+)
+def test_oversized_operator_inputs_exit_2_before_any_allocation(
+    command, data, message, capsys, tmp_path, monkeypatch
+):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("matrix allocated before the size check")
+
+    monkeypatch.setattr(qstruct.io_formats, "matrix_from_json", no_allocation)
+    monkeypatch.setattr(np, "empty", no_allocation)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, command, "--json", str(path))
+    assert code == 2
+    error = error_payload(out)
+    assert error["type"] == "StructuralError"
+    assert error["message"] == message
+
+
+def test_operator_inputs_at_the_size_bound_still_verify(capsys, tmp_path):
+    # 2^7 elements x dim 4 = 512, the largest space allowed
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(_outcome_povm(7, 4)))
+    code, out, _ = run_cli(capsys, "dilate", "--json", str(path))
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
 def test_console_script_matches_the_module_entry(valid_dir, mutants_dir):
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).parents[1] / "pyproject.toml"

@@ -17,7 +17,8 @@ from qstruct import (
     range_projector,
     rank_decomposition,
 )
-from qstruct.matrix_core import op_norms
+import qstruct.matrix_core
+from qstruct.matrix_core import op_norms, op_norms_exceed, screened_op_norms
 
 TOL = Tolerance()
 
@@ -117,3 +118,99 @@ def test_canonical_phases_pins_the_largest_entry_positive():
     # deterministic and stable: a second pass only shuffles rounding dust
     assert np.array_equal(canonical_phases(u, TOL), c)
     assert op_norm(canonical_phases(c, TOL) - c) <= 1e-12
+
+
+# -- the Frobenius screen against op_norms(a) > eps ---------------------------------
+
+
+def ginibre(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def with_singular_values(rng, count, rows, cols, values):
+    """``count`` random matrices whose singular values are ``values`` (padded with 0)."""
+    k = min(rows, cols)
+    s = np.zeros(k)
+    s[: len(values)] = values
+    u, _ = np.linalg.qr(ginibre(rng, count, rows, rows))
+    v, _ = np.linalg.qr(ginibre(rng, count, cols, cols))
+    return (u[:, :, :k] * s) @ v[:, :, :k].conj().transpose(0, 2, 1)
+
+
+def adversarial_stacks():
+    """(stack, eps) pairs whose norms crowd eps, the band edges, and the float range."""
+    rng = np.random.default_rng(31)
+    for rows, cols in ((1, 1), (2, 2), (3, 3), (2, 5), (5, 2), (6, 6)):
+        k = min(rows, cols)
+        for eps in (1e-9, 1e-3, 0.5):
+            for rel in (-1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9):
+                # norm at eps (1 + rel): general, rank one, and all values equal
+                g = ginibre(rng, 8, rows, cols)
+                yield g / op_norms(g)[:, None, None] * eps * (1 + rel), eps
+                yield with_singular_values(rng, 8, rows, cols, [eps * (1 + rel)]), eps
+                yield with_singular_values(rng, 8, rows, cols, [eps * (1 + rel)] * k), eps
+                # Frobenius norm at the band's upper edge sqrt(k) eps (1 + rel)
+                g = ginibre(rng, 8, rows, cols)
+                fro = np.linalg.norm(g, axis=(1, 2))
+                yield g / fro[:, None, None] * np.sqrt(k) * eps * (1 + rel), eps
+            # rank one inside the band [eps, sqrt(k) eps], and a spread of scales
+            yield with_singular_values(rng, 8, rows, cols, [eps * np.sqrt(k) * 0.999]), eps
+            scales = np.logspace(-3, 3, 16)[:, None, None] * eps
+            yield ginibre(rng, 16, rows, cols) * scales, eps
+    for scale in (1e-162, 1e-150, 1e-130, 1e130, 1e150):
+        g = ginibre(rng, 64, 3, 3) * scale
+        for eps in (1e-9, scale * 0.3, scale, scale * 1.7, scale * 3):
+            yield g, eps
+
+
+def assert_screen_exact(a, eps):
+    ref = op_norms(a)
+    want = ref > eps
+    assert np.array_equal(op_norms_exceed(a, eps), want)
+    got = screened_op_norms(a, eps)
+    assert np.array_equal(got > eps, want)
+    # values above eps are op_norms' own bits; the rest are bounds that stay below
+    # eps, or the NaN that op_norms gives a non-finite matrix
+    assert np.array_equal(got[want], ref[want])
+    assert np.all((got[~want] <= eps) | (np.isnan(got) & np.isnan(ref))[~want])
+
+
+def test_the_screen_decides_exactly_what_op_norms_decides():
+    count = 0
+    for a, eps in adversarial_stacks():
+        assert_screen_exact(a, eps)
+        count += len(a)
+    assert count > 4000
+
+
+def test_the_screen_handles_empty_non_square_and_non_finite_stacks():
+    rng = np.random.default_rng(32)
+    for shape in ((0, 3, 3), (4, 0, 3), (4, 3, 0), (3, 1, 4), (3, 4, 1)):
+        assert_screen_exact(ginibre(rng, *shape) * 1e-9, 1e-9)
+    with np.errstate(invalid="ignore", over="ignore"):
+        a = ginibre(rng, 6, 2, 2) * 1e-12
+        a[1, 0, 0] = np.nan
+        a[2, 1, 0] = np.inf
+        a[3, 0, 1] = complex(0.0, -np.inf)
+        a[4] *= 1e300
+        assert_screen_exact(a, 1e-9)
+    for eps in (0.0, 1e-300, -1.0):
+        assert_screen_exact(ginibre(rng, 5, 2, 2), eps)
+
+
+def test_only_the_band_reaches_the_eigensolver(monkeypatch):
+    rng = np.random.default_rng(33)
+    eps, seen = 1e-9, []
+    a = ginibre(rng, 64, 3, 3)
+    a *= (np.logspace(-4, 4, 64) * eps / np.linalg.norm(a, axis=(1, 2)))[:, None, None]
+    fro = np.linalg.norm(a, axis=(1, 2))
+    want = op_norms(a) > eps
+
+    def counting(stack):
+        seen.append(len(stack))
+        return op_norms(stack)
+
+    monkeypatch.setattr(qstruct.matrix_core, "op_norms", counting)
+    assert np.array_equal(op_norms_exceed(a, eps), want)
+    band = np.count_nonzero((fro > eps * (1 - 1e-9)) & (fro <= np.sqrt(3) * eps * (1 + 1e-9)))
+    assert sum(seen) == band and 0 < band < 16

@@ -7,8 +7,9 @@ three-dimensional. Projective measures must dilate without growing at all.
 
 import numpy as np
 import pytest
-from conftest import random_povm
+from conftest import oracle_op_norm, random_povm
 
+import qstruct.naimark
 import qstruct.standard
 from qstruct import (
     DomainError,
@@ -158,3 +159,117 @@ def test_a_one_outcome_measure_has_no_family_to_check():
     rep = verify_dilation(dilate(povm, TOL), TOL)
     assert rep.ok
     assert rep.get("additive").violation_count == 0
+
+
+# -- the per-element loops that the stacked threshold kernel replaced ----------------
+
+
+def oracle_gram_block(povm):
+    n, d, prod = povm.semiring.n, povm.dim, povm.semiring.prod
+    h = np.empty((n * d, n * d), dtype=np.complex128)
+    for b in range(n):
+        for c in range(n):
+            h[b * d : (b + 1) * d, c * d : (c + 1) * d] = povm.effects[int(prod[b, c])]
+    return h
+
+
+def oracle_images(dil):
+    n, d = dil.povm.semiring.n, dil.povm.dim
+    images = []
+    for b in range(n):
+        gather = np.empty(n * d, dtype=np.int64)
+        for c in range(n):
+            gather[c * d : (c + 1) * d] = np.arange(d) + int(dil.povm.semiring.prod[b, c]) * d
+        images.append(dil.w[:, gather] @ dil.w_pinv)
+    return images
+
+
+def oracle_povm_checks(povm, tol):
+    bad = []
+    for i, e in enumerate(povm.effects):
+        h = oracle_op_norm(e - e.conj().T)
+        w, _ = np.linalg.eigh((e + e.conj().T) / 2.0)
+        if h > tol.eps or float(w[0]) < -tol.eps or float(w[-1]) > 1.0 + tol.eps:
+            spectrum = [float(w[0]), float(w[-1])]
+            bad.append({"element": povm.semiring.labels[i], "hermitian": h, "spectrum": spectrum})
+    zero = oracle_op_norm(povm.effects[povm.semiring.zero()])
+    gap = oracle_op_norm(povm.effects[povm.semiring.unit()] - np.eye(povm.dim))
+    return {
+        "effects-are-positive-contractions": bad,
+        "zero-effect": [] if zero <= tol.eps else [{"norm": zero}],
+        "normalized": [] if gap <= tol.eps else [{"defect": gap}],
+    }
+
+
+def oracle_dilation_checks(dil, tol):
+    labels, f = dil.povm.semiring.labels, dil.f
+    proj, compression = [], []
+    for i, hb in enumerate(dil.images):
+        dh, di = oracle_op_norm(hb - hb.conj().T), oracle_op_norm(hb @ hb - hb)
+        if dh > tol.eps or di > tol.eps:
+            proj.append({"element": labels[i], "hermitian": dh, "idempotent": di})
+        gap = oracle_op_norm(f.conj().T @ hb @ f - dil.povm.effects[i])
+        if gap > tol.eps:
+            compression.append({"element": labels[i], "defect": gap})
+    iso = oracle_op_norm(f.conj().T @ f - np.eye(dil.povm.dim))
+    unit = oracle_op_norm(dil.images[dil.povm.semiring.unit()] @ f - f)
+    return {
+        "images-are-projections": proj,
+        "compression-recovers-measure": compression,
+        "embedding-isometric": [] if iso <= tol.eps else [{"defect": iso}],
+        "unit-fixes-embedding": [] if unit <= tol.eps else [{"defect": unit}],
+    }
+
+
+def noise(rng, shape, size, hermitian):
+    h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    h = h + h.conj().T if hermitian else h
+    return size * h / np.linalg.norm(h, 2)
+
+
+SIZES = (1e-12, 0.5e-9, 1e-9 * (1 - 1e-12), 1e-9 * (1 + 1e-12), 2e-9, 1e-3)
+
+
+def test_povm_checks_match_the_effect_loop(all_witnesses):
+    rng = np.random.default_rng(51)
+    failed = 0
+    for k, d in ((1, 2), (2, 1), (3, 2), (4, 3), (6, 2)):
+        povm = povm_from_outcomes(random_povm(k, d, seed=k + 7 * d), dim=d)
+        corpus = [povm, povm_from_outcomes([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])], dim=2)]
+        for size in SIZES:
+            for hermitian in (True, False):
+                effects = [e.copy() for e in povm.effects]
+                for b in rng.choice(povm.semiring.n, size=min(3, povm.semiring.n), replace=False):
+                    effects[b] = effects[b] + noise(rng, (d, d), size, hermitian)
+                corpus.append(FinitePovm(povm.semiring, effects, d))
+        for p in corpus:
+            rep = verify_povm(p, TOL)
+            for name, want in oracle_povm_checks(p, TOL).items():
+                assert rep.get(name).witnesses == want, name
+                failed += bool(want)
+    assert failed > 0
+
+
+@pytest.mark.parametrize("entries", [1 << 16, 20], ids=["shipped", "split"])
+def test_dilation_checks_match_the_image_loop(entries, all_witnesses, monkeypatch):
+    # at 20 entries per block every image stack is split, down to one image a block
+    monkeypatch.setattr(qstruct.naimark, "STACK_ENTRIES", entries)
+    rng = np.random.default_rng(52)
+    failed = 0
+    for k, d in ((1, 2), (2, 2), (3, 2), (4, 2), (3, 3), (5, 1)):
+        povm = povm_from_outcomes(random_povm(k, d, seed=k * d), dim=d)
+        assert np.array_equal(gram_block(povm), oracle_gram_block(povm))
+        dil = dilate(povm, TOL)
+        assert all(np.array_equal(a, b) for a, b in zip(dil.images, oracle_images(dil)))
+        clean = list(dil.images)
+        for size in (0.0, *SIZES):
+            for hermitian in (True, False):
+                dil.images = [
+                    img + noise(rng, img.shape, size, hermitian) if rng.random() < 0.5 else img
+                    for img in clean
+                ]
+                rep = verify_dilation(dil, TOL)
+                for name, want in oracle_dilation_checks(dil, TOL).items():
+                    assert rep.get(name).witnesses == want, name
+                    failed += bool(want)
+    assert failed > 0
