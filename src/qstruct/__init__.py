@@ -130,6 +130,7 @@ from .semilogic import (
     Ideal,
     Semilogic,
     check_regularity,
+    difference_table,
     relative_complement,
     summable_families,
     support,

@@ -1,10 +1,16 @@
-"""Boolean semirings and their set-theoretic representations.
+"""Boolean semirings, their set representations, and topologies on rings of sets.
 
 A boolean semiring is a semilogic with a total product. Its points are the
 maximal filters; sending each element to the set of points containing it
 turns the semiring into a ring of sets, distributions into measures on that
-ring, and homomorphisms into preimage maps. Families of subsets also carry
-the topology-style structure checked by SubsetTopology.
+ring, and homomorphisms into preimage maps.
+
+A family of sets is itself a semilogic (``subset_semilogic``): inclusion
+orders it and intersection, where it stays in the family, is the product.
+``verify_topology`` checks open and closed subfamilies on that semilogic's
+tables with the index kernels of ``semilogic`` (``family_mask``,
+``pair_witnesses``); set differences form a companion table, and interiors
+and closures are unions and intersections of carrier-membership rows.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .order import FinitePoset, atoms
+from .order import MAX_ELEMENTS, FinitePoset, atoms
 from .report import VerificationReport
 from .semilogic import (
     DistributionTable,
@@ -24,6 +30,8 @@ from .semilogic import (
     HomomorphismMap,
     Semilogic,
     distribution_mass,
+    family_mask,
+    pair_witnesses,
     summable_families,
     verify_semilogic,
 )
@@ -311,7 +319,10 @@ def subset_semilogic(sets: Sequence[frozenset]) -> tuple[Semilogic, list[frozens
     The product is defined exactly where the intersection stays inside the
     family, so intersection-closed families yield total products.
     """
-    order = sorted(set(sets), key=lambda s: (len(s), sorted(map(str, s))))
+    distinct = set(sets)
+    if len(distinct) > MAX_ELEMENTS:
+        raise StructuralError(f"too many sets ({len(distinct)} > {MAX_ELEMENTS})")
+    order = sorted(distinct, key=lambda s: (len(s), sorted(map(str, s))))
     carrier = sorted({x for s in order for x in s}, key=str)
     labels = [_set_label(s, carrier) for s in order]
     n = len(order)
@@ -329,7 +340,7 @@ def subset_semilogic(sets: Sequence[frozenset]) -> tuple[Semilogic, list[frozens
 
 @dataclass
 class SubsetTopology:
-    """A ring of subsets with chosen open and closed subfamilies."""
+    """A ring of subsets of ``carrier`` with chosen open and closed subfamilies."""
 
     carrier: frozenset
     sets: list[frozenset]
@@ -337,128 +348,119 @@ class SubsetTopology:
     closeds: list[frozenset]
 
 
+def _union_inside(rows: np.ndarray, fam: np.ndarray) -> np.ndarray:
+    """Per membership row: the union of the ``fam`` rows inside it."""
+    return ~(~rows @ fam.T) @ fam
+
+
+def _meet_around(rows: np.ndarray, fam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per membership row: the intersection of the ``fam`` rows around it, and whether any is."""
+    around = ~(rows @ ~fam.T)
+    return ~(around @ ~fam), around.any(axis=1)
+
+
+def _equal_to_some(rows: np.ndarray, fam: np.ndarray) -> np.ndarray:
+    """Per membership row: whether some ``fam`` row is the same set."""
+    return (~(rows @ ~fam.T) & ~(~rows @ fam.T)).any(axis=1)
+
+
 def verify_topology(t: SubsetTopology) -> VerificationReport:
-    rep = VerificationReport(subject="subset-topology")
-    sets = [frozenset(s) for s in t.sets]
-    opens = [frozenset(s) for s in t.opens]
-    closeds = [frozenset(s) for s in t.closeds]
+    """Open and closed families of a ring of sets, on its subset semilogic's tables.
+
+    Sets are indices into ``subset_semilogic(t.sets)``, whose ``le`` is
+    inclusion and whose ``prod`` holds the intersections (-1: outside the
+    family); the set differences i - k form a companion table. Interiors,
+    closures and the approximating fact are unions and intersections of
+    carrier-membership rows. Witnesses are sorted lists of points, in the
+    order of ``sets``, ``opens`` and ``closeds`` as given, repeats included.
+    """
+    sets = [frozenset(x) for x in t.sets]
+    opens = [frozenset(x) for x in t.opens]
+    closeds = [frozenset(x) for x in t.closeds]
+    ring = set(sets)
     for fam, name in ((opens, "open"), (closeds, "closed")):
-        stray = [s for s in fam if s not in set(sets)]
+        stray = [x for x in fam if x not in ring]
         if stray:
             raise StructuralError(f"{name} family leaves the ring", set=sorted(stray[0]))
-    oset, cset = set(opens), set(closeds)
+    carrier = frozenset(t.carrier)
+    outside = [x for x in sets if not x <= carrier]
+    if outside:
+        raise StructuralError("set leaves the carrier", set=sorted(outside[0]))
+    s, order = subset_semilogic(sets)
+    le, pos = s.poset.le, {x: i for i, x in enumerate(order)}
+    S, O, C = (np.array([pos[x] for x in fam], dtype=np.intp) for fam in (sets, opens, closeds))
+    points = list(set().union(*order))
+    member = np.array([[p in x for p in points] for x in order], dtype=bool)
+    open_in, closed_in = family_mask(s.n, O, False), family_mask(s.n, C, False)
 
-    rep.record(
-        "open-covers",
-        (
-            {"set": sorted(b)}
-            for b in sets
-            if not any(b <= i for i in opens)
-        ),
+    def named(i: int) -> list:
+        return sorted(order[i])
+
+    # i - k = x exactly when k and x are disjoint parts of i whose sizes add up to i's
+    size = member.sum(axis=1)
+    parts = le.T[:, None, :] & ~(member @ member.T)[None] & (
+        size[None, :, None] + size[None, None, :] == size[:, None, None]
     )
+    diff = np.where(le.T & parts.any(axis=2), parts.argmax(axis=2), -1)
+
+    rep = VerificationReport(subject="subset-topology")
+    rep.record("open-covers", ({"set": named(b)} for b in S[~le[np.ix_(S, O)].any(axis=1)]))
     rep.record(
         "open-intersections",
-        (
-            {"i1": sorted(i1), "i2": sorted(i2)}
-            for i1 in opens
-            for i2 in opens
-            if i1 & i2 not in oset
-        ),
+        pair_witnesses(~open_in[s.prod[np.ix_(O, O)]], ("i1", "i2"), O, O, named),
     )
-    rep.record("closed-empty", [] if frozenset() in cset else [{"reason": "empty set not closed"}])
+    closed_empty = frozenset() in closeds
+    rep.record("closed-empty", [] if closed_empty else [{"reason": "empty set not closed"}])
     rep.record(
         "closed-intersections",
+        pair_witnesses(~closed_in[s.prod[np.ix_(C, C)]], ("k1", "k2"), C, C, named),
+    )
+
+    rows = member[S]
+    inner = _union_inside(rows, member[O])
+    outer, closable = _meet_around(rows, member[C])
+    rep.record(
+        "interior-in-family", ({"set": named(b)} for b in S[~_equal_to_some(inner, member[O])])
+    )
+    rep.record(
+        "closure-in-family",
         (
-            {"k1": sorted(k1), "k2": sorted(k2)}
-            for k1 in closeds
-            for k2 in closeds
-            if k1 & k2 not in cset
+            {"set": named(b), "closure": sorted(points[j] for j in np.flatnonzero(row))}
+            if has
+            else {"set": named(b), "reason": "no closed superset"}
+            for b, row, has, ok in zip(S, outer, closable, _equal_to_some(outer, member[C]))
+            if not (has and ok)
         ),
     )
-
-    def interior(b: frozenset) -> frozenset:
-        return frozenset().union(*(i for i in opens if i <= b)) if any(i <= b for i in opens) else frozenset()
-
-    def closure(b: frozenset) -> frozenset | None:
-        above = [k for k in closeds if b <= k]
-        if not above:
-            return None
-        out = above[0]
-        for k in above[1:]:
-            out = out & k
-        return out
-
-    rep.record(
-        "interior-in-family",
-        ({"set": sorted(b)} for b in sets if interior(b) not in oset),
-    )
-    closure_viol = []
-    for b in sets:
-        c = closure(b)
-        if c is None:
-            closure_viol.append({"set": sorted(b), "reason": "no closed superset"})
-        elif c not in cset:
-            closure_viol.append({"set": sorted(b), "closure": sorted(c)})
-    rep.record("closure-in-family", closure_viol)
-
     rep.record(
         "difference-open",
-        (
-            {"open": sorted(i), "closed": sorted(k)}
-            for i in opens
-            for k in closeds
-            if k <= i and (i - k) not in oset
+        pair_witnesses(
+            le[np.ix_(C, O)].T & ~open_in[diff[np.ix_(O, C)]], ("open", "closed"), O, C, named
         ),
     )
     rep.record(
         "difference-closed",
-        (
-            {"open": sorted(i), "closed": sorted(k)}
-            for i in opens
-            for k in closeds
-            if i <= k and (k - i) not in cset
+        pair_witnesses(
+            le[np.ix_(O, C)] & ~closed_in[diff[np.ix_(C, O)]].T, ("open", "closed"), O, C, named
         ),
     )
 
-    idem, defl, mono = [], [], []
-    c_idem, c_ext, c_mono = [], [], []
-    for b in sets:
-        ib, cb = interior(b), closure(b)
-        if interior(ib) != ib:
-            idem.append({"set": sorted(b)})
-        if not ib <= b:
-            defl.append({"set": sorted(b)})
-        if cb is not None:
-            if closure(cb) != cb:
-                c_idem.append({"set": sorted(b)})
-            if not b <= cb:
-                c_ext.append({"set": sorted(b)})
-        for b2 in sets:
-            if b <= b2:
-                if not interior(b) <= interior(b2):
-                    mono.append({"b1": sorted(b), "b2": sorted(b2)})
-                c2 = closure(b2)
-                if cb is not None and c2 is not None and not cb <= c2:
-                    c_mono.append({"b1": sorted(b), "b2": sorted(b2)})
-    rep.record("interior-idempotent", idem)
-    rep.record("interior-deflationary", defl)
-    rep.record("interior-monotone", mono)
-    rep.record("closure-idempotent", c_idem)
-    rep.record("closure-extensive", c_ext)
-    rep.record("closure-monotone", c_mono)
+    within, every = le[np.ix_(S, S)], np.ones(len(S), dtype=bool)
+    inner2, outer2 = _union_inside(inner, member[O]), _meet_around(outer, member[C])[0]
+    for kind, image, again, (grows, moved), defined in (
+        ("interior", inner, inner2, ("deflationary", inner & ~rows), every),
+        ("closure", outer, outer2, ("extensive", rows & ~outer), closable),
+    ):
+        for name, bad in (("idempotent", again != image), (grows, moved)):
+            rep.record(f"{kind}-{name}", ({"set": named(b)} for b in S[defined & bad.any(axis=1)]))
+        shrinks = within & np.outer(defined, defined) & (image @ ~image.T)
+        rep.record(f"{kind}-monotone", pair_witnesses(shrinks, ("b1", "b2"), S, S, named))
 
-    hausdorff, witness = True, None
-    for b in sets:
-        above = [i for i in opens if b <= i]
-        below = [k for k in closeds if k <= b]
-        inf_open = above[0] if above else None
-        for i in above[1:]:
-            inf_open = inf_open & i
-        sup_closed = frozenset().union(*below) if below else frozenset()
-        if inf_open != b or sup_closed != b:
-            hausdorff, witness = False, {"set": sorted(b)}
-            break
-    rep.facts["approximating"] = hausdorff
-    if witness:
-        rep.facts["approximating_witness"] = witness
+    # each set must be the intersection of the opens around it and the union of the closeds inside
+    inf_open, covered = _meet_around(rows, member[O])
+    sup_closed = _union_inside(rows, member[C])
+    loose = ~covered | (inf_open != rows).any(axis=1) | (sup_closed != rows).any(axis=1)
+    rep.facts["approximating"] = not loose.any()
+    if loose.any():
+        rep.facts["approximating_witness"] = {"set": named(S[loose.argmax()])}
     return rep

@@ -259,7 +259,7 @@ def verify_poset(p: FinitePoset) -> VerificationReport:
     )
 
     # a<=b<=c without a<=c; boolean matrix square finds all gaps at once
-    closure_gap = (le.astype(np.uint8) @ le.astype(np.uint8) > 0) & ~le
+    closure_gap = (le @ le) & ~le
     trans_viol = []
     for a, c in zip(*np.nonzero(closure_gap)):
         b = int(np.flatnonzero(le[a, :] & le[:, c])[0])
@@ -334,8 +334,7 @@ def segment(p: FinitePoset, a: int, c: int) -> tuple[FinitePoset, list[int]]:
 def transitive_reduction(p: FinitePoset) -> list[tuple[str, str]]:
     """Cover pairs (a, b): a < b with nothing strictly between; for serializers."""
     lt = p.le & ~np.eye(p.n, dtype=bool)
-    strict2 = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
-    covers = lt & ~strict2
+    covers = lt & ~(lt @ lt)
     return [
         (p.labels[i], p.labels[j]) for i, j in zip(*np.nonzero(covers))
     ]

@@ -13,12 +13,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AxiomViolationError, DomainError, StructuralError
-from .order import FinitePoset, join, meet, sentinel_padded, upper_blocks, verify_poset
+from .order import FinitePoset, is_upward_directed, sentinel_padded, upper_blocks, verify_poset
 from .report import VerificationReport
 
 CLASSIFICATION_LABELS = (
     "boolean-algebra",
-    "ring",
     "quasiring",
     "logic",
     "quasilogic",
@@ -168,8 +167,6 @@ def verify_quasilogic(q: Quasilogic) -> VerificationReport:
     rep.record("minuend-difference-identity", mono_id_viol)
     rep.record("subtrahend-antitone", anti_viol)
     rep.record("subtrahend-difference-identity", anti_id_viol)
-
-    from .order import is_upward_directed
 
     directed, pair = is_upward_directed(q.poset)
     rep.record("upward-directed", [] if directed else [{"a": pair[0], "b": pair[1]}])
@@ -332,9 +329,13 @@ def classify(q: Quasilogic) -> str:
 
     quasiring demands a witness-independent quasiproduct on top of trivial
     quasicommutation; without that refinement every chain would pass the ring
-    test through degenerate witnesses. Both scans take one (b, c) block per a
-    and run of rows b >= a, with c over the elements above a, and read the
-    padded difference table.
+    test through degenerate witnesses. The ring test asks every pair for a
+    common majorant c with disjoint remainders c - a and c - b. In a finite
+    partial order, majorants for every pair give a greatest element, so a
+    ring is always a boolean algebra and has no label of its own; on a table
+    that is not a partial order a ring without a greatest element reads
+    "quasiring". Both scans take one (b, c) block per a and run of rows b >= a,
+    with c over the elements above a, and read the padded difference table.
     """
     info = q._sum_info()
     mt = q.poset.meet_table()
@@ -370,8 +371,6 @@ def classify(q: Quasilogic) -> str:
 
     if ring_p and q.poset.greatest() is not None:
         return "boolean-algebra"
-    if ring_p:
-        return "ring"
     if quasiring_p:
         return "quasiring"
     if logic_p:

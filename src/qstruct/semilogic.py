@@ -9,11 +9,11 @@ layer only adds totality of the product and distributivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, StructuralError
+from .errors import AxiomViolationError, DomainError, StructuralError
 from .matrix_core import screened_op_norms
 from .order import FinitePoset, join_of, row_bits, verify_poset
 from .quasilogic import Quasilogic, is_logic, partial_sum, quasicommutes, summable
@@ -177,22 +177,59 @@ def summable_families(
     return fams
 
 
-def _meet(s: Semilogic, a: int, b: int) -> int:
-    return int(s.poset.meet_table()[a, b])
-
-
-def _join(s: Semilogic, a: int, b: int) -> int:
-    return int(s.poset.join_table()[a, b])
-
-
 def relative_complement(s: Semilogic, a: int, k: int) -> int | None:
     """Unique x with a ^ x = 0 and a v x = k, if any; None otherwise."""
-    z = s.zero()
-    if z is None or not s.poset.le[a, k]:
-        return None
-    mt, jt = s.poset.meet_table(), s.poset.join_table()
-    hits = np.flatnonzero((mt[a, :] == z) & (jt[a, :] == k))
-    return int(hits[0]) if hits.size == 1 else None
+    d = int(difference_table(s)[k, a])
+    return d if d >= 0 else None
+
+
+def difference_table(s: Semilogic, companion: Quasilogic | None = None) -> np.ndarray:
+    """``table[top, a]`` = top - a as an n x n int16 table, -1 where undefined.
+
+    With a companion this is its difference table, which must be on the same
+    labels. Without one it holds the unique relative complements: for each a,
+    the x with a ^ x = 0 are counted by their join a v x, and a join reached
+    by exactly one such x has that x as its difference.
+    """
+    if companion is not None:
+        if companion.labels != s.labels:
+            raise StructuralError(
+                "companion labels differ from the semilogic", size=companion.n
+            )
+        return companion.diff
+    n, z = s.n, s.zero()
+    table = np.full((n, n), -1, dtype=np.int16)
+    if z is None:
+        return table
+    a, x = np.nonzero(s.poset.meet_table() == z)
+    top = s.poset.join_table()[a, x].astype(np.intp)
+    a, x, top = a[top >= 0], x[top >= 0], top[top >= 0]
+    unique = np.bincount(a * n + top, minlength=n * n)[a * n + top] == 1
+    table[top[unique], a[unique]] = x[unique]
+    return table
+
+
+def family_mask(n: int, fam: Sequence[int], undefined: bool) -> np.ndarray:
+    """Membership in ``fam`` of range(n), padded with one entry for -1.
+
+    ``mask[table[...]]`` then says per cell whether a table result stays in the
+    family, and the last entry says what an undefined result (-1) counts as.
+    """
+    mask = np.zeros(n + 1, dtype=bool)
+    mask[fam] = True
+    mask[n] = undefined
+    return mask
+
+
+def pair_witnesses(
+    bad: np.ndarray,
+    keys: tuple[str, str],
+    rows: Sequence[int],
+    cols: Sequence[int],
+    name: Callable[[int], object],
+) -> list[dict]:
+    """One witness per True cell of ``bad``, row-major: ``name`` of rows[i] and cols[j]."""
+    return [{keys[0]: name(rows[i]), keys[1]: name(cols[j])} for i, j in zip(*np.nonzero(bad))]
 
 
 # -- verification -------------------------------------------------------------
@@ -578,7 +615,7 @@ def _quasilogic_families(q: Quasilogic) -> list[tuple[tuple[int, ...], int]]:
                 continue
             try:
                 new_acc = partial_sum(q, acc, x)
-            except Exception:
+            except AxiomViolationError:
                 continue
             new_fam = fam + (x,)
             if len(out) >= MAX_FAMILIES:
@@ -698,117 +735,68 @@ def verify_closure(
 ) -> VerificationReport:
     """Closure axioms, the closed/open element sets and the interior map.
 
-    ``companion`` supplies an explicit difference table for the openness test;
-    without one, unique relative complements stand in where they exist.
+    a is open when c - a is closed for every closed c above a. Differences
+    come from ``difference_table(s, companion)``; an undefined one leaves its
+    pair undecided, and ``openness_indeterminate_pairs`` counts those met
+    before each a's first non-closed difference. The family checks read one
+    bound or difference table through a ``family_mask``, and the interior of
+    a is the join of the opens below it, taken from one bool matmul.
     """
     k = np.asarray(cp.kmap, dtype=np.int16)
     if k.shape != (s.n,) or (k < 0).any() or (k >= s.n).any():
         raise StructuralError("closure map out of range")
+    diff = difference_table(s, companion)
     rep = VerificationReport(subject="closure")
-    labels, le = s.labels, s.poset.le
+    labels, label, le, n = s.labels, s.labels.__getitem__, s.poset.le, s.n
+    mt, jt, elems = s.poset.meet_table(), s.poset.join_table(), np.arange(n)
     z = s.zero()
 
-    rep.record(
-        "closure-idempotent",
-        ({"a": labels[a]} for a in range(s.n) if k[k[a]] != k[a]),
-    )
+    rep.record("closure-idempotent", ({"a": labels[a]} for a in np.flatnonzero(k[k] != k)))
     rep.record(
         "closure-zero",
         [] if z is not None and k[z] == z else [{"zero": labels[z] if z is not None else None}],
     )
-    rep.record(
-        "closure-extensive",
-        ({"a": labels[a]} for a in range(s.n) if not le[a, k[a]]),
-    )
-    jt = s.poset.join_table()
-    join_viol = []
-    for a in range(s.n):
-        for b in range(a, s.n):
-            j = int(jt[a, b])
-            if j < 0:
-                continue
-            kk = int(jt[k[a], k[b]])
-            if kk < 0 or kk != k[j]:
-                join_viol.append({"a": labels[a], "b": labels[b]})
-    rep.record("closure-join", join_viol)
+    rep.record("closure-extensive", ({"a": labels[a]} for a in np.flatnonzero(~le[elems, k])))
+    moved = np.triu((jt >= 0) & (jt[np.ix_(k, k)] != k[jt]))
+    rep.record("closure-join", pair_witnesses(moved, ("a", "b"), elems, elems, label))
 
-    closed = sorted(int(a) for a in range(s.n) if k[a] == a)
-    closed_set = set(closed)
+    closed = np.flatnonzero(k == elems)
+    # [c, a] over closed c above a: c - a defined and not closed, or undefined
+    above = le[:, closed].T
+    not_closed = above & ~family_mask(n, closed, True)[diff[closed]]
+    undecided = above & (diff[closed] < 0)
+    opens = np.flatnonzero(~not_closed.any(axis=0))
+    indeterminate = int((undecided & ~np.logical_or.accumulate(not_closed, axis=0)).sum())
 
-    def difference(top: int, a: int) -> int | None:
-        if companion is not None:
-            d = int(companion.diff[top, a])
-            return d if d >= 0 else None
-        return relative_complement(s, a, top)
-
-    opens, indeterminate = [], 0
-    for a in range(s.n):
-        is_open = True
-        for c in closed:
-            if not le[a, c]:
-                continue
-            d = difference(c, a)
-            if d is None:
-                indeterminate += 1
-                continue
-            if d not in closed_set:
-                is_open = False
-                break
-        if is_open:
-            opens.append(a)
-    open_set = set(opens)
-
-    mt = s.poset.meet_table()
-    rep.record(
-        "open-meet-open",
-        (
-            {"i1": labels[i1], "i2": labels[i2]}
-            for i1 in opens
-            for i2 in opens
-            if i1 < i2 and mt[i1, i2] >= 0 and int(mt[i1, i2]) not in open_set
-        ),
-    )
-    rep.record(
-        "closed-meet-closed",
-        (
-            {"k1": labels[k1], "k2": labels[k2]}
-            for k1 in closed
-            for k2 in closed
-            if k1 < k2 and mt[k1, k2] >= 0 and int(mt[k1, k2]) not in closed_set
-        ),
-    )
-    rep.record(
-        "closed-join-closed",
-        (
-            {"k1": labels[k1], "k2": labels[k2]}
-            for k1 in closed
-            for k2 in closed
-            if k1 < k2 and jt[k1, k2] >= 0 and int(jt[k1, k2]) not in closed_set
-        ),
-    )
+    for name, table, fam, keys in (
+        ("open-meet-open", mt, opens, ("i1", "i2")),
+        ("closed-meet-closed", mt, closed, ("k1", "k2")),
+        ("closed-join-closed", jt, closed, ("k1", "k2")),
+    ):
+        leaves = ~family_mask(n, fam, True)[table[np.ix_(fam, fam)]]
+        rep.record(name, pair_witnesses(np.triu(leaves, 1), keys, fam, fam, label))
 
     up_viol = _family_violations(le, labels, opens, ("i1", "i2"), "no member above")
     rep.record("open-upper-family", up_viol)
 
-    interior, int_viol = [], []
-    for a in range(s.n):
-        below = [i for i in opens if le[i, a]]
-        j = join_of(s.poset, below)
-        interior.append(labels[j] if j is not None else None)
-        if j is None:
-            int_viol.append({"a": labels[a]})
-    rep.record("interior-defined", int_viol)
+    # [a, c]: c is above every open below a; its bitset AND is the join's lookup key
+    bounds = ~(le[opens].T @ ~le[opens])
+    ups = s.poset.upsets()
+    interior = [ups.bound_of(acc) for acc in row_bits(bounds)]
+    rep.record("interior-defined", ({"a": labels[a]} for a, j in enumerate(interior) if j is None))
 
     rep.facts["closed"] = [labels[c] for c in closed]
     rep.facts["open"] = [labels[i] for i in opens]
-    rep.facts["interior"] = dict(zip(labels, interior))
+    rep.facts["interior"] = {
+        labels[a]: labels[j] if j is not None else None for a, j in enumerate(interior)
+    }
     rep.facts["openness_indeterminate_pairs"] = indeterminate
     top = s.poset.greatest()
     if top is not None:
-        duals = {difference(top, i) for i in opens}
-        rep.facts["open_complements_are_closed"] = (
-            None not in duals and duals == closed_set
-        )
+        duals = diff[top, opens]
+        rep.facts["open_complements_are_closed"] = bool((duals >= 0).all()) and set(
+            duals.tolist()
+        ) == set(closed.tolist())
     return rep
 
 
@@ -844,7 +832,20 @@ def check_regularity(
     companion: Quasilogic | None = None,
     tol: float = EXACT_TOL,
 ) -> VerificationReport:
-    """m(a) must be reached from below by `lower` and from above by `upper`."""
+    """m(a) must be reached from below by `lower` and from above by `upper`.
+
+    Both families must be directed toward every element (DomainError if not).
+    The sup from below and the inf from above are a masked max and min over
+    ``le``. The ``opposite_families`` fact asks that i - k, read from
+    ``difference_table(s, companion)``, be defined and in `upper` for every
+    i in `upper` above a k in `lower`; its witness is the first failing pair.
+    """
+    upper, lower = np.asarray(upper, dtype=np.intp), np.asarray(lower, dtype=np.intp)
+    for which, fam in (("upper", upper), ("lower", lower)):
+        stray = fam[(fam < 0) | (fam >= s.n)]
+        if stray.size:
+            raise DomainError("family member out of range", which=which, member=int(stray[0]))
+    diff = difference_table(s, companion)
     up_viol = _family_violations(s.poset.le, s.labels, upper, ("i1", "i2"), "no member above")
     if up_viol:
         raise DomainError("upper family axioms fail", which="upper", witness=up_viol[0])
@@ -853,36 +854,25 @@ def check_regularity(
         raise DomainError("lower family axioms fail", which="lower", witness=low_viol[0])
 
     rep = VerificationReport(subject="regularity")
-    vals, le, labels = m.values, s.poset.le, s.labels
-    below_viol, above_viol = [], []
-    for a in range(s.n):
-        from_below = max(float(vals[x]) for x in lower if le[x, a])
-        from_above = min(float(vals[i]) for i in upper if le[a, i])
-        if abs(from_below - vals[a]) > tol:
-            below_viol.append({"a": labels[a], "sup": from_below, "value": float(vals[a])})
-        if abs(from_above - vals[a]) > tol:
-            above_viol.append({"a": labels[a], "inf": from_above, "value": float(vals[a])})
-    rep.record("regular-from-below", below_viol)
-    rep.record("regular-from-above", above_viol)
+    vals, le, labels = np.asarray(m.values, dtype=float), s.poset.le, s.labels
+    from_below = np.where(le[lower], vals[lower, None], -np.inf).max(axis=0)
+    from_above = np.where(le[:, upper], vals[upper], np.inf).min(axis=1)
+    for name, key, reached in (
+        ("regular-from-below", "sup", from_below),
+        ("regular-from-above", "inf", from_above),
+    ):
+        rep.record(
+            name,
+            (
+                {"a": labels[a], key: float(reached[a]), "value": float(vals[a])}
+                for a in np.flatnonzero(np.abs(reached - vals) > tol)
+            ),
+        )
 
-    # opposite-family precondition: i - k stays in the upper family
-    opp_ok, opp_witness = True, None
-    for i in upper:
-        for k in lower:
-            if not le[k, i]:
-                continue
-            if companion is not None:
-                d = int(companion.diff[i, k])
-                d = d if d >= 0 else None
-            else:
-                d = relative_complement(s, k, i)
-            if d is None or d not in set(upper):
-                opp_ok = False
-                opp_witness = {"i": labels[i], "k": labels[k]}
-                break
-        if not opp_ok:
-            break
-    rep.facts["opposite_families"] = opp_ok
-    if opp_witness:
-        rep.facts["opposite_families_witness"] = opp_witness
+    outside = ~family_mask(s.n, upper, False)[diff[np.ix_(upper, lower)]]
+    leaves = le[np.ix_(lower, upper)].T & outside
+    rep.facts["opposite_families"] = not leaves.any()
+    if leaves.any():
+        i, j = np.argwhere(leaves)[0]
+        rep.facts["opposite_families_witness"] = {"i": labels[upper[i]], "k": labels[lower[j]]}
     return rep

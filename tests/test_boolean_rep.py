@@ -2,7 +2,8 @@
 
 Powerset semirings index elements by bitmask and their points are the atoms,
 so every extent is predictable from popcounts; the diamond provides the
-canonical non-representable contrast.
+canonical non-representable contrast. The frozenset loops that
+``verify_topology`` once ran are kept as the oracle for its index kernels.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from qstruct import (
     BooleanSemiring,
     DistributionTable,
     DomainError,
+    QstructError,
     StructuralError,
     SubsetTopology,
     diamond_semiring,
@@ -28,6 +30,8 @@ from qstruct import (
     verify_stone,
     verify_topology,
 )
+from qstruct.order import MAX_ELEMENTS
+from qstruct.report import VerificationReport
 
 
 def test_semiring_rejects_partial_products_and_trivial_carriers():
@@ -178,3 +182,209 @@ def test_missing_closed_empty_set_is_reported():
     )
     rep = verify_topology(t)
     assert not rep.get("closed-empty").passed
+
+
+# -- oracle for the subset topology checks ----------------------------------------
+
+
+def oracle_verify_topology(t):
+    rep = VerificationReport(subject="subset-topology")
+    sets = [frozenset(s) for s in t.sets]
+    opens = [frozenset(s) for s in t.opens]
+    closeds = [frozenset(s) for s in t.closeds]
+    for fam, name in ((opens, "open"), (closeds, "closed")):
+        stray = [s for s in fam if s not in set(sets)]
+        if stray:
+            raise StructuralError(f"{name} family leaves the ring", set=sorted(stray[0]))
+    oset, cset = set(opens), set(closeds)
+
+    rep.record(
+        "open-covers",
+        (
+            {"set": sorted(b)}
+            for b in sets
+            if not any(b <= i for i in opens)
+        ),
+    )
+    rep.record(
+        "open-intersections",
+        (
+            {"i1": sorted(i1), "i2": sorted(i2)}
+            for i1 in opens
+            for i2 in opens
+            if i1 & i2 not in oset
+        ),
+    )
+    rep.record("closed-empty", [] if frozenset() in cset else [{"reason": "empty set not closed"}])
+    rep.record(
+        "closed-intersections",
+        (
+            {"k1": sorted(k1), "k2": sorted(k2)}
+            for k1 in closeds
+            for k2 in closeds
+            if k1 & k2 not in cset
+        ),
+    )
+
+    def interior(b: frozenset) -> frozenset:
+        return frozenset().union(*(i for i in opens if i <= b)) if any(i <= b for i in opens) else frozenset()
+
+    def closure(b: frozenset) -> frozenset | None:
+        above = [k for k in closeds if b <= k]
+        if not above:
+            return None
+        out = above[0]
+        for k in above[1:]:
+            out = out & k
+        return out
+
+    rep.record(
+        "interior-in-family",
+        ({"set": sorted(b)} for b in sets if interior(b) not in oset),
+    )
+    closure_viol = []
+    for b in sets:
+        c = closure(b)
+        if c is None:
+            closure_viol.append({"set": sorted(b), "reason": "no closed superset"})
+        elif c not in cset:
+            closure_viol.append({"set": sorted(b), "closure": sorted(c)})
+    rep.record("closure-in-family", closure_viol)
+
+    rep.record(
+        "difference-open",
+        (
+            {"open": sorted(i), "closed": sorted(k)}
+            for i in opens
+            for k in closeds
+            if k <= i and (i - k) not in oset
+        ),
+    )
+    rep.record(
+        "difference-closed",
+        (
+            {"open": sorted(i), "closed": sorted(k)}
+            for i in opens
+            for k in closeds
+            if i <= k and (k - i) not in cset
+        ),
+    )
+
+    idem, defl, mono = [], [], []
+    c_idem, c_ext, c_mono = [], [], []
+    for b in sets:
+        ib, cb = interior(b), closure(b)
+        if interior(ib) != ib:
+            idem.append({"set": sorted(b)})
+        if not ib <= b:
+            defl.append({"set": sorted(b)})
+        if cb is not None:
+            if closure(cb) != cb:
+                c_idem.append({"set": sorted(b)})
+            if not b <= cb:
+                c_ext.append({"set": sorted(b)})
+        for b2 in sets:
+            if b <= b2:
+                if not interior(b) <= interior(b2):
+                    mono.append({"b1": sorted(b), "b2": sorted(b2)})
+                c2 = closure(b2)
+                if cb is not None and c2 is not None and not cb <= c2:
+                    c_mono.append({"b1": sorted(b), "b2": sorted(b2)})
+    rep.record("interior-idempotent", idem)
+    rep.record("interior-deflationary", defl)
+    rep.record("interior-monotone", mono)
+    rep.record("closure-idempotent", c_idem)
+    rep.record("closure-extensive", c_ext)
+    rep.record("closure-monotone", c_mono)
+
+    hausdorff, witness = True, None
+    for b in sets:
+        above = [i for i in opens if b <= i]
+        below = [k for k in closeds if k <= b]
+        inf_open = above[0] if above else None
+        for i in above[1:]:
+            inf_open = inf_open & i
+        sup_closed = frozenset().union(*below) if below else frozenset()
+        if inf_open != b or sup_closed != b:
+            hausdorff, witness = False, {"set": sorted(b)}
+            break
+    rep.facts["approximating"] = hausdorff
+    if witness:
+        rep.facts["approximating_witness"] = witness
+    return rep
+
+
+def topology_outcome(fn, t):
+    try:
+        rep = fn(t)
+    except QstructError as exc:
+        return type(exc), str(exc), exc.details
+    return [(c.name, c.passed, c.witnesses, c.violation_count) for c in rep.checks], rep.facts
+
+
+def random_topologies(count, seed):
+    """Carriers of up to 8 points; families with repeats, in shuffled order.
+
+    Some families are closed under intersections, some not; the open and
+    closed subfamilies are random draws from the family, with repeats, and
+    now and then take the empty set or the whole carrier along.
+    """
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        points = int(rng.integers(1, 9))
+        carrier = frozenset(range(points))
+        masks = rng.integers(0, 1 << points, size=int(rng.integers(1, 10)))
+        sets = [frozenset(i for i in range(points) if m >> i & 1) for m in masks]
+        if case % 3 == 0:
+            sets += [frozenset(), carrier]
+        if case % 4 == 0:
+            sets = sorted({a & b for a in sets for b in sets}, key=sorted)
+        sets = [sets[i] for i in rng.integers(0, len(sets), size=len(sets) + 2)]
+        opens, closeds = (
+            [sets[i] for i in rng.integers(0, len(sets), size=int(rng.integers(0, len(sets) + 2)))]
+            for _ in range(2)
+        )
+        if case % 5 == 1:
+            opens = sets
+        yield SubsetTopology(carrier, sets, opens, closeds)
+
+
+def test_topologies_match_the_oracle(all_witnesses):
+    failed, facts = set(), set()
+    cases = [*random_topologies(400, seed=31)]
+    cases += [
+        SubsetTopology(frozenset({0, 1}), all_subsets(2), [frozenset({7})], all_subsets(2)),
+        SubsetTopology(frozenset({0, 1}), all_subsets(2), all_subsets(2), [frozenset({5})]),
+    ]
+    for t in cases:
+        want = topology_outcome(oracle_verify_topology, t)
+        assert topology_outcome(verify_topology, t) == want
+        if not isinstance(want[0], type):
+            failed |= {name for name, passed, _, _ in want[0] if not passed}
+            facts.add(want[1]["approximating"])
+    assert facts == {True, False}
+    assert failed == {
+        "open-covers",
+        "open-intersections",
+        "closed-empty",
+        "closed-intersections",
+        "interior-in-family",
+        "closure-in-family",
+        "difference-open",
+        "difference-closed",
+    }
+
+
+def test_topology_sets_must_stay_in_the_carrier():
+    t = SubsetTopology(frozenset({0}), all_subsets(2), all_subsets(2), all_subsets(2))
+    with pytest.raises(StructuralError, match="leaves the carrier"):
+        verify_topology(t)
+
+
+def test_topology_size_is_bounded_before_any_table():
+    sets = [frozenset({i}) for i in range(MAX_ELEMENTS + 1)]
+    t = SubsetTopology(frozenset(range(MAX_ELEMENTS + 1)), sets, sets, sets)
+    with pytest.raises(StructuralError, match="too many sets"):
+        verify_topology(t)
+    with pytest.raises(StructuralError, match="too many sets"):
+        subset_semilogic(sets + sets)

@@ -188,6 +188,29 @@ def test_segment_is_the_interval():
         segment(p, 1, 2)  # {0} and {1} are incomparable
 
 
+def test_bool_products_match_the_uint8_counts(all_witnesses):
+    """The transitivity gaps and covers once came from uint8 products counted and then > 0.
+
+    On 2^8 the reflexive count at (bottom, top) reaches 256 and wraps to 0; only
+    the mask by le hides that, so both sides must still agree there.
+    """
+    rng = np.random.default_rng(13)
+    relations = [powerset_poset(8).le] + [rng.random((40, 40)) < d for d in (0.05, 0.2, 0.6)]
+    for le in relations:
+        p = FinitePoset([f"e{i}" for i in range(le.shape[0])], le)
+        counted = le.astype(np.uint8) @ le.astype(np.uint8)
+        gaps = [
+            (p.labels[a], p.labels[int(np.flatnonzero(le[a, :] & le[:, c])[0])], p.labels[c])
+            for a, c in zip(*np.nonzero((counted > 0) & ~le))
+        ]
+        got = verify_poset(p).get("transitive")
+        assert [tuple(w.values()) for w in got.witnesses] == gaps
+        lt = le & ~np.eye(le.shape[0], dtype=bool)
+        strict2 = lt.astype(np.uint8) @ lt.astype(np.uint8) > 0
+        covers = [(p.labels[i], p.labels[j]) for i, j in zip(*np.nonzero(lt & ~strict2))]
+        assert transitive_reduction(p) == covers
+
+
 def test_transitive_reduction_lists_covers():
     covers = set(transitive_reduction(powerset_poset(2)))
     assert covers == {

@@ -19,6 +19,7 @@ from conftest import (
 from hypothesis import given, settings, strategies as st
 
 from qstruct import (
+    CLASSIFICATION_LABELS,
     AxiomViolationError,
     DomainError,
     FinitePoset,
@@ -79,6 +80,8 @@ def test_classification_ladder():
     assert classify(chain_quasilogic(3)) == "quasilogic"
     assert classify(chain_quasilogic(4)) == "quasilogic"
     assert classify(mo2_quasilogic()) == "logic"
+    # a ring has common majorants for all pairs, so in a finite order a top: boolean
+    assert CLASSIFICATION_LABELS == ("boolean-algebra", "quasiring", "logic", "quasilogic")
 
 
 def test_quasiproduct_on_powerset_is_intersection():
@@ -248,8 +251,6 @@ def oracle_classify(q):
     )
     if ring_p and q.poset.greatest() is not None:
         return "boolean-algebra"
-    if ring_p:
-        return "ring"
     if quasiring_p:
         return "quasiring"
     if logic_p:
@@ -376,9 +377,8 @@ def test_perturbed_differences_match_the_oracles(all_witnesses):
     for q in perturbed_quasilogics(300, seed=9):
         assert_quasilogic_matches_the_oracles(q)
         labels.add(classify(q))
-    # "ring" needs a common majorant for every pair but no greatest element,
-    # which no finite partial order has; "quasiring" never came up on any
-    # difference table over the 3-element posets nor on 400k random ones up to 4
+    # "quasiring" never came up on any difference table over the 3-element
+    # posets nor on 400k random ones up to 4
     assert labels == {"boolean-algebra", "logic", "quasilogic"}
 
 

@@ -9,7 +9,9 @@ refinement search that ``verify_semilogic`` once ran are kept here as oracles
 for its vectorized and bitmask versions: the witness lists must agree in full
 and in order. So are the upper- and lower-family loops that ``verify_closure``
 and ``check_regularity`` once ran, for the one ``_family_violations`` over
-``le`` and ``le.T``.
+``le`` and ``le.T``, and the loop bodies of ``relative_complement``,
+``verify_closure`` and ``check_regularity`` themselves, for the one
+``difference_table`` and the ``family_mask`` lookups that replaced them.
 """
 
 import json
@@ -25,12 +27,14 @@ from qstruct import (
     HomomorphismMap,
     Ideal,
     QstructError,
+    Quasilogic,
     Semilogic,
     FinitePoset,
     StructuralError,
     chain_quasilogic,
     check_regularity,
     diamond_semiring,
+    difference_table,
     join_of,
     parse_structure,
     mo2_quasilogic,
@@ -39,6 +43,7 @@ from qstruct import (
     powerset_semiring,
     relative_complement,
     shuffled_powerset_semiring,
+    subset_semilogic,
     summable_families,
     support,
     verify_closure,
@@ -48,7 +53,10 @@ from qstruct import (
     verify_ideal,
     verify_semilogic,
 )
-from qstruct.semilogic import _family_violations
+from qstruct.report import VerificationReport
+from qstruct.semilogic import EXACT_TOL, _family_violations
+
+from conftest import random_difference
 
 
 def test_powerset_semiring_verifies():
@@ -475,3 +483,315 @@ def test_family_checks_match_the_oracles():
         frozenset({"a", "i1", "i2"}),
         frozenset({"a", "k1", "k2"}),
     }
+
+
+# -- oracles for the closure, regularity and relative-complement checks --------
+
+
+def oracle_relative_complement(s, a, k):
+    z = s.zero()
+    if z is None or not s.poset.le[a, k]:
+        return None
+    mt, jt = s.poset.meet_table(), s.poset.join_table()
+    hits = np.flatnonzero((mt[a, :] == z) & (jt[a, :] == k))
+    return int(hits[0]) if hits.size == 1 else None
+
+
+def oracle_verify_closure(s, cp, companion=None):
+    k = np.asarray(cp.kmap, dtype=np.int16)
+    if k.shape != (s.n,) or (k < 0).any() or (k >= s.n).any():
+        raise StructuralError("closure map out of range")
+    rep = VerificationReport(subject="closure")
+    labels, le = s.labels, s.poset.le
+    z = s.zero()
+
+    rep.record(
+        "closure-idempotent",
+        ({"a": labels[a]} for a in range(s.n) if k[k[a]] != k[a]),
+    )
+    rep.record(
+        "closure-zero",
+        [] if z is not None and k[z] == z else [{"zero": labels[z] if z is not None else None}],
+    )
+    rep.record(
+        "closure-extensive",
+        ({"a": labels[a]} for a in range(s.n) if not le[a, k[a]]),
+    )
+    jt = s.poset.join_table()
+    join_viol = []
+    for a in range(s.n):
+        for b in range(a, s.n):
+            j = int(jt[a, b])
+            if j < 0:
+                continue
+            kk = int(jt[k[a], k[b]])
+            if kk < 0 or kk != k[j]:
+                join_viol.append({"a": labels[a], "b": labels[b]})
+    rep.record("closure-join", join_viol)
+
+    closed = sorted(int(a) for a in range(s.n) if k[a] == a)
+    closed_set = set(closed)
+
+    def difference(top, a):
+        if companion is not None:
+            d = int(companion.diff[top, a])
+            return d if d >= 0 else None
+        return oracle_relative_complement(s, a, top)
+
+    opens, indeterminate = [], 0
+    for a in range(s.n):
+        is_open = True
+        for c in closed:
+            if not le[a, c]:
+                continue
+            d = difference(c, a)
+            if d is None:
+                indeterminate += 1
+                continue
+            if d not in closed_set:
+                is_open = False
+                break
+        if is_open:
+            opens.append(a)
+    open_set = set(opens)
+
+    mt = s.poset.meet_table()
+    rep.record(
+        "open-meet-open",
+        (
+            {"i1": labels[i1], "i2": labels[i2]}
+            for i1 in opens
+            for i2 in opens
+            if i1 < i2 and mt[i1, i2] >= 0 and int(mt[i1, i2]) not in open_set
+        ),
+    )
+    rep.record(
+        "closed-meet-closed",
+        (
+            {"k1": labels[k1], "k2": labels[k2]}
+            for k1 in closed
+            for k2 in closed
+            if k1 < k2 and mt[k1, k2] >= 0 and int(mt[k1, k2]) not in closed_set
+        ),
+    )
+    rep.record(
+        "closed-join-closed",
+        (
+            {"k1": labels[k1], "k2": labels[k2]}
+            for k1 in closed
+            for k2 in closed
+            if k1 < k2 and jt[k1, k2] >= 0 and int(jt[k1, k2]) not in closed_set
+        ),
+    )
+    rep.record("open-upper-family", oracle_upper_family_violations(s, opens))
+
+    interior, int_viol = [], []
+    for a in range(s.n):
+        below = [i for i in opens if le[i, a]]
+        j = join_of(s.poset, below)
+        interior.append(labels[j] if j is not None else None)
+        if j is None:
+            int_viol.append({"a": labels[a]})
+    rep.record("interior-defined", int_viol)
+
+    rep.facts["closed"] = [labels[c] for c in closed]
+    rep.facts["open"] = [labels[i] for i in opens]
+    rep.facts["interior"] = dict(zip(labels, interior))
+    rep.facts["openness_indeterminate_pairs"] = indeterminate
+    top = s.poset.greatest()
+    if top is not None:
+        duals = {difference(top, i) for i in opens}
+        rep.facts["open_complements_are_closed"] = (
+            None not in duals and duals == closed_set
+        )
+    return rep
+
+
+def oracle_check_regularity(s, m, upper, lower, companion=None, tol=EXACT_TOL):
+    up_viol = oracle_upper_family_violations(s, upper)
+    if up_viol:
+        raise DomainError("upper family axioms fail", which="upper", witness=up_viol[0])
+    low_viol = oracle_lower_family_violations(s, lower)
+    if low_viol:
+        raise DomainError("lower family axioms fail", which="lower", witness=low_viol[0])
+
+    rep = VerificationReport(subject="regularity")
+    vals, le, labels = m.values, s.poset.le, s.labels
+    below_viol, above_viol = [], []
+    for a in range(s.n):
+        from_below = max(float(vals[x]) for x in lower if le[x, a])
+        from_above = min(float(vals[i]) for i in upper if le[a, i])
+        if abs(from_below - vals[a]) > tol:
+            below_viol.append({"a": labels[a], "sup": from_below, "value": float(vals[a])})
+        if abs(from_above - vals[a]) > tol:
+            above_viol.append({"a": labels[a], "inf": from_above, "value": float(vals[a])})
+    rep.record("regular-from-below", below_viol)
+    rep.record("regular-from-above", above_viol)
+
+    opp_ok, opp_witness = True, None
+    for i in upper:
+        for k in lower:
+            if not le[k, i]:
+                continue
+            if companion is not None:
+                d = int(companion.diff[i, k])
+                d = d if d >= 0 else None
+            else:
+                d = oracle_relative_complement(s, k, i)
+            if d is None or d not in set(upper):
+                opp_ok = False
+                opp_witness = {"i": labels[i], "k": labels[k]}
+                break
+        if not opp_ok:
+            break
+    rep.facts["opposite_families"] = opp_ok
+    if opp_witness:
+        rep.facts["opposite_families_witness"] = opp_witness
+    return rep
+
+
+def outcome(fn, *args):
+    """A report's checks and facts, or the error it raised, in comparable form."""
+    try:
+        rep = fn(*args)
+    except QstructError as exc:
+        return type(exc), str(exc), exc.details
+    return [(c.name, c.passed, c.witnesses, c.violation_count) for c in rep.checks], rep.facts
+
+
+def closure_corpus():
+    """Lattices, non-lattices, a partial product with missing joins and a non-order table."""
+    sets = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1, 2}), frozenset({2})]
+    le = np.eye(4, dtype=bool)
+    le[0, :] = True
+    le[1, 2] = le[2, 3] = True  # 1 <= 2 <= 3 without 1 <= 3
+    prod = np.zeros((4, 4), dtype=np.int16)
+    np.fill_diagonal(prod, np.arange(4))
+    return [
+        *(powerset_semiring(k) for k in (1, 2, 3)),
+        shuffled_powerset_semiring(3, seed=3),
+        diamond_semiring(),
+        mo2_semilogic(),
+        subset_semilogic(sets)[0],
+        subset_semilogic([frozenset({0}), frozenset({1}), frozenset({0, 1})])[0],
+        Semilogic(FinitePoset(["0", "a", "b", "c"], le), prod),
+    ]
+
+
+def random_closure_maps(rng, s, count):
+    """Random maps, and idempotent ones sending a to some chosen closed element above it."""
+    le = s.poset.le
+    for i in range(count):
+        if i % 3 == 0:
+            yield rng.integers(0, s.n, size=s.n)
+            continue
+        chosen = rng.random(s.n) < rng.random()
+        kmap = np.arange(s.n)
+        for a in rng.permutation(s.n):
+            targets = np.flatnonzero(chosen & le[a])
+            if targets.size and not chosen[a]:
+                kmap[a] = rng.choice(targets)
+            else:
+                chosen[a] = True
+        yield kmap
+
+
+def random_companions(rng, s):
+    yield None
+    yield Quasilogic(s.poset, random_difference(rng, s.poset.le, 0.5))
+    yield Quasilogic(s.poset, random_difference(rng, s.poset.le, 1.0))
+    if s.labels == powerset_quasilogic(2).labels:
+        yield powerset_quasilogic(2)
+
+
+def test_relative_complements_match_the_oracle():
+    for s in closure_corpus():
+        table = difference_table(s)
+        for a in range(s.n):
+            for k in range(s.n):
+                want = oracle_relative_complement(s, a, k)
+                assert relative_complement(s, a, k) == want
+                assert table[k, a] == (-1 if want is None else want)
+
+
+def test_closures_match_the_oracle(all_witnesses):
+    rng = np.random.default_rng(21)
+    seen = {"idempotent": set(), "indeterminate": set(), "failed": set()}
+    for s in closure_corpus():
+        for companion in random_companions(rng, s):
+            for kmap in random_closure_maps(rng, s, 12):
+                cp = ClosurePair(np.asarray(kmap, dtype=np.int16))
+                want = oracle_verify_closure(s, cp, companion)
+                got = outcome(verify_closure, s, cp, companion)
+                assert got == outcome(lambda: want)
+                seen["idempotent"].add(want.get("closure-idempotent").passed)
+                seen["indeterminate"].add(want.facts["openness_indeterminate_pairs"] > 0)
+                seen["failed"] |= {c.name for c in want.checks if not c.passed}
+    assert seen["idempotent"] == seen["indeterminate"] == {True, False}
+    assert seen["failed"] >= {
+        "closure-join",
+        "open-meet-open",
+        "closed-meet-closed",
+        "closed-join-closed",
+        "open-upper-family",
+        "interior-defined",
+    }
+
+
+def directed_family(rng, s, upward):
+    """A random family plus the top (bottom), closed under meets (joins) that exist."""
+    table = s.poset.meet_table() if upward else s.poset.join_table()
+    end = s.poset.greatest() if upward else s.poset.least()
+    fam = set(rng.choice(s.n, int(rng.integers(1, s.n + 1))).tolist())
+    if end is not None:
+        fam.add(end)
+    while True:
+        grown = fam | {int(table[x, y]) for x in fam for y in fam if table[x, y] >= 0}
+        if grown == fam:
+            return [int(x) for x in rng.permutation(sorted(fam))]
+        fam = grown
+
+
+def test_regularity_matches_the_oracle(all_witnesses):
+    rng = np.random.default_rng(22)
+    seen = {"error": set(), "opposite": set(), "regular": set()}
+    for s in closure_corpus():
+        for companion in random_companions(rng, s):
+            for case in range(15):
+                if case % 3 == 0:  # random families: unsorted, repeats, rarely directed
+                    upper = rng.choice(s.n, int(rng.integers(1, s.n + 1))).tolist()
+                    lower = rng.choice(s.n, int(rng.integers(1, s.n + 1))).tolist()
+                else:
+                    upper = directed_family(rng, s, True)
+                    lower = directed_family(rng, s, False)
+                values = rng.random(s.n) if case % 2 else rng.integers(0, 3, s.n) / 2
+                m = DistributionTable(values)
+                want = outcome(oracle_check_regularity, s, m, upper, lower, companion)
+                assert outcome(check_regularity, s, m, upper, lower, companion) == want
+                if isinstance(want[0], type):
+                    seen["error"].add(want[1])
+                else:
+                    seen["opposite"].add(want[1]["opposite_families"])
+                    seen["regular"].add(all(c[1] for c in want[0]))
+    assert seen["error"] == {"upper family axioms fail", "lower family axioms fail"}
+    assert seen["opposite"] == seen["regular"] == {True, False}
+
+
+def test_regularity_rejects_family_members_out_of_range():
+    s = powerset_semiring(2)
+    m = DistributionTable.from_dict(s, {"{0,1}": 1.0})
+    for upper, lower in (([-1], [0]), ([7], [0]), ([3], [0, 4])):
+        with pytest.raises(DomainError, match="out of range"):
+            check_regularity(s, m, upper, lower)
+
+
+def test_closure_rejects_a_companion_on_other_labels():
+    s, cp = sierpinski_closure()
+    with pytest.raises(StructuralError, match="companion"):
+        verify_closure(s, cp, chain_quasilogic(3))
+    big = powerset_semiring(3)
+    identity = ClosurePair(np.arange(8, dtype=np.int16))
+    with pytest.raises(StructuralError, match="companion"):
+        verify_closure(big, identity, chain_quasilogic(8))
+    with pytest.raises(StructuralError, match="companion"):
+        check_regularity(s, DistributionTable(np.zeros(4)), [3], [0], chain_quasilogic(4))
