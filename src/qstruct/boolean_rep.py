@@ -372,8 +372,12 @@ def verify_topology(t: SubsetTopology) -> VerificationReport:
     family); the set differences i - k form a companion table. Interiors,
     closures and the approximating fact are unions and intersections of
     carrier-membership rows. Witnesses are sorted lists of points, in the
-    order of ``sets``, ``opens`` and ``closeds`` as given, repeats included.
+    order of ``sets``, ``opens`` and ``closeds`` as given, repeats included;
+    the tables are sized by those lists, so each is bounded by MAX_ELEMENTS.
     """
+    for name, fam in (("sets", t.sets), ("opens", t.opens), ("closeds", t.closeds)):
+        if len(fam) > MAX_ELEMENTS:
+            raise StructuralError(f"too many {name} ({len(fam)} > {MAX_ELEMENTS})")
     sets = [frozenset(x) for x in t.sets]
     opens = [frozenset(x) for x in t.opens]
     closeds = [frozenset(x) for x in t.closeds]

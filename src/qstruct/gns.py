@@ -1,31 +1,73 @@
 """States on concrete *-algebras and the cyclic representations they induce.
 
-An algebra is handed over as a finite spanning family of matrices closed
-under products and adjoints; a state is a linear functional on that family.
-The induced representation lives on the quotient of the algebra by the
-state's null space: the Gram matrix r(a_j a_k*) is factored, classes become
-coordinate vectors, and right multiplication by the adjoint descends to the
-quotient. All residuals are measured in operator or 2-norm against eps.
+An algebra is a family of at most m^2 matrices on C^m spanning a subspace
+closed under products and adjoints; a state is a linear functional on it.
+Elements are handled by their coordinates over the family, solved for a whole
+stack at once; the pair table holds those of every a_i a_j, a_i a_j* and a_i*,
+once per tolerance. The Gram matrix r(a_j a_k*) is the table contracted with
+the state. It is factored, classes become coordinate vectors, and right
+multiplication by the adjoint descends to the quotient, so basis images are
+slabs of the table. Residuals are measured in operator or 2-norm against eps;
+operator-norm thresholds run on stacks through ``matrix_core``'s screen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError, DomainError, StructuralError
 from .matrix_core import (
     Array,
     Tolerance,
     as_complex,
     eig_herm,
-    op_norm,
+    is_hermitian,
+    op_norms_exceed,
+    projection_defects,
     pseudo_inverse,
     rank_decomposition,
+    screened_op_norm,
+    screened_op_norms,
 )
 from .report import VerificationReport
+
+
+def check_basis_size(n: int, dim: int) -> None:
+    """More than dim^2 matrices on C^dim cannot be independent; refuse them."""
+    if n > dim * dim:
+        raise StructuralError(f"too many basis matrices ({n} > dim^2 = {dim * dim})")
+
+
+class Solved(NamedTuple):
+    """Coordinates (..., n) over the basis, span residuals, and which exceed eps max(1, ||x||)."""
+
+    coords: Array
+    residual: Array
+    outside: Array
+
+    def inside(self) -> Array:
+        """The coordinates; the first element outside the span raises."""
+        bad = np.flatnonzero(self.outside)
+        if bad.size:
+            residual = float(self.residual.flat[bad[0]])
+            raise DomainError("element lies outside the algebra span", residual=residual)
+        return self.coords
+
+
+class PairTable(NamedTuple):
+    """The basis pseudo-inverse, and the pairs a_i a_j, a_i a_j*, a_i* solved over the basis.
+
+    The transfer of a_l, the action x -> x a_l* on coordinates with column k
+    for a_k, is ``adjs.coords[:, l].T``; that of a_l* is ``prods.coords[:, l].T``.
+    """
+
+    pinv: Array
+    prods: Solved  # [i, j]: a_i a_j
+    adjs: Solved  # [i, j]: a_i a_j*
+    stars: Solved  # [i]: a_i*
 
 
 class ConcreteStarAlgebra:
@@ -44,6 +86,7 @@ class ConcreteStarAlgebra:
         m = self.basis[0].shape[0]
         if any(b.shape != (m, m) for b in self.basis):
             raise DomainError("basis matrices live on different spaces")
+        check_basis_size(len(self.basis), m)
         self.space_size = m
         self.n = len(self.basis)
         self.labels = list(labels) if labels else [f"a{j}" for j in range(self.n)]
@@ -54,23 +97,35 @@ class ConcreteStarAlgebra:
         for e in self.idempotents:
             if not (0 <= e < self.n):
                 raise DomainError("idempotent index out of range", index=e)
-        self._stack = np.column_stack([b.reshape(-1) for b in self.basis])
-        self._pinv_cache: dict[Tolerance, Array] = {}
+        self._mats = np.array(self.basis)
+        self._stack = self._mats.reshape(self.n, -1).T
+        self._tables: dict[Tolerance, PairTable] = {}
 
-    def _pinv(self, tol: Tolerance) -> Array:
-        if tol not in self._pinv_cache:
-            self._pinv_cache[tol] = pseudo_inverse(self._stack, tol)
-        return self._pinv_cache[tol]
+    def pairs(self, tol: Tolerance) -> PairTable:
+        """The pair table, built once per tolerance."""
+        if tol not in self._tables:
+            mats, pinv = self._mats, pseudo_inverse(self._stack, tol)
+            adj = mats.conj().transpose(0, 2, 1)
+            prods, adjs = (self._solve(pinv, mats[:, None] @ r[None], tol) for r in (mats, adj))
+            self._tables[tol] = PairTable(pinv, prods, adjs, self._solve(pinv, adj, tol))
+        return self._tables[tol]
+
+    def solve(self, xs: Array, tol: Tolerance) -> Solved:
+        """Coordinates and span residuals of an (..., m, m) stack, with one product."""
+        return self._solve(self.pairs(tol).pinv, xs, tol)
+
+    def _solve(self, pinv: Array, xs: Array, tol: Tolerance) -> Solved:
+        xs = np.asarray(xs, dtype=np.complex128)
+        v = xs.reshape(-1, self._stack.shape[0]).T
+        c = pinv @ v
+        residual = np.linalg.norm(self._stack @ c - v, axis=0)
+        outside = residual > tol.eps * np.maximum(1.0, np.linalg.norm(v, axis=0))
+        lead = xs.shape[:-2]
+        return Solved(c.T.reshape(*lead, self.n), residual.reshape(lead), outside.reshape(lead))
 
     def coords(self, x: Array, tol: Tolerance) -> np.ndarray:
         """Coefficients of x over the basis; x must lie in the span."""
-        x = as_complex(x)
-        v = x.reshape(-1)
-        c = self._pinv(tol) @ v
-        residual = float(np.linalg.norm(self._stack @ c - v))
-        if residual > tol.eps * max(1.0, float(np.linalg.norm(v))):
-            raise DomainError("element lies outside the algebra span", residual=residual)
-        return c
+        return self.solve(as_complex(x)[None], tol).inside()[0]
 
     def span_rank(self, tol: Tolerance) -> int:
         w, _ = np.linalg.eigh(self._stack.conj().T @ self._stack)
@@ -97,86 +152,62 @@ def state_value(alg: ConcreteStarAlgebra, state: AlgebraState, x: Array, tol: To
     return state.of_coords(alg.coords(x, tol))
 
 
-def verify_algebra(alg: ConcreteStarAlgebra, tol: Tolerance) -> VerificationReport:
-    rep = VerificationReport(subject="star-algebra")
-    rep.record(
-        "basis-independent",
-        []
-        if alg.span_rank(tol) == alg.n
-        else [{"span_rank": alg.span_rank(tol), "basis_size": alg.n}],
+def _flagged(roles: Sequence[str], names: Sequence[str], key: str, values: Array, bad: Array):
+    """One witness per flagged entry, row-major: a name per role (axis), then key: value."""
+    return (
+        {**{role: names[i] for role, i in zip(roles, idx)}, key: float(values[idx])}
+        for idx in zip(*np.nonzero(bad))
     )
 
-    prod_viol, star_viol = [], []
-    for i, a in enumerate(alg.basis):
-        try:
-            alg.coords(a.conj().T, tol)
-        except DomainError as exc:
-            star_viol.append({"a": alg.labels[i]} | exc.details)
-        for j, b in enumerate(alg.basis):
-            try:
-                alg.coords(a @ b, tol)
-            except DomainError as exc:
-                prod_viol.append({"a": alg.labels[i], "b": alg.labels[j]} | exc.details)
-    rep.record("product-closed", prod_viol)
-    rep.record("star-closed", star_viol)
+
+def verify_algebra(alg: ConcreteStarAlgebra, tol: Tolerance) -> VerificationReport:
+    rep = VerificationReport(subject="star-algebra")
+    rank = alg.span_rank(tol)
+    rep.record(
+        "basis-independent", [] if rank == alg.n else [{"span_rank": rank, "basis_size": alg.n}]
+    )
+
+    table, labels, mats = alg.pairs(tol), alg.labels, alg._mats
+    rep.record("product-closed", _flagged(("a", "b"), labels, "residual", *table.prods[1:]))
+    rep.record("star-closed", _flagged(("a",), labels, "residual", *table.stars[1:]))
 
     if alg.unit is not None:
-        u = alg.basis[alg.unit]
-        rep.record(
-            "unit-neutral",
-            (
-                {"a": alg.labels[i], "defect": max(op_norm(u @ a - a), op_norm(a @ u - a))}
-                for i, a in enumerate(alg.basis)
-                if max(op_norm(u @ a - a), op_norm(a @ u - a)) > tol.eps
-            ),
-        )
-    idem_viol = []
-    for e in alg.idempotents:
-        mat = alg.basis[e]
-        h = op_norm(mat - mat.conj().T)
-        p = op_norm(mat @ mat - mat)
-        if h > tol.eps or p > tol.eps:
-            idem_viol.append({"e": alg.labels[e], "hermitian": h, "idempotent": p})
-    rep.record("declared-idempotents-valid", idem_viol)
+        u = mats[alg.unit]
+        defect = np.maximum(*(screened_op_norms(x - mats, tol.eps) for x in (u @ mats, mats @ u)))
+        rep.record("unit-neutral", _flagged(("a",), labels, "defect", defect, defect > tol.eps))
+    idem = np.array(alg.idempotents, dtype=np.intp)
+    bad, herm_gap, idem_gap = projection_defects(mats[idem], tol.eps)
+    rep.record(
+        "declared-idempotents-valid",
+        (
+            {"e": labels[idem[k]], "hermitian": float(h), "idempotent": float(p)}
+            for k, h, p in zip(bad, herm_gap, idem_gap)
+        ),
+    )
     return rep
 
 
 def gram_matrix(alg: ConcreteStarAlgebra, state: AlgebraState, tol: Tolerance) -> Array:
     """G[j][k] = r(a_j a_k*); positive semidefinite exactly when r is positive."""
-    g = np.empty((alg.n, alg.n), dtype=np.complex128)
-    for j, a in enumerate(alg.basis):
-        for k, b in enumerate(alg.basis):
-            g[j, k] = state.of_coords(alg.coords(a @ b.conj().T, tol))
-    return g
+    return alg.pairs(tol).adjs.inside() @ state.values
 
 
 def verify_state(
     alg: ConcreteStarAlgebra, state: AlgebraState, tol: Tolerance
 ) -> VerificationReport:
     rep = VerificationReport(subject="algebra-state")
-    herm_viol = []
-    for j, a in enumerate(alg.basis):
-        lhs = state.of_coords(alg.coords(a.conj().T, tol))
-        rhs = np.conj(state.values[j])
-        if abs(lhs - rhs) > tol.eps:
-            herm_viol.append({"a": alg.labels[j], "gap": abs(lhs - rhs)})
-    rep.record("hermitian", herm_viol)
+    gap = np.abs(alg.pairs(tol).stars.inside() @ state.values - np.conj(state.values))
+    rep.record("hermitian", _flagged(("a",), alg.labels, "gap", gap, gap > tol.eps))
 
-    g = gram_matrix(alg, state, tol)
-    w, _ = eig_herm(g)
+    w, _ = eig_herm(gram_matrix(alg, state, tol))
     lo, hi = float(w[0]), float(w[-1])
-    rep.record(
-        "positive",
-        [] if lo >= -tol.eps * max(1.0, hi) else [{"min_eigenvalue": lo}],
-    )
+    rep.record("positive", [] if lo >= -tol.eps * max(1.0, hi) else [{"min_eigenvalue": lo}])
     if alg.unit is not None:
         uv = complex(state.values[alg.unit])
         rep.record(
             "normalized", [] if abs(uv - 1.0) <= tol.eps else [{"unit_value": [uv.real, uv.imag]}]
         )
-    rep.facts["gram_rank"] = int(
-        np.count_nonzero(w > tol.rank_rel * max(hi, 0.0))
-    )
+    rep.facts["gram_rank"] = int(np.count_nonzero(w > tol.rank_rel * max(hi, 0.0)))
     return rep
 
 
@@ -191,17 +222,17 @@ class GnsRepresentation:
     kernel_dim: int
     xi: np.ndarray    # cyclic vector, the class of the seed idempotent
     seed: int         # basis index of the seed idempotent
-    images: list[Array]  # representation of each basis element
-
-    def transfer_matrix(self, b: Array) -> Array:
-        """Action x -> x b* on coordinates, column per basis element."""
-        alg = self.algebra
-        bstar = as_complex(b).conj().T
-        cols = np.column_stack([(a @ bstar).reshape(-1) for a in alg.basis])
-        return alg._pinv(self.tol) @ cols
+    images: Array     # (n, space_dim, space_dim): the image of each basis element
 
     def represent(self, b: Array) -> Array:
-        return self.w @ self.transfer_matrix(b) @ self.w_pinv
+        """Image of a matrix b, or of each matrix of a stack: x -> x b* on the quotient.
+
+        Column l of the transfer holds the least-squares coordinates of a_l b*.
+        """
+        alg, b = self.algebra, as_complex(b) if np.ndim(b) == 2 else np.asarray(b, complex)
+        bstar = b.conj().swapaxes(-1, -2)
+        cols = (alg._mats @ bstar[..., None, :, :]).reshape(*bstar.shape[:-2], alg.n, -1)
+        return self.w @ (alg.pairs(self.tol).pinv @ cols.swapaxes(-1, -2)) @ self.w_pinv
 
 
 def gns_construct(
@@ -214,13 +245,14 @@ def gns_construct(
     w = v.conj().T
     w_pinv = pseudo_inverse(w, tol)
 
-    seeds = list(alg.idempotents)
-    if alg.unit is not None and alg.unit not in seeds:
-        seeds.append(alg.unit)
+    seeds = alg.idempotents + ([] if alg.unit is None else [alg.unit])
     if not seeds:
         raise DomainError("no idempotent available to seed the cyclic vector")
     seed = max(seeds, key=lambda e: float(np.real(state.values[e])))
+    if d_e == 0:
+        raise ConstructionError("state annihilates the whole algebra")
 
+    transfers = alg.pairs(tol).adjs.coords.transpose(1, 2, 0)
     rep = GnsRepresentation(
         algebra=alg,
         state=state,
@@ -229,76 +261,49 @@ def gns_construct(
         w_pinv=w_pinv,
         space_dim=d_e,
         kernel_dim=alg.span_rank(tol) - d_e,
-        xi=np.zeros(d_e, dtype=np.complex128),
+        xi=w @ alg.coords(alg.basis[seed], tol),
         seed=seed,
-        images=[],
+        images=w @ transfers @ w_pinv,
     )
-    rep.xi = w @ alg.coords(alg.basis[seed], tol)
-    rep.images = [rep.represent(a) for a in alg.basis]
-
-    defect = op_norm(w @ rep.transfer_matrix(alg.basis[seed]) @ (np.eye(alg.n) - w_pinv @ w))
-    if d_e == 0:
-        raise ConstructionError("state annihilates the whole algebra")
+    defect = screened_op_norm(w @ transfers[seed] @ (np.eye(alg.n) - w_pinv @ w), tol.eps * 10)
     if defect > tol.eps * 10:
-        raise ConstructionError(
-            "quotient action does not preserve the null space", defect=defect
-        )
+        raise ConstructionError("quotient action does not preserve the null space", defect=defect)
     return rep
 
 
 def verify_gns(rep_obj: GnsRepresentation, tol: Tolerance) -> VerificationReport:
     rep = VerificationReport(subject="gns-representation")
-    alg, state = rep_obj.algebra, rep_obj.state
-    w, w_pinv = rep_obj.w, rep_obj.w_pinv
-    labels = alg.labels
-    ker_proj = np.eye(alg.n) - w_pinv @ w
+    alg, state, eps = rep_obj.algebra, rep_obj.state, tol.eps
+    labels, mats, table = alg.labels, alg._mats, alg.pairs(rep_obj.tol)
+    images = np.asarray(rep_obj.images)
 
-    rep.record(
-        "kernel-invariant",
-        (
-            {"b": labels[j], "defect": op_norm(w @ rep_obj.transfer_matrix(b) @ ker_proj)}
-            for j, b in enumerate(alg.basis)
-            if op_norm(w @ rep_obj.transfer_matrix(b) @ ker_proj) > tol.eps
-        ),
-    )
+    ker_proj = np.eye(alg.n) - rep_obj.w_pinv @ rep_obj.w
+    kernel = screened_op_norms(rep_obj.w @ table.adjs.coords.transpose(1, 2, 0) @ ker_proj, eps)
+    rep.record("kernel-invariant", _flagged(("b",), labels, "defect", kernel, kernel > eps))
 
-    mult_viol, star_viol, recov_viol, sandwich_viol = [], [], [], []
-    e1 = alg.basis[rep_obj.seed]
-    for i, a in enumerate(alg.basis):
-        pa = rep_obj.images[i]
-        d_star = op_norm(rep_obj.represent(a.conj().T) - pa.conj().T)
-        if d_star > tol.eps:
-            star_viol.append({"a": labels[i], "defect": d_star})
-        got = complex(np.vdot(pa @ rep_obj.xi, rep_obj.xi))
-        want = complex(state.values[i])
-        if abs(got - want) > tol.eps:
-            recov_viol.append({"a": labels[i], "gap": abs(got - want)})
-        sandwiched = state.of_coords(alg.coords(e1 @ a @ e1, tol))
-        if abs(sandwiched - want) > tol.eps:
-            sandwich_viol.append({"a": labels[i], "gap": abs(sandwiched - want)})
-        for j, b in enumerate(alg.basis):
-            d_mult = op_norm(rep_obj.represent(a @ b) - pa @ rep_obj.images[j])
-            if d_mult > tol.eps:
-                mult_viol.append({"a": labels[i], "b": labels[j], "defect": d_mult})
-    rep.record("multiplicative", mult_viol)
-    rep.record("star-preserved", star_viol)
-    rep.record("state-recovered", recov_viol)
-    rep.record("seed-sandwich-neutral", sandwich_viol)
-    rep.record(
-        "dimension-split",
-        []
-        if rep_obj.space_dim + rep_obj.kernel_dim == alg.span_rank(tol)
-        else [
-            {
-                "space_dim": rep_obj.space_dim,
-                "kernel_dim": rep_obj.kernel_dim,
-                "span_rank": alg.span_rank(tol),
-            }
-        ],
+    # one row a_i at a time: represent(a_i a_j) solves a_l (a_i a_j)* for every j and l
+    mult = np.array(
+        [screened_op_norms(rep_obj.represent(a @ mats) - pa @ images, eps)
+         for a, pa in zip(mats, images)]
     )
-    rep.facts["space_dim"] = rep_obj.space_dim
-    rep.facts["kernel_dim"] = rep_obj.kernel_dim
-    rep.facts["seed"] = labels[rep_obj.seed]
+    rep.record("multiplicative", _flagged(("a", "b"), labels, "defect", mult, mult > eps))
+
+    star_images = rep_obj.w @ table.prods.coords.transpose(1, 2, 0) @ rep_obj.w_pinv
+    d_star = screened_op_norms(star_images - images.conj().transpose(0, 2, 1), eps)
+    rep.record("star-preserved", _flagged(("a",), labels, "defect", d_star, d_star > eps))
+    e1 = mats[rep_obj.seed]
+    for name, got in (
+        ("state-recovered", (images @ rep_obj.xi).conj() @ rep_obj.xi),
+        ("seed-sandwich-neutral", alg.solve(e1 @ mats @ e1, tol).inside() @ state.values),
+    ):
+        gap = np.abs(got - state.values)
+        rep.record(name, _flagged(("a",), labels, "gap", gap, gap > eps))
+    split = {"space_dim": rep_obj.space_dim, "kernel_dim": rep_obj.kernel_dim}
+    rank = alg.span_rank(tol)
+    rep.record(
+        "dimension-split", [] if sum(split.values()) == rank else [split | {"span_rank": rank}]
+    )
+    rep.facts.update(split, seed=labels[rep_obj.seed])
     return rep
 
 
@@ -329,10 +334,7 @@ def schwartz_check(
     bb = np.real(np.einsum("jn,jk,kn->n", np.conj(d), g, d))
     slack = bb * aa - np.abs(cross) ** 2
     worst = float(slack.min()) if samples else 0.0
-    rep.record(
-        "schwartz-inequality",
-        [] if worst >= -slack_tol else [{"min_slack": worst}],
-    )
+    rep.record("schwartz-inequality", [] if worst >= -slack_tol else [{"min_slack": worst}])
     rep.facts["min_slack"] = worst
     rep.facts["samples"] = samples
     return rep
@@ -349,9 +351,9 @@ def observable_norm(
         raise DomainError("support index is not a declared idempotent", index=e_index)
     a = as_complex(a)
     e = alg.basis[e_index]
-    if op_norm(a - a.conj().T) > tol.eps:
+    if not is_hermitian(a, tol):
         raise DomainError("observable must be self-adjoint")
-    if op_norm(e @ a @ e - a) > tol.eps:
+    if screened_op_norm(e @ a @ e - a, tol.eps) > tol.eps:
         raise DomainError("observable is not supported by the idempotent")
     w, u = eig_herm(e)
     cols = np.flatnonzero(np.abs(w - 1.0) <= 0.5)
@@ -367,31 +369,18 @@ def positive_parts(
     """Split a = a+ - a- with a+- = ((a +- e)/2)^2, positive and e-supported."""
     a = as_complex(a)
     e = alg.basis[e_index]
-    if op_norm(a - a.conj().T) > tol.eps:
+    if not is_hermitian(a, tol):
         raise DomainError("element must be self-adjoint")
-    if op_norm(e @ a - a) > tol.eps or op_norm(a @ e - a) > tol.eps:
+    if op_norms_exceed(np.array([e @ a - a, a @ e - a]), tol.eps).any():
         raise DomainError("element is not two-sided supported by the idempotent")
     plus = 0.25 * ((a + e) @ (a + e))
     minus = 0.25 * ((a - e) @ (a - e))
     rep = VerificationReport(subject="positive-parts")
-    rep.record(
-        "difference-recovers",
-        []
-        if op_norm(plus - minus - a) <= tol.eps
-        else [{"defect": op_norm(plus - minus - a)}],
-    )
-    pos_viol = []
-    for name, part in (("plus", plus), ("minus", minus)):
-        wv, _ = eig_herm(part)
-        if float(wv[0]) < -tol.eps:
-            pos_viol.append({"part": name, "min_eigenvalue": float(wv[0])})
-    rep.record("parts-positive", pos_viol)
-    rep.record(
-        "parts-supported",
-        (
-            {"part": name, "defect": op_norm(e @ part @ e - part)}
-            for name, part in (("plus", plus), ("minus", minus))
-            if op_norm(e @ part @ e - part) > tol.eps
-        ),
-    )
+    gap = screened_op_norm(plus - minus - a, tol.eps)
+    rep.record("difference-recovers", [] if gap <= tol.eps else [{"defect": gap}])
+    names, parts = ("plus", "minus"), np.array([plus, minus])
+    lo = np.linalg.eigh((parts + parts.conj().transpose(0, 2, 1)) / 2.0)[0][:, 0]
+    rep.record("parts-positive", _flagged(("part",), names, "min_eigenvalue", lo, lo < -tol.eps))
+    leaks = screened_op_norms(e @ parts @ e - parts, tol.eps)
+    rep.record("parts-supported", _flagged(("part",), names, "defect", leaks, leaks > tol.eps))
     return plus, minus, rep

@@ -20,7 +20,7 @@ import numpy as np
 
 from .boolean_rep import BooleanSemiring
 from .errors import ParseError, StructuralError
-from .gns import AlgebraState, ConcreteStarAlgebra
+from .gns import AlgebraState, ConcreteStarAlgebra, check_basis_size
 from .naimark import FinitePovm, povm_from_outcomes
 from .order import MAX_DIM, MAX_ELEMENTS, MAX_SPACE, FinitePoset, transitive_reduction
 from .ortho import OrthoLogic
@@ -343,6 +343,7 @@ def parse_algebra(data: Any) -> tuple[ConcreteStarAlgebra, AlgebraState | None]:
     _require(isinstance(basis, dict) and basis, "basis must map labels to matrices")
     labels = list(basis)
     _check_operator_size(len(labels), dim)
+    check_basis_size(len(labels), dim)
     mats = [matrix_from_json(basis[lab], dim, f"basis[{lab}]") for lab in labels]
 
     unit = data.get("unit")

@@ -601,6 +601,18 @@ def _structure_families(s: Structure) -> list[tuple[tuple[int, ...], int]]:
     return _quasilogic_families(s)
 
 
+def _fold_sum(q: Quasilogic, acc: int, items: Sequence[int]) -> int | None:
+    """acc + x_1 + x_2 + ... by partial sums; None once a step is undefined or not unique."""
+    for x in items:
+        if not summable(q, acc, x):
+            return None
+        try:
+            acc = partial_sum(q, acc, x)
+        except AxiomViolationError:
+            return None
+    return acc
+
+
 def _quasilogic_families(q: Quasilogic) -> list[tuple[tuple[int, ...], int]]:
     """Subsets with an iterated partial sum; valid structures make it order-free."""
     z = q.zero()
@@ -611,11 +623,8 @@ def _quasilogic_families(q: Quasilogic) -> list[tuple[tuple[int, ...], int]]:
     while stack:
         fam, acc, start = stack.pop()
         for x in range(start, q.n):
-            if x == z or not summable(q, acc, x):
-                continue
-            try:
-                new_acc = partial_sum(q, acc, x)
-            except AxiomViolationError:
+            new_acc = None if x == z else _fold_sum(q, acc, (x,))
+            if new_acc is None:
                 continue
             new_fam = fam + (x,)
             if len(out) >= MAX_FAMILIES:
@@ -638,12 +647,7 @@ def _image_sum(t: Structure, images: Sequence[int]) -> int | None:
                 if t.prod[p, q] != z:
                     return None
         return join_of(t.poset, items)
-    acc = z
-    for x in items:
-        if not summable(t, acc, x):
-            return None
-        acc = partial_sum(t, acc, x)
-    return acc
+    return _fold_sum(t, z, items)
 
 
 def verify_homomorphism(h: HomomorphismMap) -> VerificationReport:

@@ -6,6 +6,8 @@ canonical non-representable contrast. The frozenset loops that
 ``verify_topology`` once ran are kept as the oracle for its index kernels.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -388,3 +390,23 @@ def test_topology_size_is_bounded_before_any_table():
         verify_topology(t)
     with pytest.raises(StructuralError, match="too many sets"):
         subset_semilogic(sets + sets)
+
+
+@pytest.mark.parametrize("field", ["sets", "opens", "closeds"])
+def test_topology_list_lengths_are_bounded_before_any_table(field):
+    # the pair tables are sized by the lists with repeats counted: 2,000
+    # repeats of the empty set once peaked at 40 MB
+    ring = [frozenset(), frozenset({0})]
+    lists = {"sets": ring, "opens": ring, "closeds": ring}
+    lists[field] = lists[field] + [frozenset()] * (MAX_ELEMENTS - 2)
+    assert verify_topology(SubsetTopology(frozenset({0}), **lists)).has("open-covers")
+
+    lists[field] = lists[field] + [frozenset()] * 2000
+    tracemalloc.start()
+    try:
+        with pytest.raises(StructuralError, match=f"too many {field}"):
+            verify_topology(SubsetTopology(frozenset({0}), **lists))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

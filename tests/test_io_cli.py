@@ -466,6 +466,16 @@ def _unit_algebra(dim):
         ("dilate", _outcome_povm(1, 65), "dim too large (65 > 64)"),
         ("dilate", _outcome_povm(3, 65), "dim too large (65 > 64)"),
         ("gns", _unit_algebra(65), "dim too large (65 > 64)"),
+        # five matrices on C^2 cannot be independent; this read exit 1 once
+        (
+            "gns",
+            {
+                "kind": "star_algebra",
+                "dim": 2,
+                "basis": {f"a{k}": _flat_identity(2, 1.0) for k in range(5)},
+            },
+            "too many basis matrices (5 > dim^2 = 4)",
+        ),
     ],
 )
 def test_oversized_operator_inputs_exit_2_before_any_allocation(

@@ -179,6 +179,20 @@ def test_quasilogic_homomorphism_onto_the_two_element_algebra():
     assert not rep.get("zero-preserved").passed
 
 
+def test_an_ambiguous_image_sum_is_reported_not_raised():
+    # with 1 - b = b in the target, 0 + a is a - (a - a) = a through the
+    # majorant a but 1 - (1 - a) = b through 1, so the image of the family
+    # {a, b} has no sum, while the source sum 1 maps to 0
+    src = chain_quasilogic(4)
+    diff = src.diff.copy()
+    diff[3, 2] = 2
+    tgt = Quasilogic(src.poset, diff)
+    rep = verify_homomorphism(HomomorphismMap(src, tgt, np.array([0, 0, 1, 0], dtype=np.int16)))
+    additive = rep.get("additive")
+    assert not additive.passed
+    assert {"family": ["a", "b"], "expected": "0", "got": None} in additive.witnesses
+
+
 def test_commutation_check_is_skipped_for_non_logic_targets():
     src = chain_quasilogic(2)
     tgt = chain_quasilogic(3)  # 1 + 1 is not disjoint, so not a logic
