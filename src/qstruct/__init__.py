@@ -81,7 +81,7 @@ from .naimark import (
     Dilation,
     FinitePovm,
     dilate,
-    gram_block,
+    mobius_blocks,
     povm_from_outcomes,
     unitary_equivalence,
     verify_dilation,

@@ -92,6 +92,8 @@ class ConcreteStarAlgebra:
         self.labels = list(labels) if labels else [f"a{j}" for j in range(self.n)]
         if len(self.labels) != self.n:
             raise DomainError("label count mismatch")
+        if unit is not None and not (0 <= unit < self.n):
+            raise DomainError("unit index out of range", index=unit)
         self.unit = unit
         self.idempotents = list(idempotents)
         for e in self.idempotents:
@@ -187,14 +189,23 @@ def verify_algebra(alg: ConcreteStarAlgebra, tol: Tolerance) -> VerificationRepo
     return rep
 
 
+def _check_state(alg: ConcreteStarAlgebra, state: AlgebraState) -> None:
+    if len(state.values) != alg.n:
+        raise DomainError(
+            "state needs one value per basis element", expected=alg.n, got=len(state.values)
+        )
+
+
 def gram_matrix(alg: ConcreteStarAlgebra, state: AlgebraState, tol: Tolerance) -> Array:
     """G[j][k] = r(a_j a_k*); positive semidefinite exactly when r is positive."""
+    _check_state(alg, state)
     return alg.pairs(tol).adjs.inside() @ state.values
 
 
 def verify_state(
     alg: ConcreteStarAlgebra, state: AlgebraState, tol: Tolerance
 ) -> VerificationReport:
+    _check_state(alg, state)
     rep = VerificationReport(subject="algebra-state")
     gap = np.abs(alg.pairs(tol).stars.inside() @ state.values - np.conj(state.values))
     rep.record("hermitian", _flagged(("a",), alg.labels, "gap", gap, gap > tol.eps))

@@ -2,11 +2,21 @@
 
 A measure assigns a positive contraction to every semiring element,
 additively over summable families, with the unit mapped to the identity.
-The dilation factors the block Gram matrix H[(B,s),(C,t)] = m(BC)[s,t];
-multiplying by an element permutes the formal basis, which descends to a
-projection-valued homomorphism h on the quotient, with an isometry F
-satisfying m(B) = F* h(B) F. Minimal dilations are unique up to a unitary
-that the construction recovers explicitly.
+
+The dilation factors the block Gram matrix H[(B,s),(C,t)] = m(BC)[s,t]
+without forming it. Order the elements by x <= y iff xy = x; when the
+product is a semilattice operation, H is a meet matrix on that semilattice
+(Lindstrom, *Determinants on semilattices*, Proc. AMS 20, 1969). Mobius
+inversion of the effects, g(x) = sum over y <= x of mu(y, x) m(y), gives
+H = (Z x 1) diag(g) (Z x 1)* with Z[x, C] = [x <= C]. So H is positive
+semidefinite exactly when every g(x) is, its rank is the sum of the ranks
+of the g(x), and the quotient of the formal space is the direct sum of the
+ranges of the g(x): with g(x) = V_x V_x*, the isometry F stacks the V_x*,
+and h(B) is the 0/1 projection onto the blocks x <= B, so that
+m(B) = F* h(B) F. On a powerset with an additive measure g vanishes off the
+atoms and the blocks are the ranges of the outcome effects. Minimal
+dilations are unique up to a unitary that ``unitary_equivalence`` recovers
+explicitly.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .boolean_rep import BooleanSemiring
-from .errors import DomainError
+from .errors import DomainError, StructuralError
 from .matrix_core import (
     Array,
     Tolerance,
@@ -28,7 +38,6 @@ from .matrix_core import (
     op_norms_exceed,
     projection_defects,
     pseudo_inverse,
-    rank_decomposition,
     screened_op_norm,
     screened_op_norms,
 )
@@ -38,6 +47,8 @@ from .standard import powerset_semiring
 
 # complex entries per stacked temporary of verify_dilation: 1 MB
 STACK_ENTRIES = 1 << 16
+# complex entries of the images of a dilation, n * dim_e^2: 64 MB
+MAX_DILATION_ENTRIES = 1 << 22
 
 
 @dataclass
@@ -120,23 +131,51 @@ def verify_povm(povm: FinitePovm, tol: Tolerance) -> VerificationReport:
     return rep
 
 
-def gram_block(povm: FinitePovm) -> Array:
-    """H[(B,s),(C,t)] = m(BC)[s,t] over all elements in semiring order."""
-    n, d = povm.semiring.n, povm.dim
-    h = np.empty((n, d, n, d), dtype=np.complex128)
-    # filled in place through its [b, c, s, t] view, so no second copy of h is made
-    blocks = h.transpose(0, 2, 1, 3)
-    np.take(np.array(povm.effects), povm.semiring.prod, axis=0, out=blocks, mode="clip")
-    return h.reshape(n * d, n * d)
+def semilattice_order(bs: BooleanSemiring) -> Array:
+    """below[x, y] = [x <= y], where x <= y means xy = x.
+
+    The product must be a semilattice operation. It is symmetric, which
+    ``Semilogic`` checks; here it must also be idempotent, with
+    down(BC) = down(B) & down(C), so that <= is a partial order and BC is the
+    meet of B and C. Otherwise DomainError names the first bad pair, row by
+    row; each row compares bit-packed down-sets, so no n^3 table is built.
+    """
+    n, prod = bs.n, bs.prod
+    below = prod == np.arange(n)[:, None]
+    down = np.packbits(below, axis=0)  # column y: the down-set of y
+    for b in range(n):
+        bad = (down[:, prod[b]] != down[:, [b]] & down).any(axis=0)
+        bad[b] |= prod[b, b] != b
+        if bad.any():
+            c = int(np.argmax(bad))
+            raise DomainError(
+                "semiring product is not a semilattice operation",
+                a=bs.labels[b],
+                b=bs.labels[c],
+            )
+    return below
+
+
+def mobius_blocks(povm: FinitePovm) -> tuple[Array, Array]:
+    """The order ``below`` and the blocks g with m(y) = sum of g(x) over x <= y.
+
+    g(y) = m(y) - sum of g(x) over x < y, in order of down-set size, which
+    is a linear extension of <=.
+    """
+    below = semilattice_order(povm.semiring)
+    g = np.array(povm.effects)
+    for y in np.argsort(below.sum(axis=0), kind="stable"):
+        strict = below[:, y].copy()
+        strict[y] = False
+        g[y] -= g[strict].sum(axis=0)
+    return below, g
 
 
 @dataclass
 class Dilation:
     povm: FinitePovm
-    w: Array            # quotient of the formal space, shape (dim_e, n*d)
-    w_pinv: Array
     dim_e: int
-    images: list[Array]  # h(B) per semiring element
+    images: Array       # (n, dim_e, dim_e): h(B) per semiring element
     f: Array            # isometry dim -> dim_e
 
 
@@ -156,20 +195,30 @@ def dilate(povm: FinitePovm, tol: Tolerance) -> Dilation:
             )
         raise DomainError("unit effect exceeds the identity", defect=unit_gap)
 
-    # w+w = h makes column pairings read m(BC)[s,t] with the row slot
-    # conjugated, matching the numpy pairing; conjugating h here would
-    # silently transpose every compressed effect
-    h = gram_block(povm)
-    dim_e, v = rank_decomposition(h, tol)
-    v = canonical_phases(v, tol)
-    w = v.conj().T
-    w_pinv = pseudo_inverse(w, tol)
-
-    # h(B) maps the basis vector (C, t) to (BC, t)
-    gather = (bs.prod.astype(np.intp)[:, :, None] * d + np.arange(d)).reshape(bs.n, -1)
-    images = [w[:, cols] @ w_pinv for cols in gather]
-    f = w[:, u * d : (u + 1) * d]
-    return Dilation(povm=povm, w=w, w_pinv=w_pinv, dim_e=dim_e, images=images, f=f)
+    below, g = mobius_blocks(povm)
+    w, vecs = np.linalg.eigh((g + g.conj().transpose(0, 2, 1)) / 2.0)
+    hi = float(w[:, -1].max())
+    x = int(np.argmin(w[:, 0]))
+    if w[x, 0] < -tol.eps * max(1.0, hi):
+        raise DomainError(
+            "matrix is not positive semidefinite",
+            min_eigenvalue=float(w[x, 0]),
+            element=bs.labels[x],
+        )
+    # coordinate r of the dilation space is eigenvector j[r] of block x[r]
+    xs, js = np.nonzero(w > tol.rank_rel * max(hi, 0.0))
+    dim_e = int(xs.size)
+    if bs.n * dim_e * dim_e > MAX_DILATION_ENTRIES:
+        raise StructuralError(
+            f"dilation too large ({bs.n} elements x dim_e {dim_e}^2 > {MAX_DILATION_ENTRIES})"
+        )
+    # the rows of F are the V_x*, so m(B) = F* h(B) F = sum of V_x V_x* over x <= B
+    v = canonical_phases(vecs[xs, :, js].T * np.sqrt(w[xs, js]), tol)
+    # F is the unit's column block of the quotient map, h(u) F
+    f = np.where(below[xs, u, None], v.conj().T, 0.0)
+    images = np.zeros((bs.n, dim_e, dim_e), dtype=np.complex128)
+    images[:, np.arange(dim_e), np.arange(dim_e)] = below[xs].T
+    return Dilation(povm=povm, dim_e=dim_e, images=images, f=f)
 
 
 def verify_dilation(dil: Dilation, tol: Tolerance) -> VerificationReport:

@@ -57,7 +57,7 @@ from .naimark import (
     Dilation,
     FinitePovm,
     dilate,
-    gram_block,
+    mobius_blocks,
     povm_from_outcomes,
     unitary_equivalence,
     verify_dilation,
@@ -501,8 +501,6 @@ def _random_povm(rng, outcomes: int, dim: int) -> FinitePovm:
 def _conjugated(dil: Dilation, v: np.ndarray) -> Dilation:
     return Dilation(
         povm=dil.povm,
-        w=v @ dil.w,
-        w_pinv=dil.w_pinv @ v.conj().T,
         dim_e=dil.dim_e,
         images=[v @ h @ v.conj().T for h in dil.images],
         f=v @ dil.f,
@@ -512,9 +510,9 @@ def _conjugated(dil: Dilation, v: np.ndarray) -> Dilation:
 def _suite_naimark(seed: int, tol: Tolerance) -> _Run:
     run = _Run()
     trivial = povm_from_outcomes([np.eye(1, dtype=complex)], 1)
-    h = gram_block(trivial)
+    _, g = mobius_blocks(trivial)
     if not run.check(
-        np.array_equal(h, np.array([[0, 0], [0, 1]], dtype=complex)), "unit-interval-gram"
+        np.array_equal(g, np.array([[[0]], [[1]]], dtype=complex)), "unit-interval-gram"
     ):
         return run
 

@@ -465,12 +465,15 @@ def _random_unitary(rng, d: int) -> np.ndarray:
 def _conjugate(dil: Dilation, v: np.ndarray) -> Dilation:
     return Dilation(
         povm=dil.povm,
-        w=v @ dil.w,
-        w_pinv=dil.w_pinv @ v.conj().T,
         dim_e=dil.dim_e,
         images=[v @ h @ v.conj().T for h in dil.images],
         f=v @ dil.f,
     )
+
+
+def _quotient(dil: Dilation) -> np.ndarray:
+    """The quotient map of the formal space: its column block C is h(C) F."""
+    return np.hstack([hb @ dil.f for hb in dil.images])
 
 
 def _atom_rank_sum(povm) -> int:
@@ -502,9 +505,10 @@ def test_naimark_dilation_corpus():
         v = _random_unitary(rng, dil.dim_e)
         u, eq = unitary_equivalence(dil, _conjugate(dil, v), EPS8)
         assert eq.ok, (i, [c.name for c in eq.checks if not c.passed])
-        recovered = u.conj().T @ (v @ dil.w)
-        z = np.vdot(dil.w, recovered)
-        residual = float(np.linalg.norm(recovered - (z / abs(z)) * dil.w, 2))
+        w = _quotient(dil)
+        recovered = u.conj().T @ (v @ w)
+        z = np.vdot(w, recovered)
+        residual = float(np.linalg.norm(recovered - (z / abs(z)) * w, 2))
         worst_w = max(worst_w, residual)
     assert worst_w <= 1e-8, worst_w
 
@@ -518,8 +522,6 @@ def test_naimark_dilation_corpus():
         assert dil.dim_e == d, i
         trivial = Dilation(
             povm=povm,
-            w=np.eye(d, dtype=complex),
-            w_pinv=np.eye(d, dtype=complex),
             dim_e=d,
             images=[povm.effects[b] for b in range(povm.semiring.n)],
             f=np.eye(d, dtype=complex),

@@ -173,6 +173,23 @@ def test_basis_count_is_bounded_by_the_space():
     assert ConcreteStarAlgebra([np.eye(2)] * 4).n == 4
 
 
+@pytest.mark.parametrize("unit", [1, 3, -1])
+def test_an_out_of_range_unit_is_a_domain_error(unit):
+    with pytest.raises(DomainError, match="unit index out of range") as info:
+        ConcreteStarAlgebra([np.eye(2)], unit=unit)
+    assert info.value.details == {"index": unit}
+
+
+@pytest.mark.parametrize("length", [3, 5])
+def test_a_state_of_the_wrong_length_is_a_domain_error(length):
+    alg = matrix_unit_algebra(2)
+    state = AlgebraState(np.ones(length, dtype=complex))
+    for call in (verify_state, gram_matrix):
+        with pytest.raises(DomainError, match="one value per basis element") as info:
+            call(alg, state, TOL)
+        assert info.value.details == {"expected": 4, "got": length}
+
+
 def test_represent_takes_a_matrix_or_a_stack():
     alg = matrix_unit_algebra(3)
     rep_obj = gns_construct(alg, AlgebraState.from_density(alg, density(3, 2, seed=5)), TOL)

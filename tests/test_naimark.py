@@ -3,31 +3,54 @@
 The trine measurement is the standard minimal example: three rank-one
 effects on a qubit whose dilation space must come out exactly
 three-dimensional. Projective measures must dilate without growing at all.
+
+``dilate`` factors the Mobius blocks of the measure one by one; the
+construction it replaced, which factored the whole block Gram matrix, is
+kept here as the oracle (``gram_dilate``).
 """
+
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import oracle_op_norm, random_povm
 
+import qstruct.matrix_core
 import qstruct.naimark
 import qstruct.standard
 from qstruct import (
+    BooleanSemiring,
     DomainError,
+    FinitePoset,
     FinitePovm,
     StructuralError,
     Tolerance,
+    diamond_semiring,
     dilate,
-    gram_block,
+    mobius_blocks,
     op_norm,
     povm_from_outcomes,
     powerset_semiring,
+    shuffled_powerset_semiring,
     unitary_equivalence,
     verify_dilation,
     verify_povm,
 )
+from qstruct.io_formats import load_povm
+from qstruct.matrix_core import canonical_phases, eig_herm, pseudo_inverse, rank_decomposition
+from qstruct.naimark import Dilation
 from qstruct.semilogic import family_residuals
 
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import gen  # noqa: E402  the benchmark's POVM generator
+
 TOL = Tolerance()
+# the Gram oracle pays up to 1/sqrt(lambda) in rounding for a Gram eigenvalue
+# lambda; intertwiners are compared at 1e-8, as in the naimark property suite
+EQ_TOL = Tolerance.with_eps(1e-8)
 
 
 def trine_effects():
@@ -52,6 +75,9 @@ def test_too_many_outcomes_are_rejected_before_any_allocation(outcomes, monkeypa
 def test_trivial_measure_has_the_unit_interval_gram():
     povm = povm_from_outcomes([np.eye(1)], dim=1)
     assert np.array_equal(gram_block(povm), np.array([[0.0, 0.0], [0.0, 1.0]]))
+    below, g = mobius_blocks(povm)
+    assert np.array_equal(below, [[True, True], [False, True]])
+    assert np.array_equal(g, np.array([[[0.0]], [[1.0]]]))
     dil = dilate(povm, TOL)
     assert dil.dim_e == 1
     assert verify_dilation(dil, TOL).ok
@@ -89,8 +115,6 @@ def test_random_povms_dilate_and_compress_back(outcomes, dim, seed):
 
 
 def test_dilation_is_unitarily_equivalent_to_its_conjugate():
-    from qstruct.naimark import Dilation
-
     povm = povm_from_outcomes(random_povm(3, 2, seed=7), dim=2)
     dil = dilate(povm, TOL)
     rng = np.random.default_rng(11)
@@ -98,8 +122,6 @@ def test_dilation_is_unitarily_equivalent_to_its_conjugate():
     v = np.linalg.eigh(h + h.conj().T)[1]
     rotated = Dilation(
         povm=dil.povm,
-        w=v @ dil.w,
-        w_pinv=dil.w_pinv @ v.conj().T,
         dim_e=dil.dim_e,
         images=[v @ img @ v.conj().T for img in dil.images],
         f=v @ dil.f,
@@ -161,6 +183,45 @@ def test_a_one_outcome_measure_has_no_family_to_check():
     assert rep.get("additive").violation_count == 0
 
 
+# -- the Gram-matrix construction that the Mobius blocks replaced -------------------
+
+
+def gram_block(povm):
+    """H[(B,s),(C,t)] = m(BC)[s,t] over all elements in semiring order."""
+    n, d = povm.semiring.n, povm.dim
+    h = np.empty((n, d, n, d), dtype=np.complex128)
+    # filled in place through its [b, c, s, t] view, so no second copy of h is made
+    blocks = h.transpose(0, 2, 1, 3)
+    np.take(np.array(povm.effects), povm.semiring.prod, axis=0, out=blocks, mode="clip")
+    return h.reshape(n * d, n * d)
+
+
+def gram_dilate(povm, tol):
+    """The dilation on the quotient of the formal space, factored from the whole Gram matrix."""
+    bs, d = povm.semiring, povm.dim
+    u = bs.unit()
+    if u is None:
+        raise DomainError("dilation needs a unit element in the semiring")
+    unit_gap = oracle_op_norm(povm.effects[u] - np.eye(d))
+    if unit_gap > tol.eps:
+        w_unit, _ = eig_herm(povm.effects[u])
+        if float(w_unit[-1]) <= 1.0 + tol.eps:
+            raise DomainError(
+                "measure is sub-normalized: the unit effect is not the identity; "
+                "add a complement outcome so the effects sum to the identity",
+                defect=unit_gap,
+            )
+        raise DomainError("unit effect exceeds the identity", defect=unit_gap)
+    # w+w = h makes column pairings read m(BC)[s,t] with the row slot conjugated
+    dim_e, v = rank_decomposition(gram_block(povm), tol)
+    w = canonical_phases(v, tol).conj().T
+    w_pinv = pseudo_inverse(w, tol)
+    # h(B) maps the basis vector (C, t) to (BC, t)
+    gather = (bs.prod.astype(np.intp)[:, :, None] * d + np.arange(d)).reshape(bs.n, -1)
+    images = [w[:, cols] @ w_pinv for cols in gather]
+    return Dilation(povm=povm, dim_e=dim_e, images=images, f=w[:, u * d : (u + 1) * d])
+
+
 # -- the per-element loops that the stacked threshold kernel replaced ----------------
 
 
@@ -173,15 +234,13 @@ def oracle_gram_block(povm):
     return h
 
 
-def oracle_images(dil):
-    n, d = dil.povm.semiring.n, dil.povm.dim
-    images = []
-    for b in range(n):
-        gather = np.empty(n * d, dtype=np.int64)
-        for c in range(n):
-            gather[c * d : (c + 1) * d] = np.arange(d) + int(dil.povm.semiring.prod[b, c]) * d
-        images.append(dil.w[:, gather] @ dil.w_pinv)
-    return images
+def assert_block_projections(dil):
+    """Every image is a 0/1 diagonal, and h(B) h(C) = h(BC) holds bit for bit."""
+    images, prod = np.asarray(dil.images), dil.povm.semiring.prod
+    diag = np.diagonal(images, axis1=1, axis2=2)
+    assert np.array_equal(images, diag[:, :, None] * np.eye(dil.dim_e))
+    assert np.isin(diag, (0.0, 1.0)).all()
+    assert np.array_equal(diag[:, None] * diag[None], diag[prod])
 
 
 def oracle_povm_checks(povm, tol):
@@ -260,7 +319,8 @@ def test_dilation_checks_match_the_image_loop(entries, all_witnesses, monkeypatc
         povm = povm_from_outcomes(random_povm(k, d, seed=k * d), dim=d)
         assert np.array_equal(gram_block(povm), oracle_gram_block(povm))
         dil = dilate(povm, TOL)
-        assert all(np.array_equal(a, b) for a, b in zip(dil.images, oracle_images(dil)))
+        assert_block_projections(dil)
+        assert unitary_equivalence(gram_dilate(povm, TOL), dil, EQ_TOL)[1].ok
         clean = list(dil.images)
         for size in (0.0, *SIZES):
             for hermitian in (True, False):
@@ -273,3 +333,290 @@ def test_dilation_checks_match_the_image_loop(entries, all_witnesses, monkeypatc
                     assert rep.get(name).witnesses == want, name
                     failed += bool(want)
     assert failed > 0
+
+
+# -- the Mobius blocks against the Gram oracle ---------------------------------------
+
+
+def psd(rng, d, rank, size=1.0):
+    a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    return size * (a @ a.conj().T)
+
+
+def projector(rng, d, rank):
+    q, _ = np.linalg.qr(rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank)))
+    return q @ q.conj().T
+
+
+def measure_from_blocks(bs, blocks):
+    """m(y) = sum of g(x) over x <= y, conjugated so that the unit maps to the identity."""
+    below = bs.prod == np.arange(bs.n)[:, None]
+    m = np.einsum("xy,xst->yst", below, np.array(blocks, dtype=complex))
+    w, v = np.linalg.eigh(m[bs.unit()])
+    root = (v / np.sqrt(w)) @ v.conj().T
+    return FinitePovm(bs, list(root @ m @ root), m.shape[1])
+
+
+def powerset_measures(kinds):
+    """Additive, perturbed by 1e-6 off the atoms, or with a block that is not PSD."""
+    rng = np.random.default_rng(61)
+    out = []
+    for k in range(1, 5):
+        for d in range(1, 4):
+            bs = powerset_semiring(k)
+            atoms = [1 << i for i in range(k)]
+            for kind in kinds:
+                blocks = np.zeros((bs.n, d, d), dtype=complex)
+                for i, x in enumerate(atoms):
+                    blocks[x] = psd(rng, d, d if i == 0 else int(rng.integers(1, d + 1)))
+                others = [x for x in range(bs.n) if x not in atoms]
+                if kind == "perturbed":
+                    for x in rng.choice(others, size=min(2, len(others)), replace=False):
+                        blocks[x] = 1e-6 * projector(rng, d, int(rng.integers(1, d + 1)))
+                if kind == "not-psd":
+                    low = np.linalg.eigvalsh(blocks.sum(axis=0))[0]
+                    blocks[int(rng.choice(others))] = -0.5 * low * projector(rng, d, 1)
+                out.append((f"2^{k} d={d} {kind}", measure_from_blocks(bs, blocks)))
+    return out
+
+
+def chain3_semiring():
+    return BooleanSemiring(
+        FinitePoset(["0", "a", "1"], np.triu(np.ones((3, 3), dtype=bool))),
+        np.minimum.outer(np.arange(3), np.arange(3)),
+    )
+
+
+def lattice_measures():
+    """Random blocks on the diamond, the 3-chain and a shuffled 2^3, some rank-deficient."""
+    rng = np.random.default_rng(62)
+    out = []
+    for bs in (diamond_semiring(), chain3_semiring(), shuffled_powerset_semiring(3, seed=5)):
+        for d in (1, 2, 3):
+            for case in range(9):
+                ranks = rng.integers(0, d + 1, size=bs.n)
+                ranks[bs.unit()] = d
+                blocks = [psd(rng, d, int(r)) for r in ranks]
+                out.append((f"{bs.labels} d={d} #{case}", measure_from_blocks(bs, blocks)))
+    return out
+
+
+def fixture_measures():
+    # pvm2_by_reference is pvm2 over the semiring file pvm2_semiring
+    valid = ROOT / "tests" / "fixtures" / "valid"
+    names = ("pvm2", "pvm2_by_reference", "trine_povm")
+    return [(name, load_povm(valid / f"{name}.json")) for name in names]
+
+
+def gen_povm(k, d, seed):
+    atoms, rank = gen.povm_atoms(k, d, np.random.default_rng(seed))
+    return povm_from_outcomes(atoms, d), rank
+
+
+def gen_measures():
+    return [
+        (f"gen {k}x{d} seed {seed}", gen_povm(k, d, seed)[0])
+        for seed in range(3)
+        for k, d in ((8, 2), (7, 2), (6, 4))
+    ]
+
+
+def assert_close(got, want, where, atol=1e-12):
+    if isinstance(want, float):
+        assert abs(got - want) <= atol + 1e-9 * abs(want), where
+    elif isinstance(want, list) and want and isinstance(want[0], float):
+        assert len(got) == len(want), where
+        for a, b in zip(got, want):
+            assert_close(a, b, where, atol)
+    else:
+        assert got == want, where
+
+
+def assert_same_reports(got, want, where):
+    assert got.facts == want.facts, where
+    assert [(c.name, c.passed, c.violation_count) for c in got.checks] == [
+        (c.name, c.passed, c.violation_count) for c in want.checks
+    ], where
+    for c, o in zip(got.checks, want.checks):
+        assert len(c.witnesses) == len(o.witnesses), (where, c.name)
+        for x, y in zip(c.witnesses, o.witnesses):
+            assert list(x) == list(y), (where, c.name)
+            for key in y:
+                assert_close(x[key], y[key], (where, c.name, key))
+
+
+def construct(fn, povm):
+    try:
+        return fn(povm, TOL), None
+    except DomainError as exc:
+        return None, str(exc)
+
+
+CORPORA = {
+    "powerset": lambda: powerset_measures(("additive", "not-psd")),
+    "lattices": lattice_measures,
+    "fixtures": fixture_measures,
+    "gen": gen_measures,
+}
+
+
+@pytest.mark.parametrize("corpus", list(CORPORA))
+def test_mobius_dilations_match_the_gram_oracle(corpus, all_witnesses):
+    outcomes = {"ok": 0, "failed": 0, "error": 0}
+    for where, povm in CORPORA[corpus]():
+        dil, err = construct(dilate, povm)
+        old, old_err = construct(gram_dilate, povm)
+        assert err == old_err, where
+        if err is not None:
+            outcomes["error"] += 1
+            continue
+        assert dil.dim_e == old.dim_e, where
+        assert_block_projections(dil)
+        rep = verify_dilation(dil, TOL)
+        assert_same_reports(rep, verify_dilation(old, TOL), where)
+        assert unitary_equivalence(old, dil, EQ_TOL)[1].ok, where
+        outcomes["ok" if rep.ok else "failed"] += 1
+    want = {
+        "powerset": {"ok": 12, "failed": 0, "error": 12},
+        "lattices": {"ok": 27, "failed": 54, "error": 0},
+        "fixtures": {"ok": 3, "failed": 0, "error": 0},
+        "gen": {"ok": 9, "failed": 0, "error": 0},
+    }
+    assert outcomes == want[corpus]
+
+
+def test_perturbed_measures_differ_from_the_oracle_only_by_its_rounding(all_witnesses):
+    """Blocks of size 1e-6 above the atoms: both constructions break additivity alike.
+
+    The Gram oracle inverts the whole Gram matrix, so its images carry rounding
+    of about eps * cond(H), which reaches 1e-8 here, while the Mobius images
+    are exact. An oracle witness whose every number is below that rounding
+    bound is rounding alone; the Mobius report must hold exactly the others.
+    """
+    spurious = 0
+    for where, povm in powerset_measures(("perturbed",)):
+        dil, old = dilate(povm, TOL), gram_dilate(povm, TOL)
+        assert dil.dim_e == old.dim_e, where
+        assert_block_projections(dil)
+        h = gram_block(povm)
+        w = np.linalg.eigvalsh(h)
+        w = w[w > TOL.rank_rel * w[-1]]
+        rounding = 10 * np.finfo(float).eps * w[-1] / w[0]
+        rep, want = verify_dilation(dil, TOL), verify_dilation(old, TOL)
+        assert rep.facts == want.facts, where
+        for c, o in zip(rep.checks, want.checks, strict=True):
+            real = [
+                x
+                for x in o.witnesses
+                if max((v for v in x.values() if isinstance(v, float)), default=np.inf) > rounding
+            ]
+            spurious += len(o.witnesses) - len(real)
+            assert c.name == o.name and c.passed == (not real), (where, c.name)
+            assert len(c.witnesses) == len(real), (where, c.name)
+            for x, y in zip(c.witnesses, real):
+                assert list(x) == list(y), (where, c.name)
+                for key in y:
+                    assert_close(x[key], y[key], (where, c.name, key), rounding)
+        # the intertwiner solve would amplify the oracle's rounding once more, so
+        # equivalence is shown by the frames h(B) F reproducing the Gram matrix
+        frames = np.hstack([hb @ dil.f for hb in dil.images])
+        assert op_norm(frames.conj().T @ frames - h) <= 1e-12 * op_norm(h), where
+    assert spurious > 0
+
+
+def test_gen_povms_dilate_to_their_rank_sum():
+    for seed in range(3):
+        for k, d in ((8, 2), (7, 2), (6, 4)):
+            povm, rank = gen_povm(k, d, seed)
+            assert dilate(povm, TOL).dim_e == rank
+
+
+@pytest.mark.parametrize(
+    "prod,pair",
+    [
+        # a a = 0: not idempotent
+        ([[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 2, 2], [0, 1, 2, 3]], ("a", "a")),
+        # a b = 1: idempotent, but 1 lies above a and b instead of below
+        ([[0, 0, 0, 0], [0, 1, 3, 1], [0, 3, 2, 2], [0, 1, 2, 3]], ("a", "b")),
+    ],
+    ids=["not-idempotent", "not-a-meet"],
+)
+def test_a_product_that_is_not_a_semilattice_is_refused(prod, pair):
+    le = np.eye(4, dtype=bool)
+    le[0, :] = le[:, 3] = True
+    bs = BooleanSemiring(FinitePoset(["0", "a", "b", "1"], le), np.array(prod))
+    effects = [np.zeros((1, 1)), 0.5 * np.eye(1), 0.5 * np.eye(1), np.eye(1)]
+    with pytest.raises(DomainError, match="not a semilattice operation") as info:
+        dilate(FinitePovm(bs, effects, 1), TOL)
+    assert (info.value.details["a"], info.value.details["b"]) == pair
+
+
+def test_a_block_that_is_not_psd_is_named():
+    s = powerset_semiring(2)
+    # g({0,1}) = 1 - 0.5 - 0.75 < 0
+    effects = [np.zeros((1, 1)), 0.5 * np.eye(1), 0.75 * np.eye(1), np.eye(1)]
+    with pytest.raises(DomainError, match="matrix is not positive semidefinite") as info:
+        dilate(FinitePovm(s, effects, 1), TOL)
+    assert info.value.details == {"min_eigenvalue": -0.25, "element": "{0,1}"}
+
+
+@pytest.mark.parametrize("top,dim_e", [(3e-10, 3), (3e-11, 2)])
+def test_the_rank_cut_is_relative_to_the_largest_block_eigenvalue(top, dim_e):
+    # blocks 0.5, 0.5 - top and top; the cut is rank_rel * 0.5 = 5e-11
+    effects = [np.zeros((1, 1)), 0.5 * np.eye(1), (0.5 - top) * np.eye(1), np.eye(1)]
+    assert dilate(FinitePovm(powerset_semiring(2), effects, 1), TOL).dim_e == dim_e
+
+
+def test_a_dilation_past_the_ceiling_is_refused_before_its_images():
+    # 2^8 x C^2 with every block of full rank: dim_e = 512, so the images
+    # would take 256 * 512^2 complex entries, 1 GiB
+    rng = np.random.default_rng(63)
+    bs = powerset_semiring(8)
+    povm = measure_from_blocks(bs, [psd(rng, 2, 2) for _ in range(bs.n)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            StructuralError, match=r"dilation too large \(256 elements x dim_e 512\^2 > 4194304\)"
+        ):
+            dilate(povm, TOL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 0.2 MB measured; the Gram construction's matrix alone took 4 MB
+    assert peak < 1 << 20, peak
+    # the largest additive measure within MAX_SPACE: 8 elements x dim 64, dim_e 192
+    povm = povm_from_outcomes(random_povm(3, 64, seed=64), dim=64)
+    assert dilate(povm, TOL).dim_e == 192
+
+
+def test_dilate_factors_only_blocks_of_the_measure_side(monkeypatch):
+    povm, rank = gen_povm(8, 2, 0)
+    sides = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sides.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dilate called a whole-Gram factorization")
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    for module in (qstruct.matrix_core, qstruct.naimark):
+        for name in ("rank_decomposition", "pseudo_inverse"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    assert dilate(povm, TOL).dim_e == rank
+    assert sides and max(sides) <= povm.dim
+
+
+def test_dilating_and_verifying_8x2_stays_small():
+    povm, _ = gen_povm(8, 2, 0)
+    tracemalloc.start()
+    try:
+        rep = verify_dilation(dilate(povm, TOL), TOL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    # 5.2 MB measured, most of it in verify_dilation's family residuals
+    assert peak < 10_000_000, peak
