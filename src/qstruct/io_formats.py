@@ -13,6 +13,7 @@ parse but break axioms are left for the verifiers to report.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Any
 
@@ -22,7 +23,7 @@ from .boolean_rep import BooleanSemiring
 from .errors import ParseError, StructuralError
 from .gns import AlgebraState, ConcreteStarAlgebra, check_basis_size
 from .naimark import FinitePovm, povm_from_outcomes
-from .order import MAX_DIM, MAX_ELEMENTS, MAX_SPACE, FinitePoset, transitive_reduction
+from .order import MAX_DIM, MAX_SPACE, FinitePoset, check_element_count, transitive_reduction
 from .ortho import OrthoLogic
 from .quasilogic import Quasilogic
 from .semilogic import Semilogic
@@ -44,13 +45,15 @@ def _labels(data: dict) -> tuple[list[str], dict[str, int]]:
         all(isinstance(e, str) and e for e in elements),
         "element labels must be nonempty strings",
     )
-    dup = {e for e in elements if elements.count(e) > 1}
-    _require(not dup, "duplicate element label", label=sorted(dup)[0] if dup else None)
+    check_element_count(len(elements))  # before the n x n order closure
+    dup = [e for e, count in Counter(elements).items() if count > 1]
+    _require(not dup, "duplicate element label", label=min(dup) if dup else None)
     return list(elements), {e: i for i, e in enumerate(elements)}
 
 
 def _lookup(idx: dict[str, int], label: Any, where: str) -> int:
-    _require(isinstance(label, str), f"{where}: labels must be strings", got=repr(label))
+    if not isinstance(label, str):
+        raise ParseError(f"{where}: labels must be strings", got=repr(label))
     if label not in idx:
         raise ParseError(f"{where}: unknown label", label=label)
     return idx[label]
@@ -80,22 +83,45 @@ def _closed_order(labels: list[str], idx: dict[str, int], pairs: Any) -> np.ndar
 def _table_from_triples(
     idx: dict[str, int], triples: Any, where: str, symmetric: bool
 ) -> np.ndarray:
+    """An n x n int16 table, -1 where no triple [a, b, v] sets [a, b] (and [b, a]).
+
+    Triples are mapped to indices up to the first malformed entry or unknown
+    label, and those are written with one assignment per direction. A cell
+    given two values reads back wrong somewhere; only then is the first write
+    that met another value found, which always precedes the bad entry, so
+    the error names the first offending triple in file order.
+    """
     n = len(idx)
-    table = np.full((n, n), -1, dtype=np.int16)
     _require(isinstance(triples, list), f"{where} must be a list of triples")
+    ids, bad = [], None
     for k, t in enumerate(triples):
-        _require(
-            isinstance(t, list) and len(t) == 3, f"{where} entries are triples", entry=k
+        try:
+            if not (isinstance(t, list) and len(t) == 3):
+                raise ParseError(f"{where} entries are triples", entry=k)
+            ids += (_lookup(idx, t[0], where), _lookup(idx, t[1], where), _lookup(idx, t[2], where))
+        except ParseError as exc:
+            bad = exc
+            break
+    i, j, v = np.array(ids, dtype=np.int16).reshape(-1, 3).T
+    writes = ((i, j), (j, i)) if symmetric else ((i, j),)
+    table = np.full((n, n), -1, dtype=np.int16)
+    for a, b in writes:
+        table[a, b] = v
+    if any((table[a, b] != v).any() for a, b in writes):
+        # triple k makes writes k * len(writes) + d; each cell holds its first value
+        cells = np.stack([a.astype(np.intp) * n + b for a, b in writes], axis=1).ravel()
+        _, first, cell = np.unique(cells, return_index=True, return_inverse=True)
+        vals = v.repeat(len(writes))
+        held = vals[first][cell]
+        w = int(np.flatnonzero(held != vals)[0])
+        t = triples[w // len(writes)]
+        raise ParseError(
+            f"{where}: conflicting duplicate entries",
+            pair=[t[0], t[1]],
+            values=sorted({int(held[w]), int(vals[w])}),
         )
-        i, j, v = (_lookup(idx, x, where) for x in t)
-        for a, b in ((i, j), (j, i)) if symmetric else ((i, j),):
-            if table[a, b] >= 0 and table[a, b] != v:
-                raise ParseError(
-                    f"{where}: conflicting duplicate entries",
-                    pair=[t[0], t[1]],
-                    values=sorted({int(table[a, b]), v}),
-                )
-            table[a, b] = v
+    if bad is not None:
+        raise bad
     return table
 
 
@@ -243,8 +269,7 @@ def matrix_to_json(m: np.ndarray) -> list[list[float]]:
 
 def _check_operator_size(n: int, dim: int) -> None:
     """Bound an operator input by its element count and dimension, before any matrix is read."""
-    if n > MAX_ELEMENTS:
-        raise StructuralError(f"too many elements ({n} > {MAX_ELEMENTS})")
+    check_element_count(n)
     if dim > MAX_DIM:
         raise StructuralError(f"dim too large ({dim} > {MAX_DIM})")
     if n * dim > MAX_SPACE:

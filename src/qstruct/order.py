@@ -32,20 +32,23 @@ MAX_DIM = 64
 MAX_SPACE = 512
 
 
+def check_element_count(n: int) -> None:
+    """StructuralError above ``MAX_ELEMENTS``; call it before sizing anything by n."""
+    if n > MAX_ELEMENTS:
+        raise StructuralError(f"too many elements ({n} > {MAX_ELEMENTS})")
+
+
 class FinitePoset:
     """Immutable finite poset. Do not mutate ``le`` after construction."""
 
     def __init__(self, labels: Sequence[str], le: np.ndarray):
         labels = tuple(str(x) for x in labels)
+        check_element_count(len(labels))
         if len(set(labels)) != len(labels):
             dup = sorted({x for x in labels if labels.count(x) > 1})
             raise StructuralError("duplicate element labels", labels=dup)
         if len(labels) == 0:
             raise StructuralError("empty element list")
-        if len(labels) > MAX_ELEMENTS:
-            raise StructuralError(
-                f"too many elements ({len(labels)} > {MAX_ELEMENTS})"
-            )
         le = np.asarray(le, dtype=bool)
         if le.shape != (len(labels), len(labels)):
             raise StructuralError(

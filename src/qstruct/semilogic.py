@@ -9,18 +9,20 @@ layer only adds totality of the product and distributivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
 from .errors import AxiomViolationError, DomainError, StructuralError
 from .matrix_core import screened_op_norms
-from .order import FinitePoset, join_of, row_bits, verify_poset
+from .order import FinitePoset, join_of, row_bits, sentinel_padded, verify_poset
 from .quasilogic import Quasilogic, is_logic, partial_sum, quasicommutes, summable
 from .report import VerificationReport
 
 MAX_FAMILIES = 200_000
 FAMILY_BLOCK = 256  # families per block in family_residuals
+ADDITIVITY_BLOCK = 1 << 16  # (family, member pair, element) cells per product-additivity block
 EXACT_TOL = 1e-12  # additivity / regularity comparisons are essentially exact
 
 Structure = Union["Semilogic", Quasilogic]
@@ -277,86 +279,42 @@ def verify_semilogic(s: Semilogic) -> VerificationReport:
         ),
     )
 
+    # one n x n slice per a: [b, c] -> (ab)c against (bc)a where ab, bc and ca
+    # are defined; through the padded table an undefined grouping reads -1
+    padded = sentinel_padded(prod)
     assoc = []
-    if (prod >= 0).all():
-        ab_c = prod[prod]  # [a, b, c] -> (ab)c over all triples
-        bc_a = np.transpose(ab_c, (2, 0, 1))  # [a, b, c] -> (bc)a
-        for a, b, c in zip(*np.nonzero(ab_c != bc_a)):
-            assoc.append({"a": labels[a], "b": labels[b], "c": labels[c]})
-    else:
-        for a in range(n):
-            for b in range(n):
-                ab = prod[a, b]
-                if ab < 0:
-                    continue
-                for c in range(n):
-                    bc = prod[b, c]
-                    if bc < 0 or prod[c, a] < 0:
-                        continue
-                    w = {"a": labels[a], "b": labels[b], "c": labels[c]}
-                    if prod[ab, c] < 0 or prod[bc, a] < 0:
-                        assoc.append(w | {"reason": "grouped product undefined"})
-                    elif prod[ab, c] != prod[bc, a]:
-                        assoc.append(w)
+    for a in range(n):
+        ab_c, bc_a = padded[prod[a], :n], padded[:, a][prod]
+        grouped = (ab_c < 0) | (bc_a < 0)
+        defined = (prod[a] >= 0)[:, None] & (prod >= 0) & (prod[:, a] >= 0)
+        for b, c in zip(*np.nonzero(defined & (grouped | (ab_c != bc_a)))):
+            w = {"a": labels[a], "b": labels[b], "c": labels[c]}
+            assoc.append(w | {"reason": "grouped product undefined"} if grouped[b, c] else w)
     rep.record("restricted-associativity", assoc)
 
     # product distributes over realized sums: a(sum a_i) = sum(a a_i)
-    sumlaw = []
-    if z is not None:
-        ups = s.poset.upsets()
-        pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # length -> column pairs
-        for fam, sup in summable_families(s):
-            if not fam:
-                continue
-            if len(fam) not in pairs:
-                pairs[len(fam)] = np.triu_indices(len(fam), 1)
-            # one row of images a*m per element a defined on the whole family
-            rows = np.flatnonzero((prod[:, fam] >= 0).all(axis=1))
-            img = prod[rows][:, fam]
-            srt = np.sort(img, axis=1)
-            dup = ((srt[:, 1:] == srt[:, :-1]) & (srt[:, 1:] != z)).any(axis=1)
-            i, j = pairs[len(fam)]
-            p, q = img[:, i], img[:, j]
-            clash = ((p != z) & (q != z) & (prod[p, q] != z)).any(axis=1)
-            target = prod[rows, sup]
-            undefined = target < 0
-            failed = dup | clash | undefined
-            summed = ~failed
-            # zero images drop out: the zero's upset is every element
-            failed[summed] = ~ups.bounds_equal(img[summed], target[summed])
-            for r in np.flatnonzero(failed):
-                w = {"a": labels[rows[r]], "family": [labels[m] for m in fam]}
-                if dup[r]:
-                    sumlaw.append(w | {"reason": "image family not summable"})
-                elif clash[r]:
-                    sumlaw.append(w | {"reason": "image family not orthogonal"})
-                elif undefined[r]:
-                    sumlaw.append(w | {"reason": "product with sum undefined"})
-                else:
-                    sumlaw.append(w)
-    rep.record("product-additivity", sumlaw)
+    families = summable_families(s)
+    rep.record("product-additivity", _product_additivity(s, z, families) if z is not None else [])
 
     # every defined product must come from a common orthogonal refinement
     compat = []
     if z is not None:
-        # per decomposition of its sup: (member mask, elements orthogonal to
-        # or inside every member)
-        orth_bits = row_bits(s.prod == z)
-        by_sup: dict[int, list[tuple[int, int]]] = {}
-        for fam, sup in summable_families(s):
+        # per decomposition of its sup, finest first (atoms refine at once):
+        # members, their mask, and the elements orthogonal to or in each member
+        orth_bits = row_bits(prod == z)
+        by_sup: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
+        for fam, sup in reversed(families):
             members, allowed = 0, -1
             for x in fam:
                 members |= 1 << x
                 allowed &= orth_bits[x] | 1 << x
-            by_sup.setdefault(sup, []).append((members, allowed))
+            by_sup.setdefault(sup, []).append((fam, members, allowed))
         joins: dict[int, int | None] = {}  # member mask -> join
-        for a in range(n):
-            for b in range(a, n):
-                ab = prod[a, b]
-                if ab < 0:
-                    continue
-                if not _has_common_refinement(s, by_sup, joins, a, b, int(ab)):
-                    compat.append({"a": labels[a], "b": labels[b]})
+        compat = [
+            {"a": labels[a], "b": labels[b]}
+            for a, b in np.argwhere(np.triu(prod >= 0)).tolist()
+            if not _has_common_refinement(s, by_sup, joins, a, b, int(prod[a, b]))
+        ]
     rep.record("compatibility-decomposition", compat)
 
     rep.facts["orthogonal_family_count"] = len(s._all_orthogonal_families())
@@ -365,22 +323,76 @@ def verify_semilogic(s: Semilogic) -> VerificationReport:
     return rep
 
 
+def _product_additivity(
+    s: Semilogic, z: int, families: Sequence[tuple[tuple[int, ...], int]]
+) -> list[dict]:
+    """Witnesses of a(sum a_i) = sum(a a_i), per (summable family, element a).
+
+    Each block of same-length families reads img[f, l, a] = a * member l at
+    once. Member pairs score 2 for a repeated nonzero image and 1 for two
+    nonzero images with a nonzero product. Image sums fold the join table,
+    which is exact: where sup{x, y} exists, {x, y, w} and {sup{x, y}, w} have
+    the same upper bounds. Rows where a partial join is undefined compare
+    the whole family's upper bounds instead.
+    """
+    labels, prod, n = s.labels, s.prod, s.n
+    ups = s.poset.upsets()
+    # joins as flat [x * (n + 1) + y], -1 on either side reading the -1 border;
+    # a table that is not a partial order folds nothing and every row falls back
+    jt = np.full((n + 1) ** 2, -1, dtype=np.int32)
+    if ups.by_up is not None:
+        jt[:] = sentinel_padded(s.poset.join_table()).ravel()
+    nonzero = np.arange(n) != z
+    score = (nonzero[:, None] & nonzero & (prod != z)).astype(np.int8)
+    score[np.diag_indices(n)] = 2 * nonzero
+    score = score.ravel()  # [p * n + q]
+    out = []
+    nonempty = (fs for fs in families if fs[0])
+    for size, run in groupby(nonempty, key=lambda fs: len(fs[0])):
+        run = list(run)
+        i, j = np.triu_indices(size, 1)
+        step = max(1, ADDITIVITY_BLOCK // (n * max(len(i), size)))
+        for lo in range(0, len(run), step):
+            block = run[lo : lo + step]
+            img = prod[np.array([fam for fam, _ in block])].astype(np.int32)
+            target = prod[[sup for _, sup in block]]  # [f, a] = a * sup
+            defined = (img >= 0).all(axis=1)
+            worst = score[(img * n)[:, i] + img[:, j]].max(axis=1, initial=0)
+            summed = defined & (worst == 0) & (target >= 0)
+            folded = np.full(target.shape, z)  # zero is the join's identity
+            for col in img.transpose(1, 0, 2):
+                folded = jt[folded * (n + 1) + col]
+            wrong = summed & (folded != target)
+            f, a = np.nonzero(summed & (folded < 0))
+            wrong[f, a] = ~ups.bounds_equal(img[f, :, a], target[f, a])
+            for f, a in zip(*np.nonzero((defined & ~summed) | wrong)):
+                w = {"a": labels[a], "family": [labels[m] for m in block[f][0]]}
+                if worst[f, a] == 2:
+                    w["reason"] = "image family not summable"
+                elif worst[f, a] == 1:
+                    w["reason"] = "image family not orthogonal"
+                elif target[f, a] < 0:
+                    w["reason"] = "product with sum undefined"
+                out.append(w)
+    return out
+
+
 def _has_common_refinement(
     s: Semilogic,
-    by_sup: dict[int, list[tuple[int, int]]],
+    by_sup: dict[int, list[tuple[tuple[int, ...], int, int]]],
     joins: dict[int, int | None],
     a: int,
     b: int,
     ab: int,
 ) -> bool:
     """Search decompositions A of a, B of b inside one orthogonal family."""
-    for mask_a, allowed_a in by_sup.get(a, ()):
-        for mask_b, allowed_b in by_sup.get(b, ()):
-            if (mask_a | mask_b) & ~(allowed_a & allowed_b):
+    for fam_a, mask_a, allowed_a in by_sup.get(a, ()):
+        for _, mask_b, _ in by_sup.get(b, ()):
+            if mask_b & ~allowed_a:  # some pair of members is neither equal nor orthogonal
                 continue
             common = mask_a & mask_b
             if common not in joins:
-                joins[common] = join_of(s.poset, (x for x in range(s.n) if common >> x & 1))
+                joins[common] = join_of(s.poset, (x for x in fam_a if common >> x & 1))
             if joins[common] == ab:
                 return True
     return False

@@ -14,8 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .boolean_rep import BooleanSemiring
-from .errors import StructuralError
-from .order import MAX_ELEMENTS, FinitePoset
+from .order import FinitePoset, check_element_count
 from .ortho import OrthoLogic
 from .quasilogic import Quasilogic
 from .semilogic import Semilogic
@@ -29,8 +28,7 @@ def _mask_label(mask: int) -> str:
 
 def powerset_poset(k: int) -> FinitePoset:
     n = 1 << k
-    if n > MAX_ELEMENTS:  # before anything of size n is allocated
-        raise StructuralError(f"too many elements ({n} > {MAX_ELEMENTS})")
+    check_element_count(n)  # before anything of size n is allocated
     masks = np.arange(n)
     le = (masks[:, None] & ~masks[None, :]) == 0
     return FinitePoset([_mask_label(m) for m in range(n)], le)

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 import qstruct
+import qstruct.io_formats
 from qstruct import (
     BooleanSemiring,
     DomainError,
@@ -164,6 +166,108 @@ def test_parse_rejects_malformed_files(mutants_dir):
     for name, exc in bad.items():
         with pytest.raises(exc):
             load_structure(mutants_dir / name)
+
+
+def oracle_table_from_triples(idx, triples, where, symmetric):
+    """The per-triple loop that once parsed prod and diff tables."""
+    n = len(idx)
+    table = np.full((n, n), -1, dtype=np.int16)
+    if not isinstance(triples, list):
+        raise ParseError(f"{where} must be a list of triples")
+    for k, t in enumerate(triples):
+        if not (isinstance(t, list) and len(t) == 3):
+            raise ParseError(f"{where} entries are triples", entry=k)
+        ids = []
+        for x in t:
+            if not isinstance(x, str):
+                raise ParseError(f"{where}: labels must be strings", got=repr(x))
+            if x not in idx:
+                raise ParseError(f"{where}: unknown label", label=x)
+            ids.append(idx[x])
+        i, j, v = ids
+        for a, b in ((i, j), (j, i)) if symmetric else ((i, j),):
+            if table[a, b] >= 0 and table[a, b] != v:
+                raise ParseError(
+                    f"{where}: conflicting duplicate entries",
+                    pair=[t[0], t[1]],
+                    values=sorted({int(table[a, b]), v}),
+                )
+            table[a, b] = v
+    return table
+
+
+def random_triples(rng, labels):
+    """Triples of one symmetric table, a few of them broken in every way a file can be."""
+    n = len(labels)
+    values = rng.integers(0, n, size=(n, n))
+    values = np.minimum(values, values.T)
+    out = []
+    for _ in range(int(rng.integers(0, 12))):
+        i, j = (int(x) for x in rng.integers(0, n, size=2))
+        t = [labels[i], labels[j], labels[int(values[i, j])]]
+        fault = rng.random()
+        if fault < 0.06:
+            t[2] = labels[int(rng.integers(0, n))]  # a second value for the pair
+        elif fault < 0.08:
+            t[int(rng.integers(0, 3))] = "nowhere"
+        elif fault < 0.10:
+            t[int(rng.integers(0, 3))] = 7
+        elif fault < 0.12:
+            t = t[:2]
+        elif fault < 0.13:
+            t = "a b c"
+        out.append(t)
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return "table", fn(*args).tolist()
+    except ParseError as exc:
+        return "error", str(exc), exc.details
+
+
+def test_triple_tables_match_the_per_triple_oracle():
+    labels = ["a", "b", "c", "d"]
+    idx = {lab: i for i, lab in enumerate(labels)}
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(400):
+        triples = random_triples(rng, labels)
+        for symmetric in (False, True):
+            args = (idx, triples, "prod", symmetric)
+            want = outcome(oracle_table_from_triples, *args)
+            assert outcome(qstruct.io_formats._table_from_triples, *args) == want, triples
+            seen.add(want[0] if want[0] == "table" else want[1])
+    for triples in ({}, "a b c", None):
+        args = (idx, triples, "diff", True)
+        want = outcome(oracle_table_from_triples, *args)
+        assert outcome(qstruct.io_formats._table_from_triples, *args) == want
+        seen.add(want[1])
+    assert seen == {
+        "table",
+        "prod entries are triples",
+        "prod: labels must be strings",
+        "prod: unknown label",
+        "prod: conflicting duplicate entries",
+        "diff must be a list of triples",
+    }
+
+
+@pytest.mark.parametrize("n", [257, 5000])
+def test_oversized_structure_files_exit_2_within_a_second(capsys, tmp_path, n):
+    # a chain: closing its order took n x n matmuls until it stopped growing
+    labels = [f"e{i}" for i in range(n)]
+    data = {"kind": "poset", "elements": labels, "le": [list(p) for p in zip(labels, labels[1:])]}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(data))
+    start = time.process_time()
+    code, out, _ = run_cli(capsys, "check", "--json", str(path))
+    assert time.process_time() - start < 1.0
+    assert code == 2
+    error = error_payload(out)
+    assert error["type"] == "StructuralError"
+    assert error["message"] == f"too many elements ({n} > 256)"
 
 
 def test_mutants_that_parse_fail_verification(mutants_dir):

@@ -4,14 +4,17 @@ The MO2 structure is small enough to enumerate by hand, so its filter and
 ideal lattice, its orthogonal families and its homomorphisms onto the
 two-element algebra are all frozen here as explicit expectations.
 
-The per-(family, element) product-additivity loop and the set-based common
-refinement search that ``verify_semilogic`` once ran are kept here as oracles
-for its vectorized and bitmask versions: the witness lists must agree in full
-and in order. So are the upper- and lower-family loops that ``verify_closure``
-and ``check_regularity`` once ran, for the one ``_family_violations`` over
-``le`` and ``le.T``, and the loop bodies of ``relative_complement``,
-``verify_closure`` and ``check_regularity`` themselves, for the one
-``difference_table`` and the ``family_mask`` lookups that replaced them.
+The per-(family, element) product-additivity loop, the set-based common
+refinement search and the per-triple associativity loop that
+``verify_semilogic`` once ran are kept here as oracles for its block kernels,
+its bitmask search and its per-element slices: the witness lists must agree
+in full and in order, also when the blocks split a run of families of one
+length and when a partial join sends rows to the fallback. So are the upper-
+and lower-family loops that ``verify_closure`` and ``check_regularity`` once
+ran, for the one ``_family_violations`` over ``le`` and ``le.T``, and the
+loop bodies of ``relative_complement``, ``verify_closure`` and
+``check_regularity`` themselves, for the one ``difference_table`` and the
+``family_mask`` lookups that replaced them.
 """
 
 import json
@@ -53,6 +56,8 @@ from qstruct import (
     verify_ideal,
     verify_semilogic,
 )
+import qstruct.semilogic
+from qstruct.order import UpsetIndex
 from qstruct.report import VerificationReport
 from qstruct.semilogic import EXACT_TOL, _family_violations
 
@@ -347,6 +352,23 @@ def oracle_compatibility(s):
     ]
 
 
+def oracle_restricted_associativity(s):
+    labels, prod, n = s.labels, s.prod, s.n
+    assoc = []
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                ab, bc = prod[a, b], prod[b, c]
+                if ab < 0 or bc < 0 or prod[c, a] < 0:
+                    continue
+                w = {"a": labels[a], "b": labels[b], "c": labels[c]}
+                if prod[ab, c] < 0 or prod[bc, a] < 0:
+                    assoc.append(w | {"reason": "grouped product undefined"})
+                elif prod[ab, c] != prod[bc, a]:
+                    assoc.append(w)
+    return assoc
+
+
 def zeroed_semiring(k, a, b):
     """2^k with the product of masks a and b set to the empty set."""
     good = powerset_semiring(k)
@@ -387,6 +409,7 @@ def mo2_semilogic_files(valid_dir, mutants_dir):
 def assert_matches_the_oracles(s):
     rep = verify_semilogic(s)
     for name, want in (
+        ("restricted-associativity", oracle_restricted_associativity(s)),
         ("product-additivity", oracle_product_additivity(s)),
         ("compatibility-decomposition", oracle_compatibility(s)),
     ):
@@ -416,6 +439,60 @@ def test_broken_semirings_match_the_oracles(all_witnesses):
         "image family not orthogonal",
         "product with sum undefined",
     }
+
+
+@pytest.mark.parametrize("cells", [1, 100, 700])
+def test_blocks_that_split_a_run_of_families_match_the_oracles(all_witnesses, monkeypatch, cells):
+    # 2^5 has 32 elements: 100 cells is one family of two members per block,
+    # 700 ten of them, so every run of one length spans several blocks
+    monkeypatch.setattr(qstruct.semilogic, "ADDITIVITY_BLOCK", cells)
+    for k in (4, 5):
+        assert_matches_the_oracles(powerset_semiring(k))
+        assert_matches_the_oracles(shuffled_powerset_semiring(k, seed=k))
+    zeroed = zeroed_semiring(5, 0b00111, 0b01110)
+    assert not verify_semilogic(zeroed).get("product-additivity").passed
+    assert_matches_the_oracles(zeroed)
+
+
+def test_an_undefined_partial_join_falls_back_to_the_whole_family(all_witnesses, monkeypatch):
+    # 0 < p, q, r; p, q < u, v; u, v, r < t: sup{p, q} is undefined (u and v
+    # are both minimal above it) while sup{p, q, r} = t. The product is the
+    # meet where that exists.
+    labels = ["0", "p", "q", "r", "u", "v", "t"]
+    covers = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (1, 5), (2, 5), (4, 6), (5, 6), (3, 6)]
+    le = np.eye(7, dtype=bool)
+    for a, b in covers:
+        le[a, b] = True
+    for _ in range(3):
+        le |= le @ le
+    poset = FinitePoset(labels, le)
+    s = Semilogic(poset, poset.meet_table())
+    p, q, r, t = (s.index(x) for x in "pqrt")
+    assert poset.join_table()[p, q] == -1
+    assert ((p, q, r), t) in summable_families(s)
+
+    fallback_rows = []
+    original = UpsetIndex.bounds_equal
+
+    def spy(self, rows, targets):
+        fallback_rows.extend(map(tuple, rows.tolist()))
+        return original(self, rows, targets)
+
+    monkeypatch.setattr(UpsetIndex, "bounds_equal", spy)
+    assert_matches_the_oracles(s)
+    assert (p, q, r) in fallback_rows  # a = t: images p, q, r
+    assert all(row[:2] == (p, q) for row in fallback_rows)
+
+
+def test_a_failed_compatibility_search_matches_the_oracle(all_witnesses):
+    # {0,1,2} . {1,2,3} = {1}: every common refinement of the two sums to {1,2}
+    good = powerset_semiring(4)
+    prod = good.prod.copy()
+    prod[0b0111, 0b1110] = prod[0b1110, 0b0111] = 0b0010
+    s = Semilogic(good.poset, prod)
+    compat = verify_semilogic(s).get("compatibility-decomposition")
+    assert {"a": "{0,1,2}", "b": "{1,2,3}"} in compat.witnesses
+    assert_matches_the_oracles(s)
 
 
 def test_mo2_files_match_the_oracles(all_witnesses, valid_dir, mutants_dir):
