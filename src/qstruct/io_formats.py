@@ -23,7 +23,14 @@ from .boolean_rep import BooleanSemiring
 from .errors import ParseError, StructuralError
 from .gns import AlgebraState, ConcreteStarAlgebra, check_basis_size
 from .naimark import FinitePovm, povm_from_outcomes
-from .order import MAX_DIM, MAX_SPACE, FinitePoset, check_element_count, transitive_reduction
+from .order import (
+    MAX_DIM,
+    MAX_SPACE,
+    FinitePoset,
+    check_element_count,
+    transitive_closure,
+    transitive_reduction,
+)
 from .ortho import OrthoLogic
 from .quasilogic import Quasilogic
 from .semilogic import Semilogic
@@ -68,11 +75,7 @@ def _closed_order(labels: list[str], idx: dict[str, int], pairs: Any) -> np.ndar
             isinstance(p, list) and len(p) == 2, "le entries are [below, above] pairs", entry=k
         )
         le[_lookup(idx, p[0], "le"), _lookup(idx, p[1], "le")] = True
-    while True:
-        closed = le | (le @ le)
-        if (closed == le).all():
-            break
-        le = closed
+    le = transitive_closure(le)
     cyc = le & le.T & ~np.eye(n, dtype=bool)
     if cyc.any():
         a, b = (int(x) for x in np.argwhere(cyc)[0])

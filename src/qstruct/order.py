@@ -125,6 +125,12 @@ class UpsetIndex:
     to its element, and exists only when ``rel`` is a partial order; the bound
     of a set is then ``by_up.get`` of the AND of its members' upsets. Without
     it, bounds come from a scan of ``rel``.
+
+    For whole tables the upsets are also packed as uint64 words, with the
+    columns in a linear extension of the order (larger upsets first). An AND
+    of upsets that is some ``up[z]`` has z as its first set bit, so ``table``
+    takes the element at the first set bit and compares its words with the
+    AND; a block of rows is one array expression.
     """
 
     def __init__(self, rel: np.ndarray):
@@ -140,7 +146,7 @@ class UpsetIndex:
             for a, u in enumerate(self.up)
         )
         self.by_up = by_up if is_order else None
-        self._words: np.ndarray | None = None
+        self._packed: tuple[np.ndarray, np.ndarray] | None = None
 
     def bound_of(self, acc: int) -> int | None:
         """Bound of any set whose members' upsets AND to ``acc``, or None."""
@@ -156,12 +162,46 @@ class UpsetIndex:
             acc &= self.up[x]
         return self.bound_of(acc)
 
+    def words(self) -> tuple[np.ndarray, np.ndarray]:
+        """(words, ext): row i of ``rel`` as uint64 words, bit k standing for ``ext[k]``.
+
+        ``ext`` lists the elements by decreasing upset size, which in a
+        partial order puts every element before all elements above it.
+        """
+        if self._packed is None:
+            n = len(self.up)
+            # counting sort by upset size, largest first; a first np.argsort
+            # would page in about 0.3 MB of sort code on the logic path
+            size = self.rel.sum(axis=1)
+            ext = np.nonzero(size == np.arange(n, -1, -1)[:, None])[1]
+            self._packed = packed_rows(self.rel[:, ext]), ext
+        return self._packed
+
     def table(self) -> np.ndarray:
-        """Bounds of all pairs as int16; -1 where there is none."""
-        bounds = [[self.bound_of(x & y) for y in self.up] for x in self.up]
-        return np.array(
-            [[-1 if g is None else g for g in row] for row in bounds], dtype=np.int16
-        )
+        """Bounds of all pairs as int16; -1 where there is none.
+
+        Runs of rows x are ANDed with every y at once, about 128 KB of words
+        per run; relations that are not orders scan pair by pair.
+        """
+        n = len(self.up)
+        if self.by_up is None:
+            bounds = [[self.bound_of(x & y) for y in self.up] for x in self.up]
+            return np.array(
+                [[-1 if g is None else g for g in row] for row in bounds], dtype=np.int16
+            )
+        words, ext = self.words()
+        out = np.empty((n, n), dtype=np.int16)
+        rows = max(1, 2**17 // words[:1].nbytes // n)
+        for x0 in range(0, n, rows):
+            acc = words[x0 : x0 + rows, None, :] & words[None, :, :]
+            k = (acc != 0).argmax(axis=2)  # first nonzero word
+            word = np.take_along_axis(acc, k[..., None], axis=2)[..., 0]
+            low = word & (~word + np.uint64(1))  # lowest set bit, 2^i; frexp gives i + 1
+            first = 64 * k + np.frexp(low.astype(np.float64))[1] - 1
+            # an empty AND gives first = -1, and every upset holds its own bit
+            z = ext[np.clip(first, 0, n - 1)]
+            out[x0 : x0 + rows] = np.where((words[z] == acc).all(axis=2), z, -1)
+        return out
 
     def bounds_equal(self, rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Whether the bound of the items ``rows[r]`` is ``targets[r]``, for each r.
@@ -174,13 +214,41 @@ class UpsetIndex:
                 [self.bound(row) == t for row, t in zip(rows.tolist(), targets.tolist())],
                 dtype=bool,
             )
-        if self._words is None:
-            n = len(self.up)
-            padded = np.zeros((n, -(-n // 64) * 64), dtype=bool)
-            padded[:, :n] = self.rel
-            self._words = np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
-        w = self._words
+        w = self.words()[0]
         return (np.bitwise_and.reduce(w[rows], axis=1) == w[targets]).all(axis=1)
+
+
+def packed_rows(rel: np.ndarray) -> np.ndarray:
+    """Rows of a boolean matrix as little-endian uint64 words: bit j of row i is ``rel[i, j]``."""
+    n, m = rel.shape
+    padded = np.zeros((n, -(-m // 64) * 64), dtype=bool)
+    padded[:, :m] = rel
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def bool_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Boolean matrix product: [i, j] holds iff x[i, k] and y[k, j] for some k.
+
+    Rows of x and columns of y are packed into uint64 words and ANDed, 16
+    rows at a time. No count is formed, so nothing can wrap (a uint8 count
+    of 256 common terms wraps to 0). numpy's bool matmul has no BLAS path,
+    and a float32 BLAS product would map OpenBLAS's buffers into every
+    process that checks a logic, about 1.3 MB of resident memory.
+    """
+    xw, yw = packed_rows(x), packed_rows(y.T)
+    out = np.empty((x.shape[0], y.shape[1]), dtype=bool)
+    for r in range(0, x.shape[0], 16):
+        (xw[r : r + 16, None, :] & yw).any(axis=2, out=out[r : r + 16])
+    return out
+
+
+def transitive_closure(rel: np.ndarray) -> np.ndarray:
+    """The least transitive relation containing ``rel``, by squaring until it stops growing."""
+    while True:
+        closed = rel | bool_product(rel, rel)
+        if (closed == rel).all():
+            return rel
+        rel = closed
 
 
 def sentinel_padded(table: np.ndarray) -> np.ndarray:
@@ -262,7 +330,7 @@ def verify_poset(p: FinitePoset) -> VerificationReport:
     )
 
     # a<=b<=c without a<=c; boolean matrix square finds all gaps at once
-    closure_gap = (le @ le) & ~le
+    closure_gap = bool_product(le, le) & ~le
     trans_viol = []
     for a, c in zip(*np.nonzero(closure_gap)):
         b = int(np.flatnonzero(le[a, :] & le[:, c])[0])
@@ -313,8 +381,7 @@ def atoms(p: FinitePoset) -> list[int]:
 
 def is_upward_directed(p: FinitePoset) -> tuple[bool, tuple[str, str] | None]:
     """Every pair must admit a common upper bound; returns a witness pair if not."""
-    # bool matmul: a uint8 count of 256 common upper bounds would wrap to 0
-    lonely = np.triu(~(p.le @ p.le.T), 1)
+    lonely = np.triu(~bool_product(p.le, p.le.T), 1)
     if not lonely.any():
         return True, None
     a, b = np.unravel_index(lonely.argmax(), lonely.shape)
@@ -337,7 +404,7 @@ def segment(p: FinitePoset, a: int, c: int) -> tuple[FinitePoset, list[int]]:
 def transitive_reduction(p: FinitePoset) -> list[tuple[str, str]]:
     """Cover pairs (a, b): a < b with nothing strictly between; for serializers."""
     lt = p.le & ~np.eye(p.n, dtype=bool)
-    covers = lt & ~(lt @ lt)
+    covers = lt & ~bool_product(lt, lt)
     return [
         (p.labels[i], p.labels[j]) for i, j in zip(*np.nonzero(covers))
     ]

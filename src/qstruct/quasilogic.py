@@ -4,6 +4,13 @@ The difference table ``diff[b, a] = b - a`` is defined exactly on comparable
 pairs ``a <= b``. Partial sums are derived: ``a + b = c - ((c - a) - b)`` for
 any majorant ``c`` with ``c - a >= b``; independence of the witness ``c`` is
 verified whenever a sum is evaluated.
+
+The table scans run one (b, c) block per a: rows b >= a, columns c >= a with
+``c - a`` defined. The sum table marks the cells with b <= c and b <= c - a
+as admissible majorants and reads every formula value of the block at once;
+a pair whose majorants disagree, or leave the formula undefined, keeps
+(i0, j0): its first admissible majorant and the first one that disagrees
+with it (i0 twice when all agree on an undefined value).
 """
 
 from __future__ import annotations
@@ -66,7 +73,12 @@ class Quasilogic:
 
 
 class _SumInfo:
-    """Per-pair summability, the sum value, and witness-dependence defects."""
+    """Per-pair summability, the sum value, and witness-dependence defects.
+
+    ``conflicts[(a, b)] = (i0, j0)``: i0 is the first admissible majorant of
+    the pair, j0 the first whose formula value differs from i0's, or i0 again
+    when every admissible majorant leaves ``(c - a) - b`` undefined.
+    """
 
     def __init__(self, n: int):
         self.summable = np.zeros((n, n), dtype=bool)
@@ -76,30 +88,38 @@ class _SumInfo:
 
 
 def _build_sum_info(q: Quasilogic) -> _SumInfo:
-    le, diff, n = q.poset.le, q.diff, q.n
+    """One (b, c) block per a: rows b >= a, columns c >= a with c - a defined.
+
+    A cell is admissible when b <= c and b <= c - a. Its formula value is
+    c - ((c - a) - b), read through the padded difference table: -1 where
+    the outer difference is undefined and -2 where the inner one is, so the
+    two stay apart.
+    """
+    le, n = q.poset.le, q.n
+    diff = sentinel_padded(q.diff)
+    diff[:n, n] = -2  # where (c - a) - b is -1, c - ((c - a) - b) reads -2
     info = _SumInfo(n)
     for a in range(n):
-        d = diff[:, a]  # d[c] = c - a
-        have = d >= 0
-        for b in range(a, n):
-            cand = have & le[a, :] & le[b, :]
-            cand[cand] &= le[b, d[cand]]  # need c - a >= b
-            cs = np.flatnonzero(cand)
-            if cs.size == 0:
-                continue
-            inner = diff[d[cs], b]  # (c - a) - b
-            vals = np.where(inner >= 0, diff[cs, np.maximum(inner, 0)], -2)
-            distinct = np.unique(vals)
-            info.summable[a, b] = info.summable[b, a] = True
-            if distinct.size == 1 and distinct[0] >= 0:
-                info.value[a, b] = info.value[b, a] = distinct[0]
-            else:
-                # either genuinely majorant-dependent or undefined mid-formula
-                bad = np.flatnonzero(vals != vals[0])
-                i0 = int(cs[0])
-                j0 = int(cs[bad[0]]) if bad.size else i0
-                info.conflicts[(a, b)] = (i0, j0)
-                info.conflicts[(b, a)] = (i0, j0)
+        cs = np.flatnonzero(le[a] & (diff[:n, a] >= 0))
+        ca = diff[cs, a]  # c - a
+        adm = le[a:, cs] & le[a:, ca]  # [b, c]: b <= c and b <= c - a
+        rows = np.flatnonzero(adm.any(axis=1))
+        if rows.size == 0:
+            continue
+        adm, bs = adm[rows], a + rows
+        inner = diff[ca][:, bs].T  # (c - a) - b
+        vals = diff[cs, inner]
+        first = adm.argmax(axis=1)
+        v0 = vals[np.arange(bs.size), first]
+        other = adm & (vals != v0[:, None])
+        split = other.any(axis=1)
+        ok = ~split & (v0 >= 0)
+        info.summable[a, bs] = info.summable[bs, a] = True
+        info.value[a, bs[ok]] = info.value[bs[ok], a] = v0[ok]
+        for r in np.flatnonzero(~ok).tolist():
+            b, i0 = int(bs[r]), int(cs[first[r]])
+            j0 = int(cs[other[r].argmax()]) if split[r] else i0
+            info.conflicts[(a, b)] = info.conflicts[(b, a)] = (i0, j0)
     return info
 
 
@@ -125,48 +145,56 @@ def verify_quasilogic(q: Quasilogic) -> VerificationReport:
         ),
     )
 
-    bound_viol, cancel_viol = [], []
-    for b in range(n):
-        for a in np.flatnonzero(diff[b, :] >= 0):
-            d = int(diff[b, a])
-            if not le[d, b]:
-                bound_viol.append({"b": labels[b], "a": labels[a], "diff": labels[d]})
-                continue
-            if diff[b, d] != a:
-                back = int(diff[b, d])
-                cancel_viol.append(
-                    {
-                        "b": labels[b],
-                        "a": labels[a],
-                        "got": labels[back] if back >= 0 else None,
-                    }
-                )
-    rep.record("difference-bound", bound_viol)
-    rep.record("difference-cancellation", cancel_viol)
+    # every defined b - a = d, row-major: d <= b, then b - d = a
+    bs, as_ = np.nonzero(diff >= 0)
+    ds = diff[bs, as_]
+    inside = le[ds, bs]
+    back = diff[bs, ds]
+    rep.record(
+        "difference-bound",
+        (
+            {"b": labels[b], "a": labels[a], "diff": labels[d]}
+            for b, a, d in zip(bs[~inside], as_[~inside], ds[~inside])
+        ),
+    )
+    cancel = inside & (back != as_)
+    rep.record(
+        "difference-cancellation",
+        (
+            {"b": labels[b], "a": labels[a], "got": labels[g] if g >= 0 else None}
+            for b, a, g in zip(bs[cancel], as_[cancel], back[cancel])
+        ),
+    )
 
-    mono_viol, mono_id_viol = [], []
-    anti_viol, anti_id_viol = [], []
+    # one (b, c) block per a over a <= b <= c with b - a and c - a defined
+    names = (
+        "minuend-monotone",
+        "minuend-difference-identity",
+        "subtrahend-antitone",
+        "subtrahend-difference-identity",
+    )
+    viols: dict[str, list] = {name: [] for name in names}
     for a in range(n):
-        bs = np.flatnonzero(le[a, :] & (diff[:, a] >= 0))
-        for b in bs:
-            for c in bs[le[b, bs]]:  # a <= b <= c, both differences defined
-                ba, ca, cb = int(diff[b, a]), int(diff[c, a]), int(diff[c, b])
-                w = {"a": labels[a], "b": labels[int(b)], "c": labels[int(c)]}
-                # minuend grows: b - a <= c - a, (c-a) - (b-a) = c - b
-                if not le[ba, ca]:
-                    mono_viol.append(w)
-                elif cb >= 0 and diff[ca, ba] != cb:
-                    mono_id_viol.append(w)
-                # subtrahend grows: c - b <= c - a, (c-a) - (c-b) = b - a
-                if cb >= 0:
-                    if not le[cb, ca]:
-                        anti_viol.append(w)
-                    elif diff[ca, cb] != ba:
-                        anti_id_viol.append(w)
-    rep.record("minuend-monotone", mono_viol)
-    rep.record("minuend-difference-identity", mono_id_viol)
-    rep.record("subtrahend-antitone", anti_viol)
-    rep.record("subtrahend-difference-identity", anti_id_viol)
+        xs = np.flatnonzero(le[a] & (diff[:, a] >= 0))  # b by row, c by column
+        xa = diff[xs, a]  # b - a by row, c - a by column
+        chain = le[xs[:, None], xs]
+        cb = diff[xs, xs[:, None]]  # [b, c] = c - b
+        # cells where c - b is undefined read index -1 below and are masked out
+        defined = chain & (cb >= 0)
+        mono = chain & ~le[xa[:, None], xa]  # b - a <= c - a fails
+        anti = defined & ~le[cb, xa]  # c - b <= c - a fails
+        found = np.stack(
+            (
+                mono,
+                defined & ~mono & (diff[xa, xa[:, None]] != cb),  # (c-a) - (b-a) = c - b
+                anti,
+                defined & ~anti & (diff[xa, cb] != xa[:, None]),  # (c-a) - (c-b) = b - a
+            )
+        )
+        for t, i, k in zip(*np.nonzero(found)):
+            viols[names[t]].append({"a": labels[a], "b": labels[xs[i]], "c": labels[xs[k]]})
+    for name, found_viols in viols.items():
+        rep.record(name, found_viols)
 
     directed, pair = is_upward_directed(q.poset)
     rep.record("upward-directed", [] if directed else [{"a": pair[0], "b": pair[1]}])
@@ -297,19 +325,16 @@ def check_sum_lattice_identity(q: Quasilogic) -> VerificationReport:
     rep = VerificationReport(subject="sum-lattice-identity")
     info = q._sum_info()
     mt, jt = q.poset.meet_table(), q.poset.join_table()
-    viol = []
-    for a in range(q.n):
-        for b in range(a, q.n):
-            if not info.summable[a, b] or (a, b) in info.conflicts:
-                continue
-            m, j = int(mt[a, b]), int(jt[a, b])
-            if m < 0 or j < 0:
-                continue
-            w = {"a": q.labels[a], "b": q.labels[b]}
-            if not info.summable[j, m] or (j, m) in info.conflicts:
-                viol.append(w | {"reason": "join and meet not summable"})
-            elif info.value[j, m] != info.value[a, b]:
-                viol.append(w)
+    # value >= 0 exactly on the summable pairs without a majorant conflict
+    value, labels = info.value, q.labels
+    a_s, b_s = np.nonzero(np.triu((value >= 0) & (mt >= 0) & (jt >= 0)))
+    jm = value[jt[a_s, b_s], mt[a_s, b_s]]
+    bad = (jm < 0) | (jm != value[a_s, b_s])
+    viol = [
+        {"a": labels[a], "b": labels[b]}
+        | ({"reason": "join and meet not summable"} if v < 0 else {})
+        for a, b, v in zip(a_s[bad], b_s[bad], jm[bad])
+    ]
     rep.record("sum-lattice-identity", viol)
     return rep
 

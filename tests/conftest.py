@@ -63,10 +63,10 @@ def horizontal_sum(blocks, k):
     )
 
 
-def random_order(rng, n):
+def random_order(rng, n, density=0.35):
     """Transitive closure of a random DAG on n elements, in shuffled element order."""
-    le = np.triu(rng.random((n, n)) < 0.35, 1) | np.eye(n, dtype=bool)
-    for _ in range(n):
+    le = np.triu(rng.random((n, n)) < density, 1) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):  # each squaring doubles the path length closed
         le |= (le.astype(np.uint8) @ le.astype(np.uint8)) > 0
     perm = rng.permutation(n)
     return le[np.ix_(perm, perm)]

@@ -48,6 +48,7 @@ from qstruct import (
 )
 import qstruct.cli
 from qstruct.cli import main
+from qstruct.io_formats import _lookup, _require
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -252,6 +253,51 @@ def test_triple_tables_match_the_per_triple_oracle():
         "prod: conflicting duplicate entries",
         "diff must be a list of triples",
     }
+
+
+def oracle_closed_order(labels, idx, pairs):
+    """The squaring loop with numpy's bool matmul that once closed every order."""
+    n = len(labels)
+    _require(isinstance(pairs, list), "le must be a list of [below, above] pairs")
+    le = np.eye(n, dtype=bool)
+    for k, p in enumerate(pairs):
+        _require(
+            isinstance(p, list) and len(p) == 2, "le entries are [below, above] pairs", entry=k
+        )
+        le[_lookup(idx, p[0], "le"), _lookup(idx, p[1], "le")] = True
+    while True:
+        closed = le | (le @ le)
+        if (closed == le).all():
+            break
+        le = closed
+    cyc = le & le.T & ~np.eye(n, dtype=bool)
+    if cyc.any():
+        a, b = (int(x) for x in np.argwhere(cyc)[0])
+        raise ParseError("order contains a cycle", between=[labels[a], labels[b]])
+    return le
+
+
+def test_order_closure_matches_the_squaring_loop():
+    rng = np.random.default_rng(23)
+    seen = set()
+    for case in range(240):
+        n = int(rng.choice([1, 2, 7, 40, 256]))
+        labels = [f"e{k}" for k in range(n)]
+        idx = {lab: k for k, lab in enumerate(labels)}
+        if case % 3 == 0:  # a chain given in shuffled cover order: many squarings
+            rank = rng.permutation(n)
+            ends = [(rank[k], rank[k + 1]) for k in range(n - 1)]
+            ends = [ends[k] for k in rng.permutation(len(ends))]
+        else:
+            ends = rng.integers(0, n, size=(int(rng.integers(0, 2 * n + 1)), 2))
+            if case % 3 == 1:  # forward edges of a random ranking: acyclic
+                rank = rng.permutation(n)
+                ends = [(a, b) if rank[a] <= rank[b] else (b, a) for a, b in ends]
+        pairs = [[labels[a], labels[b]] for a, b in ends]
+        want = outcome(oracle_closed_order, labels, idx, pairs)
+        assert outcome(qstruct.io_formats._closed_order, labels, idx, pairs) == want
+        seen.add(want[0])
+    assert seen == {"table", "error"}
 
 
 @pytest.mark.parametrize("n", [257, 5000])

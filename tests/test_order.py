@@ -4,13 +4,15 @@ Expected meets and joins for the powerset posets are recomputed here from raw
 set operations so the table code is checked against an independent oracle.
 The direct candidate scan that once computed every bound is kept below as a
 second oracle for the bitset view, on random posets and on tables that are
-not partial orders.
+not partial orders, and so is the pair loop that once filled the bound tables
+from ``bound_of``.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from conftest import random_order
 from hypothesis import given, settings, strategies as st
 
 from qstruct import (
@@ -29,6 +31,7 @@ from qstruct import (
     transitive_reduction,
     verify_poset,
 )
+from qstruct.order import UpsetIndex
 
 
 def _extremal(le, mask, lower):
@@ -290,3 +293,30 @@ def test_bounds_equal_agrees_with_bound_on_both_paths():
             targets = np.full(len(rows), t)
             want = [ups.bound(row) == t for row in rows.tolist()]
             assert ups.bounds_equal(rows, targets).tolist() == want
+
+
+def oracle_table(ups):
+    """The pair loop that once built every bound table from ``bound_of``."""
+    bounds = [[ups.bound_of(x & y) for y in ups.up] for x in ups.up]
+    return np.array(
+        [[-1 if g is None else g for g in row] for row in bounds], dtype=np.int16
+    )
+
+
+def test_bound_tables_match_the_pair_loop():
+    # sizes around the 64-bit word boundary and up to the element ceiling,
+    # where the table runs over several blocks of rows
+    rng = np.random.default_rng(17)
+    relations = [powerset_poset(8).le, powerset_poset(6).le]
+    for n in (1, 2, 5, 63, 64, 65, 130, 256):
+        for density in (0.02, 0.1, 0.4):
+            relations.append(random_order(rng, n, density))
+    relations += [rng.random((n, n)) < 0.3 for n in (3, 9, 70)]  # not orders
+    seen = set()
+    for le in relations:
+        for rel in (le, le.T):
+            ups = UpsetIndex(rel)
+            want = oracle_table(ups)
+            assert np.array_equal(ups.table(), want)
+            seen.add((ups.by_up is not None, bool((want < 0).any())))
+    assert seen == {(True, True), (True, False), (False, True)}

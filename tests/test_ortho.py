@@ -26,7 +26,10 @@ from qstruct import (
     segment_logic,
     shuffled_powerset_logic,
     verify_logic,
+    verify_quasilogic,
 )
+from qstruct.order import UpsetIndex
+from qstruct.quasilogic import _build_sum_info
 
 
 def test_powerset_logic_is_boolean_and_distributive():
@@ -250,7 +253,15 @@ def test_table_kernels_stay_small_at_the_size_ceiling():
     # need well under 1 MB (numpy reports its buffers to tracemalloc)
     ol = powerset_logic(8)
     ol.poset.meet_table(), ol.poset.join_table(), ol.ql._sum_info()
-    for kernel, arg in ((is_distributive, ol), (classify, ol.ql)):
+    ups = UpsetIndex(ol.poset.le)
+    kernels = (
+        (is_distributive, ol),
+        (classify, ol.ql),
+        (_build_sum_info, ol.ql),
+        (verify_quasilogic, ol.ql),
+        (UpsetIndex.table, ups),
+    )
+    for kernel, arg in kernels:
         tracemalloc.start()
         try:
             kernel(arg)

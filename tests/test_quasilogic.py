@@ -2,9 +2,11 @@
 
 Powerset structures index elements by bitmask, so expected sums and products
 are plain bit operations; those serve as the oracle throughout. The loops that
-``classify``, ``is_upward_directed`` and ``check_de_morgan`` once ran are kept
-as oracles for their table kernels, and so is the pair loop of the logic test
-that ``verify_homomorphism`` once ran for ``is_logic``.
+``classify``, ``is_upward_directed``, ``check_de_morgan``, the partial-sum
+table, the difference axioms of ``verify_quasilogic`` and
+``check_sum_lattice_identity`` once ran are kept as oracles for their table
+kernels, and so is the pair loop of the logic test that ``verify_homomorphism``
+once ran for ``is_logic``.
 """
 
 import numpy as np
@@ -43,7 +45,7 @@ from qstruct import (
     summable,
     verify_quasilogic,
 )
-from qstruct.quasilogic import _product_witnesses, is_logic
+from qstruct.quasilogic import _SumInfo, _build_sum_info, _product_witnesses, is_logic
 
 
 def test_powerset_verifies_and_sums_are_disjoint_unions():
@@ -301,15 +303,124 @@ def oracle_de_morgan(q):
     return {"difference-of-join": join_viol, "difference-of-meet": meet_viol}
 
 
-def assert_quasilogic_matches_the_oracles(q):
-    assert classify(q) == oracle_classify(q)
-    assert is_logic(q) == oracle_is_logic(q)
-    assert is_upward_directed(q.poset) == oracle_is_upward_directed(q.poset)
-    rep = check_de_morgan(q)
-    for name, want in oracle_de_morgan(q).items():
+def oracle_sum_info(q):
+    """The per-pair loop that once built the partial-sum table."""
+    le, diff, n = q.poset.le, q.diff, q.n
+    info = _SumInfo(n)
+    for a in range(n):
+        d = diff[:, a]  # d[c] = c - a
+        have = d >= 0
+        for b in range(a, n):
+            cand = have & le[a, :] & le[b, :]
+            cand[cand] &= le[b, d[cand]]  # need c - a >= b
+            cs = np.flatnonzero(cand)
+            if cs.size == 0:
+                continue
+            inner = diff[d[cs], b]  # (c - a) - b
+            vals = np.where(inner >= 0, diff[cs, np.maximum(inner, 0)], -2)
+            distinct = np.unique(vals)
+            info.summable[a, b] = info.summable[b, a] = True
+            if distinct.size == 1 and distinct[0] >= 0:
+                info.value[a, b] = info.value[b, a] = distinct[0]
+            else:
+                # either genuinely majorant-dependent or undefined mid-formula
+                bad = np.flatnonzero(vals != vals[0])
+                i0 = int(cs[0])
+                j0 = int(cs[bad[0]]) if bad.size else i0
+                info.conflicts[(a, b)] = (i0, j0)
+                info.conflicts[(b, a)] = (i0, j0)
+    return info
+
+
+def oracle_difference_axioms(q):
+    """The loops that once ran the difference axioms of ``verify_quasilogic``."""
+    le, diff, labels, n = q.poset.le, q.diff, q.labels, q.n
+    bound_viol, cancel_viol = [], []
+    for b in range(n):
+        for a in np.flatnonzero(diff[b, :] >= 0):
+            d = int(diff[b, a])
+            if not le[d, b]:
+                bound_viol.append({"b": labels[b], "a": labels[a], "diff": labels[d]})
+                continue
+            if diff[b, d] != a:
+                back = int(diff[b, d])
+                cancel_viol.append(
+                    {
+                        "b": labels[b],
+                        "a": labels[a],
+                        "got": labels[back] if back >= 0 else None,
+                    }
+                )
+
+    mono_viol, mono_id_viol = [], []
+    anti_viol, anti_id_viol = [], []
+    for a in range(n):
+        bs = np.flatnonzero(le[a, :] & (diff[:, a] >= 0))
+        for b in bs:
+            for c in bs[le[b, bs]]:  # a <= b <= c, both differences defined
+                ba, ca, cb = int(diff[b, a]), int(diff[c, a]), int(diff[c, b])
+                w = {"a": labels[a], "b": labels[int(b)], "c": labels[int(c)]}
+                # minuend grows: b - a <= c - a, (c-a) - (b-a) = c - b
+                if not le[ba, ca]:
+                    mono_viol.append(w)
+                elif cb >= 0 and diff[ca, ba] != cb:
+                    mono_id_viol.append(w)
+                # subtrahend grows: c - b <= c - a, (c-a) - (c-b) = b - a
+                if cb >= 0:
+                    if not le[cb, ca]:
+                        anti_viol.append(w)
+                    elif diff[ca, cb] != ba:
+                        anti_id_viol.append(w)
+    return {
+        "difference-bound": bound_viol,
+        "difference-cancellation": cancel_viol,
+        "minuend-monotone": mono_viol,
+        "minuend-difference-identity": mono_id_viol,
+        "subtrahend-antitone": anti_viol,
+        "subtrahend-difference-identity": anti_id_viol,
+    }
+
+
+def oracle_sum_lattice_identity(q):
+    """The pair loop that once ran ``check_sum_lattice_identity``."""
+    info = q._sum_info()
+    mt, jt = q.poset.meet_table(), q.poset.join_table()
+    viol = []
+    for a in range(q.n):
+        for b in range(a, q.n):
+            if not info.summable[a, b] or (a, b) in info.conflicts:
+                continue
+            m, j = int(mt[a, b]), int(jt[a, b])
+            if m < 0 or j < 0:
+                continue
+            w = {"a": q.labels[a], "b": q.labels[b]}
+            if not info.summable[j, m] or (j, m) in info.conflicts:
+                viol.append(w | {"reason": "join and meet not summable"})
+            elif info.value[j, m] != info.value[a, b]:
+                viol.append(w)
+    return viol
+
+
+def assert_checks_match(rep, wanted):
+    for name, want in wanted.items():
         check = rep.get(name)
         assert check.violation_count == len(want), name
         assert check.witnesses == want, name
+
+
+def assert_quasilogic_matches_the_oracles(q):
+    got, want = _build_sum_info(q), oracle_sum_info(q)
+    assert np.array_equal(got.summable, want.summable)
+    assert np.array_equal(got.value, want.value)
+    assert list(got.conflicts.items()) == list(want.conflicts.items())
+    assert_checks_match(verify_quasilogic(q), oracle_difference_axioms(q))
+    assert_checks_match(
+        check_sum_lattice_identity(q), {"sum-lattice-identity": oracle_sum_lattice_identity(q)}
+    )
+    assert classify(q) == oracle_classify(q)
+    assert is_logic(q) == oracle_is_logic(q)
+    assert is_upward_directed(q.poset) == oracle_is_upward_directed(q.poset)
+    assert_checks_match(check_de_morgan(q), oracle_de_morgan(q))
 
 
 def perturbed_quasilogics(count, seed):
