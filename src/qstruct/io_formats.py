@@ -23,14 +23,8 @@ from .boolean_rep import BooleanSemiring
 from .errors import ParseError, StructuralError
 from .gns import AlgebraState, ConcreteStarAlgebra, check_basis_size
 from .naimark import FinitePovm, povm_from_outcomes
-from .order import (
-    MAX_DIM,
-    MAX_SPACE,
-    FinitePoset,
-    check_element_count,
-    transitive_closure,
-    transitive_reduction,
-)
+from .order import MAX_DIM, MAX_SPACE, FinitePoset, check_element_count, transitive_reduction
+from .order import bool_product
 from .ortho import OrthoLogic
 from .quasilogic import Quasilogic
 from .semilogic import Semilogic
@@ -75,7 +69,11 @@ def _closed_order(labels: list[str], idx: dict[str, int], pairs: Any) -> np.ndar
             isinstance(p, list) and len(p) == 2, "le entries are [below, above] pairs", entry=k
         )
         le[_lookup(idx, p[0], "le"), _lookup(idx, p[1], "le")] = True
-    le = transitive_closure(le)
+    while True:
+        closed = le | bool_product(le, le)
+        if (closed == le).all():
+            break
+        le = closed
     cyc = le & le.T & ~np.eye(n, dtype=bool)
     if cyc.any():
         a, b = (int(x) for x in np.argwhere(cyc)[0])

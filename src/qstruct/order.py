@@ -242,15 +242,6 @@ def bool_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def transitive_closure(rel: np.ndarray) -> np.ndarray:
-    """The least transitive relation containing ``rel``, by squaring until it stops growing."""
-    while True:
-        closed = rel | bool_product(rel, rel)
-        if (closed == rel).all():
-            return rel
-        rel = closed
-
-
 def sentinel_padded(table: np.ndarray) -> np.ndarray:
     """Copy of an n x n table that uses -1 for "undefined", padded to (n+1) x (n+1).
 

@@ -63,7 +63,7 @@ from .naimark import (
     verify_dilation,
     verify_povm,
 )
-from .order import FinitePoset, transitive_closure, transitive_reduction, verify_poset
+from .order import FinitePoset, transitive_reduction, verify_poset
 from .ortho import verify_logic
 from .quasilogic import classify, partial_sum, quasiproduct, summable, verify_quasilogic
 from .quasilogic import _product_witnesses  # deliberate: the witness-set property
@@ -126,7 +126,11 @@ def _suite_order(seed: int, tol: Tolerance) -> _Run:
             for j in range(i + 1, n):
                 if rng.random() < 0.3:
                     le[i, j] = True
-        le = transitive_closure(le)
+        while True:
+            closed = le | (le @ le)
+            if (closed == le).all():
+                break
+            le = closed
         p = FinitePoset([f"e{i}" for i in range(n)], le)
         rep = verify_poset(p)
         if not run.check(rep.ok, f"random-dag-poset n={n}", **_report_detail(rep)):
@@ -151,7 +155,11 @@ def _suite_order(seed: int, tol: Tolerance) -> _Run:
         re = np.eye(n, dtype=bool)
         for a, b in covers:
             re[p.index(a), p.index(b)] = True
-        re = transitive_closure(re)
+        while True:
+            closed = re | (re @ re)
+            if (closed == re).all():
+                break
+            re = closed
         if not run.check(bool((re == le).all()), f"reduction-closure-roundtrip n={n}"):
             return run
     return run

@@ -87,6 +87,11 @@ class _SumInfo:
         self.conflicts: dict[tuple[int, int], tuple[int, int]] = {}
 
 
+def _above_with_difference(q: Quasilogic, a: int) -> np.ndarray:
+    """The elements c >= a with c - a defined, ascending: one block axis."""
+    return np.flatnonzero(q.poset.le[a] & (q.diff[:, a] >= 0))
+
+
 def _build_sum_info(q: Quasilogic) -> _SumInfo:
     """One (b, c) block per a: rows b >= a, columns c >= a with c - a defined.
 
@@ -100,7 +105,7 @@ def _build_sum_info(q: Quasilogic) -> _SumInfo:
     diff[:n, n] = -2  # where (c - a) - b is -1, c - ((c - a) - b) reads -2
     info = _SumInfo(n)
     for a in range(n):
-        cs = np.flatnonzero(le[a] & (diff[:n, a] >= 0))
+        cs = _above_with_difference(q, a)
         ca = diff[cs, a]  # c - a
         adm = le[a:, cs] & le[a:, ca]  # [b, c]: b <= c and b <= c - a
         rows = np.flatnonzero(adm.any(axis=1))
@@ -175,7 +180,7 @@ def verify_quasilogic(q: Quasilogic) -> VerificationReport:
     )
     viols: dict[str, list] = {name: [] for name in names}
     for a in range(n):
-        xs = np.flatnonzero(le[a] & (diff[:, a] >= 0))  # b by row, c by column
+        xs = _above_with_difference(q, a)  # b by row, c by column
         xa = diff[xs, a]  # b - a by row, c - a by column
         chain = le[xs[:, None], xs]
         cb = diff[xs, xs[:, None]]  # [b, c] = c - b
