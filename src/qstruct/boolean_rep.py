@@ -449,17 +449,6 @@ def verify_topology(t: SubsetTopology) -> VerificationReport:
         ),
     )
 
-    within, every = le[np.ix_(S, S)], np.ones(len(S), dtype=bool)
-    inner2, outer2 = _union_inside(inner, member[O]), _meet_around(outer, member[C])[0]
-    for kind, image, again, (grows, moved), defined in (
-        ("interior", inner, inner2, ("deflationary", inner & ~rows), every),
-        ("closure", outer, outer2, ("extensive", rows & ~outer), closable),
-    ):
-        for name, bad in (("idempotent", again != image), (grows, moved)):
-            rep.record(f"{kind}-{name}", ({"set": named(b)} for b in S[defined & bad.any(axis=1)]))
-        shrinks = within & np.outer(defined, defined) & (image @ ~image.T)
-        rep.record(f"{kind}-monotone", pair_witnesses(shrinks, ("b1", "b2"), S, S, named))
-
     # each set must be the intersection of the opens around it and the union of the closeds inside
     inf_open, covered = _meet_around(rows, member[O])
     sup_closed = _union_inside(rows, member[C])

@@ -22,9 +22,17 @@ from .boolean_rep import (
     verify_stone,
 )
 from .errors import DomainError, ParseError, QstructError, StructuralError
-from .gns import gns_construct, schwartz_check, verify_algebra, verify_gns, verify_state
+from .gns import (
+    check_sample_count,
+    gns_construct,
+    schwartz_check,
+    verify_algebra,
+    verify_gns,
+    verify_state,
+)
 from .io_formats import (
     load_algebra,
+    load_distribution,
     load_povm,
     load_structure,
     serialize_dilation,
@@ -42,7 +50,7 @@ from .quasilogic import (
     verify_quasilogic,
 )
 from .report import VerificationReport
-from .semilogic import DistributionTable, Semilogic, verify_semilogic
+from .semilogic import Semilogic, verify_semilogic
 
 DEFAULT_EPS = 1e-9
 TOL_ENV = "QSTRUCT_TOL"
@@ -97,34 +105,18 @@ def _payload(command: str, reports: list[VerificationReport], **extra) -> dict:
 def cmd_check(args: argparse.Namespace) -> int:
     obj = load_structure(args.file)
     extra: dict = {}
-    if isinstance(obj, OrthoLogic):
-        rep = verify_logic(obj)
-        reports = [rep, check_de_morgan(obj.ql), check_sum_lattice_identity(obj.ql)]
-        extra["classification"] = classify(obj.ql)
+    if isinstance(obj, Quasilogic):
+        first = verify_logic(obj) if isinstance(obj, OrthoLogic) else verify_quasilogic(obj)
+        reports = [first, check_de_morgan(obj), check_sum_lattice_identity(obj)]
+        extra["classification"] = classify(obj)
     elif isinstance(obj, BooleanSemiring):
         reports = [verify_semiring(obj)]
     elif isinstance(obj, Semilogic):
         reports = [verify_semilogic(obj)]
-    elif isinstance(obj, Quasilogic):
-        reports = [verify_quasilogic(obj), check_de_morgan(obj), check_sum_lattice_identity(obj)]
-        extra["classification"] = classify(obj)
     else:
         assert isinstance(obj, FinitePoset)
         reports = [verify_poset(obj)]
     return _emit(args, _payload("check", reports, **extra), reports)
-
-
-def _load_values(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(data, dict) or "values" not in data:
-        raise ParseError("distribution file needs a 'values' object of label: number")
-    return data["values"]
 
 
 def cmd_stone(args: argparse.Namespace) -> int:
@@ -144,7 +136,7 @@ def cmd_stone(args: argparse.Namespace) -> int:
         "points": [sorted(obj.labels[i] for i in f.members) for f in sr.points]
     }
     if args.distribution:
-        dist = DistributionTable.from_dict(obj, _load_values(args.distribution))
+        dist = load_distribution(args.distribution, obj)
         measure, mrep = represent_distribution(sr, dist)
         mrep.facts["measure"] = {
             "{" + ",".join(str(p) for p in sorted(s)) + "}": v
@@ -172,6 +164,7 @@ def cmd_gns(args: argparse.Namespace) -> int:
         raise ParseError("--samples must not be negative", samples=args.samples)
     tol = _tolerance(args)
     alg, state = load_algebra(args.file)
+    check_sample_count(args.samples, alg.n)  # before any work is spent on the state
     if state is None:
         raise DomainError("algebra file declares no state to represent")
     reports = [verify_algebra(alg, tol), verify_state(alg, state, tol)]

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, StructuralError
+from .errors import ConstructionError, DomainError, ParseError, StructuralError
 from .matrix_core import (
     Array,
     Tolerance,
@@ -35,10 +35,25 @@ from .matrix_core import (
 from .report import VerificationReport
 
 
+# basis size x samples per coefficient array drawn by schwartz_check, which
+# holds several such complex arrays at once; 2^20 entries are 16 MiB each
+MAX_SAMPLE_CELLS = 1 << 20
+
+
 def check_basis_size(n: int, dim: int) -> None:
     """More than dim^2 matrices on C^dim cannot be independent; refuse them."""
     if n > dim * dim:
         raise StructuralError(f"too many basis matrices ({n} > dim^2 = {dim * dim})")
+
+
+def check_sample_count(samples: int, n: int) -> None:
+    """Refuse a schwartz sample count below 0 or past MAX_SAMPLE_CELLS / n."""
+    if samples < 0 or samples * n > MAX_SAMPLE_CELLS:
+        raise ParseError(
+            f"schwartz samples x basis size must stay within 0..{MAX_SAMPLE_CELLS}",
+            samples=samples,
+            basis_size=n,
+        )
 
 
 class Solved(NamedTuple):
@@ -331,6 +346,7 @@ def schwartz_check(
     Coefficient vectors are drawn complex Gaussian and normalized, keeping
     every term O(1) so the slack comparison against 1e-12 is meaningful.
     """
+    check_sample_count(samples, alg.n)
     rep = VerificationReport(subject="schwartz")
     g = np.conj(gram_matrix(alg, state, tol))  # r(x y*) = d_y^H (conj G) c_x
     rng = np.random.default_rng(seed)

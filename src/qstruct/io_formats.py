@@ -13,6 +13,7 @@ parse but break axioms are left for the verifiers to report.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from pathlib import Path
 from typing import Any
@@ -27,16 +28,33 @@ from .order import MAX_DIM, MAX_SPACE, FinitePoset, check_element_count, transit
 from .order import bool_product
 from .ortho import OrthoLogic
 from .quasilogic import Quasilogic
-from .semilogic import Semilogic
+from .semilogic import DistributionTable, Semilogic
 
-STRUCTURE_KINDS = ("poset", "quasilogic", "semilogic", "ortho_logic", "boolean_semiring")
+Structure = FinitePoset | Quasilogic | Semilogic
 
-Structure = FinitePoset | Quasilogic | Semilogic | OrthoLogic | BooleanSemiring
+# file kind -> class, each after the classes it extends
+KINDS: dict[str, type] = {
+    "poset": FinitePoset,
+    "quasilogic": Quasilogic,
+    "semilogic": Semilogic,
+    "ortho_logic": OrthoLogic,
+    "boolean_semiring": BooleanSemiring,
+}
 
 
 def _require(cond: bool, message: str, **details):
     if not cond:
         raise ParseError(message, **details)
+
+
+def _finite_real(x: Any) -> bool:
+    """A JSON number that is a finite float: not a bool, NaN, an infinity or past float range."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _labels(data: dict) -> tuple[list[str], dict[str, int]]:
@@ -143,10 +161,10 @@ def parse_structure(data: Any) -> Structure:
     _require(isinstance(data, dict), "structure file must be a JSON object")
     kind = data.get("kind")
     _require(
-        kind in STRUCTURE_KINDS,
+        isinstance(kind, str) and kind in KINDS,
         "unknown kind",
         kind=kind,
-        expected=list(STRUCTURE_KINDS),
+        expected=list(KINDS),
     )
     labels, idx = _labels(data)
     poset = FinitePoset(labels, _closed_order(labels, idx, data.get("le", [])))
@@ -158,34 +176,22 @@ def parse_structure(data: Any) -> Structure:
         if g != u:
             raise ParseError("declared unit is not the greatest element", unit=unit)
 
-    if kind == "poset":
+    cls = KINDS[kind]
+    if cls is FinitePoset:
         return poset
-    if kind == "quasilogic":
-        diff = _table_from_triples(idx, data.get("diff", []), "diff", symmetric=False)
-        return Quasilogic(poset, diff)
-    if kind == "semilogic":
-        prod = _table_from_triples(idx, data.get("prod", []), "prod", symmetric=True)
-        return Semilogic(poset, prod)
-    if kind == "ortho_logic":
-        diff = _table_from_triples(idx, data.get("diff", []), "diff", symmetric=False)
-        neg = _neg_from_pairs(idx, data.get("neg", []))
-        return OrthoLogic(Quasilogic(poset, diff), neg)
-    prod = _table_from_triples(idx, data.get("prod", []), "prod", symmetric=True)
-    return BooleanSemiring(poset, prod)
+    tables = []
+    if issubclass(cls, Quasilogic):
+        tables.append(_table_from_triples(idx, data.get("diff", []), "diff", symmetric=False))
+    if issubclass(cls, Semilogic):
+        tables.append(_table_from_triples(idx, data.get("prod", []), "prod", symmetric=True))
+    if issubclass(cls, OrthoLogic):
+        tables.append(_neg_from_pairs(idx, data.get("neg", [])))
+    return cls(poset, *tables)
 
 
 def serialize_structure(obj: Structure) -> dict:
-    if isinstance(obj, BooleanSemiring):
-        kind = "boolean_semiring"
-    elif isinstance(obj, OrthoLogic):
-        kind = "ortho_logic"
-    elif isinstance(obj, Semilogic):
-        kind = "semilogic"
-    elif isinstance(obj, Quasilogic):
-        kind = "quasilogic"
-    elif isinstance(obj, FinitePoset):
-        kind = "poset"
-    else:
+    kind = next((k for k, cls in reversed(KINDS.items()) if isinstance(obj, cls)), None)
+    if kind is None:
         raise TypeError(f"not a serializable structure: {type(obj).__name__}")
 
     poset = obj if isinstance(obj, FinitePoset) else obj.poset
@@ -195,13 +201,12 @@ def serialize_structure(obj: Structure) -> dict:
         "elements": list(labels),
         "le": [[a, b] for a, b in transitive_reduction(poset)],
     }
-    if isinstance(obj, (Quasilogic, OrthoLogic)):
-        diff = obj.diff if isinstance(obj, Quasilogic) else obj.ql.diff
+    if isinstance(obj, Quasilogic):
         out["diff"] = [
-            [labels[b], labels[a], labels[int(diff[b, a])]]
+            [labels[b], labels[a], labels[int(obj.diff[b, a])]]
             for b in range(poset.n)
             for a in range(poset.n)
-            if diff[b, a] >= 0
+            if obj.diff[b, a] >= 0
         ]
     if isinstance(obj, Semilogic):
         out["prod"] = [
@@ -224,17 +229,15 @@ def structures_equal(x: Structure, y: Structure) -> bool:
         return False
     px = x if isinstance(x, FinitePoset) else x.poset
     py = y if isinstance(y, FinitePoset) else y.poset
-    if px.labels != py.labels or not np.array_equal(px.le, py.le):
-        return False
-    if isinstance(x, Quasilogic) and not np.array_equal(x.diff, y.diff):
-        return False
-    if isinstance(x, Semilogic) and not np.array_equal(x.prod, y.prod):
-        return False
-    if isinstance(x, OrthoLogic) and not (
-        np.array_equal(x.ql.diff, y.ql.diff) and np.array_equal(x.neg, y.neg)
-    ):
-        return False
-    return True
+    return (
+        px.labels == py.labels
+        and np.array_equal(px.le, py.le)
+        and all(
+            np.array_equal(getattr(x, t), getattr(y, t))
+            for t in ("diff", "prod", "neg")
+            if hasattr(x, t)
+        )
+    )
 
 
 # -- matrices -------------------------------------------------------------------
@@ -251,9 +254,7 @@ def matrix_from_json(entries: Any, dim: int, where: str) -> np.ndarray:
     flat = np.empty(dim * dim, dtype=np.complex128)
     for k, e in enumerate(entries):
         _require(
-            isinstance(e, list)
-            and len(e) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in e),
+            isinstance(e, list) and len(e) == 2 and all(_finite_real(x) for x in e),
             f"{where}: entries are [re, im] number pairs",
             entry=k,
         )
@@ -283,7 +284,7 @@ def parse_povm(data: Any, base_dir: Path | None = None) -> FinitePovm:
     _require(isinstance(data, dict), "measure file must be a JSON object")
     _require(data.get("kind") == "povm", "kind must be 'povm'", kind=data.get("kind"))
     dim = data.get("dim")
-    _require(isinstance(dim, int) and dim >= 1, "dim must be a positive integer")
+    _require(type(dim) is int and dim >= 1, "dim must be a positive integer")
     effects = data.get("effects")
     _require(isinstance(effects, dict), "effects must map labels to matrices")
 
@@ -364,7 +365,7 @@ def parse_algebra(data: Any) -> tuple[ConcreteStarAlgebra, AlgebraState | None]:
         data.get("kind") == "star_algebra", "kind must be 'star_algebra'", kind=data.get("kind")
     )
     dim = data.get("dim")
-    _require(isinstance(dim, int) and dim >= 1, "dim must be a positive integer")
+    _require(type(dim) is int and dim >= 1, "dim must be a positive integer")
     basis = data.get("basis")
     _require(isinstance(basis, dict) and basis, "basis must map labels to matrices")
     labels = list(basis)
@@ -399,7 +400,7 @@ def parse_algebra(data: Any) -> tuple[ConcreteStarAlgebra, AlgebraState | None]:
         parsed = []
         for k, v in enumerate(vals):
             _require(
-                isinstance(v, list) and len(v) == 2,
+                isinstance(v, list) and len(v) == 2 and all(_finite_real(x) for x in v),
                 "state values are [re, im] pairs",
                 entry=k,
             )
@@ -448,3 +449,15 @@ def load_povm(path: Path | str) -> FinitePovm:
 
 def load_algebra(path: Path | str) -> tuple[ConcreteStarAlgebra, AlgebraState | None]:
     return parse_algebra(_load_json(path))
+
+
+def load_distribution(path: Path | str, s: Semilogic) -> DistributionTable:
+    """A ``{"values": {label: number}}`` file; unlisted elements weigh 0."""
+    data = _load_json(path)
+    values = data.get("values") if isinstance(data, dict) else None
+    _require(
+        isinstance(values, dict), "distribution file needs a 'values' object of label: number"
+    )
+    for label, v in values.items():
+        _require(_finite_real(v), "distribution values must be finite numbers", label=label)
+    return DistributionTable.from_dict(s, values)

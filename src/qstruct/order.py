@@ -30,6 +30,7 @@ MAX_ELEMENTS = 256
 # the side of a dilation's Gram matrix; at the bounds a file verifies in seconds
 MAX_DIM = 64
 MAX_SPACE = 512
+BLOCK_ROWS = 64  # rows b per upper_blocks run
 
 
 def check_element_count(n: int) -> None:
@@ -254,15 +255,15 @@ def sentinel_padded(table: np.ndarray) -> np.ndarray:
     return out
 
 
-def upper_blocks(n: int, rows: int = 64) -> Iterable[tuple[int, int, int]]:
-    """(a, b0, b1) for each a and each run b0 <= b < b1 of at most ``rows`` b in [a, n).
+def upper_blocks(n: int) -> Iterable[tuple[int, int, int]]:
+    """(a, b0, b1) for each a and each run b0 <= b < b1 of at most ``BLOCK_ROWS`` b in [a, n).
 
     The runs follow the row-major order of the pairs a <= b. Kernels that scan
-    one (b, c) block per run keep their temporaries to ``rows`` x n entries.
+    one (b, c) block per run keep their temporaries to ``BLOCK_ROWS`` x n entries.
     """
     for a in range(n):
-        for b0 in range(a, n, rows):
-            yield a, b0, min(b0 + rows, n)
+        for b0 in range(a, n, BLOCK_ROWS):
+            yield a, b0, min(b0 + BLOCK_ROWS, n)
 
 
 def first_nondistributive(mt: np.ndarray, jt: np.ndarray) -> tuple[int, int, int] | None:

@@ -12,44 +12,38 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConstructionError, StructuralError
-from .order import first_nondistributive, segment, sentinel_padded
+from .order import FinitePoset, first_nondistributive, segment, sentinel_padded
 from .quasilogic import Quasilogic, verify_quasilogic
 from .report import VerificationReport
 
 
-class OrthoLogic:
+class OrthoLogic(Quasilogic):
     """Quasilogic with unit and complement; involution is demanded up front."""
 
-    def __init__(self, ql: Quasilogic, neg: np.ndarray):
+    def __init__(self, poset: FinitePoset, diff: np.ndarray, neg: np.ndarray):
+        super().__init__(poset, diff)
         neg = np.asarray(neg, dtype=np.int16)
-        top = ql.poset.greatest()
+        top = poset.greatest()
         if top is None:
             raise StructuralError("logic requires a greatest element")
-        if neg.shape != (ql.n,) or (neg < 0).any() or (neg >= ql.n).any():
+        if neg.shape != (self.n,) or (neg < 0).any() or (neg >= self.n).any():
             raise StructuralError("complement map out of range")
-        fixed = np.flatnonzero(neg[neg] != np.arange(ql.n))
+        fixed = np.flatnonzero(neg[neg] != np.arange(self.n))
         if fixed.size:
             a = int(fixed[0])
             raise StructuralError(
                 "complement is not an involution",
-                a=ql.labels[a],
-                image=ql.labels[int(neg[a])],
-                twice=ql.labels[int(neg[neg[a]])],
+                a=self.labels[a],
+                image=self.labels[int(neg[a])],
+                twice=self.labels[int(neg[neg[a]])],
             )
-        self.ql = ql
         self.neg = neg
-        self.poset = ql.poset
-        self.labels = ql.labels
-        self.n = ql.n
         self.top = top
-
-    def index(self, label: str) -> int:
-        return self.ql.index(label)
 
 
 def verify_logic(ol: OrthoLogic) -> VerificationReport:
     rep = VerificationReport(subject="logic")
-    rep.merge(verify_quasilogic(ol.ql))
+    rep.merge(verify_quasilogic(ol))
     labels, neg, n = ol.labels, ol.neg, ol.n
     le = ol.poset.le
     mt, jt = ol.poset.meet_table(), ol.poset.join_table()
@@ -92,7 +86,7 @@ def verify_logic(ol: OrthoLogic) -> VerificationReport:
         rep.record(name, viol)
     rep.record("relative-distributivity", _relative_distributivity(ol))
 
-    diff = ol.ql.diff
+    diff = ol.diff
     rep.record(
         "complement-difference-consistency",
         (
@@ -189,6 +183,4 @@ def segment_logic(ol: OrthoLogic, lo: int, hi: int) -> OrthoLogic:
                     "segment difference leaves the segment", x=labels[xp], y=labels[yp]
                 )
             diff[yi, xi] = pidx[j]
-    ql = Quasilogic(sub, diff)
-    neg_seg = diff[pidx[hi], :].copy()
-    return OrthoLogic(ql, neg_seg)
+    return OrthoLogic(sub, diff, diff[pidx[hi], :].copy())

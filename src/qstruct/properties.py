@@ -169,9 +169,8 @@ def _suite_quasilogic(seed: int, tol: Tolerance) -> _Run:
     run = _Run()
     for k in (1, 2, 3):
         for s in range(3):
-            ol = shuffled_powerset_logic(k, seed * 7 + s)
-            q = ol.ql
-            rep = verify_logic(ol)
+            q = shuffled_powerset_logic(k, seed * 7 + s)
+            rep = verify_logic(q)
             if not run.check(rep.ok, f"powerset-logic k={k} s={s}", **_report_detail(rep)):
                 return run
             if not run.check(
@@ -210,7 +209,7 @@ def _suite_quasilogic(seed: int, tol: Tolerance) -> _Run:
             return run
     mo2 = mo2_logic()
     rep = verify_logic(mo2)
-    if not run.check(rep.ok and classify(mo2.ql) == "logic", "mo2-is-a-logic"):
+    if not run.check(rep.ok and classify(mo2) == "logic", "mo2-is-a-logic"):
         return run
     rep = verify_logic(o6_logic())
     bad = rep.get("relative-distributivity")

@@ -14,10 +14,10 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import AxiomViolationError, DomainError, StructuralError
+from .errors import DomainError, StructuralError
 from .matrix_core import screened_op_norms
 from .order import FinitePoset, join_of, row_bits, sentinel_padded, verify_poset
-from .quasilogic import Quasilogic, is_logic, partial_sum, quasicommutes, summable
+from .quasilogic import Quasilogic, is_logic, quasicommutes
 from .report import VerificationReport
 
 MAX_FAMILIES = 200_000
@@ -165,16 +165,12 @@ def additivity_witnesses(
     ]
 
 
-def summable_families(
-    s: Semilogic, bound: int | None = None
-) -> list[tuple[tuple[int, ...], int]]:
+def summable_families(s: Semilogic) -> list[tuple[tuple[int, ...], int]]:
     """Pairwise-orthogonal families whose sup exists, smallest first.
 
     Includes the empty family (sum 0) and all nonzero singletons.
     """
     fams = [(f, v) for f, v in s._all_orthogonal_families() if v >= 0]
-    if bound is not None:
-        fams = [(f, v) for f, v in fams if len(f) <= bound]
     fams.sort(key=lambda fv: (len(fv[0]), fv[0]))
     return fams
 
@@ -603,26 +599,10 @@ class HomomorphismMap:
         return cls(source, target, arr)
 
 
-def _structure_zero(s: Structure) -> int | None:
-    return s.poset.least()
-
-
 def _structure_families(s: Structure) -> list[tuple[tuple[int, ...], int]]:
     if isinstance(s, Semilogic):
         return summable_families(s)
     return _quasilogic_families(s)
-
-
-def _fold_sum(q: Quasilogic, acc: int, items: Sequence[int]) -> int | None:
-    """acc + x_1 + x_2 + ... by partial sums; None once a step is undefined or not unique."""
-    for x in items:
-        if not summable(q, acc, x):
-            return None
-        try:
-            acc = partial_sum(q, acc, x)
-        except AxiomViolationError:
-            return None
-    return acc
 
 
 def _quasilogic_families(q: Quasilogic) -> list[tuple[tuple[int, ...], int]]:
@@ -630,13 +610,14 @@ def _quasilogic_families(q: Quasilogic) -> list[tuple[tuple[int, ...], int]]:
     z = q.zero()
     if z is None:
         return []
+    value = q._sum_info().value  # -1 exactly where partial_sum fails
     out: list[tuple[tuple[int, ...], int]] = [((), z)]
     stack: list[tuple[tuple[int, ...], int, int]] = [((), z, 0)]
     while stack:
         fam, acc, start = stack.pop()
         for x in range(start, q.n):
-            new_acc = None if x == z else _fold_sum(q, acc, (x,))
-            if new_acc is None:
+            new_acc = -1 if x == z else int(value[acc, x])
+            if new_acc < 0:
                 continue
             new_fam = fam + (x,)
             if len(out) >= MAX_FAMILIES:
@@ -647,7 +628,7 @@ def _quasilogic_families(q: Quasilogic) -> list[tuple[tuple[int, ...], int]]:
 
 
 def _image_sum(t: Structure, images: Sequence[int]) -> int | None:
-    z = _structure_zero(t)
+    z = t.zero()
     if z is None:
         return None
     items = [x for x in images if x != z]
@@ -659,7 +640,12 @@ def _image_sum(t: Structure, images: Sequence[int]) -> int | None:
                 if t.prod[p, q] != z:
                     return None
         return join_of(t.poset, items)
-    return _fold_sum(t, z, items)
+    value, acc = t._sum_info().value, z
+    for x in items:
+        acc = int(value[acc, x])
+        if acc < 0:
+            return None
+    return acc
 
 
 def verify_homomorphism(h: HomomorphismMap) -> VerificationReport:
@@ -669,7 +655,7 @@ def verify_homomorphism(h: HomomorphismMap) -> VerificationReport:
         raise StructuralError("homomorphism map out of range")
     sl, tl = src.labels, tgt.labels
 
-    sz, tz = _structure_zero(src), _structure_zero(tgt)
+    sz, tz = src.zero(), tgt.zero()
     rep.record(
         "zero-preserved",
         []

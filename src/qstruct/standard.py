@@ -49,7 +49,7 @@ def powerset_logic(k: int) -> OrthoLogic:
     full = (1 << k) - 1
     ql = powerset_quasilogic(k)
     neg = np.array([full ^ a for a in range(1 << k)], dtype=np.int16)
-    return OrthoLogic(ql, neg)
+    return OrthoLogic(ql.poset, ql.diff, neg)
 
 
 @lru_cache(maxsize=None)
@@ -102,7 +102,7 @@ def mo2_quasilogic() -> Quasilogic:
 def mo2_logic() -> OrthoLogic:
     ql = mo2_quasilogic()
     neg = np.array([5, 2, 1, 4, 3, 0], dtype=np.int16)
-    return OrthoLogic(ql, neg)
+    return OrthoLogic(ql.poset, ql.diff, neg)
 
 
 def mo2_semilogic() -> Semilogic:
@@ -146,7 +146,7 @@ def o6_logic() -> OrthoLogic:
         diff[5, x] = neg[x]
     diff[4, 1] = 1
     diff[3, 2] = 2
-    return OrthoLogic(Quasilogic(poset, diff), neg)
+    return OrthoLogic(poset, diff, neg)
 
 
 def diamond_semiring() -> BooleanSemiring:
@@ -190,7 +190,7 @@ def shuffled_powerset_logic(k: int, seed: int) -> OrthoLogic:
             le[i, j] = (mi & ~mj) == 0
             if mj & ~mi == 0:
                 diff[i, j] = pos[mi & ~mj]
-    return OrthoLogic(Quasilogic(FinitePoset(labels, le), diff), neg)
+    return OrthoLogic(FinitePoset(labels, le), diff, neg)
 
 
 def shuffled_powerset_semiring(k: int, seed: int) -> BooleanSemiring:

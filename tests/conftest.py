@@ -9,7 +9,6 @@ from qstruct import (
     FinitePoset,
     OrthoLogic,
     QstructError,
-    Quasilogic,
     load_structure,
     parse_structure,
 )
@@ -99,7 +98,7 @@ def random_logics(count, seed):
         neg[pairs[0::2]], neg[pairs[1::2]] = pairs[1::2], pairs[0::2]
         le, neg = le[np.ix_(perm, perm)], np.argsort(perm)[neg[perm]]
         poset = FinitePoset([f"e{i}" for i in range(n)], le)
-        yield OrthoLogic(Quasilogic(poset, random_difference(rng, le, 0.5)), neg)
+        yield OrthoLogic(poset, random_difference(rng, le, 0.5), neg)
 
 
 def fixture_structures(kinds):

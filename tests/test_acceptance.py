@@ -138,7 +138,7 @@ def test_classification_and_mutant_rejection():
 
     for k in (1, 2, 3):
         ol = load_structure(VALID / f"powerset{k}_logic.json")
-        assert classify(ol.ql) == "boolean-algebra", k
+        assert classify(ol) == "boolean-algebra", k
     chain = load_structure(VALID / "chain3.json")
     assert classify(chain) == "quasilogic"
     # the 3-chain is 0 < a < 1 with 1 - a = a, self-complementary midpoint
@@ -255,9 +255,8 @@ def test_partial_sum_identities_exhaustive_and_random():
         if kind not in ("quasilogic", "ortho_logic"):
             continue
         obj = load_structure(path)
-        q = obj.ql if isinstance(obj, OrthoLogic) else obj
-        if verify_quasilogic(q).ok:
-            fixtures.append((path.name, q))
+        if verify_quasilogic(obj).ok:
+            fixtures.append((path.name, obj))
     assert len(fixtures) == 8  # chains, mo2 twice, powerset logics 1..4
 
     for name, q in fixtures:
@@ -268,9 +267,9 @@ def test_partial_sum_identities_exhaustive_and_random():
 
     for i in range(100):
         ol = shuffled_powerset_logic((i % 4) + 1, seed=i)
-        commut, assoc = _sum_identity_violations(ol.ql)
+        commut, assoc = _sum_identity_violations(ol)
         assert commut == 0 and assoc == 0, i
-        assert check_sum_lattice_identity(ol.ql).ok, i
+        assert check_sum_lattice_identity(ol).ok, i
 
     _done("sum identities: 8 fixtures + 100 random boolean algebras clean", t0, 5.0)
 
@@ -291,14 +290,14 @@ def test_segments_inherit_the_logic_axioms():
     count = 0
     for name, ol in logics:
         assert verify_logic(ol).get("relative-distributivity").passed, name
-        le = ol.ql.poset.le
-        for lo in range(ol.ql.n):
-            for hi in range(ol.ql.n):
+        le = ol.poset.le
+        for lo in range(ol.n):
+            for hi in range(ol.n):
                 if not le[lo, hi]:
                     continue
                 seg = segment_logic(ol, lo, hi)
                 rep = verify_logic(seg)
-                assert rep.ok, (name, ol.ql.labels[lo], ol.ql.labels[hi])
+                assert rep.ok, (name, ol.labels[lo], ol.labels[hi])
                 count += 1
     # comparable pairs: 3^k per powerset (choose below/between/above per atom),
     # 15 for mo2 (6 reflexive + 5 above zero + 4 below one)

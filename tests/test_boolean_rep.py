@@ -272,33 +272,6 @@ def oracle_verify_topology(t):
         ),
     )
 
-    idem, defl, mono = [], [], []
-    c_idem, c_ext, c_mono = [], [], []
-    for b in sets:
-        ib, cb = interior(b), closure(b)
-        if interior(ib) != ib:
-            idem.append({"set": sorted(b)})
-        if not ib <= b:
-            defl.append({"set": sorted(b)})
-        if cb is not None:
-            if closure(cb) != cb:
-                c_idem.append({"set": sorted(b)})
-            if not b <= cb:
-                c_ext.append({"set": sorted(b)})
-        for b2 in sets:
-            if b <= b2:
-                if not interior(b) <= interior(b2):
-                    mono.append({"b1": sorted(b), "b2": sorted(b2)})
-                c2 = closure(b2)
-                if cb is not None and c2 is not None and not cb <= c2:
-                    c_mono.append({"b1": sorted(b), "b2": sorted(b2)})
-    rep.record("interior-idempotent", idem)
-    rep.record("interior-deflationary", defl)
-    rep.record("interior-monotone", mono)
-    rep.record("closure-idempotent", c_idem)
-    rep.record("closure-extensive", c_ext)
-    rep.record("closure-monotone", c_mono)
-
     hausdorff, witness = True, None
     for b in sets:
         above = [i for i in opens if b <= i]

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -48,6 +49,7 @@ from qstruct import (
 )
 import qstruct.cli
 from qstruct.cli import main
+from qstruct.gns import MAX_SAMPLE_CELLS, check_sample_count, schwartz_check
 from qstruct.io_formats import _lookup, _require
 
 REPORT_SCHEMA = {
@@ -572,6 +574,102 @@ def test_negative_gns_samples_are_a_parse_error(capsys, valid_dir, monkeypatch):
     assert error["details"] == {"samples": -1}
 
 
+def test_gns_samples_are_bounded_before_drawing(capsys, valid_dir, monkeypatch):
+    alg, state = load_algebra(valid_dir / "m2_algebra.json")
+    assert alg.n == 4
+    over = MAX_SAMPLE_CELLS // alg.n + 1  # a (4, over) complex array is 16 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="samples"):
+            schwartz_check(alg, state, samples=over)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert schwartz_check(alg, state, samples=over - 1).ok
+    check_sample_count(1000, 64)  # the default at M_8
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(qstruct.cli, "schwartz_check", no_sampling)
+    code, out, _ = run_cli(
+        capsys, "gns", "--json", "--samples", str(over), str(valid_dir / "m2_algebra.json")
+    )
+    assert code == 2
+    error = error_payload(out)
+    assert error["type"] == "ParseError"
+    assert error["details"] == {"samples": over, "basis_size": 4}
+
+
+# JSON number literals that Python's json accepts but that are no finite real
+NOT_FINITE_REALS = ['"x"', "[1]", "null", "true", "NaN", "-Infinity", "1e400", "1" + "0" * 400]
+
+
+def _with_literal(data, literal):
+    """``data`` as JSON text with the string "BAD" replaced by a raw literal."""
+    return json.dumps(data).replace('"BAD"', literal)
+
+
+@pytest.mark.parametrize("literal", NOT_FINITE_REALS)
+def test_state_values_must_be_finite_reals(capsys, valid_dir, tmp_path, literal):
+    data = json.loads((valid_dir / "m2_algebra.json").read_text())
+    data["state"][2] = [0.5, "BAD"]
+    path = tmp_path / "bad_state.json"
+    path.write_text(_with_literal(data, literal))
+    code, out, _ = run_cli(capsys, "gns", "--json", str(path))
+    assert code == 2
+    error = error_payload(out)
+    assert error["type"] == "ParseError"
+    assert error["details"] == {"entry": 2}
+
+
+@pytest.mark.parametrize("literal", NOT_FINITE_REALS)
+def test_matrix_entries_must_be_finite_reals(capsys, valid_dir, tmp_path, literal):
+    algebra = json.loads((valid_dir / "m2_algebra.json").read_text())
+    algebra["basis"]["E01"][1] = ["BAD", 0.0]
+    povm = json.loads((valid_dir / "trine_povm.json").read_text())
+    povm["effects"]["v"][3] = [0.0, "BAD"]
+    for command, data, where in (("gns", algebra, "basis[E01]"), ("dilate", povm, "effects[v]")):
+        path = tmp_path / f"{command}.json"
+        path.write_text(_with_literal(data, literal))
+        code, out, _ = run_cli(capsys, command, "--json", str(path))
+        assert code == 2, command
+        error = error_payload(out)
+        assert error["type"] == "ParseError"
+        assert error["message"] == f"{where}: entries are [re, im] number pairs"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"values": {"{0}": "abc"}}',
+        '{"values": {"{0}": null}}',
+        '{"values": {"{0}": NaN}}',
+        '{"values": {"{0}": Infinity}}',
+        '{"values": {"{0}": 1e400}}',
+        '{"values": {"{0}": true}}',
+        '{"values": [["{0}", 0.25]]}',
+        '{"values": "abc"}',
+        '[{"values": {}}]',
+        "{}",
+        '{"values": {',
+    ],
+)
+def test_stone_distribution_files_are_parsed_strictly(capsys, valid_dir, tmp_path, text):
+    path = tmp_path / "distribution.json"
+    path.write_text(text)
+    semiring = str(valid_dir / "powerset2_semiring.json")
+    code, out, _ = run_cli(capsys, "stone", "--json", semiring, "--distribution", str(path))
+    assert code == 2
+    assert error_payload(out)["type"] == "ParseError"
+    code, out, _ = run_cli(
+        capsys, "stone", "--json", semiring, "--distribution", str(tmp_path / "missing.json")
+    )
+    assert code == 2
+    assert error_payload(out)["message"] == "cannot read file"
+
+
 def test_too_many_outcomes_exit_2_with_the_error_object(capsys, tmp_path):
     outcomes = [f"o{i}" for i in range(64)]
     effect = [[1.0 / 64, 0.0]]
@@ -643,6 +741,16 @@ def test_oversized_operator_inputs_exit_2_before_any_allocation(
     error = error_payload(out)
     assert error["type"] == "StructuralError"
     assert error["message"] == message
+
+
+@pytest.mark.parametrize("command, data", [("dilate", _outcome_povm(2, 1)), ("gns", _unit_algebra(1))])
+def test_dim_true_is_not_a_dimension(command, data, capsys, tmp_path):
+    # json reads true as a bool, which is an int; as dim it once escaped as a TypeError
+    path = tmp_path / "dim_true.json"
+    path.write_text(json.dumps(data | {"dim": True}))
+    code, out, _ = run_cli(capsys, command, "--json", str(path))
+    assert code == 2
+    assert error_payload(out)["message"] == "dim must be a positive integer"
 
 
 def test_operator_inputs_at_the_size_bound_still_verify(capsys, tmp_path):

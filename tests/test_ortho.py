@@ -71,28 +71,27 @@ def test_hexagon_fails_verification_with_known_witnesses():
 def test_constructor_demands_an_involution_and_a_unit():
     ql = mo2_quasilogic()
     with pytest.raises(StructuralError, match="involution"):
-        OrthoLogic(ql, np.array([5, 2, 3, 4, 1, 0], dtype=np.int16))
+        OrthoLogic(ql.poset, ql.diff, np.array([5, 2, 3, 4, 1, 0], dtype=np.int16))
     with pytest.raises(StructuralError, match="out of range"):
-        OrthoLogic(ql, np.array([5, 2, 1, 4, 3, 9], dtype=np.int16))
+        OrthoLogic(ql.poset, ql.diff, np.array([5, 2, 1, 4, 3, 9], dtype=np.int16))
 
     chain = chain_quasilogic(3)
     headless = chain_quasilogic(3).poset.le.copy()
     headless[:, 2] = False
     headless[2, 2] = True
-    from qstruct import FinitePoset, Quasilogic
+    from qstruct import FinitePoset
 
     diff = np.full((3, 3), -1, dtype=np.int16)
     np.fill_diagonal(diff, 0)
     diff[1, 0] = 1
-    q = Quasilogic(FinitePoset(chain.labels, headless), diff)
     with pytest.raises(StructuralError, match="greatest"):
-        OrthoLogic(q, np.array([2, 1, 0], dtype=np.int16))
+        OrthoLogic(FinitePoset(chain.labels, headless), diff, np.array([2, 1, 0], dtype=np.int16))
 
 
 def test_wrong_pairing_breaks_difference_consistency():
     # a <-> b' and b <-> a' is a valid involution but contradicts the table
     ql = mo2_quasilogic()
-    ol = OrthoLogic(ql, np.array([5, 4, 3, 2, 1, 0], dtype=np.int16))
+    ol = OrthoLogic(ql.poset, ql.diff, np.array([5, 4, 3, 2, 1, 0], dtype=np.int16))
     rep = verify_logic(ol)
     assert not rep.get("complement-difference-consistency").passed
     assert rep.get("complement-join").passed
@@ -104,7 +103,7 @@ def test_powerset_segments_are_boolean_logics():
     seg = segment_logic(ol, 0, ol.index("{0,1}"))
     assert seg.n == 4
     assert verify_logic(seg).ok
-    assert classify(seg.ql) == "boolean-algebra"
+    assert classify(seg) == "boolean-algebra"
     assert seg.labels == ("{}", "{0}", "{1}", "{0,1}")
 
     upper = segment_logic(ol, ol.index("{0}"), ol.index("{0,1,2}"))
@@ -117,7 +116,7 @@ def test_mo2_segment_collapses_to_a_two_element_logic():
     seg = segment_logic(ol, 0, ol.index("a"))
     assert seg.n == 2
     assert verify_logic(seg).ok
-    assert classify(seg.ql) == "boolean-algebra"
+    assert classify(seg) == "boolean-algebra"
 
 
 def test_hexagon_segment_has_no_consistent_complement():
@@ -216,7 +215,8 @@ def assert_logic_matches_the_oracles(ol):
 
 
 def chain_logic(n):
-    return OrthoLogic(chain_quasilogic(n), np.arange(n)[::-1])
+    q = chain_quasilogic(n)
+    return OrthoLogic(q.poset, q.diff, np.arange(n)[::-1])
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -252,13 +252,13 @@ def test_table_kernels_stay_small_at_the_size_ceiling():
     # full n^3 index arrays at n=256 take ~134 MB each; the per-row kernels
     # need well under 1 MB (numpy reports its buffers to tracemalloc)
     ol = powerset_logic(8)
-    ol.poset.meet_table(), ol.poset.join_table(), ol.ql._sum_info()
+    ol.poset.meet_table(), ol.poset.join_table(), ol._sum_info()
     ups = UpsetIndex(ol.poset.le)
     kernels = (
         (is_distributive, ol),
-        (classify, ol.ql),
-        (_build_sum_info, ol.ql),
-        (verify_quasilogic, ol.ql),
+        (classify, ol),
+        (_build_sum_info, ol),
+        (verify_quasilogic, ol),
         (UpsetIndex.table, ups),
     )
     for kernel, arg in kernels:

@@ -40,8 +40,10 @@ from qstruct import (
     difference_table,
     join_of,
     parse_structure,
+    mo2_logic,
     mo2_quasilogic,
     mo2_semilogic,
+    powerset_logic,
     powerset_quasilogic,
     powerset_semiring,
     relative_complement,
@@ -182,6 +184,26 @@ def test_quasilogic_homomorphism_onto_the_two_element_algebra():
     collapse = HomomorphismMap(src, tgt, np.ones(6, dtype=np.int16))
     rep = verify_homomorphism(collapse)
     assert not rep.get("zero-preserved").passed
+
+
+@pytest.mark.parametrize("ol", [mo2_logic(), powerset_logic(2)], ids=["mo2", "powerset2"])
+def test_identity_on_a_logic_is_a_homomorphism(ol):
+    # a logic is a quasilogic: its zero, sums and differences need no unwrapping
+    rep = verify_homomorphism(HomomorphismMap(ol, ol, np.arange(ol.n, dtype=np.int16)))
+    assert rep.ok
+    assert rep.get("subtraction-preserved").passed
+    assert rep.get("commutation-preserved").passed
+    assert rep.get("additive").violation_count == 0
+
+
+def test_a_logic_homomorphism_must_add_disjoint_pairs():
+    # {1} -> {0} keeps the map monotone, but the image of {0} + {1} = {0,1} has no sum
+    ol = powerset_logic(2)
+    rep = verify_homomorphism(HomomorphismMap(ol, ol, np.array([0, 1, 1, 3], dtype=np.int16)))
+    assert rep.get("monotone").passed
+    assert rep.get("additive").witnesses == [
+        {"family": ["{0}", "{1}"], "expected": "{0,1}", "got": None}
+    ]
 
 
 def test_an_ambiguous_image_sum_is_reported_not_raised():
