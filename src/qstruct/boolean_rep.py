@@ -112,9 +112,6 @@ class StoneRepresentation:
     points: list[Filter]
     extent: list[frozenset[int]]  # element -> indices of points containing it
 
-    def extent_of(self, label: str) -> frozenset[int]:
-        return self.extent[self.semiring.index(label)]
-
 
 def stone_map(bs: BooleanSemiring) -> StoneRepresentation:
     points = maximal_filters(bs)

@@ -104,23 +104,30 @@ def _table_from_triples(
 ) -> np.ndarray:
     """An n x n int16 table, -1 where no triple [a, b, v] sets [a, b] (and [b, a]).
 
-    Triples are mapped to indices up to the first malformed entry or unknown
-    label, and those are written with one assignment per direction. A cell
-    given two values reads back wrong somewhere; only then is the first write
-    that met another value found, which always precedes the bad entry, so
-    the error names the first offending triple in file order.
+    Triples are mapped to indices with plain dict reads; only a file with a
+    malformed entry or unknown label is walked again with ``_lookup``, up to
+    that entry. The mapped triples are written with one assignment per
+    direction. A cell given two values reads back wrong somewhere; only then
+    is the first write that met another value found, which always precedes
+    the bad entry, so the error names the first offending triple in file order.
     """
     n = len(idx)
     _require(isinstance(triples, list), f"{where} must be a list of triples")
-    ids, bad = [], None
-    for k, t in enumerate(triples):
-        try:
-            if not (isinstance(t, list) and len(t) == 3):
-                raise ParseError(f"{where} entries are triples", entry=k)
-            ids += (_lookup(idx, t[0], where), _lookup(idx, t[1], where), _lookup(idx, t[2], where))
-        except ParseError as exc:
-            bad = exc
-            break
+    bad = None
+    try:  # labels are str keys, so any other label misses (KeyError) or is unhashable
+        if not all(isinstance(t, list) and len(t) == 3 for t in triples):
+            raise KeyError
+        ids = [idx[x] for t in triples for x in t]
+    except (KeyError, TypeError):
+        ids = []
+        for k, t in enumerate(triples):
+            try:
+                if not (isinstance(t, list) and len(t) == 3):
+                    raise ParseError(f"{where} entries are triples", entry=k)
+                ids += tuple(_lookup(idx, x, where) for x in t)  # whole triples only
+            except ParseError as exc:
+                bad = exc
+                break
     i, j, v = np.array(ids, dtype=np.int16).reshape(-1, 3).T
     writes = ((i, j), (j, i)) if symmetric else ((i, j),)
     table = np.full((n, n), -1, dtype=np.int16)
@@ -458,6 +465,9 @@ def load_distribution(path: Path | str, s: Semilogic) -> DistributionTable:
     _require(
         isinstance(values, dict), "distribution file needs a 'values' object of label: number"
     )
+    idx = {label: i for i, label in enumerate(s.labels)}
+    vals = np.zeros(s.n)
     for label, v in values.items():
         _require(_finite_real(v), "distribution values must be finite numbers", label=label)
-    return DistributionTable.from_dict(s, values)
+        vals[_lookup(idx, label, "distribution")] = v
+    return DistributionTable(vals)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +30,8 @@ MAX_ELEMENTS = 256
 # the side of a dilation's Gram matrix; at the bounds a file verifies in seconds
 MAX_DIM = 64
 MAX_SPACE = 512
-BLOCK_ROWS = 64  # rows b per upper_blocks run
+BLOCK_ROWS = 64  # rows b per first_nondistributive block
+CELL_BLOCK = 2**12  # (a, b, c) cells per upper_cells block
 
 
 def check_element_count(n: int) -> None:
@@ -72,19 +73,8 @@ class FinitePoset:
         except KeyError:
             raise DomainError("unknown element label", label=label) from None
 
-    def label(self, i: int) -> str:
-        return self.labels[i]
-
     def leq(self, a: int, b: int) -> bool:
         return bool(self.le[a, b])
-
-    def downset(self, a: int) -> np.ndarray:
-        """Boolean mask of elements <= a."""
-        return self.le[:, a]
-
-    def upset(self, a: int) -> np.ndarray:
-        """Boolean mask of elements >= a."""
-        return self.le[a, :]
 
     def least(self) -> int | None:
         hits = np.flatnonzero(self.le.all(axis=1))
@@ -255,15 +245,48 @@ def sentinel_padded(table: np.ndarray) -> np.ndarray:
     return out
 
 
-def upper_blocks(n: int) -> Iterable[tuple[int, int, int]]:
-    """(a, b0, b1) for each a and each run b0 <= b < b1 of at most ``BLOCK_ROWS`` b in [a, n).
+def flat_reader(table: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``get(x, y)``: ``table[x, y]`` for id arrays, one ``take`` on the raveled table.
 
-    The runs follow the row-major order of the pairs a <= b. Kernels that scan
-    one (b, c) block per run keep their temporaries to ``BLOCK_ROWS`` x n entries.
+    Nothing is padded: an index of -1 reads some entry, so callers mask it.
     """
-    for a in range(n):
-        for b0 in range(a, n, BLOCK_ROWS):
-            yield a, b0, min(b0 + BLOCK_ROWS, n)
+    n, flat = table.shape[0], table.ravel()
+    return lambda x, y: flat.take(np.multiply(x, n, dtype=np.int32) + y, mode="clip")
+
+
+def upper_cells(p: FinitePoset) -> Iterator[tuple[np.ndarray, ...]]:
+    """The cells (a, b, c), ids a <= b and c above both, as row-major blocks (pa, pb, r, c).
+
+    A block lists its pairs (int16, also those without cells; none straddles
+    two blocks), then each cell's pair index r and its c, about ``CELL_BLOCK``
+    cells; pairs are formed per chunk of rows a. A pair's candidates are the
+    upset of its join (exactly its cells on a partial order), else of the one
+    of a, b with the smaller upset; then those not above both are dropped.
+    """
+    le, n, jt = p.le, p.n, p.join_table()
+    size, ids = le.sum(axis=1), np.arange(n)
+    upsets = np.nonzero(le)[1].astype(np.int16)  # every upset, ascending, row after row
+    start = (np.cumsum(size) - size).astype(np.int32)  # where each upset starts in it
+    rows = max(1, CELL_BLOCK // n)
+    for a0 in range(0, n, rows):
+        pa, pb = (x.astype(np.int16) for x in np.nonzero(ids[a0 : a0 + rows, None] <= ids))
+        pa += a0
+        pivot = jt[pa, pb]
+        loose = pivot < 0  # no join: the smaller upset of a and b holds the cells
+        pivot[loose] = np.where(size[pa] <= size[pb], pa, pb)[loose]
+        loose |= p.upsets().by_up is None  # not an order: a join's upset may hold more
+        count = size[pivot]
+        ends = np.cumsum(count)
+        cuts = np.flatnonzero(np.diff(ends // CELL_BLOCK)) + 1
+        for s, e in zip([0, *cuts.tolist()], [*cuts.tolist(), pa.size]):
+            # candidate k belongs to pair r[k] and is entry k - (its first candidate) of its upset
+            r = np.repeat(np.arange(e - s), count[s:e])
+            shift = start[pivot[s:e]] - (ends[s:e] - count[s:e] - (ends[s - 1] if s else 0))
+            c = upsets[np.arange(r.size, dtype=np.int32) + shift[r]]
+            if loose[s:e].any():
+                above = le[pa[s:e][r], c] & le[pb[s:e][r], c]
+                r, c = r[above], c[above]
+            yield pa[s:e], pb[s:e], r, c
 
 
 def first_nondistributive(mt: np.ndarray, jt: np.ndarray) -> tuple[int, int, int] | None:
@@ -271,18 +294,48 @@ def first_nondistributive(mt: np.ndarray, jt: np.ndarray) -> tuple[int, int, int
 
     ``mt`` and ``jt`` are n x n meet and join tables with -1 for undefined;
     a triple counts only where both sides are defined. One (b, c) block per
-    run of rows b; through the padded tables an undefined bound stays -1.
+    run of at most ``BLOCK_ROWS`` rows b; through the padded tables an
+    undefined bound stays -1.
     """
     n = mt.shape[0]
     mt, jt = sentinel_padded(mt), sentinel_padded(jt)
-    for a, b0, b1 in upper_blocks(n):
-        rhs = jt[mt[a, :n], mt[b0:b1, :n]]
-        lhs = mt[jt[a, b0:b1], :n]
-        bad = (lhs != rhs) & (lhs >= 0) & (rhs >= 0)
-        if bad.any():
-            b, c = np.unravel_index(bad.argmax(), bad.shape)
-            return a, b0 + int(b), int(c)
+    for a in range(n):
+        for b0 in range(a, n, BLOCK_ROWS):
+            b1 = min(b0 + BLOCK_ROWS, n)
+            rhs = jt[mt[a, :n], mt[b0:b1, :n]]
+            lhs = mt[jt[a, b0:b1], :n]
+            bad = (lhs != rhs) & (lhs >= 0) & (rhs >= 0)
+            if bad.any():
+                b, c = np.unravel_index(bad.argmax(), bad.shape)
+                return a, b0 + int(b), int(c)
     return None
+
+
+def birkhoff_distributive(p: FinitePoset) -> bool:
+    """True iff p is a distributive lattice whose bound tables come from its upsets.
+
+    Birkhoff's test ("Rings of sets", Duke Math. J. 3, 1937; Davey and Priestley,
+    *Introduction to Lattices and Order*, ch. 5). J: the join-irreducibles, with
+    exactly one lower cover (not a join of two elements below), and the least
+    element, which is below every x and changes no comparison. D[x]: the j in J
+    below x. The meet side always holds, D[x ^ y] = D[x] & D[y], and D[x] | D[y]
+    <= D[x v y]; equality for all x, y says every j is join-prime, which holds
+    exactly in distributive lattices. If p is distributive and j <= x v y, then
+    j = (j ^ x) v (j ^ y), so j <= x or j <= y. Conversely each element is the
+    join of the j below it; with every j join-prime, each j below (x v y) ^ z is
+    below (x ^ z) v (y ^ z), and the reverse inequality holds in every lattice.
+    False on anything else; the ``first_nondistributive`` scan then decides and
+    names the first witness.
+    """
+    mt, jt, n = p.meet_table(), p.join_table(), p.n
+    if p.upsets().by_up is None or p.downsets().by_up is None or (mt < 0).any() or (jt < 0).any():
+        return False
+    ids = np.arange(n)
+    split = np.zeros(n, dtype=bool)  # the joins of two elements below them
+    split[jt[(jt != ids[:, None]) & (jt != ids)]] = True
+    d = packed_rows(p.le[~split].T)
+    rows = max(1, 2**14 // n // d.shape[1])  # about 128 KB of words per operand
+    return all((d[jt[x : x + rows]] == d[x : x + rows, None] | d).all() for x in range(0, n, rows))
 
 
 def row_bits(rel: np.ndarray) -> list[int]:

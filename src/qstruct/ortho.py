@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConstructionError, StructuralError
-from .order import FinitePoset, first_nondistributive, segment, sentinel_padded
+from .order import FinitePoset, birkhoff_distributive, first_nondistributive, segment
+from .order import sentinel_padded
 from .quasilogic import Quasilogic, verify_quasilogic
 from .report import VerificationReport
 
@@ -49,20 +50,22 @@ def verify_logic(ol: OrthoLogic) -> VerificationReport:
     mt, jt = ol.poset.meet_table(), ol.poset.join_table()
     top, z = ol.top, ol.poset.least()
 
-    cj, cm = [], []
-    for a in range(n):
-        j = int(jt[a, neg[a]])
-        if j < 0:
-            cj.append({"a": labels[a], "reason": "join undefined"})
-        elif j != top:
-            cj.append({"a": labels[a], "join": labels[j]})
-        m = int(mt[a, neg[a]])
-        if z is None or m < 0:
-            cm.append({"a": labels[a], "reason": "meet undefined"})
-        elif m != z:
-            cm.append({"a": labels[a], "meet": labels[m]})
-    rep.record("complement-join", cj)
-    rep.record("complement-meet", cm)
+    ids = np.arange(n)
+    j, m = jt[ids, neg], mt[ids, neg]
+    if z is None:
+        m[:] = -1  # without a least element every meet counts as undefined (and != None)
+    for name, got, want, what in (
+        ("complement-join", j, top, "join"),
+        ("complement-meet", m, z, "meet"),
+    ):
+        rep.record(
+            name,
+            (
+                {"a": labels[a]}
+                | ({what: labels[got[a]]} if got[a] >= 0 else {"reason": f"{what} undefined"})
+                for a in np.flatnonzero(got != want).tolist()
+            ),
+        )
 
     anti = le & ~le[np.ix_(neg, neg)].T  # a <= b without ~b <= ~a
     rep.record(
@@ -70,33 +73,30 @@ def verify_logic(ol: OrthoLogic) -> VerificationReport:
         ({"a": labels[a], "b": labels[b]} for a, b in zip(*np.nonzero(anti))),
     )
 
-    # ~(a v b) = ~a ^ ~b and dually, for a <= b, one row a at a time
+    # ~(a v b) = ~a ^ ~b and dually, for a <= b, over the whole table
     for name, bound, dual, what in (
         ("de-morgan-join", jt, mt, "meet"),
         ("de-morgan-meet", mt, jt, "join"),
     ):
-        viol = []
-        for a in range(n):
-            row, comp = bound[a, a:], dual[neg[a], neg[a:]]
-            for k in np.flatnonzero((row >= 0) & (comp != neg[row])):
-                w = {"a": labels[a], "b": labels[a + k]}
-                if comp[k] < 0:
-                    w["reason"] = f"{what} of complements undefined"
-                viol.append(w)
-        rep.record(name, viol)
+        comp = dual[np.ix_(neg, neg)]  # [a, b] = ~a ^ ~b, or ~a v ~b
+        bad = np.triu((bound >= 0) & (comp != neg[bound]))
+        rep.record(
+            name,
+            (
+                {"a": labels[a], "b": labels[b]}
+                | ({"reason": f"{what} of complements undefined"} if comp[a, b] < 0 else {})
+                for a, b in zip(*np.nonzero(bad))
+            ),
+        )
     rep.record("relative-distributivity", _relative_distributivity(ol))
 
-    diff = ol.diff
+    from_unit = ol.diff[top]
     rep.record(
         "complement-difference-consistency",
         (
-            {
-                "a": labels[a],
-                "complement": labels[int(neg[a])],
-                "from_unit": labels[int(diff[top, a])] if diff[top, a] >= 0 else None,
-            }
-            for a in range(n)
-            if diff[top, a] != neg[a]
+            {"a": labels[a], "complement": labels[neg[a]]}
+            | {"from_unit": labels[from_unit[a]] if from_unit[a] >= 0 else None}
+            for a in np.flatnonzero(from_unit != neg).tolist()
         ),
     )
 
@@ -147,7 +147,13 @@ def boolean_criterion(ol: OrthoLogic) -> tuple[bool, dict | None]:
 
 
 def is_distributive(ol: OrthoLogic) -> tuple[bool, dict | None]:
-    """Meet distributes over join wherever all four bounds exist."""
+    """Meet distributes over join wherever all four bounds exist.
+
+    Birkhoff's test settles a distributive lattice; otherwise the scan finds
+    the first failing triple, or passes a structure that is not a lattice.
+    """
+    if birkhoff_distributive(ol.poset):
+        return True, None
     hit = first_nondistributive(ol.poset.meet_table(), ol.poset.join_table())
     if hit is None:
         return True, None
@@ -162,25 +168,16 @@ def segment_logic(ol: OrthoLogic, lo: int, hi: int) -> OrthoLogic:
     which does happen in non-distributive logics.
     """
     sub, parents = segment(ol.poset, lo, hi)
-    pidx = {p: i for i, p in enumerate(parents)}
-    mt, jt = ol.poset.meet_table(), ol.poset.join_table()
-    labels = ol.labels
-    diff = np.full((sub.n, sub.n), -1, dtype=np.int16)
-    for yi, yp in enumerate(parents):
-        for xi, xp in enumerate(parents):
-            if not sub.le[xi, yi]:
-                continue
-            m = int(mt[int(ol.neg[xp]), yp])
-            if m < 0:
-                raise ConstructionError(
-                    "segment difference needs a meet with the complement",
-                    x=labels[xp],
-                    y=labels[yp],
-                )
-            j = int(jt[lo, m])
-            if j < 0 or j not in pidx:
-                raise ConstructionError(
-                    "segment difference leaves the segment", x=labels[xp], y=labels[yp]
-                )
-            diff[yi, xi] = pidx[j]
+    pidx = np.full(ol.n + 1, -1, dtype=np.int16)  # parent id -> segment id; [-1] reads -1
+    pidx[parents] = np.arange(sub.n)
+    par = np.array(parents)
+    m = ol.poset.meet_table()[ol.neg[par], par[:, None]]  # [y, x] = ~x ^ y
+    d = pidx[np.where(m >= 0, ol.poset.join_table()[lo, m], -1)]  # lo v (~x ^ y)
+    bad = sub.le.T & (d < 0)  # the first failing (y, x), row-major
+    if bad.any():
+        yi, xi = np.unravel_index(bad.argmax(), bad.shape)
+        what = "needs a meet with the complement" if m[yi, xi] < 0 else "leaves the segment"
+        y, x = ol.labels[par[yi]], ol.labels[par[xi]]
+        raise ConstructionError(f"segment difference {what}", x=x, y=y)
+    diff = np.where(sub.le.T, d, -1).astype(np.int16)
     return OrthoLogic(sub, diff, diff[pidx[hi], :].copy())

@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AxiomViolationError, DomainError, StructuralError
-from .order import FinitePoset, is_upward_directed, sentinel_padded, upper_blocks, verify_poset
+from .order import FinitePoset, flat_reader, is_upward_directed, sentinel_padded, upper_cells
+from .order import verify_poset
 from .report import VerificationReport
 
 CLASSIFICATION_LABELS = (
@@ -300,24 +301,30 @@ def quasiproduct(q: Quasilogic, a: int, b: int, c: int) -> int:
 
 
 def check_de_morgan(q: Quasilogic) -> VerificationReport:
-    """c - (a v b) = (c-a) ^ (c-b) and c - (a ^ b) = (c-a) v (c-b), c >= a, b."""
+    """c - (a v b) = (c-a) ^ (c-b) and c - (a ^ b) = (c-a) v (c-b), c >= a, b.
+
+    One walk over the cells (a, b, c) of the pairs with a meet and a join,
+    reading the tables through flat takes. A cell with c - a or c - b
+    undefined fails the join side with a reason, whatever its bounds read.
+    """
     rep = VerificationReport(subject="de-morgan")
-    le, diff, labels, n = q.poset.le, q.diff, q.labels, q.n
+    labels = q.labels
     mt, jt = q.poset.meet_table(), q.poset.join_table()
+    diff, meet, join = (flat_reader(t) for t in (q.diff, mt, jt))
     join_viol, meet_viol = [], []
-    for a, b0, b1 in upper_blocks(n):
-        bs = b0 + np.flatnonzero((mt[a, b0:b1] >= 0) & (jt[a, b0:b1] >= 0))
-        cs = np.flatnonzero(le[a])
-        pairs = le[np.ix_(bs, cs)]  # [b, c]: c >= a, b
-        ca, cb = diff[cs, a], diff[np.ix_(cs, bs)].T
-        undefined = pairs & ((ca < 0) | (cb < 0))
-        defined = pairs & ~undefined  # only these cells read mt[ca, cb] and jt[ca, cb]
-        bad_join = undefined | (defined & (diff[np.ix_(cs, jt[a, bs])].T != mt[ca, cb]))
-        bad_meet = defined & (diff[np.ix_(cs, mt[a, bs])].T != jt[ca, cb])
+    for pa, pb, r, c in upper_cells(q.poset):
+        m, j = mt[pa, pb], jt[pa, pb]
+        bounded = ((m >= 0) & (j >= 0))[r]  # only pairs with a meet and a join count
+        r, c = r[bounded], c[bounded]
+        a, b = pa[r], pb[r]
+        ca, cb = diff(c, a), diff(c, b)
+        undefined = (ca < 0) | (cb < 0)
+        bad_join = undefined | (diff(c, j[r]) != meet(ca, cb))
+        bad_meet = ~undefined & (diff(c, m[r]) != join(ca, cb))
         for viol, bad in ((join_viol, bad_join), (meet_viol, bad_meet)):
-            for i, k in zip(*np.nonzero(bad)):
-                w = {"a": labels[a], "b": labels[bs[i]], "c": labels[cs[k]]}
-                if undefined[i, k]:
+            for k in np.flatnonzero(bad).tolist():
+                w = {"a": labels[a[k]], "b": labels[b[k]], "c": labels[c[k]]}
+                if undefined[k]:
                     w["reason"] = "difference undefined"
                 viol.append(w)
     rep.record("difference-of-join", join_viol)
@@ -364,39 +371,37 @@ def classify(q: Quasilogic) -> str:
     partial order, majorants for every pair give a greatest element, so a
     ring is always a boolean algebra and has no label of its own; on a table
     that is not a partial order a ring without a greatest element reads
-    "quasiring". Both scans take one (b, c) block per a and run of rows b >= a,
-    with c over the elements above a, and read the padded difference table.
+    "quasiring". Both scans walk the cells (a, b, c) of every pair a <= b,
+    c above both, and reduce them per pair: each pair needs a witness, its
+    witnesses one defined value, and for the ring a c with disjoint remainders.
     """
     info = q._sum_info()
     mt = q.poset.meet_table()
     zero = q.zero()
-    le, n = q.poset.le, q.n
-    diff = sentinel_padded(q.diff)
-
+    diff, below = flat_reader(q.diff), flat_reader(q.poset.le)
     logic_p = is_logic(q)
-    if zero is not None:
-        disjoint = np.zeros((n + 1, n + 1), dtype=bool)
-        disjoint[:n, :n] = info.summable & (mt == zero)
-
     quasiring_p, ring_p = True, zero is not None
-    for a, b0, b1 in upper_blocks(n):
-        # c - a >= 0 needs a <= c, so only such c can be witnesses or majorants
-        cs = np.flatnonzero(le[a])
-        ca = diff[cs, a]  # c - a
-        cb = diff[cs, b0:b1].T  # [b, c] = c - b
-        # witnesses of quasiproduct(a, b, c)
-        wit = (ca >= 0) & le[b0:b1, cs] & le[ca, b0:b1].T
-        if not wit.any(axis=1).all():
-            quasiring_p = False
-            break
-        v1 = diff[a, cb]  # a - (c - b)
-        v2 = diff[b0:b1, ca]  # b - (c - a)
-        first = v1[np.arange(b1 - b0), wit.argmax(axis=1)][:, None]
-        if (wit & ((v1 < 0) | (v1 != v2) | (v1 != first))).any():
+    if ring_p:
+        disjoint = flat_reader(info.summable & (mt == zero))
+    for pa, pb, r, c in upper_cells(q.poset):
+        a, b = pa[r], pb[r]
+        ca, cb = diff(c, a), diff(c, b)
+        wit = (ca >= 0) & below(ca, b)  # c - a <= b: c witnesses quasiproduct(a, b, c)
+        v1, v2 = diff(a, cb), diff(b, ca)  # a - (c - b), b - (c - a); -1 reads masked
+        wr, wv = r[wit], v1[wit]
+        has = np.zeros(pa.size, dtype=bool)
+        has[wr] = True
+        if (
+            not has.all()
+            or (wit & ((cb < 0) | (v1 < 0) | (v1 != v2))).any()
+            or ((wr[1:] == wr[:-1]) & (wv[1:] != wv[:-1])).any()  # a second value
+        ):
             quasiring_p = False
             break
         if ring_p:
-            ring_p = bool(disjoint[ca, cb].any(axis=1).all())
+            ring = np.zeros(pa.size, dtype=bool)
+            ring[r[(ca >= 0) & (cb >= 0) & disjoint(ca, cb)]] = True
+            ring_p = bool(ring.all())
     ring_p = ring_p and quasiring_p
 
     if ring_p and q.poset.greatest() is not None:

@@ -670,6 +670,18 @@ def test_stone_distribution_files_are_parsed_strictly(capsys, valid_dir, tmp_pat
     assert error_payload(out)["message"] == "cannot read file"
 
 
+def test_unknown_distribution_labels_are_parse_errors(capsys, valid_dir, tmp_path):
+    path = tmp_path / "distribution.json"
+    path.write_text('{"values": {"{0}": 0.25, "nope": 0.5}}')
+    semiring = str(valid_dir / "powerset2_semiring.json")
+    code, out, _ = run_cli(capsys, "stone", "--json", semiring, "--distribution", str(path))
+    assert code == 2
+    error = error_payload(out)
+    assert error["type"] == "ParseError"
+    assert error["message"] == "distribution: unknown label"
+    assert error["details"] == {"label": "nope"}
+
+
 def test_too_many_outcomes_exit_2_with_the_error_object(capsys, tmp_path):
     outcomes = [f"o{i}" for i in range(64)]
     effect = [[1.0 / 64, 0.0]]

@@ -1,22 +1,28 @@
 """Orthocomplemented logics: verification, criteria and segment structures.
 
-The table loops that ``boolean_criterion``, ``is_distributive`` and the
-order-theoretic checks of ``verify_logic`` once ran are kept here as oracles
-for their table kernels: verdicts and witness lists must agree in full and in
-order.
+The table loops that ``boolean_criterion``, ``is_distributive``,
+``segment_logic`` and the order-theoretic checks of ``verify_logic`` once ran
+are kept here as oracles for their table kernels: verdicts, witness lists and
+errors must agree in full and in order. On lattices ``is_distributive`` first
+applies Birkhoff's test; random set lattices check it against the same oracle.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import fixture_structures, horizontal_sum, random_logics
 
 from qstruct import (
+    ConstructionError,
+    FinitePoset,
     OrthoLogic,
+    QstructError,
     StructuralError,
     boolean_criterion,
     chain_quasilogic,
+    check_de_morgan,
     classify,
     is_distributive,
     mo2_logic,
@@ -28,7 +34,7 @@ from qstruct import (
     verify_logic,
     verify_quasilogic,
 )
-from qstruct.order import UpsetIndex
+from qstruct.order import UpsetIndex, birkhoff_distributive, first_nondistributive, segment
 from qstruct.quasilogic import _build_sum_info
 
 
@@ -204,6 +210,56 @@ def oracle_logic_witnesses(ol):
     return out
 
 
+def oracle_segment_logic(ol, lo, hi):
+    """The pair loop that once built ``segment_logic``'s difference table."""
+    sub, parents = segment(ol.poset, lo, hi)
+    pidx = {p: i for i, p in enumerate(parents)}
+    mt, jt, labels = ol.poset.meet_table(), ol.poset.join_table(), ol.labels
+    diff = np.full((sub.n, sub.n), -1, dtype=np.int16)
+    for yi, yp in enumerate(parents):
+        for xi, xp in enumerate(parents):
+            if not sub.le[xi, yi]:
+                continue
+            m = int(mt[int(ol.neg[xp]), yp])
+            if m < 0:
+                raise ConstructionError(
+                    "segment difference needs a meet with the complement",
+                    x=labels[xp],
+                    y=labels[yp],
+                )
+            j = int(jt[lo, m])
+            if j < 0 or j not in pidx:
+                raise ConstructionError(
+                    "segment difference leaves the segment", x=labels[xp], y=labels[yp]
+                )
+            diff[yi, xi] = pidx[j]
+    return OrthoLogic(sub, diff, diff[pidx[hi], :].copy())
+
+
+def segment_outcome(build, ol, lo, hi):
+    try:
+        seg = build(ol, lo, hi)
+    except QstructError as exc:
+        return type(exc), str(exc), exc.details
+    return seg.labels, seg.diff.tolist(), seg.neg.tolist()
+
+
+def test_segment_logics_match_the_oracle():
+    logics = [mo2_logic(), o6_logic(), powerset_logic(3), horizontal_sum(2, 2)]
+    logics += random_logics(40, seed=8)
+    kinds = set()
+    for ol in logics:
+        for lo, hi in np.argwhere(ol.poset.le).tolist():
+            got = segment_outcome(segment_logic, ol, lo, hi)
+            assert got == segment_outcome(oracle_segment_logic, ol, lo, hi)
+            kinds.add(got[1] if isinstance(got[1], str) else "built")
+    assert kinds >= {
+        "built",
+        "segment difference needs a meet with the complement",
+        "segment difference leaves the segment",
+    }
+
+
 def assert_logic_matches_the_oracles(ol):
     assert boolean_criterion(ol) == oracle_boolean_criterion(ol)
     assert is_distributive(ol) == oracle_is_distributive(ol)
@@ -248,6 +304,63 @@ def test_random_orders_with_missing_bounds_match_the_oracles(all_witnesses):
         assert_logic_matches_the_oracles(ol)
 
 
+def set_lattice(rng, points, generators, union_closed):
+    """Subsets of ``points`` points closed under intersection, with the full set.
+
+    Ordered by inclusion this is a lattice; closed under union as well it is a
+    ring of sets, hence distributive. Elements come in shuffled order.
+    """
+    family = {(1 << points) - 1, *(int(x) for x in rng.integers(0, 1 << points, generators))}
+    while True:
+        grown = family | {x & y for x in family for y in family}
+        if union_closed:
+            grown |= {x | y for x in family for y in family}
+        if grown == family:
+            break
+        family = grown
+    sets = [sorted(family)[i] for i in rng.permutation(len(family))]
+    le = np.array([[x & ~y == 0 for y in sets] for x in sets])
+    return FinitePoset([format(x, f"0{points}b") for x in sets], le)
+
+
+def named_lattice(covers):
+    labels = sorted({x for pair in covers for x in pair})
+    le = np.eye(len(labels), dtype=bool)
+    for lo, hi in covers:
+        le[labels.index(lo), labels.index(hi)] = True
+    for _ in labels:  # close transitively
+        le |= (le.astype(np.uint8) @ le.astype(np.uint8)) > 0
+    return FinitePoset(labels, le)
+
+
+def test_random_lattices_match_the_distributivity_oracle():
+    rng = np.random.default_rng(13)
+    lattices = [
+        set_lattice(rng, int(rng.integers(2, 6)), int(rng.integers(1, 7)), i % 2 == 0)
+        for i in range(60)
+    ]
+    n5 = named_lattice([("0", "a"), ("a", "c"), ("c", "1"), ("0", "b"), ("b", "1")])
+    m3 = named_lattice([("0", x) for x in "abc"] + [(x, "1") for x in "abc"])
+    lattices += [n5, m3]
+    verdicts = []
+    for p in lattices:
+        assert p.upsets().by_up is not None
+        assert (p.meet_table() >= 0).all() and (p.join_table() >= 0).all()
+        as_logic = SimpleNamespace(poset=p, labels=p.labels, n=p.n)
+        want = oracle_is_distributive(as_logic)
+        assert is_distributive(as_logic) == want
+        hit = first_nondistributive(p.meet_table(), p.join_table())
+        assert (hit is None) == want[0]
+        if hit is not None:
+            assert dict(zip("abc", (p.labels[x] for x in hit))) == want[1]
+        # on a lattice Birkhoff's test decides alone; where it fails the scan names the witness
+        assert birkhoff_distributive(p) == want[0]
+        verdicts.append(want[0])
+    assert not birkhoff_distributive(n5) and not birkhoff_distributive(m3)
+    assert all(verdicts[0:60:2]) and not all(verdicts[1:60:2])
+    assert set(verdicts) == {True, False}
+
+
 def test_table_kernels_stay_small_at_the_size_ceiling():
     # full n^3 index arrays at n=256 take ~134 MB each; the per-row kernels
     # need well under 1 MB (numpy reports its buffers to tracemalloc)
@@ -257,6 +370,8 @@ def test_table_kernels_stay_small_at_the_size_ceiling():
     kernels = (
         (is_distributive, ol),
         (classify, ol),
+        (check_de_morgan, ol),
+        (verify_logic, ol),
         (_build_sum_info, ol),
         (verify_quasilogic, ol),
         (UpsetIndex.table, ups),
