@@ -10,53 +10,28 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .boolean_rep import (
-    BooleanSemiring,
-    represent_distribution,
-    stone_map,
-    verify_semiring,
-    verify_stone,
-)
 from .errors import DomainError, ParseError, QstructError, StructuralError
-from .gns import (
-    check_sample_count,
-    gns_construct,
-    schwartz_check,
-    verify_algebra,
-    verify_gns,
-    verify_state,
-)
-from .io_formats import (
-    load_algebra,
-    load_distribution,
-    load_povm,
-    load_structure,
-    serialize_dilation,
-)
-from .matrix_core import Tolerance
-from .naimark import dilate, verify_dilation, verify_povm
-from .order import FinitePoset, verify_poset
-from .ortho import OrthoLogic, verify_logic
-from .properties import SUITES, run_suite
-from .quasilogic import (
-    Quasilogic,
-    check_de_morgan,
-    check_sum_lattice_identity,
-    classify,
-    verify_quasilogic,
-)
-from .report import VerificationReport
-from .semilogic import Semilogic, verify_semilogic
+
+if TYPE_CHECKING:
+    from .matrix_core import Tolerance
+    from .report import VerificationReport
+
+# the keys of properties.SUITES, in order: the parser is built without loading the suites
+SUITE_NAMES = "order quasilogic semilogic stone matrix clan gns naimark io".split()
 
 DEFAULT_EPS = 1e-9
 TOL_ENV = "QSTRUCT_TOL"
 
 
 def _tolerance(args: argparse.Namespace) -> Tolerance:
+    from .matrix_core import Tolerance
+
     eps = getattr(args, "tol", None)
     if eps is None:
         raw = os.environ.get(TOL_ENV)
@@ -64,7 +39,16 @@ def _tolerance(args: argparse.Namespace) -> Tolerance:
             eps = float(raw) if raw else DEFAULT_EPS
         except ValueError:
             raise ParseError(f"{TOL_ENV} is not a number", value=raw) from None
+    if not math.isfinite(eps):
+        raise ParseError("tolerance must be a finite number", value=str(eps))
     return Tolerance.with_eps(eps)
+
+
+def _not_negative(args: argparse.Namespace, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value < 0:
+            raise ParseError(f"--{name} must not be negative", **{name: value})
 
 
 def _write_text(path: str, text: str) -> None:
@@ -103,6 +87,14 @@ def _payload(command: str, reports: list[VerificationReport], **extra) -> dict:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .boolean_rep import BooleanSemiring, verify_semiring
+    from .io_formats import load_structure
+    from .order import FinitePoset, verify_poset
+    from .ortho import OrthoLogic, verify_logic
+    from .quasilogic import Quasilogic, check_de_morgan, check_sum_lattice_identity, classify
+    from .quasilogic import verify_quasilogic
+    from .semilogic import Semilogic, verify_semilogic
+
     obj = load_structure(args.file)
     extra: dict = {}
     if isinstance(obj, Quasilogic):
@@ -120,6 +112,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_stone(args: argparse.Namespace) -> int:
+    from .boolean_rep import BooleanSemiring, represent_distribution, stone_map
+    from .boolean_rep import verify_semiring, verify_stone
+    from .io_formats import load_distribution, load_structure
+
     obj = load_structure(args.file)
     if not isinstance(obj, BooleanSemiring):
         raise DomainError(
@@ -147,6 +143,9 @@ def cmd_stone(args: argparse.Namespace) -> int:
 
 
 def cmd_dilate(args: argparse.Namespace) -> int:
+    from .io_formats import load_povm, serialize_dilation
+    from .naimark import dilate, verify_dilation, verify_povm
+
     tol = _tolerance(args)
     povm = load_povm(args.file)
     reports = [verify_povm(povm, tol)]
@@ -160,8 +159,11 @@ def cmd_dilate(args: argparse.Namespace) -> int:
 
 
 def cmd_gns(args: argparse.Namespace) -> int:
-    if args.samples < 0:
-        raise ParseError("--samples must not be negative", samples=args.samples)
+    from .gns import check_sample_count, gns_construct, schwartz_check, verify_algebra
+    from .gns import verify_gns, verify_state
+    from .io_formats import load_algebra
+
+    _not_negative(args, "samples", "seed")
     tol = _tolerance(args)
     alg, state = load_algebra(args.file)
     check_sample_count(args.samples, alg.n)  # before any work is spent on the state
@@ -175,6 +177,9 @@ def cmd_gns(args: argparse.Namespace) -> int:
 
 
 def cmd_property(args: argparse.Namespace) -> int:
+    from .properties import SUITES, run_suite
+
+    _not_negative(args, "seed")
     tol = _tolerance(args)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = [run_suite(name, seed=args.seed, tol=tol) for name in names]
@@ -254,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="all",
-        choices=["all", *SUITES],
+        choices=["all", *SUITE_NAMES],
         help="which suite to run (default all)",
     )
     p.add_argument("--seed", type=int, default=0)

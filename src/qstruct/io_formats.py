@@ -16,19 +16,23 @@ import json
 import math
 from collections import Counter
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .boolean_rep import BooleanSemiring
 from .errors import ParseError, StructuralError
-from .gns import AlgebraState, ConcreteStarAlgebra, check_basis_size
-from .naimark import FinitePovm, povm_from_outcomes
 from .order import MAX_DIM, MAX_SPACE, FinitePoset, check_element_count, transitive_reduction
 from .order import bool_product
 from .ortho import OrthoLogic
 from .quasilogic import Quasilogic
 from .semilogic import DistributionTable, Semilogic
+
+# gns and naimark are imported where operator files are parsed: checking a
+# structure file loads neither
+if TYPE_CHECKING:
+    from .gns import AlgebraState, ConcreteStarAlgebra
+    from .naimark import FinitePovm
 
 Structure = FinitePoset | Quasilogic | Semilogic
 
@@ -288,6 +292,8 @@ def _check_operator_size(n: int, dim: int) -> None:
 
 
 def parse_povm(data: Any, base_dir: Path | None = None) -> FinitePovm:
+    from .naimark import FinitePovm, povm_from_outcomes
+
     _require(isinstance(data, dict), "measure file must be a JSON object")
     _require(data.get("kind") == "povm", "kind must be 'povm'", kind=data.get("kind"))
     dim = data.get("dim")
@@ -367,6 +373,8 @@ def serialize_dilation(dil) -> dict:
 
 
 def parse_algebra(data: Any) -> tuple[ConcreteStarAlgebra, AlgebraState | None]:
+    from .gns import AlgebraState, ConcreteStarAlgebra, check_basis_size
+
     _require(isinstance(data, dict), "algebra file must be a JSON object")
     _require(
         data.get("kind") == "star_algebra", "kind must be 'star_algebra'", kind=data.get("kind")

@@ -564,7 +564,7 @@ def test_negative_gns_samples_are_a_parse_error(capsys, valid_dir, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started")
 
-    monkeypatch.setattr(qstruct.cli, "schwartz_check", no_sampling)
+    monkeypatch.setattr(qstruct.gns, "schwartz_check", no_sampling)
     code, out, _ = run_cli(
         capsys, "gns", "--json", "--samples", "-1", str(valid_dir / "m2_algebra.json")
     )
@@ -592,7 +592,7 @@ def test_gns_samples_are_bounded_before_drawing(capsys, valid_dir, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started")
 
-    monkeypatch.setattr(qstruct.cli, "schwartz_check", no_sampling)
+    monkeypatch.setattr(qstruct.gns, "schwartz_check", no_sampling)
     code, out, _ = run_cli(
         capsys, "gns", "--json", "--samples", str(over), str(valid_dir / "m2_algebra.json")
     )
@@ -600,6 +600,62 @@ def test_gns_samples_are_bounded_before_drawing(capsys, valid_dir, monkeypatch):
     error = error_payload(out)
     assert error["type"] == "ParseError"
     assert error["details"] == {"samples": over, "basis_size": 4}
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started")
+
+
+@pytest.mark.parametrize("command", ["gns", "property"])
+def test_negative_seed_is_a_parse_error(capsys, valid_dir, monkeypatch, command):
+    monkeypatch.setattr(qstruct.gns, "gns_construct", _no_work)
+    monkeypatch.setattr(qstruct.properties, "run_suite", _no_work)
+    if command == "gns":
+        argv = [command, str(valid_dir / "m2_algebra.json")]
+    else:
+        argv = [command, "--suite", "order"]
+    code, out, _ = run_cli(capsys, *argv, "--json", "--seed", "-5")
+    assert code == 2
+    error = error_payload(out)
+    assert error["type"] == "ParseError"
+    assert error["message"] == "--seed must not be negative"
+    assert error["details"] == {"seed": -5}
+
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: --seed must not be negative", "  seed: -1"]
+
+
+def _no_nan(literal):
+    raise AssertionError(f"{literal} in JSON output")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_non_finite_tolerance_is_a_parse_error(capsys, valid_dir, monkeypatch, value, source):
+    argv = ["dilate", "--json", str(valid_dir / "trine_povm.json")]
+    if source == "flag":
+        argv.append(f"--tol={value}")
+    else:
+        monkeypatch.setenv("QSTRUCT_TOL", value)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    payload = json.loads(out, parse_constant=_no_nan)
+    jsonschema.validate(payload, ERROR_SCHEMA)
+    assert payload["error"]["type"] == "ParseError"
+    assert payload["error"]["message"] == "tolerance must be a finite number"
+    assert payload["error"]["details"] == {"value": str(float(value))}
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "1e300"])
+def test_finite_tolerance_out_of_range_is_a_domain_error(capsys, valid_dir, value):
+    code, out, _ = run_cli(
+        capsys, "dilate", "--json", "--tol", value, str(valid_dir / "trine_povm.json")
+    )
+    assert code == 1
+    payload = json.loads(out, parse_constant=_no_nan)
+    assert payload["error"]["type"] == "DomainError"
 
 
 # JSON number literals that Python's json accepts but that are no finite real
