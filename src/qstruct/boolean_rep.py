@@ -21,18 +21,18 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .order import MAX_ELEMENTS, FinitePoset, atoms
+from .order import MAX_ELEMENTS, FinitePoset, atoms, bool_product, packed_rows
 from .report import VerificationReport
 from .semilogic import (
-    DistributionTable,
     EXACT_TOL,
+    FAMILY_BLOCK,
+    DistributionTable,
     Filter,
     HomomorphismMap,
     Semilogic,
     distribution_mass,
     family_mask,
     pair_witnesses,
-    summable_families,
     verify_semilogic,
 )
 
@@ -128,48 +128,26 @@ def verify_stone(sr: StoneRepresentation) -> VerificationReport:
     labels, le, z = bs.labels, bs.poset.le, bs.zero()
 
     rep.record("empty-at-zero", [] if not ext[z] else [{"extent": sorted(ext[z])}])
-    rep.record(
-        "monotone",
-        (
-            {"a": labels[a], "b": labels[b]}
-            for a in range(bs.n)
-            for b in range(bs.n)
-            if le[a, b] and not ext[a] <= ext[b]
-        ),
-    )
-    rep.record(
-        "meets-to-intersections",
-        (
-            {"a": labels[a], "b": labels[b]}
-            for a in range(bs.n)
-            for b in range(a, bs.n)
-            if ext[int(bs.prod[a, b])] != ext[a] & ext[b]
-        ),
-    )
-    rep.record(
-        "sums-to-unions",
-        (
-            {"family": [labels[x] for x in fam], "sum": labels[sup]}
-            for fam, sup in summable_families(bs)
-            if fam
-            and ext[sup] != frozenset().union(*(ext[x] for x in fam))
-        ),
-    )
-    faithful = []
-    for a in range(bs.n):
-        for b in range(a + 1, bs.n):
-            if ext[a] == ext[b]:
-                faithful.append({"a": labels[a], "b": labels[b]})
-    rep.record("faithful", faithful)
-    rep.record(
-        "separating",
-        (
-            {"a": labels[a], "b": labels[b]}
-            for a in range(bs.n)
-            for b in range(bs.n)
-            if not le[a, b] and ext[a] <= ext[b]
-        ),
-    )
+    # bits[b, i]: point i lies in ext[b]; sub[a, b]: ext[a] <= ext[b]
+    bits = np.zeros((bs.n, 1 + max((max(e) for e in ext if e), default=0)), dtype=bool)
+    for b, e in enumerate(ext):
+        bits[b, list(e)] = True
+    sub, ids, label = ~bool_product(bits, ~bits.T), range(bs.n), labels.__getitem__
+    rep.record("monotone", pair_witnesses(le & ~sub, ("a", "b"), ids, ids, label))
+    split = np.triu((bits[bs.prod] != bits[:, None] & bits).any(axis=2))
+    rep.record("meets-to-intersections", pair_witnesses(split, ("a", "b"), ids, ids, label))
+    words, unions = packed_rows(bits), []
+    for members, sups in bs._all_orthogonal_families().summable(1):
+        for lo in range(0, len(members), FAMILY_BLOCK):
+            block, tops = members[lo : lo + FAMILY_BLOCK], sups[lo : lo + FAMILY_BLOCK]
+            bad = (np.bitwise_or.reduce(words[block], axis=1) != words[tops]).any(axis=1)
+            unions += (
+                {"family": [labels[x] for x in block[f].tolist()], "sum": labels[tops[f]]}
+                for f in np.flatnonzero(bad)
+            )
+    rep.record("sums-to-unions", unions)
+    rep.record("faithful", pair_witnesses(np.triu(sub & sub.T, 1), ("a", "b"), ids, ids, label))
+    rep.record("separating", pair_witnesses(~le & sub, ("a", "b"), ids, ids, label))
 
     # perfect: the image ring of sets has no maximal filters beyond the points
     perfect = []

@@ -10,7 +10,6 @@ witness carries the product norm and the overlap ||P1 P2 P1||.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -28,9 +27,9 @@ from .matrix_core import (
     screened_op_norm,
     screened_op_norms,
 )
-from .order import FinitePoset, first_nondistributive, verify_poset
+from .order import FinitePoset, first_nondistributive, sentinel_padded, verify_poset
 from .report import VerificationReport
-from .semilogic import additivity_witnesses, family_residuals, orthogonal_families
+from .semilogic import additivity_witnesses, orthogonal_levels
 
 
 @dataclass
@@ -215,16 +214,16 @@ def verify_clan(clan: Clan, tol: Tolerance) -> VerificationReport:
     return rep
 
 
-def _orthogonal_member_families(clan: Clan, tol: Tolerance) -> list[tuple[tuple[int, ...], int]]:
-    """Orthogonal families of two or more nonzero members, each with its join."""
+def _orthogonal_member_families(clan: Clan, tol: Tolerance) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Levels of the orthogonal families of two or more nonzero members, with their joins.
+
+    A family's join folds the member join table from its first member; a
+    join that is no member (-1) stays -1.
+    """
     _, join_idx = _cached(clan, tol, bound_tables)
     orth = _cached(clan, tol, relation_tables)["orthogonal"]
-    nonzero = np.flatnonzero(op_norms_exceed(clan.members, tol.eps)).tolist()
-    return [
-        (fam, reduce(lambda total, x: int(join_idx[total, x]), fam))
-        for fam, _ in orthogonal_families(nonzero, orth)
-        if len(fam) > 1
-    ]
+    nonzero = np.flatnonzero(op_norms_exceed(clan.members, tol.eps))
+    return orthogonal_levels(orth, nonzero, sentinel_padded(join_idx))[1:]
 
 
 def vector_state(clan: Clan, xi: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, VerificationReport]:
@@ -255,8 +254,7 @@ def vector_state(clan: Clan, xi: np.ndarray, tol: Tolerance) -> tuple[np.ndarray
         rep.record("unit-normalized", [{"reason": "no absorbing unit"}])
 
     fams = _orthogonal_member_families(clan, tol)
-    gaps = family_residuals(vals, fams)
-    rep.record("additive", additivity_witnesses(clan.labels, fams, gaps, tol.eps))
+    rep.record("additive", additivity_witnesses(clan.labels, fams, vals, tol.eps))
     return vals, rep
 
 
@@ -296,8 +294,7 @@ def operator_distribution(
     rep.record("unit-to-identity", [] if defect <= tol.eps else [{"defect": defect}])
 
     fams = _orthogonal_member_families(clan, tol)
-    gaps = family_residuals(images, fams, tol.eps)
-    rep.record("additive", additivity_witnesses(clan.labels, fams, gaps, tol.eps))
+    rep.record("additive", additivity_witnesses(clan.labels, fams, images, tol.eps, tol.eps))
     return images, rep
 
 

@@ -180,33 +180,34 @@ class UpsetIndex:
             return np.array(
                 [[-1 if g is None else g for g in row] for row in bounds], dtype=np.int16
             )
-        words, ext = self.words()
+        words = self.words()[0]
         out = np.empty((n, n), dtype=np.int16)
         rows = max(1, 2**17 // words[:1].nbytes // n)
         for x0 in range(0, n, rows):
-            acc = words[x0 : x0 + rows, None, :] & words[None, :, :]
-            k = (acc != 0).argmax(axis=2)  # first nonzero word
-            word = np.take_along_axis(acc, k[..., None], axis=2)[..., 0]
-            low = word & (~word + np.uint64(1))  # lowest set bit, 2^i; frexp gives i + 1
-            first = 64 * k + np.frexp(low.astype(np.float64))[1] - 1
-            # an empty AND gives first = -1, and every upset holds its own bit
-            z = ext[np.clip(first, 0, n - 1)]
-            out[x0 : x0 + rows] = np.where((words[z] == acc).all(axis=2), z, -1)
+            out[x0 : x0 + rows] = self._element_of(words[x0 : x0 + rows, None] & words[None])
         return out
 
-    def bounds_equal(self, rows: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Whether the bound of the items ``rows[r]`` is ``targets[r]``, for each r.
+    def bounds(self, rows: np.ndarray) -> np.ndarray:
+        """Bound of the items ``rows[r]``, for each r; -1 where there is none.
 
-        ``rows`` is (m, k) with k >= 1 and ``targets`` holds element ids. Upsets
-        are compared as uint64 words, so all m rows are one numpy expression.
+        ``rows`` is (m, k) with k >= 1. On an order the upsets are ANDed as
+        uint64 words, so all m rows are one numpy expression.
         """
         if self.by_up is None:
-            return np.array(
-                [self.bound(row) == t for row, t in zip(rows.tolist(), targets.tolist())],
-                dtype=bool,
-            )
-        w = self.words()[0]
-        return (np.bitwise_and.reduce(w[rows], axis=1) == w[targets]).all(axis=1)
+            bounds = (self.bound(row) for row in rows.tolist())
+            return np.array([-1 if g is None else g for g in bounds], dtype=np.int16)
+        return self._element_of(np.bitwise_and.reduce(self.words()[0][rows], axis=1))
+
+    def _element_of(self, acc: np.ndarray) -> np.ndarray:
+        """The element whose upset words are ``acc[..., :]``, else -1; see the class note."""
+        words, ext = self.words()
+        k = (acc != 0).argmax(axis=-1)  # first nonzero word
+        word = np.take_along_axis(acc, k[..., None], axis=-1)[..., 0]
+        low = word & (~word + np.uint64(1))  # lowest set bit, 2^i; frexp gives i + 1
+        first = 64 * k + np.frexp(low.astype(np.float64))[1] - 1
+        # an empty AND gives first = -1, and every upset holds its own bit
+        z = ext[np.clip(first, 0, len(ext) - 1)]
+        return np.where((words[z] == acc).all(axis=-1), z, -1)
 
 
 def packed_rows(rel: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ layer only adds totality of the product and distributivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Callable, Mapping, Sequence, Union
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .report import VerificationReport
 
 MAX_FAMILIES = 200_000
 FAMILY_BLOCK = 256  # families per block in family_residuals
+EXPAND_ROWS = 1024  # family rows unpacked at a time in orthogonal_levels
+BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # popcounts
 ADDITIVITY_BLOCK = 1 << 16  # (family, member pair, element) cells per product-additivity block
 EXACT_TOL = 1e-12  # additivity / regularity comparisons are essentially exact
 
@@ -49,7 +51,7 @@ class Semilogic:
         self.prod = prod
         self.n = poset.n
         self.labels = poset.labels
-        self._families: list[tuple[tuple[int, ...], int]] | None = None
+        self._families: FamilyTable | None = None
 
     def index(self, label: str) -> int:
         return self.poset.index(label)
@@ -66,85 +68,125 @@ class Semilogic:
 
     # -- orthogonal families --------------------------------------------------
 
-    def _all_orthogonal_families(self) -> list[tuple[tuple[int, ...], int]]:
-        """Every pairwise-orthogonal zero-free subset, with its sup (-1: none)."""
-        if self._families is not None:
-            return self._families
-        z = self.zero()
-        out: list[tuple[tuple[int, ...], int]] = []
-        if z is None:
-            self._families = out
-            return out
-        ups = self.poset.upsets()
-        elems = [i for i in range(self.n) if i != z]
-        # the empty family counts against the cap too
-        fams = orthogonal_families(elems, self.prod == z, ups.up, MAX_FAMILIES - 1)
-        for fam, acc in [((), ups.top), *fams]:
-            sup = ups.bound_of(acc)
-            out.append((fam, sup if sup is not None else -1))
-        self._families = out
-        return out
+    def _all_orthogonal_families(self) -> FamilyTable:
+        """Every pairwise-orthogonal zero-free subset with its sup (-1: none), built once.
+
+        Level 0 is the empty family, whose sup is the least element; the
+        rest are ``orthogonal_levels`` of the nonzero elements, with sups
+        folded over the join table on a partial order and scanned elsewhere.
+        """
+        if self._families is None:
+            z, ups, levels = self.zero(), self.poset.upsets(), []
+            if z is not None:
+                join = None if ups.by_up is None else sentinel_padded(self.poset.join_table())
+                empty = ups.bound_of(ups.top)
+                levels = [(np.zeros((1, 0), np.int16), np.array([-1 if empty is None else empty]))]
+                nonzero = np.flatnonzero(np.arange(self.n) != z)
+                # the empty family counts against the cap too
+                cap = MAX_FAMILIES - 1
+                levels += orthogonal_levels(self.prod == z, nonzero, join, ups.bounds, cap)
+            self._families = FamilyTable(levels)
+        return self._families
 
 
-def orthogonal_families(
-    elems: Sequence[int],
-    orth: np.ndarray,
-    up: Sequence[int] | None = None,
-    cap: int | None = None,
-) -> list[tuple[tuple[int, ...], int]]:
-    """Nonempty pairwise-orthogonal subsets of ``elems``, in depth-first order.
+@dataclass
+class FamilyTable:
+    """Families by size: level L is (members, sups), with members (m, L) int16.
 
-    Each family comes with the AND of ``up`` over its members (-1 without
-    ``up``); for upset bitsets that is the family's set of upper bounds.
-    Reaching ``cap`` families and finding one more raises StructuralError.
+    Each row lists its members in increasing order and the rows of a level
+    are in lexicographic order, so the levels list the families in (size,
+    members) order. sups is (m,), -1 where a family has no sup. ``len``
+    counts the families.
     """
-    out: list[tuple[tuple[int, ...], int]] = []
-    stack: list[tuple[tuple[int, ...], list[int], int]] = [((), list(elems), -1)]
-    while stack:
-        cur, cands, acc = stack.pop()
-        for k, x in enumerate(cands):
-            if cap is not None and len(out) >= cap:
-                raise StructuralError("orthogonal family count exceeds enumeration cap")
-            fam = cur + (x,)
-            fam_acc = acc if up is None else acc & up[x]
-            out.append((fam, fam_acc))
-            rest = [y for y in cands[k + 1 :] if orth[x, y]]
-            if rest:
-                stack.append((fam, rest, fam_acc))
-    return out
+
+    levels: list[tuple[np.ndarray, np.ndarray]]
+
+    def __len__(self) -> int:
+        return sum(len(sups) for _, sups in self.levels)
+
+    def summable(self, min_size: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Per level of at least ``min_size`` members, the rows that have a sup."""
+        for members, sups in self.levels[min_size:]:
+            yield members[sups >= 0], sups[sups >= 0]
+
+
+def orthogonal_levels(
+    orth: np.ndarray,
+    elems: np.ndarray,
+    join: np.ndarray | None,
+    bounds: Callable[[np.ndarray], np.ndarray] | None = None,
+    cap: int | None = None,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Nonempty pairwise-orthogonal subsets of ``elems``: the ``FamilyTable`` levels from 1 up.
+
+    A family's packed ``allowed`` row holds the elements that may follow its
+    last member: of larger id and orthogonal to every member. The set bits
+    of level L's rows, unpacked ``EXPAND_ROWS`` rows at a time and read in
+    row-major order, are the rows of level L + 1, again in lexicographic
+    order. Their popcount sizes the next level, so past ``cap`` families in
+    all StructuralError is raised before that level is allocated.
+
+    ``join`` is a sentinel-padded join table. A singleton is its own sup
+    and a child's is join[sup(parent), y]: on a partial order the upper
+    bounds of {sup(parent), y} are the family's. Where the parent has no
+    sup, ``bounds(members)`` gives the child's, if given. Without ``join``
+    every sup comes from ``bounds``.
+    """
+    n, ids = orth.shape[0], np.arange(orth.shape[0])
+    after = np.packbits(orth & np.isin(ids, elems) & (ids > ids[:, None]), axis=1)
+    members = np.asarray(elems, dtype=np.int16)[:, None]
+    allowed = after[members[:, 0]]
+    sups = members[:, 0] if join is not None else bounds(members)
+    count, levels, size = 0, [], len(members)
+    while size:
+        count += size
+        if cap is not None and count > cap:
+            raise StructuralError("orthogonal family count exceeds enumeration cap")
+        if levels:
+            cells = [
+                np.flatnonzero(np.unpackbits(allowed[lo : lo + EXPAND_ROWS], axis=1, count=n))
+                + lo * n
+                for lo in range(0, len(members), EXPAND_ROWS)
+            ]
+            parent, last = np.divmod(np.concatenate(cells), n)
+            members = np.concatenate([members[parent], last[:, None].astype(np.int16)], axis=1)
+            allowed, parents = allowed[parent] & after[last], sups[parent]
+            if join is None:
+                sups = bounds(members)
+            else:
+                sups = join.ravel()[parents.astype(np.intp) * (n + 1) + last]
+                if bounds is not None and (parents < 0).any():
+                    sups[parents < 0] = bounds(members[parents < 0])
+        levels.append((members, sups))
+        size = int(BYTE_BITS[allowed].sum())
+    return levels
 
 
 def family_residuals(
-    values: np.ndarray, families: Sequence[tuple[tuple[int, ...], int]], eps: float = 0.0
+    values: np.ndarray, members: np.ndarray, sups: np.ndarray, eps: float = 0.0
 ) -> np.ndarray:
-    """``values[sup]`` minus the sum of ``values`` over the family, per (family, sup).
+    """``values[sup]`` minus the sum of ``values`` over the family, per row of one level.
 
     ``values`` stacks scalars ``(n,)`` or matrices ``(n, d, d)``. A matrix
     residual is reduced by ``screened_op_norms``: its exact operator norm
     where that exceeds ``eps``, and elsewhere a Frobenius bound that is at
     most ``eps``; so ``> eps`` reads the same either way, and every gap above
     eps is the exact norm. The default eps of 0 gives exact norms throughout.
-    A sup of -1 reads a zero row,
-    which gives minus the family sum. Members sit in a padded index whose
-    sentinel is that zero row, and each sum runs from 0 over the members left
-    to right, like the builtin ``sum``, so every float is the one a loop over
-    single families gives. Families go ``FAMILY_BLOCK`` at a time, so no
-    temporary grows with the family count.
+    A sup of -1 reads a zero row, which gives minus the family sum. Each sum
+    runs from 0 over the members left to right, like the builtin ``sum``, so
+    every float is the one a loop over single families gives. Rows go
+    ``FAMILY_BLOCK`` at a time, so no temporary grows with the family count.
     """
     values = np.asarray(values)
-    n = values.shape[0]
-    padded = np.zeros((n + 1, *values.shape[1:]), dtype=values.dtype)
-    padded[:n] = values
-    out = np.empty(len(families))
-    for lo in range(0, len(families), FAMILY_BLOCK):
-        block = families[lo : lo + FAMILY_BLOCK]
-        sizes = np.array([len(fam) for fam, _ in block])
-        members = np.full((len(block), sizes.max()), n)
-        members[np.arange(sizes.max()) < sizes[:, None]] = [x for fam, _ in block for x in fam]
+    padded = np.zeros((values.shape[0] + 1, *values.shape[1:]), dtype=values.dtype)
+    padded[:-1] = values
+    out = np.empty(len(members))
+    for lo in range(0, len(members), FAMILY_BLOCK):
+        block = members[lo : lo + FAMILY_BLOCK]
         total = np.zeros((len(block), *values.shape[1:]), dtype=values.dtype)
-        for col in members.T:
+        for col in block.T:
             total = total + padded[col]
-        residual = padded[[sup for _, sup in block]] - total
+        residual = padded[sups[lo : lo + FAMILY_BLOCK]] - total
         out[lo : lo + len(block)] = (
             residual if values.ndim == 1 else screened_op_norms(residual, eps)
         )
@@ -153,16 +195,24 @@ def family_residuals(
 
 def additivity_witnesses(
     labels: Sequence[str],
-    families: Sequence[tuple[tuple[int, ...], int]],
-    gaps: np.ndarray,
+    levels: Iterable[tuple[np.ndarray, np.ndarray]],
+    values: np.ndarray,
     tol: float,
+    eps: float = 0.0,
+    sign: float = 1.0,
 ) -> list[dict]:
-    """One witness per (family, sup) whose gap exceeds ``tol`` in absolute value."""
-    return [
-        {"family": [labels[x] for x in fam], "sum": labels[sup], "gap": float(gap)}
-        for (fam, sup), gap in zip(families, gaps)
-        if abs(gap) > tol
-    ]
+    """One witness per family whose gap, ``sign`` times its residual, exceeds ``tol``.
+
+    ``levels`` yields (members, sups) as ``FamilyTable`` levels do; the
+    residuals are ``family_residuals`` with ``eps``.
+    """
+    out = []
+    for members, sups in levels:
+        gaps = sign * family_residuals(values, members, sups, eps)
+        for i in np.flatnonzero(np.abs(gaps) > tol):
+            fam = [labels[x] for x in members[i].tolist()]
+            out.append({"family": fam, "sum": labels[sups[i]], "gap": float(gaps[i])})
+    return out
 
 
 def summable_families(s: Semilogic) -> list[tuple[tuple[int, ...], int]]:
@@ -170,9 +220,11 @@ def summable_families(s: Semilogic) -> list[tuple[tuple[int, ...], int]]:
 
     Includes the empty family (sum 0) and all nonzero singletons.
     """
-    fams = [(f, v) for f, v in s._all_orthogonal_families() if v >= 0]
-    fams.sort(key=lambda fv: (len(fv[0]), fv[0]))
-    return fams
+    return [
+        fam
+        for members, sups in s._all_orthogonal_families().summable()
+        for fam in zip(map(tuple, members.tolist()), sups.tolist())
+    ]
 
 
 def relative_complement(s: Semilogic, a: int, k: int) -> int | None:
@@ -241,18 +293,8 @@ def verify_semilogic(s: Semilogic) -> VerificationReport:
     rep.record("zero-element", [] if z is not None else [{"reason": "no least element"}])
 
     if z is not None:
-        rep.record(
-            "zero-product",
-            (
-                {"a": labels[a]}
-                for a in range(n)
-                if prod[z, a] != z
-            ),
-        )
-    rep.record(
-        "idempotent",
-        ({"a": labels[a]} for a in range(n) if prod[a, a] != a),
-    )
+        rep.record("zero-product", ({"a": labels[a]} for a in np.flatnonzero(prod[z] != z)))
+    rep.record("idempotent", ({"a": labels[a]} for a in np.flatnonzero(np.diag(prod) != range(n))))
 
     rep.record(
         "order-coherence",
@@ -290,7 +332,7 @@ def verify_semilogic(s: Semilogic) -> VerificationReport:
 
     # product distributes over realized sums: a(sum a_i) = sum(a a_i)
     families = summable_families(s)
-    rep.record("product-additivity", _product_additivity(s, z, families) if z is not None else [])
+    rep.record("product-additivity", _product_additivity(s, z) if z is not None else [])
 
     # every defined product must come from a common orthogonal refinement
     compat = []
@@ -319,12 +361,10 @@ def verify_semilogic(s: Semilogic) -> VerificationReport:
     return rep
 
 
-def _product_additivity(
-    s: Semilogic, z: int, families: Sequence[tuple[tuple[int, ...], int]]
-) -> list[dict]:
+def _product_additivity(s: Semilogic, z: int) -> list[dict]:
     """Witnesses of a(sum a_i) = sum(a a_i), per (summable family, element a).
 
-    Each block of same-length families reads img[f, l, a] = a * member l at
+    Each block of a level's summable families reads img[f, l, a] = a * member l at
     once. Member pairs score 2 for a repeated nonzero image and 1 for two
     nonzero images with a nonzero product. Image sums fold the join table,
     which is exact: where sup{x, y} exists, {x, y, w} and {sup{x, y}, w} have
@@ -343,15 +383,14 @@ def _product_additivity(
     score[np.diag_indices(n)] = 2 * nonzero
     score = score.ravel()  # [p * n + q]
     out = []
-    nonempty = (fs for fs in families if fs[0])
-    for size, run in groupby(nonempty, key=lambda fs: len(fs[0])):
-        run = list(run)
+    for members, sups in s._all_orthogonal_families().summable(1):
+        size = members.shape[1]
         i, j = np.triu_indices(size, 1)
         step = max(1, ADDITIVITY_BLOCK // (n * max(len(i), size)))
-        for lo in range(0, len(run), step):
-            block = run[lo : lo + step]
-            img = prod[np.array([fam for fam, _ in block])].astype(np.int32)
-            target = prod[[sup for _, sup in block]]  # [f, a] = a * sup
+        for lo in range(0, len(members), step):
+            block = members[lo : lo + step]
+            img = prod[block].astype(np.int32)
+            target = prod[sups[lo : lo + step]]  # [f, a] = a * sup
             defined = (img >= 0).all(axis=1)
             worst = score[(img * n)[:, i] + img[:, j]].max(axis=1, initial=0)
             summed = defined & (worst == 0) & (target >= 0)
@@ -360,9 +399,9 @@ def _product_additivity(
                 folded = jt[folded * (n + 1) + col]
             wrong = summed & (folded != target)
             f, a = np.nonzero(summed & (folded < 0))
-            wrong[f, a] = ~ups.bounds_equal(img[f, :, a], target[f, a])
+            wrong[f, a] = ups.bounds(img[f, :, a]) != target[f, a]
             for f, a in zip(*np.nonzero((defined & ~summed) | wrong)):
-                w = {"a": labels[a], "family": [labels[m] for m in block[f][0]]}
+                w = {"a": labels[a], "family": [labels[m] for m in block[f].tolist()]}
                 if worst[f, a] == 2:
                     w["reason"] = "image family not summable"
                 elif worst[f, a] == 1:
@@ -427,18 +466,12 @@ def verify_distribution(
         "zero-value",
         [] if z is not None and abs(vals[z]) <= tol else [{"value": float(vals[z]) if z is not None else None}],
     )
-    rep.record(
-        "monotone",
-        (
-            {"a": s.labels[a], "b": s.labels[b]}
-            for a in range(s.n)
-            for b in range(s.n)
-            if s.poset.le[a, b] and vals[a] > vals[b] + tol
-        ),
-    )
-    fams = [(fam, sup) for fam, sup in summable_families(s) if len(fam) > 1]
-    gaps = -family_residuals(vals, fams)  # family sum minus the value of its sup
-    rep.record("additive", additivity_witnesses(s.labels, fams, gaps, tol))
+    ids, label = range(s.n), s.labels.__getitem__
+    falls = s.poset.le & (vals[:, None] > vals + tol)
+    rep.record("monotone", pair_witnesses(falls, ("a", "b"), ids, ids, label))
+    # gap: the family sum minus the value of its sup
+    summable = s._all_orthogonal_families().summable(2)
+    rep.record("additive", additivity_witnesses(s.labels, summable, vals, tol, sign=-1.0))
     mass = distribution_mass(s, vals)
     rep.facts["mass"] = mass
     rep.facts["is_probability"] = abs(mass - 1.0) <= tol
@@ -450,8 +483,11 @@ def verify_distribution(
 
 def distribution_mass(s: Semilogic, vals: np.ndarray) -> float:
     """Largest sum of ``vals`` over a nonempty orthogonal family; 0.0 if none is positive."""
-    sums = -family_residuals(vals, [(fam, -1) for fam, _ in s._all_orthogonal_families() if fam])
-    return float(sums[sums > 0.0].max(initial=0.0))
+    mass = 0.0
+    for members, _ in s._all_orthogonal_families().levels[1:]:
+        sums = -family_residuals(vals, members, np.full(len(members), -1))
+        mass = max(mass, float(sums[sums > 0.0].max(initial=0.0)))
+    return mass
 
 
 @dataclass(frozen=True)
@@ -506,15 +542,9 @@ def verify_filter(s: Semilogic, f: Filter) -> VerificationReport:
         ),
     )
     # maximal iff every outside element is annihilated by some member
-    mt = s.poset.meet_table()
-    maximal = True
-    for a in range(s.n):
-        if a in members:
-            continue
-        if not any(mt[a, b] == z for b in members):
-            maximal = False
-            break
-    rep.facts["maximal"] = maximal
+    outside = np.setdiff1d(np.arange(s.n), list(members))
+    annihilated = s.poset.meet_table()[np.ix_(outside, list(members))] == z
+    rep.facts["maximal"] = bool(annihilated.any(axis=1).all())
     rep.facts["members"] = sorted(labels[x] for x in members)
     return rep
 
@@ -550,31 +580,18 @@ def verify_ideal(s: Semilogic, d: Ideal) -> VerificationReport:
 
 
 def _ideal_closure(s: Semilogic, seed: set[int]) -> set[int]:
-    mt = s.poset.meet_table()
-    cur = set(seed)
-    changed = True
-    while changed:
-        changed = False
-        for a in range(s.n):
-            for b in list(cur):
-                m = int(mt[a, b])
-                if m >= 0 and m not in cur:
-                    cur.add(m)
-                    changed = True
-        for fam, sup in summable_families(s):
-            if fam and set(fam) <= cur and sup not in cur:
-                cur.add(sup)
-                changed = True
+    """The least superset of ``seed`` closed under meets with any element and under sums."""
+    mt, cur, grown = s.poset.meet_table(), set(), set(seed)
+    while grown != cur:
+        cur, meets = grown, mt[:, sorted(grown)]
+        sums = {sup for fam, sup in summable_families(s) if fam and set(fam) <= cur}
+        grown = cur | set(meets[meets >= 0].tolist()) | sums
     return cur
 
 
 def _ideal_is_maximal(s: Semilogic, members: set[int]) -> bool:
-    for x in range(s.n):
-        if x in members:
-            continue
-        if len(_ideal_closure(s, members | {x})) < s.n:
-            return False
-    return True
+    outside = (x for x in range(s.n) if x not in members)
+    return all(len(_ideal_closure(s, members | {x})) == s.n for x in outside)
 
 
 # -- homomorphisms -------------------------------------------------------------
@@ -663,15 +680,9 @@ def verify_homomorphism(h: HomomorphismMap) -> VerificationReport:
         else [{"zero": sl[sz] if sz is not None else None}],
     )
 
-    rep.record(
-        "monotone",
-        (
-            {"a": sl[a], "b": sl[b]}
-            for a in range(src.n)
-            for b in range(src.n)
-            if src.poset.le[a, b] and not tgt.poset.le[f[a], f[b]]
-        ),
-    )
+    ids = range(src.n)
+    falls = src.poset.le & ~tgt.poset.le[np.ix_(f, f)]
+    rep.record("monotone", pair_witnesses(falls, ("a", "b"), ids, ids, sl.__getitem__))
 
     additive = []
     for fam, total in _structure_families(src):
@@ -689,26 +700,19 @@ def verify_homomorphism(h: HomomorphismMap) -> VerificationReport:
     rep.record("additive", additive)
 
     if isinstance(src, Quasilogic) and isinstance(tgt, Quasilogic):
-        sub = []
-        for b in range(src.n):
-            for a in np.flatnonzero(src.diff[b, :] >= 0):
-                d = int(src.diff[b, a])
-                td = int(tgt.diff[f[b], f[a]])
-                if td < 0 or td != f[d]:
-                    sub.append({"b": sl[b], "a": sl[int(a)]})
+        # [b, a]: b - a defined, and f(b) - f(a) undefined or not f(b - a)
+        moved = (src.diff >= 0) & (tgt.diff[np.ix_(f, f)] != f[src.diff])
+        sub = pair_witnesses(moved, ("b", "a"), ids, ids, sl.__getitem__)
         rep.record("subtraction-preserved", sub)
 
     if isinstance(tgt, Quasilogic) and is_logic(tgt):
-        comm = []
-        for a in range(src.n):
-            for b in range(a, src.n):
-                src_comm = (
-                    src.commutes(a, b)
-                    if isinstance(src, Semilogic)
-                    else quasicommutes(src, a, b)
-                )
-                if src_comm and not quasicommutes(tgt, int(f[a]), int(f[b])):
-                    comm.append({"a": sl[a], "b": sl[b]})
+        commutes = src.commutes if isinstance(src, Semilogic) else partial(quasicommutes, src)
+        comm = [
+            {"a": sl[a], "b": sl[b]}
+            for a in range(src.n)
+            for b in range(a, src.n)
+            if commutes(a, b) and not quasicommutes(tgt, int(f[a]), int(f[b]))
+        ]
         rep.record("commutation-preserved", comm)
     else:
         rep.facts["commutation-check"] = "skipped (target is not a logic)"

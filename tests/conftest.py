@@ -9,9 +9,11 @@ from qstruct import (
     FinitePoset,
     OrthoLogic,
     QstructError,
+    StructuralError,
     load_structure,
     parse_structure,
 )
+from qstruct.matrix_core import screened_op_norms
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -111,6 +113,75 @@ def fixture_structures(kinds):
             continue
         if isinstance(obj, kinds):
             out.append(obj)
+    return out
+
+
+# -- the family walk that the level-wise family table replaced ----------------
+
+
+def oracle_orthogonal_families(elems, orth, up=None, cap=None):
+    """Nonempty pairwise-orthogonal subsets of ``elems``, in depth-first order.
+
+    Each family comes with the AND of ``up`` over its members (-1 without
+    ``up``). Reaching ``cap`` families and finding one more raises
+    StructuralError.
+    """
+    out = []
+    stack = [((), list(elems), -1)]
+    while stack:
+        cur, cands, acc = stack.pop()
+        for k, x in enumerate(cands):
+            if cap is not None and len(out) >= cap:
+                raise StructuralError("orthogonal family count exceeds enumeration cap")
+            fam = cur + (x,)
+            fam_acc = acc if up is None else acc & up[x]
+            out.append((fam, fam_acc))
+            rest = [y for y in cands[k + 1 :] if orth[x, y]]
+            if rest:
+                stack.append((fam, rest, fam_acc))
+    return out
+
+
+def oracle_all_orthogonal_families(s, cap=200_000):
+    """Every (family, sup) of a semilogic in walk order, the sup by a bound lookup (-1: none)."""
+    z = s.zero()
+    if z is None:
+        return []
+    ups = s.poset.upsets()
+    elems = [i for i in range(s.n) if i != z]
+    fams = oracle_orthogonal_families(elems, s.prod == z, ups.up, cap - 1)
+    out = []
+    for fam, acc in [((), ups.top), *fams]:
+        sup = ups.bound_of(acc)
+        out.append((fam, sup if sup is not None else -1))
+    return out
+
+
+def oracle_summable_families(s):
+    fams = [(f, v) for f, v in oracle_all_orthogonal_families(s) if v >= 0]
+    fams.sort(key=lambda fv: (len(fv[0]), fv[0]))
+    return fams
+
+
+def oracle_family_residuals(values, families, eps=0.0):
+    """The padded residual loop: families of mixed sizes in blocks of 256."""
+    values = np.asarray(values)
+    n = values.shape[0]
+    padded = np.zeros((n + 1, *values.shape[1:]), dtype=values.dtype)
+    padded[:n] = values
+    out = np.empty(len(families))
+    for lo in range(0, len(families), 256):
+        block = families[lo : lo + 256]
+        sizes = np.array([len(fam) for fam, _ in block])
+        members = np.full((len(block), sizes.max()), n)
+        members[np.arange(sizes.max()) < sizes[:, None]] = [x for fam, _ in block for x in fam]
+        total = np.zeros((len(block), *values.shape[1:]), dtype=values.dtype)
+        for col in members.T:
+            total = total + padded[col]
+        residual = padded[[sup for _, sup in block]] - total
+        out[lo : lo + len(block)] = (
+            residual if values.ndim == 1 else screened_op_norms(residual, eps)
+        )
     return out
 
 

@@ -6,8 +6,14 @@
 and ``verify_distribution`` and ``represent_distribution`` a max over family
 sums for the mass. Those loops, and the pair loop of the multiplicativity
 check, are kept here as oracles: witness lists in full and in order, with the
-same floats bit for bit.
+same floats bit for bit. So are the depth-first family walk with its sort and
+the padded residual loop (in conftest.py), for the level-wise family table
+that replaced them: the same families, sups, order and count, and the same
+residuals.
 """
+
+import json
+import math
 
 import numpy as np
 import pytest
@@ -15,13 +21,22 @@ from conftest import (
     crossed_clan,
     diagonal_clan,
     mo_clan,
+    oracle_all_orthogonal_families,
+    oracle_family_residuals,
     oracle_op_norm,
+    oracle_orthogonal_families,
+    oracle_summable_families,
     random_povm,
     skewed_clan,
 )
 
 import qstruct.semilogic
 from qstruct import (
+    Dilation,
+    FinitePoset,
+    Semilogic,
+    StructuralError,
+    cli,
     DistributionTable,
     FinitePovm,
     Tolerance,
@@ -38,17 +53,23 @@ from qstruct import (
     verify_dilation,
     verify_distribution,
     verify_povm,
+    verify_semilogic,
 )
 from qstruct.clan import bound_tables, relation_tables
-from qstruct.semilogic import distribution_mass, orthogonal_families
+from qstruct.semilogic import distribution_mass, family_residuals
 
 TOL = Tolerance()
 
 
-@pytest.fixture(params=[256, 5], ids=["block256", "block5"])
+@pytest.fixture(params=[(256, 1024), (5, 3)], ids=["block256", "block5"])
 def block(request, monkeypatch, all_witnesses):
-    """Run each oracle test at the shipped block size and at one that splits every corpus."""
-    monkeypatch.setattr(qstruct.semilogic, "FAMILY_BLOCK", request.param)
+    """Run each oracle test at the shipped block sizes and at ones that split every corpus.
+
+    The first size is the residual block of ``family_residuals``, the second
+    the rows ``orthogonal_levels`` unpacks at a time.
+    """
+    monkeypatch.setattr(qstruct.semilogic, "FAMILY_BLOCK", request.param[0])
+    monkeypatch.setattr(qstruct.semilogic, "EXPAND_ROWS", request.param[1])
 
 
 # -- the old loops ----------------------------------------------------------------
@@ -56,7 +77,7 @@ def block(request, monkeypatch, all_witnesses):
 
 def oracle_distribution(s, vals, tol):
     additive = []
-    for fam, sup in summable_families(s):
+    for fam, sup in oracle_summable_families(s):
         if len(fam) < 2:
             continue
         total = float(sum(vals[list(fam)]))
@@ -73,7 +94,7 @@ def oracle_distribution(s, vals, tol):
 
 def oracle_mass(s, vals):
     mass = 0.0
-    for fam, _ in s._all_orthogonal_families():
+    for fam, _ in oracle_all_orthogonal_families(s):
         if fam:
             mass = max(mass, float(sum(vals[list(fam)])))
     return mass
@@ -102,17 +123,17 @@ def oracle_multiplicative(dil, tol):
 
 
 def oracle_clan_families(clan, tol):
-    """(family, join of the family), the join folded member by member."""
+    """(family, join of the family) in (size, members) order, the join folded member by member."""
     _, join_idx = bound_tables(clan, tol)
     orth = relation_tables(clan, tol)["orthogonal"]
     nonzero = [i for i in range(clan.n) if oracle_op_norm(clan.members[i]) > tol.eps]
     out = []
-    for fam, _ in orthogonal_families(nonzero, orth):
+    for fam, _ in oracle_orthogonal_families(nonzero, orth):
         total = fam[0]
         for x in fam[1:]:
             total = int(join_idx[total, x])
         out.append((fam, total))
-    return out
+    return sorted(out, key=lambda ft: (len(ft[0]), ft[0]))
 
 
 def oracle_vector_state(clan, vals, tol):
@@ -201,7 +222,7 @@ def test_povms_match_the_oracles(block):
     for povm in perturbed_povms(rng):
         bs = povm.semiring
         rep = verify_povm(povm, TOL)
-        want = oracle_matrix_additive(bs.labels, summable_families(bs), povm.effects, TOL)
+        want = oracle_matrix_additive(bs.labels, oracle_summable_families(bs), povm.effects, TOL)
         assert_same(rep.get("additive"), want)
         witnesses += len(want)
     assert witnesses > 0
@@ -216,13 +237,31 @@ def test_dilations_match_the_oracles(block):
             dil.images = [img * (1.0 + size * rng.random()) for img in dil.images]
             rep = verify_dilation(dil, TOL)
             bs = dil.povm.semiring
-            want = oracle_matrix_additive(bs.labels, summable_families(bs), dil.images, TOL)
+            want = oracle_matrix_additive(bs.labels, oracle_summable_families(bs), dil.images, TOL)
             assert_same(rep.get("additive"), want)
             mult = oracle_multiplicative(dil, TOL)
             assert_same(rep.get("multiplicative"), mult)
             additive += len(want)
             multiplicative += len(mult)
     assert additive > 0 and multiplicative > 0
+
+
+def test_dilations_with_a_flipped_diagonal_entry_match_the_oracles(block):
+    # the images of dilate are exact 0/1 diagonals, and the multiplicative
+    # check decides them on the diagonals; a rotated copy takes the full loop
+    povm = povm_from_outcomes(random_povm(4, 2, seed=27), dim=2)
+    dil = dilate(povm, TOL)
+    bs, images = povm.semiring, np.array(dil.images)
+    images[bs.index("{0,2}"), 1, 1] = 1.0 - images[bs.index("{0,2}"), 1, 1]
+    q, _ = np.linalg.qr(np.random.default_rng(27).normal(size=(dil.dim_e, dil.dim_e)))
+    for imgs, f in ((images, dil.f), (q @ images @ q.T, q @ dil.f)):
+        flipped = Dilation(povm, dil.dim_e, imgs, f)
+        rep = verify_dilation(flipped, TOL)
+        mult = oracle_multiplicative(flipped, TOL)
+        assert_same(rep.get("multiplicative"), mult)
+        additive = oracle_matrix_additive(bs.labels, oracle_summable_families(bs), imgs, TOL)
+        assert_same(rep.get("additive"), additive)
+        assert mult and additive
 
 
 def test_clans_match_the_oracles(block):
@@ -246,3 +285,127 @@ def test_clans_match_the_oracles(block):
             assert_same(rep.get("additive"), want)
             witnesses[operator_distribution] += len(want)
     assert min(witnesses.values()) > 0
+
+
+# -- the family table against the walk it replaced ----------------------------------
+
+
+def semilogic_on(labels, covers, prod=None):
+    """The order generated by ``covers``, with the meet as product unless given."""
+    le = np.eye(len(labels), dtype=bool)
+    for a, b in covers:
+        le[a, b] = True
+    for _ in range(len(labels)):
+        le |= (le.astype(int) @ le.astype(int)) > 0
+    poset = FinitePoset(labels, le)
+    return Semilogic(poset, poset.meet_table() if prod is None else prod)
+
+
+def flat_semilogic(k):
+    """0, 1 and k atoms, distinct atoms orthogonal: 2^k orthogonal families."""
+    covers = [(0, 1)] + [cover for i in range(2, k + 2) for cover in ((0, i), (i, 1))]
+    return semilogic_on(["0", "1", *(f"a{i}" for i in range(k))], covers)
+
+
+def flat_semilogic_file(k):
+    s = flat_semilogic(k)
+    return {
+        "kind": "semilogic",
+        "elements": list(s.labels),
+        "le": [[s.labels[a], s.labels[b]] for a, b in zip(*np.nonzero(s.poset.le))],
+        "prod": [
+            [s.labels[a], s.labels[b], s.labels[s.prod[a, b]]]
+            for a, b in zip(*np.nonzero(np.triu(s.prod >= 0)))
+        ],
+    }
+
+
+def not_orders():
+    """Two product tables on relations that are not partial orders: every sup is a scan."""
+    square = powerset_semiring(2)
+    le = square.poset.le.copy()
+    le[1, 2] = le[2, 1] = True  # {0} and {1} below each other
+    cube = powerset_semiring(3)
+    gap = cube.poset.le.copy()
+    gap[1, 7] = False  # {0} <= {0,1} <= {0,1,2} without {0} <= {0,1,2}
+    return [
+        Semilogic(FinitePoset(square.labels, le), square.prod),
+        Semilogic(FinitePoset(cube.labels, gap), cube.prod),
+    ]
+
+
+def family_corpus():
+    # 0 < p, q, r; p, q < u, v; u, v, r < t: {p, q} has no sup, {p, q, r} has t
+    no_join = semilogic_on(
+        ["0", "p", "q", "r", "u", "v", "t"],
+        [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (1, 5), (2, 5), (4, 6), (5, 6), (3, 6)],
+    )
+    shuffled = [shuffled_powerset_semiring(k, seed=k) for k in (3, 5, 6)]
+    return semirings() + shuffled + not_orders() + [no_join, flat_semilogic(5)]
+
+
+def test_the_family_table_matches_the_walk(block):
+    for s in family_corpus():
+        want = oracle_all_orthogonal_families(s)
+        table = s._all_orthogonal_families()
+        got = [
+            (tuple(row), sup)
+            for members, sups in table.levels
+            for row, sup in zip(members.tolist(), sups.tolist())
+        ]
+        assert got == sorted(want, key=lambda fs: (len(fs[0]), fs[0]))
+        assert len(table) == len(want) == verify_semilogic(s).facts["orthogonal_family_count"]
+        assert summable_families(s) == oracle_summable_families(s)
+    assert any(-1 in sups for s in not_orders() for _, sups in s._all_orthogonal_families().levels)
+
+
+def test_the_family_residuals_match_the_padded_loop(block):
+    rng = np.random.default_rng(26)
+    for s in family_corpus():
+        families = oracle_summable_families(s)
+        for values in (rng.normal(size=s.n), rng.normal(size=(s.n, 2, 2)) * 1e-9):
+            want = oracle_family_residuals(values, families, 1e-9) if families else []
+            got = np.concatenate(
+                [family_residuals(values, m, v, 1e-9) for m, v in s._all_orthogonal_families().summable()]
+            )
+            assert got.tolist() == list(want)
+
+
+def test_twelve_orthogonal_atoms_get_a_verdict(capsys, tmp_path, all_witnesses):
+    path = tmp_path / "flat12.json"
+    path.write_text(json.dumps(flat_semilogic_file(12)))
+    assert cli.main(["check", "--json", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    semilogic = out["reports"][0]
+    assert semilogic["facts"]["orthogonal_family_count"] == 4097
+    s = flat_semilogic(12)
+    assert len(s._all_orthogonal_families()) == len(oracle_all_orthogonal_families(s)) == 4097
+
+
+def test_eighteen_orthogonal_atoms_stop_at_the_cap_before_the_next_level(
+    capsys, tmp_path, monkeypatch
+):
+    # levels 0 to 10 hold 1, 19 (the atoms and 1) and C(18, L) families,
+    # 199,141 in all, under MAX_FAMILIES = 200,000, and the 31,824 of level 11
+    # do not fit; so levels 1 to 9 are unpacked to build levels 2 to 10, and
+    # level 10 never is
+    path = tmp_path / "flat18.json"
+    path.write_text(json.dumps(flat_semilogic_file(18)))
+    unpacked = []
+    unpackbits = np.unpackbits
+
+    def spy(a, *args, **kwargs):
+        unpacked.append(len(a))
+        return unpackbits(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unpackbits", spy)
+    assert cli.main(["check", "--json", str(path)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {
+        "type": "StructuralError",
+        "message": "orthogonal family count exceeds enumeration cap",
+        "details": {},
+    }
+    assert sum(unpacked) == 19 + sum(math.comb(18, size) for size in range(2, 10))
+    with pytest.raises(StructuralError, match="exceeds enumeration cap"):
+        oracle_all_orthogonal_families(flat_semilogic(18))

@@ -3,13 +3,15 @@
 Powerset semirings index elements by bitmask and their points are the atoms,
 so every extent is predictable from popcounts; the diamond provides the
 canonical non-representable contrast. The frozenset loops that
-``verify_topology`` once ran are kept as the oracle for its index kernels.
+``verify_topology`` and ``verify_stone`` once ran are kept as the oracles for
+their index kernels.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import oracle_summable_families
 
 from qstruct import (
     BooleanSemiring,
@@ -83,6 +85,47 @@ def test_diamond_fails_exactly_the_union_law():
     assert failed == {"sums-to-unions"}
     wit = rep.get("sums-to-unions").witnesses[0]
     assert wit["sum"] == "1" and len(wit["family"]) == 2
+
+
+def oracle_stone_pairs(sr):
+    """The frozenset loops that verify_stone's pair and family checks once ran."""
+    bs, ext, labels, le = sr.semiring, sr.extent, sr.semiring.labels, sr.semiring.poset.le
+
+    def pairs(keep):
+        return [{"a": labels[a], "b": labels[b]} for a in ids for b in ids if keep(a, b)]
+
+    ids = range(bs.n)
+    return {
+        "monotone": pairs(lambda a, b: le[a, b] and not ext[a] <= ext[b]),
+        "meets-to-intersections": pairs(
+            lambda a, b: b >= a and ext[int(bs.prod[a, b])] != ext[a] & ext[b]
+        ),
+        "sums-to-unions": [
+            {"family": [labels[x] for x in fam], "sum": labels[sup]}
+            for fam, sup in oracle_summable_families(bs)
+            if fam and ext[sup] != frozenset().union(*(ext[x] for x in fam))
+        ],
+        "faithful": pairs(lambda a, b: b > a and ext[a] == ext[b]),
+        "separating": pairs(lambda a, b: not le[a, b] and ext[a] <= ext[b]),
+    }
+
+
+def test_stone_checks_match_the_set_loops_on_corrupted_extents(all_witnesses):
+    rng = np.random.default_rng(31)
+    semirings = [powerset_semiring(3), shuffled_powerset_semiring(4, 4), diamond_semiring()]
+    failed = set()
+    for bs in semirings:
+        for trial in range(6):
+            sr = stone_map(bs)
+            points = len(sr.points)
+            for b in rng.choice(bs.n, size=1 + trial % 3, replace=False):
+                flip = int(rng.integers(points))
+                sr.extent[b] = sr.extent[b] ^ frozenset([flip])
+            rep = verify_stone(sr)
+            for name, want in oracle_stone_pairs(sr).items():
+                assert rep.get(name).witnesses == want, name
+                failed |= {name} if want else set()
+    assert failed == set(oracle_stone_pairs(sr))
 
 
 def test_distribution_pushes_to_a_measure():

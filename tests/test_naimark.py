@@ -176,7 +176,9 @@ def test_a_non_additive_measure_names_the_family_its_sum_and_the_gap():
 
 def test_a_one_outcome_measure_has_no_family_to_check():
     povm = povm_from_outcomes([np.eye(2)], dim=2)
-    assert family_residuals(np.array(povm.effects), []).shape == (0,)
+    assert not list(povm.semiring._all_orthogonal_families().summable(2))
+    none = np.empty((0, 2), dtype=np.int16)
+    assert family_residuals(np.array(povm.effects), none, none[:, 0]).shape == (0,)
     assert verify_povm(povm, TOL).get("additive").passed
     rep = verify_dilation(dilate(povm, TOL), TOL)
     assert rep.ok
@@ -619,4 +621,17 @@ def test_dilating_and_verifying_8x2_stays_small():
         tracemalloc.stop()
     assert rep.ok
     # 5.2 MB measured, most of it in verify_dilation's family residuals
+    assert peak < 10_000_000, peak
+
+
+def test_verifying_the_8x2_measure_stays_small():
+    povm, _ = gen_povm(8, 2, 0)
+    tracemalloc.start()
+    try:
+        rep = verify_povm(povm, TOL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    # 1.8 MB measured with the family table built inside
     assert peak < 10_000_000, peak

@@ -285,14 +285,13 @@ def test_non_order_tables_fall_back_to_the_scan(make):
     assert_bounds_match_the_scan(p, everything)
 
 
-def test_bounds_equal_agrees_with_bound_on_both_paths():
+def test_bounds_agree_with_bound_on_both_paths():
     for p in (powerset_poset(3), non_transitive_poset()):
         ups = p.upsets()
-        rows = np.array(list(itertools.product(range(p.n), repeat=2)))
-        for t in range(p.n):
-            targets = np.full(len(rows), t)
-            want = [ups.bound(row) == t for row in rows.tolist()]
-            assert ups.bounds_equal(rows, targets).tolist() == want
+        for size in (1, 2, 3):
+            rows = np.array(list(itertools.product(range(p.n), repeat=size)))
+            want = [-1 if (g := ups.bound(row)) is None else g for row in rows.tolist()]
+            assert ups.bounds(rows).tolist() == want
 
 
 def oracle_table(ups):

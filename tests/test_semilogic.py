@@ -206,6 +206,49 @@ def test_a_logic_homomorphism_must_add_disjoint_pairs():
     ]
 
 
+def test_pair_checks_match_the_pair_loops(all_witnesses):
+    # the (a, b) loops that verify_distribution's and verify_homomorphism's
+    # monotone checks and the (b, a) loop of subtraction-preserved once ran
+    rng = np.random.default_rng(32)
+    structures = [powerset_semiring(3), shuffled_powerset_semiring(4, seed=4), mo2_semilogic()]
+    structures += [diamond_semiring(), powerset_logic(3), mo2_logic()]
+    seen = {"distribution": 0, "homomorphism": 0, "subtraction": 0}
+    for s in structures:
+        le, ids = s.poset.le, range(s.n)
+        for _ in range(4):
+            f = rng.integers(0, s.n, size=s.n).astype(np.int16)
+            rep = verify_homomorphism(HomomorphismMap(s, s, f))
+            want = [
+                {"a": s.labels[a], "b": s.labels[b]}
+                for a in ids
+                for b in ids
+                if le[a, b] and not le[f[a], f[b]]
+            ]
+            assert rep.get("monotone").witnesses == want
+            seen["homomorphism"] += len(want)
+            if isinstance(s, Quasilogic):
+                want = [
+                    {"b": s.labels[b], "a": s.labels[a]}
+                    for b in ids
+                    for a in np.flatnonzero(s.diff[b] >= 0)
+                    if s.diff[f[b], f[a]] < 0 or s.diff[f[b], f[a]] != f[s.diff[b, a]]
+                ]
+                assert rep.get("subtraction-preserved").witnesses == want
+                seen["subtraction"] += len(want)
+                continue
+            vals = rng.random(s.n)
+            rep = verify_distribution(s, DistributionTable(vals))
+            want = [
+                {"a": s.labels[a], "b": s.labels[b]}
+                for a in ids
+                for b in ids
+                if le[a, b] and vals[a] > vals[b] + EXACT_TOL
+            ]
+            assert rep.get("monotone").witnesses == want
+            seen["distribution"] += len(want)
+    assert min(seen.values()) > 0
+
+
 def test_an_ambiguous_image_sum_is_reported_not_raised():
     # with 1 - b = b in the target, 0 + a is a - (a - a) = a through the
     # majorant a but 1 - (1 - a) = b through 1, so the image of the family
@@ -494,13 +537,13 @@ def test_an_undefined_partial_join_falls_back_to_the_whole_family(all_witnesses,
     assert ((p, q, r), t) in summable_families(s)
 
     fallback_rows = []
-    original = UpsetIndex.bounds_equal
+    original = UpsetIndex.bounds
 
-    def spy(self, rows, targets):
+    def spy(self, rows):
         fallback_rows.extend(map(tuple, rows.tolist()))
-        return original(self, rows, targets)
+        return original(self, rows)
 
-    monkeypatch.setattr(UpsetIndex, "bounds_equal", spy)
+    monkeypatch.setattr(UpsetIndex, "bounds", spy)
     assert_matches_the_oracles(s)
     assert (p, q, r) in fallback_rows  # a = t: images p, q, r
     assert all(row[:2] == (p, q) for row in fallback_rows)

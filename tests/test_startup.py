@@ -93,6 +93,13 @@ def test_dilate_loads_neither_gns_nor_properties(valid_dir):
     assert not loaded & {"gns", "properties"}
 
 
+def test_dilate_on_a_listed_semiring_loads_no_standard(valid_dir):
+    # only outcome lists build their powerset through standard
+    loaded = loaded_modules("dilate", str(valid_dir / "pvm2_by_reference.json"))
+    assert "naimark" in loaded
+    assert "standard" not in loaded
+
+
 def test_every_public_name_still_resolves():
     assert sorted(qstruct.__all__) == PUBLIC_NAMES
     assert set(PUBLIC_NAMES) <= set(dir(qstruct))
