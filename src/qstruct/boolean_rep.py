@@ -151,10 +151,9 @@ def verify_stone(sr: StoneRepresentation) -> VerificationReport:
 
     # perfect: the image ring of sets has no maximal filters beyond the points
     perfect = []
-    distinct = sorted(set(ext), key=lambda s: (len(s), sorted(s)))
-    if len(distinct) == len(ext) and all(
-        a & b in set(distinct) for a in distinct for b in distinct
-    ):
+    known = set(ext)
+    distinct = sorted(known, key=lambda s: (len(s), sorted(s)))
+    if len(distinct) == len(ext) and all(a & b in known for a in distinct for b in distinct):
         image, order = subset_semilogic(distinct)
         try:
             img_bs = BooleanSemiring(image.poset, image.prod)

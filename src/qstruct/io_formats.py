@@ -108,18 +108,20 @@ def _table_from_triples(
 ) -> np.ndarray:
     """An n x n int16 table, -1 where no triple [a, b, v] sets [a, b] (and [b, a]).
 
-    Triples are mapped to indices with plain dict reads; only a file with a
-    malformed entry or unknown label is walked again with ``_lookup``, up to
-    that entry. The mapped triples are written with one assignment per
-    direction. A cell given two values reads back wrong somewhere; only then
-    is the first write that met another value found, which always precedes
-    the bad entry, so the error names the first offending triple in file order.
+    Triples are mapped to indices with plain dict reads once every entry is
+    a list of three; only a file with a malformed entry or unknown label is
+    walked again with ``_lookup``, up to that entry. The mapped triples are
+    written with one assignment per direction. A cell given two values reads
+    back wrong somewhere; only then is the first write that met another
+    value found, which always precedes the bad entry, so the error names the
+    first offending triple in file order.
     """
     n = len(idx)
     _require(isinstance(triples, list), f"{where} must be a list of triples")
     bad = None
     try:  # labels are str keys, so any other label misses (KeyError) or is unhashable
-        if not all(isinstance(t, list) and len(t) == 3 for t in triples):
+        # entry types, then lengths, as two C-level passes with no per-entry Python step
+        if set(map(type, triples)) - {list} or set(map(len, triples)) - {3}:
             raise KeyError
         ids = [idx[x] for t in triples for x in t]
     except (KeyError, TypeError):

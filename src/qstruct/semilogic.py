@@ -25,6 +25,10 @@ FAMILY_BLOCK = 256  # families per block in family_residuals
 EXPAND_ROWS = 1024  # family rows unpacked at a time in orthogonal_levels
 BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # popcounts
 ADDITIVITY_BLOCK = 1 << 16  # (family, member pair, element) cells per product-additivity block
+# (a, b, c) cells per restricted-associativity block, but at least one row a:
+# its int16 temporaries stay at 32 KB, below the allocator's 128 KB mmap
+# threshold (2^16-cell blocks raised peak RSS by 0.5 MB on the 2^7 semiring)
+ASSOCIATIVITY_BLOCK = 1 << 14
 EXACT_TOL = 1e-12  # additivity / regularity comparisons are essentially exact
 
 Structure = Union["Semilogic", Quasilogic]
@@ -71,22 +75,29 @@ class Semilogic:
     def _all_orthogonal_families(self) -> FamilyTable:
         """Every pairwise-orthogonal zero-free subset with its sup (-1: none), built once.
 
+        StructuralError past ``MAX_FAMILIES`` families, the empty one included.
+        """
+        if self._families is None:
+            self._families = self._family_levels(MAX_FAMILIES)
+        return self._families
+
+    def _family_levels(self, cap: int | None = None, most: int | None = None) -> FamilyTable:
+        """The orthogonal families of at most ``most`` members, in (size, members) order.
+
         Level 0 is the empty family, whose sup is the least element; the
         rest are ``orthogonal_levels`` of the nonzero elements, with sups
         folded over the join table on a partial order and scanned elsewhere.
         """
-        if self._families is None:
-            z, ups, levels = self.zero(), self.poset.upsets(), []
-            if z is not None:
-                join = None if ups.by_up is None else sentinel_padded(self.poset.join_table())
-                empty = ups.bound_of(ups.top)
-                levels = [(np.zeros((1, 0), np.int16), np.array([-1 if empty is None else empty]))]
-                nonzero = np.flatnonzero(np.arange(self.n) != z)
-                # the empty family counts against the cap too
-                cap = MAX_FAMILIES - 1
-                levels += orthogonal_levels(self.prod == z, nonzero, join, ups.bounds, cap)
-            self._families = FamilyTable(levels)
-        return self._families
+        z, ups, levels = self.zero(), self.poset.upsets(), []
+        if z is not None:
+            join = None if ups.by_up is None else sentinel_padded(self.poset.join_table())
+            empty = ups.bound_of(ups.top)
+            levels = [(np.zeros((1, 0), np.int16), np.array([-1 if empty is None else empty]))]
+            nonzero = np.flatnonzero(np.arange(self.n) != z)
+            # the empty family counts against the cap too
+            cap = None if cap is None else cap - 1
+            levels += orthogonal_levels(self.prod == z, nonzero, join, ups.bounds, cap, most)
+        return FamilyTable(levels)
 
 
 @dataclass
@@ -116,8 +127,11 @@ def orthogonal_levels(
     join: np.ndarray | None,
     bounds: Callable[[np.ndarray], np.ndarray] | None = None,
     cap: int | None = None,
+    most: int | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Nonempty pairwise-orthogonal subsets of ``elems``: the ``FamilyTable`` levels from 1 up.
+
+    With ``most``, only the levels of at most that many members are built.
 
     A family's packed ``allowed`` row holds the elements that may follow its
     last member: of larger id and orthogonal to every member. The set bits
@@ -138,7 +152,7 @@ def orthogonal_levels(
     allowed = after[members[:, 0]]
     sups = members[:, 0] if join is not None else bounds(members)
     count, levels, size = 0, [], len(members)
-    while size:
+    while size and (most is None or len(levels) < most):
         count += size
         if cap is not None and count > cap:
             raise StructuralError("orthogonal family count exceeds enumeration cap")
@@ -317,54 +331,112 @@ def verify_semilogic(s: Semilogic) -> VerificationReport:
         ),
     )
 
-    # one n x n slice per a: [b, c] -> (ab)c against (bc)a where ab, bc and ca
+    # blocks of rows a: [a, b, c] -> (ab)c against (bc)a where ab, bc and ca
     # are defined; through the padded table an undefined grouping reads -1
-    padded = sentinel_padded(prod)
-    assoc = []
-    for a in range(n):
-        ab_c, bc_a = padded[prod[a], :n], padded[:, a][prod]
+    padded, assoc = sentinel_padded(prod), []
+    rows = max(1, ASSOCIATIVITY_BLOCK // (n * n))
+    for lo in range(0, n, rows):
+        block = slice(lo, min(lo + rows, n))  # the padded table has one column more
+        ab_c = padded[prod[block], :n]
+        bc_a = np.moveaxis(padded[:, block][prod], 2, 0)
         grouped = (ab_c < 0) | (bc_a < 0)
-        defined = (prod[a] >= 0)[:, None] & (prod >= 0) & (prod[:, a] >= 0)
-        for b, c in zip(*np.nonzero(defined & (grouped | (ab_c != bc_a)))):
-            w = {"a": labels[a], "b": labels[b], "c": labels[c]}
-            assoc.append(w | {"reason": "grouped product undefined"} if grouped[b, c] else w)
+        defined = (prod[block] >= 0)[:, :, None] & (prod >= 0) & (prod[:, block] >= 0).T[:, None]
+        bad = defined & (grouped | (ab_c != bc_a))
+        for a, b, c in zip(*np.nonzero(bad)) if bad.any() else ():
+            w = {"a": labels[lo + a], "b": labels[b], "c": labels[c]}
+            assoc.append(w | {"reason": "grouped product undefined"} if grouped[a, b, c] else w)
     rep.record("restricted-associativity", assoc)
 
-    # product distributes over realized sums: a(sum a_i) = sum(a a_i)
-    families = summable_families(s)
-    rep.record("product-additivity", _product_additivity(s, z) if z is not None else [])
+    # past MAX_FAMILIES there is no table, and the two checks below decide
+    # what the orthogonal pairs decide; the rest stays a StructuralError
+    try:
+        table: FamilyTable | None = s._all_orthogonal_families()
+    except StructuralError as exc:
+        table, past_cap = None, exc
+
+    # product distributes over realized sums: a(sum a_i) = sum(a a_i); the
+    # pairs first where they decide, then the families above them if needed
+    additivity = []
+    if z is not None:
+        decided = _pairs_decide_additivity(s, rep)
+        if table is not None and not decided:
+            additivity = _product_additivity(s, z, table.summable(1))
+        else:
+            pairs = table.levels[:3] if table is not None else s._family_levels(most=2).levels
+            additivity = _product_additivity(s, z, FamilyTable(pairs).summable(1))
+            if table is not None and additivity:
+                additivity += _product_additivity(s, z, table.summable(3))
+            elif table is None and not (decided or additivity):
+                raise past_cap
+    rep.record("product-additivity", additivity)
 
     # every defined product must come from a common orthogonal refinement
     compat = []
     if z is not None:
-        # per decomposition of its sup, finest first (atoms refine at once):
-        # members, their mask, and the elements orthogonal to or in each member
-        orth_bits = row_bits(prod == z)
-        by_sup: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
-        for fam, sup in reversed(families):
-            members, allowed = 0, -1
-            for x in fam:
-                members |= 1 << x
-                allowed &= orth_bits[x] | 1 << x
-            by_sup.setdefault(sup, []).append((fam, members, allowed))
-        joins: dict[int, int | None] = {}  # member mask -> join
-        compat = [
-            {"a": labels[a], "b": labels[b]}
-            for a, b in np.argwhere(np.triu(prod >= 0)).tolist()
-            if not _has_common_refinement(s, by_sup, joins, a, b, int(prod[a, b]))
-        ]
+        a, b = np.nonzero(np.triu(prod >= 0))
+        left = ~_certified_refinements(s, z, a, b)
+        if left.any():
+            if table is None:
+                raise past_cap
+            by_sup, joins = _decompositions(s, z), {}
+            compat = [
+                {"a": labels[a], "b": labels[b]}
+                for a, b in zip(a[left].tolist(), b[left].tolist())
+                if not _has_common_refinement(s, by_sup, joins, a, b, int(prod[a, b]))
+            ]
     rep.record("compatibility-decomposition", compat)
 
-    rep.facts["orthogonal_family_count"] = len(s._all_orthogonal_families())
+    if table is not None:
+        rep.facts["orthogonal_family_count"] = len(table)
+    else:
+        rep.facts["orthogonal_family_count_exceeds"] = MAX_FAMILIES
+        if additivity:
+            rep.facts["product_additivity_count"] = "lower bound: families of at most two members"
     if z is not None:
         rep.facts["zero"] = labels[z]
     return rep
 
 
-def _product_additivity(s: Semilogic, z: int) -> list[dict]:
+PAIR_AXIOMS = ("zero-product", "idempotent", "order-coherence", "restricted-associativity")
+
+
+def _pairs_decide_additivity(s: Semilogic, rep: VerificationReport) -> bool:
+    """Whether product-additivity on the families of at most two members decides it on all.
+
+    It does when the poset is a lattice, the product is total and the
+    ``PAIR_AXIOMS`` passed in ``rep``. The product is then the meet: it is
+    associative (restricted associativity with every product defined),
+    commutative and idempotent, so (ab)a = ab = (ab)b, which is ab <= a and
+    ab <= b by order coherence; and c <= a, c <= b give c(ab) = (ca)b = c,
+    so c <= ab. Orthogonal means x ^ y = 0, and the images a ^ x, a ^ y of
+    distinct orthogonal members meet in a ^ x ^ y = 0, so they are neither
+    equal and nonzero nor have a nonzero product: ``_product_additivity``
+    gives no reason, and fails a family F for a exactly when a ^ sup F is not
+    the join of the a ^ x over x in F, folded over the join table, which a
+    lattice defines everywhere.
+
+    Suppose no family of at most two members fails. Let F = G + {y} with y
+    outside G, G of k >= 2 members, t = sup G, and no family of k or fewer
+    members failing for any a. With a = y, y ^ t is the join of y ^ x over
+    x in G, which is 0. t >= x > 0 for x in G, and t != y, else y = y ^ t =
+    0. So {t, y} is a two-member orthogonal family with sup t v y = sup F,
+    and for every a, a ^ sup F = (a ^ t) v (a ^ y) = (join of a ^ x over G)
+    v (a ^ y), which is F's fold in any member order: F does not fail. By induction on the size no
+    family fails (Foulis and Bennett, "Effect algebras and unsharp quantum
+    logics", Found. Phys. 24, 1994, argue the same way for effect algebras).
+    """
+    mt, jt = s.poset.meet_table(), s.poset.join_table()
+    lattice = s.poset.upsets().by_up is not None and (mt >= 0).all() and (jt >= 0).all()
+    return bool(lattice and (s.prod >= 0).all() and all(rep.get(c).passed for c in PAIR_AXIOMS))
+
+
+def _product_additivity(
+    s: Semilogic, z: int, levels: Iterable[tuple[np.ndarray, np.ndarray]]
+) -> list[dict]:
     """Witnesses of a(sum a_i) = sum(a a_i), per (summable family, element a).
 
-    Each block of a level's summable families reads img[f, l, a] = a * member l at
+    ``levels`` yields a ``FamilyTable``'s summable (members, sups) per level.
+    Each block of a level's families reads img[f, l, a] = a * member l at
     once. Member pairs score 2 for a repeated nonzero image and 1 for two
     nonzero images with a nonzero product. Image sums fold the join table,
     which is exact: where sup{x, y} exists, {x, y, w} and {sup{x, y}, w} have
@@ -383,7 +455,7 @@ def _product_additivity(s: Semilogic, z: int) -> list[dict]:
     score[np.diag_indices(n)] = 2 * nonzero
     score = score.ravel()  # [p * n + q]
     out = []
-    for members, sups in s._all_orthogonal_families().summable(1):
+    for members, sups in levels:
         size = members.shape[1]
         i, j = np.triu_indices(size, 1)
         step = max(1, ADDITIVITY_BLOCK // (n * max(len(i), size)))
@@ -412,9 +484,58 @@ def _product_additivity(s: Semilogic, z: int) -> list[dict]:
     return out
 
 
+def _certified_refinements(s: Semilogic, z: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per pair (a[i], b[i]) with ab defined: a common refinement known without the search.
+
+    With p = ab, the certificate is A = {p, x} and B = {p, y}, zero members
+    dropped. x is the first element by id that makes A an orthogonal family
+    (p != x unless both are zero) with join a, and y the first for B and b.
+    If x and y are orthogonal and distinct, unless one of them is zero, then
+    every member of B is in A or orthogonal to all of A, and A and B share
+    {p} minus zero, whose join is p: the search itself would accept A and B.
+    The joins are the join table's, as the family table's sups are on a
+    partial order; on any other relation nothing is certified.
+    """
+    n, prod = s.n, s.prod
+    if s.poset.upsets().by_up is None:
+        return np.zeros(len(a), dtype=bool)
+    jt, ids = s.poset.join_table(), np.arange(n)
+    fits = ((prod == z) & (ids != ids[:, None]) | (ids == z) | (ids[:, None] == z)) & (jt >= 0)
+    # [p * n + (p v x)] -> the least such x, -1 if none; no sort, which would
+    # page in numpy's sort code on a path that has none
+    p, x = np.nonzero(fits)
+    complement = np.full(n * n, n, dtype=np.intp)
+    np.minimum.at(complement, p * n + jt[p, x], x)
+    complement[complement == n] = -1
+    ab = prod[a, b].astype(np.intp)
+    x, y = complement[ab * n + a], complement[ab * n + b]
+    apart = (x == z) | (y == z) | ((x != y) & (prod[x, y] == z))
+    return (x >= 0) & (y >= 0) & apart
+
+
+Decompositions = dict[int, list[tuple[tuple[int, ...], int, int]]]
+
+
+def _decompositions(s: Semilogic, z: int) -> Decompositions:
+    """Per sup, its summable families finest first (atoms refine at once).
+
+    Each comes as (members, their bit mask, the elements in or orthogonal to
+    every member).
+    """
+    orth_bits = row_bits(s.prod == z)
+    by_sup: Decompositions = {}
+    for fam, sup in reversed(summable_families(s)):
+        members, allowed = 0, -1
+        for x in fam:
+            members |= 1 << x
+            allowed &= orth_bits[x] | 1 << x
+        by_sup.setdefault(sup, []).append((fam, members, allowed))
+    return by_sup
+
+
 def _has_common_refinement(
     s: Semilogic,
-    by_sup: dict[int, list[tuple[tuple[int, ...], int, int]]],
+    by_sup: Decompositions,
     joins: dict[int, int | None],
     a: int,
     b: int,

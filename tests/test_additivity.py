@@ -9,7 +9,10 @@ check, are kept here as oracles: witness lists in full and in order, with the
 same floats bit for bit. So are the depth-first family walk with its sort and
 the padded residual loop (in conftest.py), for the level-wise family table
 that replaced them: the same families, sups, order and count, and the same
-residuals.
+residuals. The walk through the whole family table is in turn the oracle for
+``verify_semilogic``'s decisions by orthogonal pairs: with the walk forced,
+hypothesis-built semilogics give the same reports, and past a lowered cap
+the same verdicts with the walk's witnesses of at most two members.
 """
 
 import json
@@ -17,6 +20,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import (
     crossed_clan,
     diagonal_clan,
@@ -56,7 +60,14 @@ from qstruct import (
     verify_semilogic,
 )
 from qstruct.clan import bound_tables, relation_tables
-from qstruct.semilogic import distribution_mass, family_residuals
+from qstruct.semilogic import (
+    _certified_refinements,
+    _decompositions,
+    _has_common_refinement,
+    _pairs_decide_additivity,
+    distribution_mass,
+    family_residuals,
+)
 
 TOL = Tolerance()
 
@@ -307,8 +318,8 @@ def flat_semilogic(k):
     return semilogic_on(["0", "1", *(f"a{i}" for i in range(k))], covers)
 
 
-def flat_semilogic_file(k):
-    s = flat_semilogic(k)
+def structure_file(s):
+    """A semilogic as the JSON object of its file."""
     return {
         "kind": "semilogic",
         "elements": list(s.labels),
@@ -318,6 +329,10 @@ def flat_semilogic_file(k):
             for a, b in zip(*np.nonzero(np.triu(s.prod >= 0)))
         ],
     }
+
+
+def flat_semilogic_file(k):
+    return structure_file(flat_semilogic(k))
 
 
 def not_orders():
@@ -382,13 +397,11 @@ def test_twelve_orthogonal_atoms_get_a_verdict(capsys, tmp_path, all_witnesses):
     assert len(s._all_orthogonal_families()) == len(oracle_all_orthogonal_families(s)) == 4097
 
 
-def test_eighteen_orthogonal_atoms_stop_at_the_cap_before_the_next_level(
-    capsys, tmp_path, monkeypatch
-):
+def test_eighteen_orthogonal_atoms_get_a_verdict_from_the_pairs(capsys, tmp_path, monkeypatch):
     # levels 0 to 10 hold 1, 19 (the atoms and 1) and C(18, L) families,
     # 199,141 in all, under MAX_FAMILIES = 200,000, and the 31,824 of level 11
     # do not fit; so levels 1 to 9 are unpacked to build levels 2 to 10, and
-    # level 10 never is
+    # level 10 never is. Then level 1 is unpacked once more for the pairs.
     path = tmp_path / "flat18.json"
     path.write_text(json.dumps(flat_semilogic_file(18)))
     unpacked = []
@@ -399,13 +412,203 @@ def test_eighteen_orthogonal_atoms_stop_at_the_cap_before_the_next_level(
         return unpackbits(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "unpackbits", spy)
-    assert cli.main(["check", "--json", str(path)]) == 2
-    error = json.loads(capsys.readouterr().out)["error"]
-    assert error == {
-        "type": "StructuralError",
-        "message": "orthogonal family count exceeds enumeration cap",
-        "details": {},
+    assert cli.main(["check", "--json", str(path)]) == 1
+    semilogic = json.loads(capsys.readouterr().out)["reports"][0]
+    failed = [c for c in semilogic["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["product-additivity"]
+    # the first pair {a0, a1} sums to 1, and a ^ 1 = a is not 0 = (a ^ a0) v
+    # (a ^ a1) for the 16 other atoms; the walk lists families by (size,
+    # members), so its first eight witnesses are these too. Every pair of
+    # atoms fails for the 16 atoms outside it.
+    assert failed[0]["witnesses"] == [{"a": f"a{i}", "family": ["a0", "a1"]} for i in range(2, 10)]
+    assert failed[0]["violation_count"] == math.comb(18, 2) * 16
+    assert semilogic["facts"] == {
+        "least": "0",
+        "greatest": "1",
+        "orthogonal_family_count_exceeds": 200_000,
+        "product_additivity_count": "lower bound: families of at most two members",
+        "zero": "0",
     }
-    assert sum(unpacked) == 19 + sum(math.comb(18, size) for size in range(2, 10))
+    assert sum(unpacked) == 19 + sum(math.comb(18, size) for size in range(2, 10)) + 19
     with pytest.raises(StructuralError, match="exceeds enumeration cap"):
         oracle_all_orthogonal_families(flat_semilogic(18))
+
+
+def test_eighteen_orthogonal_atoms_still_exceed_the_cap_for_distributions():
+    # numeric checks need every family: there the cap stays an error
+    s = flat_semilogic(18)
+    with pytest.raises(StructuralError, match="exceeds enumeration cap"):
+        verify_distribution(s, DistributionTable(np.zeros(s.n)))
+
+
+# -- product-additivity and compatibility by pairs, against the walk -------------
+
+
+def forced_walk(monkeypatch):
+    """Send both pair decisions to the family walk: no pair decides, nothing is certified."""
+    monkeypatch.setattr(qstruct.semilogic, "_pairs_decide_additivity", lambda s, rep: False)
+    monkeypatch.setattr(
+        qstruct.semilogic, "_certified_refinements", lambda s, z, a, b: np.zeros(len(a), bool)
+    )
+
+
+def fresh(s):
+    """The same semilogic without its cached family table."""
+    return Semilogic(s.poset, s.prod)
+
+
+def horizontal_sum_semilogic(blocks, k):
+    """Boolean blocks 2^k glued at 0 and 1, the meet as product: a non-distributive lattice."""
+    full, labels, ids = (1 << k) - 1, ["0", "1"], {}
+    for blk in range(blocks):
+        for m in range(1, full):
+            ids[blk, m] = len(labels)
+            labels.append(f"B{blk}:{m}")
+    covers = [(0, i) for i in ids.values()] + [(i, 1) for i in ids.values()]
+    covers += [
+        (i, j) for (b, m), i in ids.items() for (c, w), j in ids.items()
+        if b == c and m != w and m & ~w == 0
+    ]
+    return semilogic_on(labels, covers)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: flat_semilogic(12), lambda: horizontal_sum_semilogic(4, 3)],
+    ids=["flat12", "hsum4x2^3"],
+)
+def test_check_output_is_the_walks_byte_for_byte(make, capsys, tmp_path, monkeypatch):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(structure_file(make())))
+    outputs = []
+    for force in (False, True):
+        if force:
+            forced_walk(monkeypatch)
+        code = cli.main(["check", "--json", str(path)])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 1
+
+
+def intersection_lattice(sets, universe):
+    """Subsets of range(universe) closed under intersection, with the empty and full set."""
+    family = {0, (1 << universe) - 1, *sets}
+    while True:
+        grown = family | {x & y for x in family for y in family}
+        if grown == family:
+            break
+        family = grown
+    members = sorted(family, key=lambda x: (bin(x).count("1"), x))
+    le = np.array([[x & ~y == 0 for y in members] for x in members])
+    poset = FinitePoset([f"s{x}" for x in members], le)
+    return Semilogic(poset, poset.meet_table())
+
+
+def symmetric_edit(prod, cells):
+    prod = prod.copy()
+    for a, b, v in cells:
+        prod[a, b] = prod[b, a] = v
+    return prod
+
+
+@st.composite
+def small_semilogics(draw):
+    """Lattices with the meet, partial products, non-lattices, non-orders, flat ones,
+    horizontal sums, and lattices with a product broken on idempotence, coherence or
+    associativity."""
+    kind = draw(st.sampled_from(
+        ["lattice", "partial", "non-lattice", "not-an-order", "flat", "hsum", "broken"]
+    ))
+    if kind == "flat":
+        return flat_semilogic(draw(st.integers(0, 7)))
+    if kind == "hsum":
+        return horizontal_sum_semilogic(draw(st.integers(1, 3)), draw(st.integers(2, 3)))
+    if kind in ("non-lattice", "not-an-order"):
+        n = draw(st.integers(2, 7))
+        le = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+        if kind == "non-lattice":  # a closed DAG with 0 below everything
+            le = np.triu(le, 1) | np.eye(n, dtype=bool)
+            le[0] = True
+            for _ in range(n):
+                le |= (le.astype(int) @ le.astype(int)) > 0
+        poset = FinitePoset([f"e{i}" for i in range(n)], le)
+        if kind == "non-lattice":
+            return Semilogic(poset, poset.meet_table())
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-1, n - 1))
+        prod = np.full((n, n), -1, dtype=np.int16)
+        return Semilogic(poset, symmetric_edit(prod, draw(st.lists(cells, max_size=2 * n * n))))
+    universe = draw(st.integers(1, 4))
+    sets = draw(st.lists(st.integers(0, (1 << universe) - 1), max_size=6))
+    s = intersection_lattice(sets, universe)
+    n = s.n
+    if kind == "lattice":
+        return s
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    if kind == "partial":
+        cells = [(a, b, -1) for a, b in draw(st.lists(pair, min_size=1, max_size=n))]
+    else:
+        a, b = draw(pair)
+        cells = [(a, b, draw(st.integers(-1, n - 1)))]
+    return Semilogic(s.poset, symmetric_edit(s.prod, cells))
+
+
+@given(small_semilogics())
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_pair_decisions_match_the_walk(all_witnesses, s):
+    got = verify_semilogic(fresh(s)).to_dict()
+    with pytest.MonkeyPatch.context() as patch:
+        forced_walk(patch)
+        want = verify_semilogic(fresh(s)).to_dict()
+    assert got == want
+
+
+@given(small_semilogics())
+@settings(max_examples=150, deadline=None)
+def test_a_certified_pair_is_one_the_search_accepts(s):
+    z = s.zero()
+    if z is None:
+        return
+    a, b = np.nonzero(np.triu(s.prod >= 0))
+    certified = _certified_refinements(s, z, a, b)
+    by_sup, joins = _decompositions(s, z), {}
+    for x, y in zip(a[certified].tolist(), b[certified].tolist()):
+        assert _has_common_refinement(s, by_sup, joins, x, y, int(s.prod[x, y]))
+
+
+@given(small_semilogics(), st.integers(1, 40))
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_past_the_cap_the_pairs_give_the_walks_verdicts(all_witnesses, s, cap):
+    want = verify_semilogic(fresh(s))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qstruct.semilogic, "MAX_FAMILIES", cap)
+        try:
+            got = verify_semilogic(fresh(s))
+        except StructuralError as exc:
+            assert str(exc) == "orthogonal family count exceeds enumeration cap"
+            return
+    if "orthogonal_family_count" in got.facts:
+        assert got.to_dict() == want.to_dict()
+        return
+    assert want.facts["orthogonal_family_count"] > cap
+    assert [c.name for c in got.checks] == [c.name for c in want.checks]
+    for check, walked in zip(got.checks, want.checks):
+        assert (check.name, check.passed) == (walked.name, walked.passed)
+        if check.name == "product-additivity":
+            pairs = [w for w in walked.witnesses if len(w["family"]) <= 2]
+            assert check.witnesses == pairs
+            assert got.facts.get("product_additivity_count") == (
+                None if check.passed else "lower bound: families of at most two members"
+            )
+        else:
+            assert check.witnesses == walked.witnesses
+
+
+def test_the_pairs_decide_and_certify_every_boolean_semiring_and_flat_semilogic():
+    for s in [powerset_semiring(k) for k in range(1, 7)] + [flat_semilogic(k) for k in (0, 5, 18)]:
+        a, b = np.nonzero(np.triu(s.prod >= 0))
+        assert _certified_refinements(s, s.zero(), a, b).all()
+        assert _pairs_decide_additivity(s, verify_semilogic(s))

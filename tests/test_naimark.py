@@ -620,7 +620,7 @@ def test_dilating_and_verifying_8x2_stays_small():
     finally:
         tracemalloc.stop()
     assert rep.ok
-    # 5.2 MB measured, most of it in verify_dilation's family residuals
+    # about 4.1 MB measured, most of it in verify_dilation's family residuals
     assert peak < 10_000_000, peak
 
 

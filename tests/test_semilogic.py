@@ -509,8 +509,11 @@ def test_broken_semirings_match_the_oracles(all_witnesses):
 @pytest.mark.parametrize("cells", [1, 100, 700])
 def test_blocks_that_split_a_run_of_families_match_the_oracles(all_witnesses, monkeypatch, cells):
     # 2^5 has 32 elements: 100 cells is one family of two members per block,
-    # 700 ten of them, so every run of one length spans several blocks
+    # 700 ten of them, so every run of one length spans several blocks; the
+    # associativity blocks get 1, 1 or 13 rows a of 2^4 and 1, 1 or 3 of 2^5,
+    # the last block of each shorter
     monkeypatch.setattr(qstruct.semilogic, "ADDITIVITY_BLOCK", cells)
+    monkeypatch.setattr(qstruct.semilogic, "ASSOCIATIVITY_BLOCK", 5 * cells)
     for k in (4, 5):
         assert_matches_the_oracles(powerset_semiring(k))
         assert_matches_the_oracles(shuffled_powerset_semiring(k, seed=k))
