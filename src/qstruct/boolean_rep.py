@@ -8,9 +8,9 @@ ring, and homomorphisms into preimage maps.
 A family of sets is itself a semilogic (``subset_semilogic``): inclusion
 orders it and intersection, where it stays in the family, is the product.
 ``verify_topology`` checks open and closed subfamilies on that semilogic's
-tables with the index kernels of ``semilogic`` (``family_mask``,
-``pair_witnesses``); set differences form a companion table, and interiors
-and closures are unions and intersections of carrier-membership rows.
+tables with the index kernels of ``semilogic`` (``family_mask``); set
+differences form a companion table, and interiors and closures are unions
+and intersections of carrier-membership rows.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, StructuralError
 from .order import MAX_ELEMENTS, FinitePoset, atoms, bool_product, packed_rows
-from .report import VerificationReport
+from .report import VerificationReport, Witnesses, labelled
 from .semilogic import (
     EXACT_TOL,
     FAMILY_BLOCK,
@@ -32,7 +32,6 @@ from .semilogic import (
     Semilogic,
     distribution_mass,
     family_mask,
-    pair_witnesses,
     verify_semilogic,
 )
 
@@ -132,22 +131,22 @@ def verify_stone(sr: StoneRepresentation) -> VerificationReport:
     bits = np.zeros((bs.n, 1 + max((max(e) for e in ext if e), default=0)), dtype=bool)
     for b, e in enumerate(ext):
         bits[b, list(e)] = True
-    sub, ids, label = ~bool_product(bits, ~bits.T), range(bs.n), labels.__getitem__
-    rep.record("monotone", pair_witnesses(le & ~sub, ("a", "b"), ids, ids, label))
+    sub, pair = ~bool_product(bits, ~bits.T), labelled(labels, "a", "b")
+    rep.record("monotone", le & ~sub, pair)
     split = np.triu((bits[bs.prod] != bits[:, None] & bits).any(axis=2))
-    rep.record("meets-to-intersections", pair_witnesses(split, ("a", "b"), ids, ids, label))
-    words, unions = packed_rows(bits), []
+    rep.record("meets-to-intersections", split, pair)
+    words, unions = packed_rows(bits), Witnesses()
     for members, sups in bs._all_orthogonal_families().summable(1):
         for lo in range(0, len(members), FAMILY_BLOCK):
             block, tops = members[lo : lo + FAMILY_BLOCK], sups[lo : lo + FAMILY_BLOCK]
-            bad = (np.bitwise_or.reduce(words[block], axis=1) != words[tops]).any(axis=1)
-            unions += (
-                {"family": [labels[x] for x in block[f].tolist()], "sum": labels[tops[f]]}
-                for f in np.flatnonzero(bad)
+            unions.add(
+                (np.bitwise_or.reduce(words[block], axis=1) != words[tops]).any(axis=1),
+                lambda f: {"family": [labels[x] for x in block[f].tolist()]}
+                | {"sum": labels[tops[f]]},
             )
     rep.record("sums-to-unions", unions)
-    rep.record("faithful", pair_witnesses(np.triu(sub & sub.T, 1), ("a", "b"), ids, ids, label))
-    rep.record("separating", pair_witnesses(~le & sub, ("a", "b"), ids, ids, label))
+    rep.record("faithful", np.triu(sub & sub.T, 1), pair)
+    rep.record("separating", ~le & sub, pair)
 
     # perfect: the image ring of sets has no maximal filters beyond the points
     perfect = []
@@ -381,47 +380,33 @@ def verify_topology(t: SubsetTopology) -> VerificationReport:
     )
     diff = np.where(le.T & parts.any(axis=2), parts.argmax(axis=2), -1)
 
+    def in_s(k: int) -> dict:
+        return {"set": named(S[k])}
+
+    def pairs(keys: tuple[str, str], rows: np.ndarray, cols: np.ndarray):
+        return lambda i, j: {keys[0]: named(rows[i]), keys[1]: named(cols[j])}
+
     rep = VerificationReport(subject="subset-topology")
-    rep.record("open-covers", ({"set": named(b)} for b in S[~le[np.ix_(S, O)].any(axis=1)]))
-    rep.record(
-        "open-intersections",
-        pair_witnesses(~open_in[s.prod[np.ix_(O, O)]], ("i1", "i2"), O, O, named),
-    )
+    rep.record("open-covers", ~le[np.ix_(S, O)].any(axis=1), in_s)
+    rep.record("open-intersections", ~open_in[s.prod[np.ix_(O, O)]], pairs(("i1", "i2"), O, O))
     closed_empty = frozenset() in closeds
     rep.record("closed-empty", [] if closed_empty else [{"reason": "empty set not closed"}])
-    rep.record(
-        "closed-intersections",
-        pair_witnesses(~closed_in[s.prod[np.ix_(C, C)]], ("k1", "k2"), C, C, named),
-    )
+    rep.record("closed-intersections", ~closed_in[s.prod[np.ix_(C, C)]], pairs(("k1", "k2"), C, C))
 
     rows = member[S]
     inner = _union_inside(rows, member[O])
     outer, closable = _meet_around(rows, member[C])
-    rep.record(
-        "interior-in-family", ({"set": named(b)} for b in S[~_equal_to_some(inner, member[O])])
-    )
-    rep.record(
-        "closure-in-family",
-        (
-            {"set": named(b), "closure": sorted(points[j] for j in np.flatnonzero(row))}
-            if has
-            else {"set": named(b), "reason": "no closed superset"}
-            for b, row, has, ok in zip(S, outer, closable, _equal_to_some(outer, member[C]))
-            if not (has and ok)
-        ),
-    )
-    rep.record(
-        "difference-open",
-        pair_witnesses(
-            le[np.ix_(C, O)].T & ~open_in[diff[np.ix_(O, C)]], ("open", "closed"), O, C, named
-        ),
-    )
-    rep.record(
-        "difference-closed",
-        pair_witnesses(
-            le[np.ix_(O, C)] & ~closed_in[diff[np.ix_(C, O)]].T, ("open", "closed"), O, C, named
-        ),
-    )
+    rep.record("interior-in-family", ~_equal_to_some(inner, member[O]), in_s)
+
+    def closure(k: int) -> dict:
+        if not closable[k]:
+            return in_s(k) | {"reason": "no closed superset"}
+        return in_s(k) | {"closure": sorted(points[j] for j in np.flatnonzero(outer[k]))}
+
+    rep.record("closure-in-family", ~(closable & _equal_to_some(outer, member[C])), closure)
+    split = pairs(("open", "closed"), O, C)
+    rep.record("difference-open", le[np.ix_(C, O)].T & ~open_in[diff[np.ix_(O, C)]], split)
+    rep.record("difference-closed", le[np.ix_(O, C)] & ~closed_in[diff[np.ix_(C, O)]].T, split)
 
     # each set must be the intersection of the opens around it and the union of the closeds inside
     inf_open, covered = _meet_around(rows, member[O])

@@ -28,7 +28,7 @@ from .matrix_core import (
     screened_op_norms,
 )
 from .order import FinitePoset, first_nondistributive, sentinel_padded, verify_poset
-from .report import VerificationReport
+from .report import VerificationReport, Witnesses, labelled
 from .semilogic import additivity_witnesses, orthogonal_levels
 
 
@@ -176,27 +176,21 @@ def verify_clan(clan: Clan, tol: Tolerance) -> VerificationReport:
     labels, m = clan.labels, clan.members
 
     bad, dh, di = projection_defects(m, tol.eps)
-    proj_viol = [
-        {"member": labels[i], "hermitian": float(h), "idempotent": float(p)}
-        for i, h, p in zip(bad, dh, di)
-    ]
-    rep.record("members-are-projections", proj_viol)
+    named = labelled(labels, "member", hermitian=dh, idempotent=di)
+    rep.record("members-are-projections", bad, named)
 
-    rep.record(
-        "members-distinct",
-        (
-            {"a": labels[i], "b": labels[j]}
-            for i in range(clan.n)
-            for j in i + 1 + np.flatnonzero(~op_norms_exceed(m[i] - m[i + 1 :], tol.eps))
-        ),
-    )
+    same = Witnesses()
+    for i in range(clan.n):
+        twins = ~op_norms_exceed(m[i] - m[i + 1 :], tol.eps)
+        same.add(twins, lambda k: {"a": labels[i], "b": labels[i + 1 + k]})
+    rep.record("members-distinct", same)
 
     tables = _cached(clan, tol, relation_tables)
     rep.facts["order_pairs"] = int(tables["order"].sum())
     rep.facts["orthogonal_pairs"] = int(tables["orthogonal"].sum())
     rep.facts["commuting_pairs"] = int(tables["commute"].sum())
 
-    if not proj_viol:
+    if not bad.any():
         poset = FinitePoset(labels, tables["order"])
         rep.merge(verify_poset(poset), prefix="order")
         try:
@@ -236,11 +230,8 @@ def vector_state(clan: Clan, xi: np.ndarray, tol: Tolerance) -> tuple[np.ndarray
 
     rep.record(
         "values-in-range",
-        (
-            {"member": clan.labels[i], "value": float(vals[i])}
-            for i in range(clan.n)
-            if vals[i] < -tol.eps or vals[i] > float(np.real(xi.conj() @ xi)) + tol.eps
-        ),
+        (vals < -tol.eps) | (vals > float(np.real(xi.conj() @ xi)) + tol.eps),
+        lambda i: {"member": clan.labels[i], "value": float(vals[i])},
     )
     try:
         g = unit_index(clan, tol)
@@ -309,14 +300,11 @@ def verify_observable(
     rep = VerificationReport(subject="observable")
     labels = clan.labels
     orth = _cached(clan, tol, relation_tables)["orthogonal"]
+    ids = np.asarray(member_ids)
     rep.record(
         "pairwise-orthogonal",
-        (
-            {"a": labels[member_ids[i]], "b": labels[member_ids[j]]}
-            for i in range(len(member_ids))
-            for j in range(i + 1, len(member_ids))
-            if not orth[member_ids[i], member_ids[j]]
-        ),
+        np.triu(~orth[np.ix_(ids, ids)], 1),
+        lambda i, j: {"a": labels[ids[i]], "b": labels[ids[j]]},
     )
     g = unit_index(clan, tol)
     total = sum(clan.members[i] for i in member_ids)

@@ -32,7 +32,7 @@ from .matrix_core import (
     screened_op_norm,
     screened_op_norms,
 )
-from .report import VerificationReport
+from .report import VerificationReport, labelled
 
 
 # basis size x samples per coefficient array drawn by schwartz_check, which
@@ -169,14 +169,6 @@ def state_value(alg: ConcreteStarAlgebra, state: AlgebraState, x: Array, tol: To
     return state.of_coords(alg.coords(x, tol))
 
 
-def _flagged(roles: Sequence[str], names: Sequence[str], key: str, values: Array, bad: Array):
-    """One witness per flagged entry, row-major: a name per role (axis), then key: value."""
-    return (
-        {**{role: names[i] for role, i in zip(roles, idx)}, key: float(values[idx])}
-        for idx in zip(*np.nonzero(bad))
-    )
-
-
 def verify_algebra(alg: ConcreteStarAlgebra, tol: Tolerance) -> VerificationReport:
     rep = VerificationReport(subject="star-algebra")
     rank = alg.span_rank(tol)
@@ -185,22 +177,18 @@ def verify_algebra(alg: ConcreteStarAlgebra, tol: Tolerance) -> VerificationRepo
     )
 
     table, labels, mats = alg.pairs(tol), alg.labels, alg._mats
-    rep.record("product-closed", _flagged(("a", "b"), labels, "residual", *table.prods[1:]))
-    rep.record("star-closed", _flagged(("a",), labels, "residual", *table.stars[1:]))
+    prods, stars = table.prods, table.stars
+    rep.record("product-closed", prods.outside, labelled(labels, "a", "b", residual=prods.residual))
+    rep.record("star-closed", stars.outside, labelled(labels, "a", residual=stars.residual))
 
     if alg.unit is not None:
         u = mats[alg.unit]
         defect = np.maximum(*(screened_op_norms(x - mats, tol.eps) for x in (u @ mats, mats @ u)))
-        rep.record("unit-neutral", _flagged(("a",), labels, "defect", defect, defect > tol.eps))
+        rep.record("unit-neutral", defect > tol.eps, labelled(labels, "a", defect=defect))
     idem = np.array(alg.idempotents, dtype=np.intp)
     bad, herm_gap, idem_gap = projection_defects(mats[idem], tol.eps)
-    rep.record(
-        "declared-idempotents-valid",
-        (
-            {"e": labels[idem[k]], "hermitian": float(h), "idempotent": float(p)}
-            for k, h, p in zip(bad, herm_gap, idem_gap)
-        ),
-    )
+    invalid = labelled([labels[i] for i in idem], "e", hermitian=herm_gap, idempotent=idem_gap)
+    rep.record("declared-idempotents-valid", bad, invalid)
     return rep
 
 
@@ -223,7 +211,7 @@ def verify_state(
     _check_state(alg, state)
     rep = VerificationReport(subject="algebra-state")
     gap = np.abs(alg.pairs(tol).stars.inside() @ state.values - np.conj(state.values))
-    rep.record("hermitian", _flagged(("a",), alg.labels, "gap", gap, gap > tol.eps))
+    rep.record("hermitian", gap > tol.eps, labelled(alg.labels, "a", gap=gap))
 
     w, _ = eig_herm(gram_matrix(alg, state, tol))
     lo, hi = float(w[0]), float(w[-1])
@@ -305,25 +293,25 @@ def verify_gns(rep_obj: GnsRepresentation, tol: Tolerance) -> VerificationReport
 
     ker_proj = np.eye(alg.n) - rep_obj.w_pinv @ rep_obj.w
     kernel = screened_op_norms(rep_obj.w @ table.adjs.coords.transpose(1, 2, 0) @ ker_proj, eps)
-    rep.record("kernel-invariant", _flagged(("b",), labels, "defect", kernel, kernel > eps))
+    rep.record("kernel-invariant", kernel > eps, labelled(labels, "b", defect=kernel))
 
     # one row a_i at a time: represent(a_i a_j) solves a_l (a_i a_j)* for every j and l
     mult = np.array(
         [screened_op_norms(rep_obj.represent(a @ mats) - pa @ images, eps)
          for a, pa in zip(mats, images)]
     )
-    rep.record("multiplicative", _flagged(("a", "b"), labels, "defect", mult, mult > eps))
+    rep.record("multiplicative", mult > eps, labelled(labels, "a", "b", defect=mult))
 
     star_images = rep_obj.w @ table.prods.coords.transpose(1, 2, 0) @ rep_obj.w_pinv
     d_star = screened_op_norms(star_images - images.conj().transpose(0, 2, 1), eps)
-    rep.record("star-preserved", _flagged(("a",), labels, "defect", d_star, d_star > eps))
+    rep.record("star-preserved", d_star > eps, labelled(labels, "a", defect=d_star))
     e1 = mats[rep_obj.seed]
     for name, got in (
         ("state-recovered", (images @ rep_obj.xi).conj() @ rep_obj.xi),
         ("seed-sandwich-neutral", alg.solve(e1 @ mats @ e1, tol).inside() @ state.values),
     ):
         gap = np.abs(got - state.values)
-        rep.record(name, _flagged(("a",), labels, "gap", gap, gap > eps))
+        rep.record(name, gap > eps, labelled(labels, "a", gap=gap))
     split = {"space_dim": rep_obj.space_dim, "kernel_dim": rep_obj.kernel_dim}
     rank = alg.span_rank(tol)
     rep.record(
@@ -407,7 +395,7 @@ def positive_parts(
     rep.record("difference-recovers", [] if gap <= tol.eps else [{"defect": gap}])
     names, parts = ("plus", "minus"), np.array([plus, minus])
     lo = np.linalg.eigh((parts + parts.conj().transpose(0, 2, 1)) / 2.0)[0][:, 0]
-    rep.record("parts-positive", _flagged(("part",), names, "min_eigenvalue", lo, lo < -tol.eps))
+    rep.record("parts-positive", lo < -tol.eps, labelled(names, "part", min_eigenvalue=lo))
     leaks = screened_op_norms(e @ parts @ e - parts, tol.eps)
-    rep.record("parts-supported", _flagged(("part",), names, "defect", leaks, leaks > tol.eps))
+    rep.record("parts-supported", leaks > tol.eps, labelled(names, "part", defect=leaks))
     return plus, minus, rep

@@ -14,36 +14,45 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
+from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .boolean_rep import BooleanSemiring
 from .errors import ParseError, StructuralError
 from .order import MAX_DIM, MAX_SPACE, FinitePoset, check_element_count, transitive_reduction
 from .order import bool_product
-from .ortho import OrthoLogic
-from .quasilogic import Quasilogic
-from .semilogic import DistributionTable, Semilogic
 
-# gns and naimark are imported where operator files are parsed: checking a
-# structure file loads neither
+# a module is imported where a file needs it: checking a structure file loads
+# neither gns nor naimark, and an operator file loads only its structure kinds
 if TYPE_CHECKING:
     from .gns import AlgebraState, ConcreteStarAlgebra
     from .naimark import FinitePovm
+    from .quasilogic import Quasilogic
+    from .semilogic import DistributionTable, Semilogic
 
-Structure = FinitePoset | Quasilogic | Semilogic
+    Structure = FinitePoset | Quasilogic | Semilogic
 
-# file kind -> class, each after the classes it extends
-KINDS: dict[str, type] = {
-    "poset": FinitePoset,
-    "quasilogic": Quasilogic,
-    "semilogic": Semilogic,
-    "ortho_logic": OrthoLogic,
-    "boolean_semiring": BooleanSemiring,
+# file kind -> (module, class, the tables its file lists), each after the kinds it extends
+KINDS: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    "poset": ("order", "FinitePoset", ()),
+    "quasilogic": ("quasilogic", "Quasilogic", ("diff",)),
+    "semilogic": ("semilogic", "Semilogic", ("prod",)),
+    "ortho_logic": ("ortho", "OrthoLogic", ("diff", "neg")),
+    "boolean_semiring": ("boolean_rep", "BooleanSemiring", ("prod",)),
 }
+
+
+def _kind_of(obj: Any) -> str | None:
+    """The most derived kind of ``obj``; a kind whose module is not loaded has no instances."""
+    for kind, (module, name, _) in reversed(KINDS.items()):
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None and isinstance(obj, getattr(loaded, name)):
+            return kind
+    return None
 
 
 def _require(cond: bool, message: str, **details):
@@ -189,24 +198,24 @@ def parse_structure(data: Any) -> Structure:
         if g != u:
             raise ParseError("declared unit is not the greatest element", unit=unit)
 
-    cls = KINDS[kind]
-    if cls is FinitePoset:
+    if kind == "poset":
         return poset
-    tables = []
-    if issubclass(cls, Quasilogic):
-        tables.append(_table_from_triples(idx, data.get("diff", []), "diff", symmetric=False))
-    if issubclass(cls, Semilogic):
-        tables.append(_table_from_triples(idx, data.get("prod", []), "prod", symmetric=True))
-    if issubclass(cls, OrthoLogic):
-        tables.append(_neg_from_pairs(idx, data.get("neg", [])))
-    return cls(poset, *tables)
+    module, name, names = KINDS[kind]
+    tables = [
+        _neg_from_pairs(idx, data.get(t, []))
+        if t == "neg"
+        else _table_from_triples(idx, data.get(t, []), t, symmetric=t == "prod")
+        for t in names
+    ]
+    return getattr(import_module(f".{module}", __package__), name)(poset, *tables)
 
 
 def serialize_structure(obj: Structure) -> dict:
-    kind = next((k for k, cls in reversed(KINDS.items()) if isinstance(obj, cls)), None)
+    kind = _kind_of(obj)
     if kind is None:
         raise TypeError(f"not a serializable structure: {type(obj).__name__}")
 
+    names = KINDS[kind][2]
     poset = obj if isinstance(obj, FinitePoset) else obj.poset
     labels = poset.labels
     out: dict[str, Any] = {
@@ -214,24 +223,24 @@ def serialize_structure(obj: Structure) -> dict:
         "elements": list(labels),
         "le": [[a, b] for a, b in transitive_reduction(poset)],
     }
-    if isinstance(obj, Quasilogic):
+    if "diff" in names:
         out["diff"] = [
             [labels[b], labels[a], labels[int(obj.diff[b, a])]]
             for b in range(poset.n)
             for a in range(poset.n)
             if obj.diff[b, a] >= 0
         ]
-    if isinstance(obj, Semilogic):
+    if "prod" in names:
         out["prod"] = [
             [labels[a], labels[b], labels[int(obj.prod[a, b])]]
             for a in range(poset.n)
             for b in range(a, poset.n)
             if obj.prod[a, b] >= 0
         ]
-    if isinstance(obj, OrthoLogic):
+    if "neg" in names:
         out["neg"] = [[labels[a], labels[int(obj.neg[a])]] for a in range(poset.n)]
         out["unit"] = labels[obj.top]
-    if isinstance(obj, BooleanSemiring) and obj.unit() is not None:
+    if kind == "boolean_semiring" and obj.unit() is not None:
         out["unit"] = labels[obj.unit()]
     return out
 
@@ -332,7 +341,7 @@ def parse_povm(data: Any, base_dir: Path | None = None) -> FinitePovm:
             path = base_dir / path
         semiring = load_structure(path)
     _require(
-        isinstance(semiring, BooleanSemiring),
+        _kind_of(semiring) == "boolean_semiring",
         "semiring_file must contain a boolean_semiring",
         kind=type(semiring).__name__,
     )
@@ -470,6 +479,8 @@ def load_algebra(path: Path | str) -> tuple[ConcreteStarAlgebra, AlgebraState | 
 
 def load_distribution(path: Path | str, s: Semilogic) -> DistributionTable:
     """A ``{"values": {label: number}}`` file; unlisted elements weigh 0."""
+    from .semilogic import DistributionTable
+
     data = _load_json(path)
     values = data.get("values") if isinstance(data, dict) else None
     _require(

@@ -151,13 +151,16 @@ def screened_op_norm(a: Array, eps: float) -> float:
 def projection_defects(a: Array, eps: float) -> tuple[Array, Array, Array]:
     """The matrices of an (N, d, d) stack that are no orthoprojection within eps.
 
-    Returns their indices and, for each, the hermiticity defect ||A - A*||
-    and the idempotence defect ||A A - A||, both exact.
+    Returns a mask of them and, per matrix, the hermiticity defect ||A - A*||
+    and the idempotence defect ||A A - A||, exact where the mask is set and
+    0 elsewhere.
     """
     skew = a - a.conj().transpose(0, 2, 1)
     square = a @ a - a
-    bad = np.flatnonzero(op_norms_exceed(skew, eps) | op_norms_exceed(square, eps))
-    return bad, op_norms(skew[bad]), op_norms(square[bad])
+    bad = op_norms_exceed(skew, eps) | op_norms_exceed(square, eps)
+    dh, di = np.zeros(len(a)), np.zeros(len(a))
+    dh[bad], di[bad] = op_norms(skew[bad]), op_norms(square[bad])
+    return bad, dh, di
 
 
 def op_norm(a: Array) -> float:

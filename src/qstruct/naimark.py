@@ -41,7 +41,7 @@ from .matrix_core import (
     screened_op_norm,
     screened_op_norms,
 )
-from .report import VerificationReport
+from .report import VerificationReport, Witnesses, labelled
 from .semilogic import additivity_witnesses
 
 # complex entries per stacked temporary of verify_dilation: 1 MB
@@ -96,19 +96,17 @@ def verify_povm(povm: FinitePovm, tol: Tolerance) -> VerificationReport:
     adjoint = effects.conj().transpose(0, 2, 1)
     skew = effects - adjoint
     w, _ = np.linalg.eigh((effects + adjoint) / 2.0)
-    bad = np.flatnonzero(
-        op_norms_exceed(skew, tol.eps) | (w[:, 0] < -tol.eps) | (w[:, -1] > 1.0 + tol.eps)
-    )
+    bad = op_norms_exceed(skew, tol.eps) | (w[:, 0] < -tol.eps) | (w[:, -1] > 1.0 + tol.eps)
+    herm_gap = np.zeros(len(effects))
+    herm_gap[bad] = op_norms(skew[bad])
     rep.record(
         "effects-are-positive-contractions",
-        (
-            {
-                "element": labels[i],
-                "hermitian": float(h),
-                "spectrum": [float(w[i, 0]), float(w[i, -1])],
-            }
-            for i, h in zip(bad, op_norms(skew[bad]))
-        ),
+        bad,
+        lambda i: {
+            "element": labels[i],
+            "hermitian": float(herm_gap[i]),
+            "spectrum": [float(w[i, 0]), float(w[i, -1])],
+        },
     )
 
     zero_norm = screened_op_norm(effects[bs.zero()], tol.eps)
@@ -225,20 +223,15 @@ def verify_dilation(dil: Dilation, tol: Tolerance) -> VerificationReport:
     images = np.array(dil.images)
     effects = np.array(dil.povm.effects)
     fh = dil.f.conj().T
-    proj_viol, dilation_viol = [], []
+    proj_viol, dilation_viol = Witnesses(), Witnesses()
     step = max(1, STACK_ENTRIES // max(1, dil.dim_e**2))
     for lo in range(0, bs.n, step):
         hb = images[lo : lo + step]
         bad, dh, di = projection_defects(hb, tol.eps)
-        proj_viol += (
-            {"element": labels[lo + i], "hermitian": float(h), "idempotent": float(p)}
-            for i, h, p in zip(bad, dh, di)
-        )
+        block = labels[lo : lo + step]
+        proj_viol.add(bad, labelled(block, "element", hermitian=dh, idempotent=di))
         gaps = screened_op_norms(fh @ hb @ dil.f - effects[lo : lo + step], tol.eps)
-        dilation_viol += (
-            {"element": labels[lo + i], "defect": float(gaps[i])}
-            for i in np.flatnonzero(gaps > tol.eps)
-        )
+        dilation_viol.add(gaps > tol.eps, labelled(block, "element", defect=gaps))
     rep.record("images-are-projections", proj_viol)
     rep.record("compression-recovers-measure", dilation_viol)
 
@@ -264,7 +257,7 @@ def verify_dilation(dil: Dilation, tol: Tolerance) -> VerificationReport:
     return rep
 
 
-def _multiplicative(bs: BooleanSemiring, images: Array, eps: float) -> list[dict]:
+def _multiplicative(bs: BooleanSemiring, images: Array, eps: float) -> Witnesses:
     """Witnesses of h(a) h(b) = h(ab) over the ids a <= b, row-major.
 
     On real diagonal images a product is the product of the diagonals, each
@@ -283,13 +276,13 @@ def _multiplicative(bs: BooleanSemiring, images: Array, eps: float) -> list[dict
             residual = d[lo : lo + rows, None] * d - d[bs.prod[lo : lo + rows]]
             pairs[lo : lo + rows] &= (residual != 0).any(axis=2)
     a, b = np.nonzero(pairs)
-    mult, step = [], max(1, STACK_ENTRIES // max(1, dim * dim))
+    mult, step = Witnesses(), max(1, STACK_ENTRIES // max(1, dim * dim))
     for lo in range(0, len(a), step):
         pa, pb = a[lo : lo + step], b[lo : lo + step]
         gaps = screened_op_norms(images[pa] @ images[pb] - images[bs.prod[pa, pb]], eps)
-        mult += (
-            {"a": bs.labels[pa[k]], "b": bs.labels[pb[k]], "defect": float(gaps[k])}
-            for k in np.flatnonzero(gaps > eps)
+        mult.add(
+            gaps > eps,
+            lambda k: {"a": bs.labels[pa[k]], "b": bs.labels[pb[k]], "defect": float(gaps[k])},
         )
     return mult
 
@@ -329,10 +322,8 @@ def unitary_equivalence(
     gaps = screened_op_norms(u @ np.array(d1.images) @ uh - np.array(d2.images), tol.eps)
     rep.record(
         "intertwines-projections",
-        (
-            {"element": d1.povm.semiring.labels[i], "defect": float(gaps[i])}
-            for i in np.flatnonzero(gaps > tol.eps)
-        ),
+        gaps > tol.eps,
+        labelled(d1.povm.semiring.labels, "element", defect=gaps),
     )
 
     f_gap = screened_op_norm(u @ d1.f - d2.f, tol.eps)

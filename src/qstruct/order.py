@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .report import VerificationReport
+from .report import VerificationReport, labelled
 
 MAX_ELEMENTS = 256
 # operator inputs: the Hilbert-space dimension, and elements x dimension,
@@ -359,29 +359,15 @@ def verify_poset(p: FinitePoset) -> VerificationReport:
     rep = VerificationReport(subject="poset")
     le, labels = p.le, p.labels
 
-    rep.record(
-        "reflexive",
-        ({"a": labels[i]} for i in np.flatnonzero(~np.diag(le))),
-    )
-
-    sym = le & le.T
-    np.fill_diagonal(sym, False)
-    rep.record(
-        "antisymmetric",
-        (
-            {"a": labels[i], "b": labels[j]}
-            for i, j in zip(*np.nonzero(sym))
-            if i < j
-        ),
-    )
+    rep.record("reflexive", ~np.diag(le), labelled(labels, "a"))
+    rep.record("antisymmetric", np.triu(le & le.T, 1), labelled(labels, "a", "b"))
 
     # a<=b<=c without a<=c; boolean matrix square finds all gaps at once
-    closure_gap = bool_product(le, le) & ~le
-    trans_viol = []
-    for a, c in zip(*np.nonzero(closure_gap)):
+    def middle(a: int, c: int) -> dict:
         b = int(np.flatnonzero(le[a, :] & le[:, c])[0])
-        trans_viol.append({"a": labels[a], "b": labels[b], "c": labels[c]})
-    rep.record("transitive", trans_viol)
+        return {"a": labels[a], "b": labels[b], "c": labels[c]}
+
+    rep.record("transitive", bool_product(le, le) & ~le, middle)
 
     least = p.least()
     rep.facts["least"] = labels[least] if least is not None else None

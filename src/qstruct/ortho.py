@@ -15,7 +15,7 @@ from .errors import ConstructionError, StructuralError
 from .order import FinitePoset, birkhoff_distributive, first_nondistributive, segment
 from .order import sentinel_padded
 from .quasilogic import Quasilogic, verify_quasilogic
-from .report import VerificationReport
+from .report import VerificationReport, Witnesses, labelled
 
 
 class OrthoLogic(Quasilogic):
@@ -60,18 +60,13 @@ def verify_logic(ol: OrthoLogic) -> VerificationReport:
     ):
         rep.record(
             name,
-            (
-                {"a": labels[a]}
-                | ({what: labels[got[a]]} if got[a] >= 0 else {"reason": f"{what} undefined"})
-                for a in np.flatnonzero(got != want).tolist()
-            ),
+            got != want,
+            lambda a: {"a": labels[a]}
+            | ({what: labels[got[a]]} if got[a] >= 0 else {"reason": f"{what} undefined"}),
         )
 
     anti = le & ~le[np.ix_(neg, neg)].T  # a <= b without ~b <= ~a
-    rep.record(
-        "complement-antitone",
-        ({"a": labels[a], "b": labels[b]} for a, b in zip(*np.nonzero(anti))),
-    )
+    rep.record("complement-antitone", anti, labelled(labels, "a", "b"))
 
     # ~(a v b) = ~a ^ ~b and dually, for a <= b, over the whole table
     for name, bound, dual, what in (
@@ -79,25 +74,20 @@ def verify_logic(ol: OrthoLogic) -> VerificationReport:
         ("de-morgan-meet", mt, jt, "join"),
     ):
         comp = dual[np.ix_(neg, neg)]  # [a, b] = ~a ^ ~b, or ~a v ~b
-        bad = np.triu((bound >= 0) & (comp != neg[bound]))
         rep.record(
             name,
-            (
-                {"a": labels[a], "b": labels[b]}
-                | ({"reason": f"{what} of complements undefined"} if comp[a, b] < 0 else {})
-                for a, b in zip(*np.nonzero(bad))
-            ),
+            np.triu((bound >= 0) & (comp != neg[bound])),
+            lambda a, b: {"a": labels[a], "b": labels[b]}
+            | ({"reason": f"{what} of complements undefined"} if comp[a, b] < 0 else {}),
         )
     rep.record("relative-distributivity", _relative_distributivity(ol))
 
     from_unit = ol.diff[top]
     rep.record(
         "complement-difference-consistency",
-        (
-            {"a": labels[a], "complement": labels[neg[a]]}
-            | {"from_unit": labels[from_unit[a]] if from_unit[a] >= 0 else None}
-            for a in np.flatnonzero(from_unit != neg).tolist()
-        ),
+        from_unit != neg,
+        lambda a: {"a": labels[a], "complement": labels[neg[a]]}
+        | {"from_unit": labels[from_unit[a]] if from_unit[a] >= 0 else None},
     )
 
     rep.facts["unit"] = labels[top]
@@ -112,23 +102,25 @@ def verify_logic(ol: OrthoLogic) -> VerificationReport:
     return rep
 
 
-def _relative_distributivity(ol: OrthoLogic) -> list[dict]:
+def _relative_distributivity(ol: OrthoLogic) -> Witnesses:
     """(a v b) ^ c = a v (b ^ c) whenever a <= ~b <= c; one (a, c) block per b."""
     labels, neg, le = ol.labels, ol.neg, ol.poset.le
     mt = sentinel_padded(ol.poset.meet_table())
     jt = sentinel_padded(ol.poset.join_table())
-    rel = []
+    rel = Witnesses()
     for b in range(ol.n):
         avals, cvals = np.flatnonzero(le[:, neg[b]]), np.flatnonzero(le[neg[b], :])
         lhs = mt[jt[avals, b][:, None], cvals]
         rhs = jt[avals[:, None], mt[b, cvals]]
-        for i, k in zip(*np.nonzero((lhs != rhs) | (lhs < 0))):
+
+        def cell(i: int, k: int) -> dict:
             left, right = lhs[i, k], rhs[i, k]
             w = {"a": labels[avals[i]], "b": labels[b], "c": labels[cvals[k]]}
             if min(left, right) < 0:
-                rel.append(w | {"reason": "bound undefined"})
-            else:
-                rel.append(w | {"lhs": labels[left], "rhs": labels[right]})
+                return w | {"reason": "bound undefined"}
+            return w | {"lhs": labels[left], "rhs": labels[right]}
+
+        rel.add((lhs != rhs) | (lhs < 0), cell)
     return rel
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import AxiomViolationError, DomainError, StructuralError
 from .order import FinitePoset, flat_reader, is_upward_directed, sentinel_padded, upper_cells
 from .order import verify_poset
-from .report import VerificationReport
+from .report import VerificationReport, Witnesses, labelled
 
 CLASSIFICATION_LABELS = (
     "boolean-algebra",
@@ -143,13 +143,7 @@ def verify_quasilogic(q: Quasilogic) -> VerificationReport:
     le, diff, labels, n = q.poset.le, q.diff, q.labels, q.n
 
     missing = le.T & (diff < 0)  # a <= b without b - a
-    rep.record(
-        "difference-domain",
-        (
-            {"b": labels[b], "a": labels[a]}
-            for b, a in np.argwhere(missing)
-        ),
-    )
+    rep.record("difference-domain", missing, labelled(labels, "b", "a"))
 
     # every defined b - a = d, row-major: d <= b, then b - d = a
     bs, as_ = np.nonzero(diff >= 0)
@@ -158,18 +152,13 @@ def verify_quasilogic(q: Quasilogic) -> VerificationReport:
     back = diff[bs, ds]
     rep.record(
         "difference-bound",
-        (
-            {"b": labels[b], "a": labels[a], "diff": labels[d]}
-            for b, a, d in zip(bs[~inside], as_[~inside], ds[~inside])
-        ),
+        ~inside, lambda k: {"b": labels[bs[k]], "a": labels[as_[k]], "diff": labels[ds[k]]}
     )
-    cancel = inside & (back != as_)
     rep.record(
         "difference-cancellation",
-        (
-            {"b": labels[b], "a": labels[a], "got": labels[g] if g >= 0 else None}
-            for b, a, g in zip(bs[cancel], as_[cancel], back[cancel])
-        ),
+        inside & (back != as_),
+        lambda k: {"b": labels[bs[k]], "a": labels[as_[k]]}
+        | {"got": labels[back[k]] if back[k] >= 0 else None},
     )
 
     # one (b, c) block per a over a <= b <= c with b - a and c - a defined
@@ -179,7 +168,7 @@ def verify_quasilogic(q: Quasilogic) -> VerificationReport:
         "subtrahend-antitone",
         "subtrahend-difference-identity",
     )
-    viols: dict[str, list] = {name: [] for name in names}
+    viols = [Witnesses() for _ in names]
     for a in range(n):
         xs = _above_with_difference(q, a)  # b by row, c by column
         xa = diff[xs, a]  # b - a by row, c - a by column
@@ -189,18 +178,16 @@ def verify_quasilogic(q: Quasilogic) -> VerificationReport:
         defined = chain & (cb >= 0)
         mono = chain & ~le[xa[:, None], xa]  # b - a <= c - a fails
         anti = defined & ~le[cb, xa]  # c - b <= c - a fails
-        found = np.stack(
-            (
-                mono,
-                defined & ~mono & (diff[xa, xa[:, None]] != cb),  # (c-a) - (b-a) = c - b
-                anti,
-                defined & ~anti & (diff[xa, cb] != xa[:, None]),  # (c-a) - (c-b) = b - a
-            )
+        found = (
+            mono,
+            defined & ~mono & (diff[xa, xa[:, None]] != cb),  # (c-a) - (b-a) = c - b
+            anti,
+            defined & ~anti & (diff[xa, cb] != xa[:, None]),  # (c-a) - (c-b) = b - a
         )
-        for t, i, k in zip(*np.nonzero(found)):
-            viols[names[t]].append({"a": labels[a], "b": labels[xs[i]], "c": labels[xs[k]]})
-    for name, found_viols in viols.items():
-        rep.record(name, found_viols)
+        for viol, bad in zip(viols, found):
+            viol.add(bad, lambda i, k: {"a": labels[a], "b": labels[xs[i]], "c": labels[xs[k]]})
+    for name, viol in zip(names, viols):
+        rep.record(name, viol)
 
     directed, pair = is_upward_directed(q.poset)
     rep.record("upward-directed", [] if directed else [{"a": pair[0], "b": pair[1]}])
@@ -311,7 +298,7 @@ def check_de_morgan(q: Quasilogic) -> VerificationReport:
     labels = q.labels
     mt, jt = q.poset.meet_table(), q.poset.join_table()
     diff, meet, join = (flat_reader(t) for t in (q.diff, mt, jt))
-    join_viol, meet_viol = [], []
+    join_viol, meet_viol = Witnesses(), Witnesses()
     for pa, pb, r, c in upper_cells(q.poset):
         m, j = mt[pa, pb], jt[pa, pb]
         bounded = ((m >= 0) & (j >= 0))[r]  # only pairs with a meet and a join count
@@ -319,14 +306,13 @@ def check_de_morgan(q: Quasilogic) -> VerificationReport:
         a, b = pa[r], pb[r]
         ca, cb = diff(c, a), diff(c, b)
         undefined = (ca < 0) | (cb < 0)
-        bad_join = undefined | (diff(c, j[r]) != meet(ca, cb))
-        bad_meet = ~undefined & (diff(c, m[r]) != join(ca, cb))
-        for viol, bad in ((join_viol, bad_join), (meet_viol, bad_meet)):
-            for k in np.flatnonzero(bad).tolist():
-                w = {"a": labels[a[k]], "b": labels[b[k]], "c": labels[c[k]]}
-                if undefined[k]:
-                    w["reason"] = "difference undefined"
-                viol.append(w)
+
+        def cell(k: int) -> dict:
+            w = {"a": labels[a[k]], "b": labels[b[k]], "c": labels[c[k]]}
+            return w | {"reason": "difference undefined"} if undefined[k] else w
+
+        join_viol.add(undefined | (diff(c, j[r]) != meet(ca, cb)), cell)
+        meet_viol.add(~undefined & (diff(c, m[r]) != join(ca, cb)), cell)
     rep.record("difference-of-join", join_viol)
     rep.record("difference-of-meet", meet_viol)
     return rep
@@ -341,13 +327,12 @@ def check_sum_lattice_identity(q: Quasilogic) -> VerificationReport:
     value, labels = info.value, q.labels
     a_s, b_s = np.nonzero(np.triu((value >= 0) & (mt >= 0) & (jt >= 0)))
     jm = value[jt[a_s, b_s], mt[a_s, b_s]]
-    bad = (jm < 0) | (jm != value[a_s, b_s])
-    viol = [
-        {"a": labels[a], "b": labels[b]}
-        | ({"reason": "join and meet not summable"} if v < 0 else {})
-        for a, b, v in zip(a_s[bad], b_s[bad], jm[bad])
-    ]
-    rep.record("sum-lattice-identity", viol)
+    rep.record(
+        "sum-lattice-identity",
+        (jm < 0) | (jm != value[a_s, b_s]),
+        lambda k: {"a": labels[a_s[k]], "b": labels[b_s[k]]}
+        | ({"reason": "join and meet not summable"} if jm[k] < 0 else {}),
+    )
     return rep
 
 

@@ -4,14 +4,66 @@ Every ``verify_*`` function returns one of these instead of raising on the
 first failure, so a report can show all broken axioms of a fixture at once.
 Witnesses are plain dicts keyed by role (e.g. ``{"b": "1", "a": "x"}``) so they
 serialize directly into the CLI's JSON output.
+
+A check's ``violation_count`` counts every violation, and its ``witnesses``
+hold the first ``MAX_WITNESSES`` in the check's own order. A check feeds its
+violation masks to one ``Witnesses`` collector, which counts each mask and
+formats only the cells it keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 MAX_WITNESSES = 8
+
+
+class Witnesses:
+    """One check's violations: all of them counted, the first ``MAX_WITNESSES`` kept.
+
+    The cap is read at each call, so a caller may raise it (tests compare
+    whole lists that way).
+    """
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.kept: list[dict[str, Any]] = []
+
+    def add(self, mask: Any, fmt: Callable[..., dict[str, Any]]) -> "Witnesses":
+        """Count the True cells of ``mask``; format the first ones, row-major, while room is left.
+
+        ``fmt`` gets a kept cell's index, one int per axis of ``mask``.
+        """
+        import numpy as np
+
+        count = int(np.count_nonzero(mask))
+        room = MAX_WITNESSES - len(self.kept)
+        if count and room > 0:
+            first = np.unravel_index(np.flatnonzero(mask)[:room], np.shape(mask))
+            self.kept += (fmt(*cell) for cell in zip(*(axis.tolist() for axis in first)))
+        self.count += count
+        return self
+
+    def extend(self, violations: Iterable[dict[str, Any]]) -> "Witnesses":
+        """Add violations that are already formatted, in order."""
+        found = list(violations)
+        self.kept += found[: max(0, MAX_WITNESSES - len(self.kept))]
+        self.count += len(found)
+        return self
+
+
+def labelled(labels: Any, *keys: str, **values: Any) -> Callable[..., dict[str, Any]]:
+    """A ``Witnesses.add`` formatter: the k-th key names the label at the cell's k-th index.
+
+    Each keyword then names the float its array holds at the cell.
+    """
+
+    def fmt(*cell: int) -> dict[str, Any]:
+        named = {key: labels[i] for key, i in zip(keys, cell)}
+        return named | {key: float(array[cell]) for key, array in values.items()}
+
+    return fmt
 
 
 @dataclass
@@ -41,10 +93,17 @@ class VerificationReport:
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def record(self, name: str, violations: Iterable[dict[str, Any]]) -> Check:
-        """Close out one named check; empty ``violations`` means it passed."""
-        vs = list(violations)
-        check = Check(name, not vs, vs[:MAX_WITNESSES], len(vs))
+    def record(self, name: str, violations: Any, fmt: Callable[..., dict] | None = None) -> Check:
+        """Close out one named check; no violations means it passed.
+
+        ``violations`` is a ``Witnesses`` collector, a list of witnesses, or
+        with ``fmt`` one mask for a fresh collector.
+        """
+        if fmt is not None:
+            violations = Witnesses().add(violations, fmt)
+        elif not isinstance(violations, Witnesses):
+            violations = Witnesses().extend(violations)
+        check = Check(name, not violations.count, violations.kept, violations.count)
         self.checks.append(check)
         return check
 

@@ -18,7 +18,7 @@ from .errors import DomainError, StructuralError
 from .matrix_core import screened_op_norms
 from .order import FinitePoset, join_of, row_bits, sentinel_padded, verify_poset
 from .quasilogic import Quasilogic, is_logic, quasicommutes
-from .report import VerificationReport
+from .report import VerificationReport, Witnesses, labelled
 
 MAX_FAMILIES = 200_000
 FAMILY_BLOCK = 256  # families per block in family_residuals
@@ -55,7 +55,7 @@ class Semilogic:
         self.prod = prod
         self.n = poset.n
         self.labels = poset.labels
-        self._families: FamilyTable | None = None
+        self._families: FamilyTable | StructuralError | None = None
 
     def index(self, label: str) -> int:
         return self.poset.index(label)
@@ -75,10 +75,16 @@ class Semilogic:
     def _all_orthogonal_families(self) -> FamilyTable:
         """Every pairwise-orthogonal zero-free subset with its sup (-1: none), built once.
 
-        StructuralError past ``MAX_FAMILIES`` families, the empty one included.
+        StructuralError past ``MAX_FAMILIES`` families, the empty one included;
+        the error is kept, so later calls raise it again without a second walk.
         """
         if self._families is None:
-            self._families = self._family_levels(MAX_FAMILIES)
+            try:
+                self._families = self._family_levels(MAX_FAMILIES)
+            except StructuralError as exc:
+                self._families = exc
+        if isinstance(self._families, StructuralError):
+            raise self._families.with_traceback(None)
         return self._families
 
     def _family_levels(self, cap: int | None = None, most: int | None = None) -> FamilyTable:
@@ -214,18 +220,23 @@ def additivity_witnesses(
     tol: float,
     eps: float = 0.0,
     sign: float = 1.0,
-) -> list[dict]:
-    """One witness per family whose gap, ``sign`` times its residual, exceeds ``tol``.
+) -> Witnesses:
+    """The families whose gap, ``sign`` times its residual, exceeds ``tol``.
 
     ``levels`` yields (members, sups) as ``FamilyTable`` levels do; the
     residuals are ``family_residuals`` with ``eps``.
     """
-    out = []
+    out = Witnesses()
     for members, sups in levels:
         gaps = sign * family_residuals(values, members, sups, eps)
-        for i in np.flatnonzero(np.abs(gaps) > tol):
-            fam = [labels[x] for x in members[i].tolist()]
-            out.append({"family": fam, "sum": labels[sups[i]], "gap": float(gaps[i])})
+        out.add(
+            np.abs(gaps) > tol,
+            lambda i: {
+                "family": [labels[x] for x in members[i].tolist()],
+                "sum": labels[sups[i]],
+                "gap": float(gaps[i]),
+            },
+        )
     return out
 
 
@@ -285,17 +296,6 @@ def family_mask(n: int, fam: Sequence[int], undefined: bool) -> np.ndarray:
     return mask
 
 
-def pair_witnesses(
-    bad: np.ndarray,
-    keys: tuple[str, str],
-    rows: Sequence[int],
-    cols: Sequence[int],
-    name: Callable[[int], object],
-) -> list[dict]:
-    """One witness per True cell of ``bad``, row-major: ``name`` of rows[i] and cols[j]."""
-    return [{keys[0]: name(rows[i]), keys[1]: name(cols[j])} for i, j in zip(*np.nonzero(bad))]
-
-
 # -- verification -------------------------------------------------------------
 
 
@@ -307,33 +307,23 @@ def verify_semilogic(s: Semilogic) -> VerificationReport:
     rep.record("zero-element", [] if z is not None else [{"reason": "no least element"}])
 
     if z is not None:
-        rep.record("zero-product", ({"a": labels[a]} for a in np.flatnonzero(prod[z] != z)))
-    rep.record("idempotent", ({"a": labels[a]} for a in np.flatnonzero(np.diag(prod) != range(n))))
+        rep.record("zero-product", prod[z] != z, labelled(labels, "a"))
+    rep.record("idempotent", np.diag(prod) != range(n), labelled(labels, "a"))
 
     rep.record(
         "order-coherence",
-        (
-            {
-                "a": labels[a],
-                "b": labels[b],
-                "reason": "a <= b needs ab = a" if le[a, b] else "ab = a needs a <= b",
-            }
-            for a, b in zip(*np.nonzero(le != (prod == np.arange(n)[:, None])))
-        ),
+        le != (prod == np.arange(n)[:, None]),
+        lambda a, b: {"a": labels[a], "b": labels[b]}
+        | {"reason": "a <= b needs ab = a" if le[a, b] else "ab = a needs a <= b"},
     )
 
     mt = s.poset.meet_table()
-    rep.record(
-        "product-is-meet",
-        (
-            {"a": labels[a], "b": labels[b]}
-            for a, b in zip(*np.nonzero(np.triu((prod >= 0) & (mt != prod))))
-        ),
-    )
+    not_meet = np.triu((prod >= 0) & (mt != prod))
+    rep.record("product-is-meet", not_meet, labelled(labels, "a", "b"))
 
     # blocks of rows a: [a, b, c] -> (ab)c against (bc)a where ab, bc and ca
     # are defined; through the padded table an undefined grouping reads -1
-    padded, assoc = sentinel_padded(prod), []
+    padded, assoc = sentinel_padded(prod), Witnesses()
     rows = max(1, ASSOCIATIVITY_BLOCK // (n * n))
     for lo in range(0, n, rows):
         block = slice(lo, min(lo + rows, n))  # the padded table has one column more
@@ -341,10 +331,12 @@ def verify_semilogic(s: Semilogic) -> VerificationReport:
         bc_a = np.moveaxis(padded[:, block][prod], 2, 0)
         grouped = (ab_c < 0) | (bc_a < 0)
         defined = (prod[block] >= 0)[:, :, None] & (prod >= 0) & (prod[:, block] >= 0).T[:, None]
-        bad = defined & (grouped | (ab_c != bc_a))
-        for a, b, c in zip(*np.nonzero(bad)) if bad.any() else ():
+
+        def cell(a: int, b: int, c: int) -> dict:
             w = {"a": labels[lo + a], "b": labels[b], "c": labels[c]}
-            assoc.append(w | {"reason": "grouped product undefined"} if grouped[a, b, c] else w)
+            return w | {"reason": "grouped product undefined"} if grouped[a, b, c] else w
+
+        assoc.add(defined & (grouped | (ab_c != bc_a)), cell)
     rep.record("restricted-associativity", assoc)
 
     # past MAX_FAMILIES there is no table, and the two checks below decide
@@ -356,17 +348,17 @@ def verify_semilogic(s: Semilogic) -> VerificationReport:
 
     # product distributes over realized sums: a(sum a_i) = sum(a a_i); the
     # pairs first where they decide, then the families above them if needed
-    additivity = []
+    additivity = Witnesses()
     if z is not None:
         decided = _pairs_decide_additivity(s, rep)
         if table is not None and not decided:
-            additivity = _product_additivity(s, z, table.summable(1))
+            _product_additivity(s, z, table.summable(1), additivity)
         else:
             pairs = table.levels[:3] if table is not None else s._family_levels(most=2).levels
-            additivity = _product_additivity(s, z, FamilyTable(pairs).summable(1))
-            if table is not None and additivity:
-                additivity += _product_additivity(s, z, table.summable(3))
-            elif table is None and not (decided or additivity):
+            _product_additivity(s, z, FamilyTable(pairs).summable(1), additivity)
+            if table is not None and additivity.count:
+                _product_additivity(s, z, table.summable(3), additivity)
+            elif table is None and not (decided or additivity.count):
                 raise past_cap
     rep.record("product-additivity", additivity)
 
@@ -390,7 +382,7 @@ def verify_semilogic(s: Semilogic) -> VerificationReport:
         rep.facts["orthogonal_family_count"] = len(table)
     else:
         rep.facts["orthogonal_family_count_exceeds"] = MAX_FAMILIES
-        if additivity:
+        if additivity.count:
             rep.facts["product_additivity_count"] = "lower bound: families of at most two members"
     if z is not None:
         rep.facts["zero"] = labels[z]
@@ -431,9 +423,9 @@ def _pairs_decide_additivity(s: Semilogic, rep: VerificationReport) -> bool:
 
 
 def _product_additivity(
-    s: Semilogic, z: int, levels: Iterable[tuple[np.ndarray, np.ndarray]]
-) -> list[dict]:
-    """Witnesses of a(sum a_i) = sum(a a_i), per (summable family, element a).
+    s: Semilogic, z: int, levels: Iterable[tuple[np.ndarray, np.ndarray]], out: Witnesses
+) -> None:
+    """Feeds ``out`` the failures of a(sum a_i) = sum(a a_i), per (summable family, element a).
 
     ``levels`` yields a ``FamilyTable``'s summable (members, sups) per level.
     Each block of a level's families reads img[f, l, a] = a * member l at
@@ -454,7 +446,6 @@ def _product_additivity(
     score = (nonzero[:, None] & nonzero & (prod != z)).astype(np.int8)
     score[np.diag_indices(n)] = 2 * nonzero
     score = score.ravel()  # [p * n + q]
-    out = []
     for members, sups in levels:
         size = members.shape[1]
         i, j = np.triu_indices(size, 1)
@@ -472,7 +463,8 @@ def _product_additivity(
             wrong = summed & (folded != target)
             f, a = np.nonzero(summed & (folded < 0))
             wrong[f, a] = ups.bounds(img[f, :, a]) != target[f, a]
-            for f, a in zip(*np.nonzero((defined & ~summed) | wrong)):
+
+            def cell(f: int, a: int) -> dict:
                 w = {"a": labels[a], "family": [labels[m] for m in block[f].tolist()]}
                 if worst[f, a] == 2:
                     w["reason"] = "image family not summable"
@@ -480,8 +472,9 @@ def _product_additivity(
                     w["reason"] = "image family not orthogonal"
                 elif target[f, a] < 0:
                     w["reason"] = "product with sum undefined"
-                out.append(w)
-    return out
+                return w
+
+            out.add((defined & ~summed) | wrong, cell)
 
 
 def _certified_refinements(s: Semilogic, z: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -587,9 +580,8 @@ def verify_distribution(
         "zero-value",
         [] if z is not None and abs(vals[z]) <= tol else [{"value": float(vals[z]) if z is not None else None}],
     )
-    ids, label = range(s.n), s.labels.__getitem__
     falls = s.poset.le & (vals[:, None] > vals + tol)
-    rep.record("monotone", pair_witnesses(falls, ("a", "b"), ids, ids, label))
+    rep.record("monotone", falls, labelled(s.labels, "a", "b"))
     # gap: the family sum minus the value of its sup
     summable = s._all_orthogonal_families().summable(2)
     rep.record("additive", additivity_witnesses(s.labels, summable, vals, tol, sign=-1.0))
@@ -801,9 +793,8 @@ def verify_homomorphism(h: HomomorphismMap) -> VerificationReport:
         else [{"zero": sl[sz] if sz is not None else None}],
     )
 
-    ids = range(src.n)
     falls = src.poset.le & ~tgt.poset.le[np.ix_(f, f)]
-    rep.record("monotone", pair_witnesses(falls, ("a", "b"), ids, ids, sl.__getitem__))
+    rep.record("monotone", falls, labelled(sl, "a", "b"))
 
     additive = []
     for fam, total in _structure_families(src):
@@ -823,8 +814,7 @@ def verify_homomorphism(h: HomomorphismMap) -> VerificationReport:
     if isinstance(src, Quasilogic) and isinstance(tgt, Quasilogic):
         # [b, a]: b - a defined, and f(b) - f(a) undefined or not f(b - a)
         moved = (src.diff >= 0) & (tgt.diff[np.ix_(f, f)] != f[src.diff])
-        sub = pair_witnesses(moved, ("b", "a"), ids, ids, sl.__getitem__)
-        rep.record("subtraction-preserved", sub)
+        rep.record("subtraction-preserved", moved, labelled(sl, "b", "a"))
 
     if isinstance(tgt, Quasilogic) and is_logic(tgt):
         commutes = src.commutes if isinstance(src, Semilogic) else partial(quasicommutes, src)
@@ -874,18 +864,18 @@ def verify_closure(
         raise StructuralError("closure map out of range")
     diff = difference_table(s, companion)
     rep = VerificationReport(subject="closure")
-    labels, label, le, n = s.labels, s.labels.__getitem__, s.poset.le, s.n
+    labels, le, n = s.labels, s.poset.le, s.n
     mt, jt, elems = s.poset.meet_table(), s.poset.join_table(), np.arange(n)
     z = s.zero()
 
-    rep.record("closure-idempotent", ({"a": labels[a]} for a in np.flatnonzero(k[k] != k)))
+    rep.record("closure-idempotent", k[k] != k, labelled(labels, "a"))
     rep.record(
         "closure-zero",
         [] if z is not None and k[z] == z else [{"zero": labels[z] if z is not None else None}],
     )
-    rep.record("closure-extensive", ({"a": labels[a]} for a in np.flatnonzero(~le[elems, k])))
+    rep.record("closure-extensive", ~le[elems, k], labelled(labels, "a"))
     moved = np.triu((jt >= 0) & (jt[np.ix_(k, k)] != k[jt]))
-    rep.record("closure-join", pair_witnesses(moved, ("a", "b"), elems, elems, label))
+    rep.record("closure-join", moved, labelled(labels, "a", "b"))
 
     closed = np.flatnonzero(k == elems)
     # [c, a] over closed c above a: c - a defined and not closed, or undefined
@@ -901,7 +891,8 @@ def verify_closure(
         ("closed-join-closed", jt, closed, ("k1", "k2")),
     ):
         leaves = ~family_mask(n, fam, True)[table[np.ix_(fam, fam)]]
-        rep.record(name, pair_witnesses(np.triu(leaves, 1), keys, fam, fam, label))
+        named = labelled([labels[x] for x in fam], *keys)
+        rep.record(name, np.triu(leaves, 1), named)
 
     up_viol = _family_violations(le, labels, opens, ("i1", "i2"), "no member above")
     rep.record("open-upper-family", up_viol)
@@ -988,13 +979,8 @@ def check_regularity(
         ("regular-from-below", "sup", from_below),
         ("regular-from-above", "inf", from_above),
     ):
-        rep.record(
-            name,
-            (
-                {"a": labels[a], key: float(reached[a]), "value": float(vals[a])}
-                for a in np.flatnonzero(np.abs(reached - vals) > tol)
-            ),
-        )
+        named = labelled(labels, "a", **{key: reached, "value": vals})
+        rep.record(name, np.abs(reached - vals) > tol, named)
 
     outside = ~family_mask(s.n, upper, False)[diff[np.ix_(upper, lower)]]
     leaves = le[np.ix_(lower, upper)].T & outside

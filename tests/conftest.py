@@ -9,9 +9,11 @@ from qstruct import (
     FinitePoset,
     OrthoLogic,
     QstructError,
+    Semilogic,
     StructuralError,
     load_structure,
     parse_structure,
+    powerset_logic,
 )
 from qstruct.matrix_core import screened_op_norms
 
@@ -64,6 +66,15 @@ def horizontal_sum(blocks, k):
     )
 
 
+def shuffled_difference_logic(k, seed):
+    """The powerset logic 2^k with its difference values permuted: most axioms fail many times."""
+    logic = powerset_logic(k)
+    diff = logic.diff.copy()
+    cells = np.nonzero(diff >= 0)
+    diff[cells] = np.random.default_rng(seed).permutation(diff[cells])
+    return OrthoLogic(logic.poset, diff, logic.neg)
+
+
 def random_order(rng, n, density=0.35):
     """Transitive closure of a random DAG on n elements, in shuffled element order."""
     le = np.triu(rng.random((n, n)) < density, 1) | np.eye(n, dtype=bool)
@@ -114,6 +125,54 @@ def fixture_structures(kinds):
         if isinstance(obj, kinds):
             out.append(obj)
     return out
+
+
+# -- semilogic corpora: flat ones and horizontal sums ----------------------------
+
+
+def semilogic_on(labels, covers, prod=None):
+    """The order generated by ``covers``, with the meet as product unless given."""
+    le = np.eye(len(labels), dtype=bool)
+    for a, b in covers:
+        le[a, b] = True
+    for _ in range(len(labels)):
+        le |= (le.astype(int) @ le.astype(int)) > 0
+    poset = FinitePoset(labels, le)
+    return Semilogic(poset, poset.meet_table() if prod is None else prod)
+
+
+def flat_semilogic(k):
+    """0, 1 and k atoms, distinct atoms orthogonal: 2^k orthogonal families."""
+    covers = [(0, 1)] + [cover for i in range(2, k + 2) for cover in ((0, i), (i, 1))]
+    return semilogic_on(["0", "1", *(f"a{i}" for i in range(k))], covers)
+
+
+def structure_file(s):
+    """A semilogic as the JSON object of its file."""
+    return {
+        "kind": "semilogic",
+        "elements": list(s.labels),
+        "le": [[s.labels[a], s.labels[b]] for a, b in zip(*np.nonzero(s.poset.le))],
+        "prod": [
+            [s.labels[a], s.labels[b], s.labels[s.prod[a, b]]]
+            for a, b in zip(*np.nonzero(np.triu(s.prod >= 0)))
+        ],
+    }
+
+
+def horizontal_sum_semilogic(blocks, k):
+    """Boolean blocks 2^k glued at 0 and 1, the meet as product: a non-distributive lattice."""
+    full, labels, ids = (1 << k) - 1, ["0", "1"], {}
+    for blk in range(blocks):
+        for m in range(1, full):
+            ids[blk, m] = len(labels)
+            labels.append(f"B{blk}:{m}")
+    covers = [(0, i) for i in ids.values()] + [(i, 1) for i in ids.values()]
+    covers += [
+        (i, j) for (b, m), i in ids.items() for (c, w), j in ids.items()
+        if b == c and m != w and m & ~w == 0
+    ]
+    return semilogic_on(labels, covers)
 
 
 # -- the family walk that the level-wise family table replaced ----------------

@@ -24,6 +24,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import (
     crossed_clan,
     diagonal_clan,
+    flat_semilogic,
+    horizontal_sum_semilogic,
     mo_clan,
     oracle_all_orthogonal_families,
     oracle_family_residuals,
@@ -31,7 +33,9 @@ from conftest import (
     oracle_orthogonal_families,
     oracle_summable_families,
     random_povm,
+    semilogic_on,
     skewed_clan,
+    structure_file,
 )
 
 import qstruct.semilogic
@@ -301,36 +305,6 @@ def test_clans_match_the_oracles(block):
 # -- the family table against the walk it replaced ----------------------------------
 
 
-def semilogic_on(labels, covers, prod=None):
-    """The order generated by ``covers``, with the meet as product unless given."""
-    le = np.eye(len(labels), dtype=bool)
-    for a, b in covers:
-        le[a, b] = True
-    for _ in range(len(labels)):
-        le |= (le.astype(int) @ le.astype(int)) > 0
-    poset = FinitePoset(labels, le)
-    return Semilogic(poset, poset.meet_table() if prod is None else prod)
-
-
-def flat_semilogic(k):
-    """0, 1 and k atoms, distinct atoms orthogonal: 2^k orthogonal families."""
-    covers = [(0, 1)] + [cover for i in range(2, k + 2) for cover in ((0, i), (i, 1))]
-    return semilogic_on(["0", "1", *(f"a{i}" for i in range(k))], covers)
-
-
-def structure_file(s):
-    """A semilogic as the JSON object of its file."""
-    return {
-        "kind": "semilogic",
-        "elements": list(s.labels),
-        "le": [[s.labels[a], s.labels[b]] for a, b in zip(*np.nonzero(s.poset.le))],
-        "prod": [
-            [s.labels[a], s.labels[b], s.labels[s.prod[a, b]]]
-            for a, b in zip(*np.nonzero(np.triu(s.prod >= 0)))
-        ],
-    }
-
-
 def flat_semilogic_file(k):
     return structure_file(flat_semilogic(k))
 
@@ -441,6 +415,28 @@ def test_eighteen_orthogonal_atoms_still_exceed_the_cap_for_distributions():
         verify_distribution(s, DistributionTable(np.zeros(s.n)))
 
 
+def test_a_cap_failure_is_kept_so_stone_walks_the_capped_levels_once(
+    capsys, tmp_path, monkeypatch
+):
+    # verify_semiring meets the cap, decides product-additivity by the pairs,
+    # and verify_stone meets the same cap again: from the kept error
+    path = tmp_path / "flat18.json"
+    path.write_text(json.dumps(flat_semilogic_file(18) | {"kind": "boolean_semiring"}))
+    caps = []
+    levels = qstruct.semilogic.orthogonal_levels
+
+    def spy(orth, elems, join, bounds=None, cap=None, most=None):
+        caps.append(cap)
+        return levels(orth, elems, join, bounds, cap, most)
+
+    monkeypatch.setattr(qstruct.semilogic, "orthogonal_levels", spy)
+    assert cli.main(["stone", "--json", str(path)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "StructuralError"
+    assert "exceeds enumeration cap" in error["message"]
+    assert [cap for cap in caps if cap is not None] == [qstruct.semilogic.MAX_FAMILIES - 1]
+
+
 # -- product-additivity and compatibility by pairs, against the walk -------------
 
 
@@ -455,21 +451,6 @@ def forced_walk(monkeypatch):
 def fresh(s):
     """The same semilogic without its cached family table."""
     return Semilogic(s.poset, s.prod)
-
-
-def horizontal_sum_semilogic(blocks, k):
-    """Boolean blocks 2^k glued at 0 and 1, the meet as product: a non-distributive lattice."""
-    full, labels, ids = (1 << k) - 1, ["0", "1"], {}
-    for blk in range(blocks):
-        for m in range(1, full):
-            ids[blk, m] = len(labels)
-            labels.append(f"B{blk}:{m}")
-    covers = [(0, i) for i in ids.values()] + [(i, 1) for i in ids.values()]
-    covers += [
-        (i, j) for (b, m), i in ids.items() for (c, w), j in ids.items()
-        if b == c and m != w and m & ~w == 0
-    ]
-    return semilogic_on(labels, covers)
 
 
 @pytest.mark.parametrize(

@@ -100,6 +100,13 @@ def test_dilate_on_a_listed_semiring_loads_no_standard(valid_dir):
     assert "standard" not in loaded
 
 
+def test_gns_loads_no_structure_kind_module(valid_dir):
+    # io_formats resolves a file kind's class by name, when a file of that kind is read
+    loaded = loaded_modules("gns", str(valid_dir / "m2_algebra.json"))
+    assert {"gns", "io_formats"} <= loaded
+    assert not loaded & {"boolean_rep", "ortho", "quasilogic", "semilogic"}
+
+
 def test_every_public_name_still_resolves():
     assert sorted(qstruct.__all__) == PUBLIC_NAMES
     assert set(PUBLIC_NAMES) <= set(dir(qstruct))
