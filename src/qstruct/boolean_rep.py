@@ -69,13 +69,9 @@ def verify_semiring(bs: BooleanSemiring) -> VerificationReport:
 
 
 def _is_maximal_filter(bs: BooleanSemiring, members: frozenset[int]) -> bool:
-    z = bs.zero()
-    for a in range(bs.n):
-        if a in members:
-            continue
-        if not any(bs.prod[a, b] == z for b in members):
-            return False
-    return True
+    inside = np.zeros(bs.n, dtype=bool)
+    inside[list(members)] = True
+    return bool((bs.prod[np.ix_(~inside, inside)] == bs.zero()).any(axis=1).all())
 
 
 def maximal_filters(bs: BooleanSemiring) -> list[Filter]:
@@ -84,22 +80,15 @@ def maximal_filters(bs: BooleanSemiring) -> list[Filter]:
     Atoms come first: their upsets are the usual suspects. The full principal
     scan only runs when the atom candidates leave gaps.
     """
-    z = bs.zero()
-    out: list[Filter] = []
-    seen: set[frozenset[int]] = set()
-    candidates = list(atoms(bs.poset))
-    if not all(
-        _is_maximal_filter(bs, frozenset(int(x) for x in np.flatnonzero(bs.poset.le[a, :])))
-        for a in candidates
-    ) or not candidates:
-        candidates = [x for x in range(bs.n) if x != z]
-    for g in candidates:
-        members = frozenset(int(x) for x in np.flatnonzero(bs.poset.le[g, :]))
-        if members in seen or not _is_maximal_filter(bs, members):
-            continue
-        seen.add(members)
-        out.append(Filter(members))
-    return out
+
+    def principal(g: int) -> frozenset[int]:
+        return frozenset(np.flatnonzero(bs.poset.le[g]).tolist())
+
+    candidates = atoms(bs.poset)
+    if not candidates or not all(_is_maximal_filter(bs, principal(a)) for a in candidates):
+        candidates = [x for x in range(bs.n) if x != bs.zero()]
+    found = (principal(g) for g in candidates)
+    return [Filter(m) for m in dict.fromkeys(m for m in found if _is_maximal_filter(bs, m))]
 
 
 # -- Stone-style set representation --------------------------------------------

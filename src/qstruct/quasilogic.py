@@ -251,6 +251,16 @@ def quasicommutes(q: Quasilogic, a: int, b: int) -> bool:
     return len(_product_witnesses(q, a, b)) > 0
 
 
+def commutation_table(q: Quasilogic) -> np.ndarray:
+    """[a, b]: ``quasicommutes(q, a, b)``; per a, rows b and columns c >= a with c - a defined."""
+    le, diff = q.poset.le, q.diff
+    out = np.empty((q.n, q.n), dtype=bool)
+    for a in range(q.n):
+        cs = _above_with_difference(q, a)
+        (le[:, cs] & le[diff[cs, a]].T).any(axis=1, out=out[a])
+    return out
+
+
 def _product_witnesses(q: Quasilogic, a: int, b: int) -> list[int]:
     le, diff = q.poset.le, q.diff
     d = diff[:, a]

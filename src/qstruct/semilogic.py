@@ -9,7 +9,6 @@ layer only adds totality of the product and distributivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .errors import DomainError, StructuralError
 from .matrix_core import screened_op_norms
 from .order import FinitePoset, join_of, row_bits, sentinel_padded, verify_poset
-from .quasilogic import Quasilogic, is_logic, quasicommutes
+from .quasilogic import Quasilogic, commutation_table, is_logic
 from .report import VerificationReport, Witnesses, labelled
 
 MAX_FAMILIES = 200_000
@@ -62,13 +61,6 @@ class Semilogic:
 
     def zero(self) -> int | None:
         return self.poset.least()
-
-    def commutes(self, a: int, b: int) -> bool:
-        return self.prod[a, b] >= 0
-
-    def orthogonal(self, a: int, b: int) -> bool:
-        z = self.zero()
-        return z is not None and self.prod[a, b] == z
 
     # -- orthogonal families --------------------------------------------------
 
@@ -134,6 +126,7 @@ def orthogonal_levels(
     bounds: Callable[[np.ndarray], np.ndarray] | None = None,
     cap: int | None = None,
     most: int | None = None,
+    follow: np.ndarray | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Nonempty pairwise-orthogonal subsets of ``elems``: the ``FamilyTable`` levels from 1 up.
 
@@ -151,12 +144,20 @@ def orthogonal_levels(
     bounds of {sup(parent), y} are the family's. Where the parent has no
     sup, ``bounds(members)`` gives the child's, if given. Without ``join``
     every sup comes from ``bounds``.
+
+    ``follow`` holds packed rows by sup: children are then only the allowed
+    y in follow[sup]. The empty family's sup is -1, so the singletons are
+    the elements in follow[-1], with the sups join[-1, y].
     """
     n, ids = orth.shape[0], np.arange(orth.shape[0])
     after = np.packbits(orth & np.isin(ids, elems) & (ids > ids[:, None]), axis=1)
     members = np.asarray(elems, dtype=np.int16)[:, None]
+    if follow is not None:
+        members = members[np.unpackbits(follow[-1], count=n)[members[:, 0]] > 0]
+        sups = join[-1, members[:, 0]]
+    else:
+        sups = members[:, 0] if join is not None else bounds(members)
     allowed = after[members[:, 0]]
-    sups = members[:, 0] if join is not None else bounds(members)
     count, levels, size = 0, [], len(members)
     while size and (most is None or len(levels) < most):
         count += size
@@ -164,7 +165,7 @@ def orthogonal_levels(
             raise StructuralError("orthogonal family count exceeds enumeration cap")
         if levels:
             cells = [
-                np.flatnonzero(np.unpackbits(allowed[lo : lo + EXPAND_ROWS], axis=1, count=n))
+                np.flatnonzero(np.unpackbits(expand[lo : lo + EXPAND_ROWS], axis=1, count=n))
                 + lo * n
                 for lo in range(0, len(members), EXPAND_ROWS)
             ]
@@ -178,7 +179,8 @@ def orthogonal_levels(
                 if bounds is not None and (parents < 0).any():
                     sups[parents < 0] = bounds(members[parents < 0])
         levels.append((members, sups))
-        size = int(BYTE_BITS[allowed].sum())
+        expand = allowed if follow is None else allowed & follow[sups]
+        size = int(BYTE_BITS[expand].sum())
     return levels
 
 
@@ -250,6 +252,27 @@ def summable_families(s: Semilogic) -> list[tuple[tuple[int, ...], int]]:
         for members, sups in s._all_orthogonal_families().summable()
         for fam in zip(map(tuple, members.tolist()), sups.tolist())
     ]
+
+
+def _sum_families(q: Quasilogic) -> FamilyTable:
+    """Nonzero families with a defined fold z + x1 + ... + xk (the sup) in (size, members) order.
+
+    ``orthogonal_levels`` under no orthogonality, with the partial sums as
+    ``join`` and their defined cells as ``follow``; StructuralError past
+    ``MAX_FAMILIES`` families, the empty one included.
+    """
+    z, n = q.zero(), q.n
+    if z is None:
+        return FamilyTable([])
+    sums = sentinel_padded(q._sum_info().value)
+    sums[n] = sums[z]  # the empty family's row
+    sums[:, z] = -1  # zero never joins a family
+    follow, every = np.packbits(sums[:, :n] >= 0, axis=1), np.ones((n, n), dtype=bool)
+    try:
+        levels = orthogonal_levels(every, np.arange(n), sums, cap=MAX_FAMILIES - 1, follow=follow)
+    except StructuralError:
+        raise StructuralError("summable family count exceeds enumeration cap") from None
+    return FamilyTable([(np.zeros((1, 0), np.int16), np.array([z])), *levels])
 
 
 def relative_complement(s: Semilogic, a: int, k: int) -> int | None:
@@ -429,40 +452,20 @@ def _product_additivity(
 
     ``levels`` yields a ``FamilyTable``'s summable (members, sups) per level.
     Each block of a level's families reads img[f, l, a] = a * member l at
-    once. Member pairs score 2 for a repeated nonzero image and 1 for two
-    nonzero images with a nonzero product. Image sums fold the join table,
-    which is exact: where sup{x, y} exists, {x, y, w} and {sup{x, y}, w} have
-    the same upper bounds. Rows where a partial join is undefined compare
-    the whole family's upper bounds instead.
+    once and sums it with ``_image_sums``.
     """
     labels, prod, n = s.labels, s.prod, s.n
-    ups = s.poset.upsets()
-    # joins as flat [x * (n + 1) + y], -1 on either side reading the -1 border;
-    # a table that is not a partial order folds nothing and every row falls back
-    jt = np.full((n + 1) ** 2, -1, dtype=np.int32)
-    if ups.by_up is not None:
-        jt[:] = sentinel_padded(s.poset.join_table()).ravel()
-    nonzero = np.arange(n) != z
-    score = (nonzero[:, None] & nonzero & (prod != z)).astype(np.int8)
-    score[np.diag_indices(n)] = 2 * nonzero
-    score = score.ravel()  # [p * n + q]
+    image_sums = _image_sums(s, z)
     for members, sups in levels:
         size = members.shape[1]
-        i, j = np.triu_indices(size, 1)
-        step = max(1, ADDITIVITY_BLOCK // (n * max(len(i), size)))
+        step = max(1, ADDITIVITY_BLOCK // (n * max(size * (size - 1) // 2, size)))
         for lo in range(0, len(members), step):
             block = members[lo : lo + step]
             img = prod[block].astype(np.int32)
             target = prod[sups[lo : lo + step]]  # [f, a] = a * sup
             defined = (img >= 0).all(axis=1)
-            worst = score[(img * n)[:, i] + img[:, j]].max(axis=1, initial=0)
+            worst, folded = image_sums(img, defined & (target >= 0))
             summed = defined & (worst == 0) & (target >= 0)
-            folded = np.full(target.shape, z)  # zero is the join's identity
-            for col in img.transpose(1, 0, 2):
-                folded = jt[folded * (n + 1) + col]
-            wrong = summed & (folded != target)
-            f, a = np.nonzero(summed & (folded < 0))
-            wrong[f, a] = ups.bounds(img[f, :, a]) != target[f, a]
 
             def cell(f: int, a: int) -> dict:
                 w = {"a": labels[a], "family": [labels[m] for m in block[f].tolist()]}
@@ -474,7 +477,48 @@ def _product_additivity(
                     w["reason"] = "product with sum undefined"
                 return w
 
-            out.add((defined & ~summed) | wrong, cell)
+            out.add((defined & ~summed) | (summed & (folded != target)), cell)
+
+
+def _image_sums(t: Structure, z: int) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+    """``image_sums(img, need)``: per family of images img[f, l, a], (worst, sums), each (f, a).
+
+    On a semilogic, member pairs score 2 for a repeated nonzero image and 1
+    for two nonzero images with a nonzero product. The sums fold the join
+    table, which is exact: where sup{x, y} exists, {x, y, w} and
+    {sup{x, y}, w} have the same upper bounds; rows of ``need`` scoring 0
+    where a partial join is undefined take the family's upper bound. On a
+    quasilogic nothing scores and the sums fold the partial sums, -1 if one fails.
+    """
+    n = t.n
+    if isinstance(t, Quasilogic):
+        padded = sentinel_padded(t._sum_info().value).astype(np.int32)
+        padded[:n, z] = np.arange(n)  # x + 0 reads x: zero images are skipped
+        table, score = padded.ravel(), None
+    else:
+        # joins as flat [x * (n + 1) + y], -1 on either side reading the -1 border;
+        # a table that is not a partial order folds nothing and every row falls back
+        ups, table = t.poset.upsets(), np.full((n + 1) ** 2, -1, dtype=np.int32)
+        if ups.by_up is not None:
+            table[:] = sentinel_padded(t.poset.join_table()).ravel()
+        nonzero = np.arange(n) != z
+        score = (nonzero[:, None] & nonzero & (t.prod != z)).astype(np.int8)
+        score[np.diag_indices(n)] = 2 * nonzero
+        score = score.ravel()  # [p * n + q]
+
+    def image_sums(img: np.ndarray, need: np.ndarray | bool) -> tuple[np.ndarray, np.ndarray]:
+        sums = np.full(img[:, 0].shape, z)  # zero is the sum's identity
+        for col in img.transpose(1, 0, 2):
+            sums = table[sums * (n + 1) + col]
+        if score is None:
+            return np.zeros(sums.shape, dtype=np.int8), sums
+        i, j = np.triu_indices(img.shape[1], 1)
+        worst = score[(img * n)[:, i] + img[:, j]].max(axis=1, initial=0)
+        f, a = np.nonzero(need & (worst == 0) & (sums < 0))
+        sums[f, a] = ups.bounds(img[f, :, a])
+        return worst, sums
+
+    return image_sums
 
 
 def _certified_refinements(s: Semilogic, z: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -627,84 +671,85 @@ def support(
 
 
 def verify_filter(s: Semilogic, f: Filter) -> VerificationReport:
-    members = set(f.members)
-    if not members:
+    members = _members_in_range(s, sorted(f.members), "filter")
+    if not members.size:
         raise DomainError("empty filter")
-    if len(members) == s.n:
+    if members.size == s.n:
         raise DomainError("filter is the whole structure")
     rep = VerificationReport(subject="filter")
-    z = s.zero()
-    labels = s.labels
-    rep.record("no-zero", [{"zero": labels[z]}] if z in members else [])
+    z, labels, prod, n = s.zero(), s.labels, s.prod, s.n
+    inside = family_mask(n, members, False)
+    rep.record("no-zero", [{"zero": labels[z]}] if z is not None and inside[z] else [])
     rep.record(
         "upward-closed",
-        (
-            {"member": labels[b], "above": labels[c]}
-            for b in members
-            for c in np.flatnonzero(s.poset.le[b, :])
-            if int(c) not in members
-        ),
+        inside[:n, None] & s.poset.le & ~inside[:n],
+        labelled(labels, "member", "above"),
     )
     rep.record(
         "product-closed",
-        (
-            {"a": labels[a], "b": labels[b], "product": labels[int(s.prod[a, b])]}
-            for a in members
-            for b in members
-            if s.prod[a, b] >= 0 and int(s.prod[a, b]) not in members
-        ),
+        inside[:n, None] & inside[:n] & (prod >= 0) & ~inside[prod],
+        lambda a, b: {"a": labels[a], "b": labels[b], "product": labels[prod[a, b]]},
     )
     # maximal iff every outside element is annihilated by some member
-    outside = np.setdiff1d(np.arange(s.n), list(members))
-    annihilated = s.poset.meet_table()[np.ix_(outside, list(members))] == z
+    annihilated = s.poset.meet_table()[np.ix_(~inside[:n], inside[:n])] == z
     rep.facts["maximal"] = bool(annihilated.any(axis=1).all())
     rep.facts["members"] = sorted(labels[x] for x in members)
     return rep
 
 
 def verify_ideal(s: Semilogic, d: Ideal) -> VerificationReport:
-    members = set(d.members)
-    if not members:
+    members = _members_in_range(s, sorted(d.members), "ideal")
+    if not members.size:
         raise DomainError("empty ideal")
-    if len(members) == s.n:
+    if members.size == s.n:
         raise DomainError("ideal is the whole structure")
     rep = VerificationReport(subject="ideal")
-    labels, mt = s.labels, s.poset.meet_table()
+    labels, mt, n = s.labels, s.poset.meet_table(), s.n
+    inside = family_mask(n, members, True)  # an undefined meet leaves nothing outside
     rep.record(
         "meet-absorbing",
-        (
-            {"a": labels[a], "b": labels[b], "meet": labels[int(mt[a, b])]}
-            for a in range(s.n)
-            for b in members
-            if mt[a, b] >= 0 and int(mt[a, b]) not in members
-        ),
+        inside[:n] & ~inside[mt],
+        lambda a, b: {"a": labels[a], "b": labels[b], "meet": labels[mt[a, b]]},
     )
-    rep.record(
-        "sum-closed",
-        (
-            {"family": [labels[x] for x in fam], "sum": labels[sup]}
-            for fam, sup in summable_families(s)
-            if fam and set(fam) <= members and sup not in members
-        ),
-    )
-    rep.facts["maximal"] = _ideal_is_maximal(s, members)
+    outside = Witnesses()
+    for fams, sups in s._all_orthogonal_families().summable(1):
+        outside.add(
+            inside[fams].all(axis=1) & ~inside[sups],
+            lambda i: {"family": [labels[x] for x in fams[i].tolist()], "sum": labels[sups[i]]},
+        )
+    rep.record("sum-closed", outside)
+    ids = np.arange(n)
+    grown = (_ideal_closure(s, inside[:n] | (ids == x)).all() for x in ids[~inside[:n]].tolist())
+    rep.facts["maximal"] = all(grown)
     rep.facts["members"] = sorted(labels[x] for x in members)
     return rep
 
 
-def _ideal_closure(s: Semilogic, seed: set[int]) -> set[int]:
-    """The least superset of ``seed`` closed under meets with any element and under sums."""
-    mt, cur, grown = s.poset.meet_table(), set(), set(seed)
-    while grown != cur:
-        cur, meets = grown, mt[:, sorted(grown)]
-        sums = {sup for fam, sup in summable_families(s) if fam and set(fam) <= cur}
-        grown = cur | set(meets[meets >= 0].tolist()) | sums
-    return cur
+def _members_in_range(s: Semilogic, fam: Sequence[int], what: str, **where: str) -> np.ndarray:
+    """``fam`` as an id array; DomainError naming the first member outside range(n)."""
+    fam = np.asarray(fam, dtype=np.intp)
+    stray = fam[(fam < 0) | (fam >= s.n)]
+    if stray.size:
+        raise DomainError(f"{what} member out of range", **where, member=int(stray[0]))
+    return fam
 
 
-def _ideal_is_maximal(s: Semilogic, members: set[int]) -> bool:
-    outside = (x for x in range(s.n) if x not in members)
-    return all(len(_ideal_closure(s, members | {x})) == s.n for x in outside)
+def _ideal_closure(s: Semilogic, seed: np.ndarray) -> np.ndarray:
+    """The least superset of the ``seed`` mask closed under meets with any element and under sums.
+
+    A summable family is inside when all of its members are, and then its
+    sup must be inside too.
+    """
+    mt, levels = s.poset.meet_table(), list(s._all_orthogonal_families().summable(1))
+    cur = seed
+    while True:
+        grown, meets = cur.copy(), mt[:, cur]
+        grown[meets[meets >= 0]] = True
+        for members, sups in levels:
+            grown[sups[cur[members].all(axis=1)]] = True
+        if (grown == cur).all():
+            return cur
+        cur = grown
 
 
 # -- homomorphisms -------------------------------------------------------------
@@ -729,56 +774,8 @@ class HomomorphismMap:
         return cls(source, target, arr)
 
 
-def _structure_families(s: Structure) -> list[tuple[tuple[int, ...], int]]:
-    if isinstance(s, Semilogic):
-        return summable_families(s)
-    return _quasilogic_families(s)
-
-
-def _quasilogic_families(q: Quasilogic) -> list[tuple[tuple[int, ...], int]]:
-    """Subsets with an iterated partial sum; valid structures make it order-free."""
-    z = q.zero()
-    if z is None:
-        return []
-    value = q._sum_info().value  # -1 exactly where partial_sum fails
-    out: list[tuple[tuple[int, ...], int]] = [((), z)]
-    stack: list[tuple[tuple[int, ...], int, int]] = [((), z, 0)]
-    while stack:
-        fam, acc, start = stack.pop()
-        for x in range(start, q.n):
-            new_acc = -1 if x == z else int(value[acc, x])
-            if new_acc < 0:
-                continue
-            new_fam = fam + (x,)
-            if len(out) >= MAX_FAMILIES:
-                raise StructuralError("summable family count exceeds enumeration cap")
-            out.append((new_fam, new_acc))
-            stack.append((new_fam, new_acc, x + 1))
-    return out
-
-
-def _image_sum(t: Structure, images: Sequence[int]) -> int | None:
-    z = t.zero()
-    if z is None:
-        return None
-    items = [x for x in images if x != z]
-    if isinstance(t, Semilogic):
-        if len(set(items)) != len(items):
-            return None
-        for i, p in enumerate(items):
-            for q in items[i + 1 :]:
-                if t.prod[p, q] != z:
-                    return None
-        return join_of(t.poset, items)
-    value, acc = t._sum_info().value, z
-    for x in items:
-        acc = int(value[acc, x])
-        if acc < 0:
-            return None
-    return acc
-
-
 def verify_homomorphism(h: HomomorphismMap) -> VerificationReport:
+    """Zero, order, sums, and where both sides have them differences and commutation, kept."""
     rep = VerificationReport(subject="homomorphism")
     src, tgt, f = h.source, h.target, h.mapping
     if f.shape != (src.n,) or (f < 0).any() or (f >= tgt.n).any():
@@ -796,18 +793,23 @@ def verify_homomorphism(h: HomomorphismMap) -> VerificationReport:
     falls = src.poset.le & ~tgt.poset.le[np.ix_(f, f)]
     rep.record("monotone", falls, labelled(sl, "a", "b"))
 
-    additive = []
-    for fam, total in _structure_families(src):
-        if len(fam) < 2:
-            continue
-        img = _image_sum(tgt, [int(f[x]) for x in fam])
-        if img is None or img != f[total]:
-            additive.append(
-                {
-                    "family": [sl[x] for x in fam],
-                    "expected": tl[int(f[total])],
-                    "got": tl[img] if img is not None else None,
-                }
+    table = src._all_orthogonal_families() if isinstance(src, Semilogic) else _sum_families(src)
+    image_sums, additive = None if tz is None else _image_sums(tgt, tz), Witnesses()
+    for members, sups in table.summable(2):
+        step = max(1, ADDITIVITY_BLOCK // members.shape[1] ** 2)
+        for lo in range(0, len(members), step):
+            block, want = members[lo : lo + step], f[sups[lo : lo + step], None]
+            got = np.full(want.shape, -1)  # the sum of the images, -1 if none
+            if image_sums is not None:
+                worst, got = image_sums(f[block].astype(np.int32)[:, :, None], True)
+                got[worst > 0] = -1
+            additive.add(
+                got != want,
+                lambda i, _: {
+                    "family": [sl[x] for x in block[i].tolist()],
+                    "expected": tl[want[i, 0]],
+                    "got": tl[got[i, 0]] if got[i, 0] >= 0 else None,
+                },
             )
     rep.record("additive", additive)
 
@@ -817,14 +819,9 @@ def verify_homomorphism(h: HomomorphismMap) -> VerificationReport:
         rep.record("subtraction-preserved", moved, labelled(sl, "b", "a"))
 
     if isinstance(tgt, Quasilogic) and is_logic(tgt):
-        commutes = src.commutes if isinstance(src, Semilogic) else partial(quasicommutes, src)
-        comm = [
-            {"a": sl[a], "b": sl[b]}
-            for a in range(src.n)
-            for b in range(a, src.n)
-            if commutes(a, b) and not quasicommutes(tgt, int(f[a]), int(f[b]))
-        ]
-        rep.record("commutation-preserved", comm)
+        commutes = src.prod >= 0 if isinstance(src, Semilogic) else commutation_table(src)
+        lost = np.triu(commutes & ~commutation_table(tgt)[np.ix_(f, f)])
+        rep.record("commutation-preserved", lost, labelled(sl, "a", "b"))
     else:
         rep.facts["commutation-check"] = "skipped (target is not a logic)"
     return rep
@@ -920,25 +917,27 @@ def verify_closure(
 
 def _family_violations(
     rel: np.ndarray, labels: Sequence[str], fam: Sequence[int], keys: tuple[str, str], reason: str
-) -> list[dict]:
-    """Directedness of ``fam`` toward each element a, as a witness list.
+) -> Witnesses:
+    """Directedness of ``fam`` toward each element a, one mask per a.
 
     Each a needs a member m with rel[a, m], and each pair of such members a
     common one between: rel = le checks an upper family, le.T a lower one.
     ``keys`` name the two members of a failing pair, ``reason`` an a with none.
     """
     fam = np.asarray(fam, dtype=np.intp)
-    out = []
+    out = Witnesses()
     for a, row in enumerate(rel):
         near = fam[row[fam]]
         if not near.size:
-            out.append({"a": labels[a], "reason": reason})
+            out.add(np.ones(1, dtype=bool), lambda _: {"a": labels[a], "reason": reason})
             continue
         sub = rel[np.ix_(near, near)]
         # common[p, q]: some member m near a with rel[m, p] and rel[m, q]
         common = sub.T @ sub
-        for p, q in zip(*np.nonzero(~common & (near[:, None] <= near))):
-            out.append({"a": labels[a], keys[0]: labels[near[p]], keys[1]: labels[near[q]]})
+        out.add(
+            ~common & (near[:, None] <= near),
+            lambda p, q: {"a": labels[a], keys[0]: labels[near[p]], keys[1]: labels[near[q]]},
+        )
     return out
 
 
@@ -958,18 +957,15 @@ def check_regularity(
     ``difference_table(s, companion)``, be defined and in `upper` for every
     i in `upper` above a k in `lower`; its witness is the first failing pair.
     """
-    upper, lower = np.asarray(upper, dtype=np.intp), np.asarray(lower, dtype=np.intp)
-    for which, fam in (("upper", upper), ("lower", lower)):
-        stray = fam[(fam < 0) | (fam >= s.n)]
-        if stray.size:
-            raise DomainError("family member out of range", which=which, member=int(stray[0]))
+    upper = _members_in_range(s, upper, "family", which="upper")
+    lower = _members_in_range(s, lower, "family", which="lower")
     diff = difference_table(s, companion)
     up_viol = _family_violations(s.poset.le, s.labels, upper, ("i1", "i2"), "no member above")
-    if up_viol:
-        raise DomainError("upper family axioms fail", which="upper", witness=up_viol[0])
+    if up_viol.count:
+        raise DomainError("upper family axioms fail", which="upper", witness=up_viol.kept[0])
     low_viol = _family_violations(s.poset.le.T, s.labels, lower, ("k1", "k2"), "no member below")
-    if low_viol:
-        raise DomainError("lower family axioms fail", which="lower", witness=low_viol[0])
+    if low_viol.count:
+        raise DomainError("lower family axioms fail", which="lower", witness=low_viol.kept[0])
 
     rep = VerificationReport(subject="regularity")
     vals, le, labels = np.asarray(m.values, dtype=float), s.poset.le, s.labels

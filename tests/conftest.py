@@ -11,6 +11,7 @@ from qstruct import (
     QstructError,
     Semilogic,
     StructuralError,
+    join_of,
     load_structure,
     parse_structure,
     powerset_logic,
@@ -242,6 +243,56 @@ def oracle_family_residuals(values, families, eps=0.0):
             residual if values.ndim == 1 else screened_op_norms(residual, eps)
         )
     return out
+
+
+# -- the homomorphism loops that the sum table and the image-sum kernel replaced ---
+
+
+def oracle_quasilogic_families(q, cap=200_000):
+    """Subsets with an iterated partial sum, depth first, each with its sum.
+
+    Reaching ``cap`` families and finding one more raises StructuralError.
+    """
+    z = q.zero()
+    if z is None:
+        return []
+    value = q._sum_info().value  # -1 exactly where partial_sum fails
+    out = [((), z)]
+    stack = [((), z, 0)]
+    while stack:
+        fam, acc, start = stack.pop()
+        for x in range(start, q.n):
+            new_acc = -1 if x == z else int(value[acc, x])
+            if new_acc < 0:
+                continue
+            new_fam = fam + (x,)
+            if len(out) >= cap:
+                raise StructuralError("summable family count exceeds enumeration cap")
+            out.append((new_fam, new_acc))
+            stack.append((new_fam, new_acc, x + 1))
+    return out
+
+
+def oracle_image_sum(t, images):
+    """The sum of a family of images in ``t``, or None: one family at a time."""
+    z = t.zero()
+    if z is None:
+        return None
+    items = [x for x in images if x != z]
+    if isinstance(t, Semilogic):
+        if len(set(items)) != len(items):
+            return None
+        for i, p in enumerate(items):
+            for q in items[i + 1 :]:
+                if t.prod[p, q] != z:
+                    return None
+        return join_of(t.poset, items)
+    value, acc = t._sum_info().value, z
+    for x in items:
+        acc = int(value[acc, x])
+        if acc < 0:
+            return None
+    return acc
 
 
 # -- operator corpora for the additivity oracles --------------------------------

@@ -11,7 +11,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import oracle_summable_families
+from conftest import fixture_structures, oracle_summable_families
+
+import qstruct.boolean_rep
 
 from qstruct import (
     BooleanSemiring,
@@ -34,6 +36,7 @@ from qstruct import (
     verify_stone,
     verify_topology,
 )
+from qstruct.boolean_rep import _is_maximal_filter
 from qstruct.order import MAX_ELEMENTS
 from qstruct.report import VerificationReport
 
@@ -85,6 +88,35 @@ def test_diamond_fails_exactly_the_union_law():
     assert failed == {"sums-to-unions"}
     wit = rep.get("sums-to-unions").witnesses[0]
     assert wit["sum"] == "1" and len(wit["family"]) == 2
+
+
+def oracle_is_maximal_filter(bs, members):
+    z = bs.zero()
+    for a in range(bs.n):
+        if a in members:
+            continue
+        if not any(bs.prod[a, b] == z for b in members):
+            return False
+    return True
+
+
+def test_maximal_filters_match_the_loop(monkeypatch):
+    semirings = fixture_structures(BooleanSemiring) + [diamond_semiring()]
+    semirings += [powerset_semiring(k) for k in range(1, 7)]
+    semirings += [shuffled_powerset_semiring(k, seed=k) for k in (3, 5)]
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for bs in semirings:
+        got = maximal_filters(bs)
+        with monkeypatch.context() as patch:
+            patch.setattr(qstruct.boolean_rep, "_is_maximal_filter", oracle_is_maximal_filter)
+            assert got == maximal_filters(bs)
+        for size in rng.integers(0, bs.n + 1, size=12).tolist():
+            members = frozenset(rng.choice(bs.n, size, replace=False).tolist())
+            verdict = _is_maximal_filter(bs, members)
+            assert verdict == oracle_is_maximal_filter(bs, members)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def oracle_stone_pairs(sr):

@@ -6,7 +6,8 @@ are plain bit operations; those serve as the oracle throughout. The loops that
 table, the difference axioms of ``verify_quasilogic`` and
 ``check_sum_lattice_identity`` once ran are kept as oracles for their table
 kernels, and so is the pair loop of the logic test that ``verify_homomorphism``
-once ran for ``is_logic``.
+once ran for ``is_logic``. ``quasicommutes`` is the oracle for
+``commutation_table``.
 """
 
 import numpy as np
@@ -44,7 +45,13 @@ from qstruct import (
     summable,
     verify_quasilogic,
 )
-from qstruct.quasilogic import _SumInfo, _build_sum_info, _product_witnesses, is_logic
+from qstruct.quasilogic import (
+    _SumInfo,
+    _build_sum_info,
+    _product_witnesses,
+    commutation_table,
+    is_logic,
+)
 
 
 def test_powerset_verifies_and_sums_are_disjoint_unions():
@@ -425,6 +432,8 @@ def assert_quasilogic_matches_the_oracles(q):
     )
     assert classify(q) == oracle_classify(q)
     assert is_logic(q) == oracle_is_logic(q)
+    pairs = [[quasicommutes(q, a, b) for b in range(q.n)] for a in range(q.n)]
+    assert commutation_table(q).tolist() == pairs
     assert is_upward_directed(q.poset) == oracle_is_upward_directed(q.poset)
     assert_checks_match(check_de_morgan(q), oracle_de_morgan(q))
 

@@ -22,6 +22,7 @@ import pytest
 from conftest import (
     FIXTURES,
     flat_semilogic,
+    horizontal_sum,
     horizontal_sum_semilogic,
     shuffled_difference_logic,
     structure_file,
@@ -29,7 +30,19 @@ from conftest import (
 
 import qstruct.cli
 import qstruct.report
-from qstruct import serialize_structure
+from qstruct import (
+    ClosurePair,
+    Filter,
+    HomomorphismMap,
+    Ideal,
+    powerset_logic,
+    powerset_semiring,
+    serialize_structure,
+    verify_closure,
+    verify_filter,
+    verify_homomorphism,
+    verify_ideal,
+)
 from qstruct.report import VerificationReport, Witnesses
 
 SUBCOMMANDS = {"povm": "dilate", "star_algebra": "gns"}
@@ -185,3 +198,43 @@ def test_a_lowered_cap_keeps_fewer_witnesses_and_the_same_count(
             assert count == eight_count, (argv, name)
             assert kept == eight[:3], (argv, name)
             assert len(kept) == min(3, count), (argv, name)
+
+
+def library_runs():
+    """Library reports with many violations: homomorphisms from a logic and from a
+    semilogic, a filter, an ideal and a closure, each as a call that gives the same
+    report every time."""
+    rng = np.random.default_rng(18)
+    logic, hsum = powerset_logic(6), horizontal_sum(3, 3)
+    flat, semiring = flat_semilogic(8), powerset_semiring(6)
+    to_hsum = rng.integers(0, hsum.n, size=logic.n).astype(np.int16)
+    from_flat = rng.integers(0, hsum.n, size=flat.n).astype(np.int16)
+    members = frozenset(rng.choice(semiring.n, 20, replace=False).tolist())
+    # everything closes to the top, so only the bottom is open: 31 elements have no open above
+    closure = ClosurePair(np.full(32, 31, dtype=np.int16))
+    return [
+        lambda: verify_homomorphism(HomomorphismMap(logic, hsum, to_hsum)),
+        lambda: verify_homomorphism(HomomorphismMap(flat, hsum, from_flat)),
+        lambda: verify_filter(semiring, Filter(members)),
+        lambda: verify_ideal(semiring, Ideal(members)),
+        lambda: verify_closure(powerset_semiring(5), closure),
+    ]
+
+
+def test_library_reports_keep_the_first_witnesses_of_the_whole_list(monkeypatch):
+    large = set()
+    for run in library_runs():
+        monkeypatch.setattr(qstruct.report, "MAX_WITNESSES", DEFAULT_CAP)
+        capped = run()
+        monkeypatch.setattr(qstruct.report, "MAX_WITNESSES", 10**7)
+        full = run()
+        assert [c.name for c in capped.checks] == [c.name for c in full.checks]
+        for check, whole in zip(capped.checks, full.checks):
+            assert check.witnesses == whole.witnesses[:DEFAULT_CAP], check.name
+            assert check.violation_count == whole.violation_count == len(whole.witnesses)
+            if check.violation_count > DEFAULT_CAP:
+                large.add((capped.subject, check.name))
+    assert {name for _, name in large} >= {
+        "additive", "commutation-preserved", "upward-closed", "product-closed",
+        "meet-absorbing", "sum-closed", "open-upper-family",
+    }

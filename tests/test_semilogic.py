@@ -14,13 +14,19 @@ and lower-family loops that ``verify_closure`` and ``check_regularity`` once
 ran, for the one ``_family_violations`` over ``le`` and ``le.T``, and the
 loop bodies of ``relative_complement``, ``verify_closure`` and
 ``check_regularity`` themselves, for the one ``difference_table`` and the
-``family_mask`` lookups that replaced them.
+``family_mask`` lookups that replaced them. The depth-first walk over a
+quasilogic's summable families and the one-family image sum (both in
+conftest.py), with the set and pair loops that ``verify_homomorphism``,
+``verify_filter`` and ``verify_ideal`` once ran, are the oracles for their
+table kernels: the same counts, and the same witnesses in (size, members)
+order for families and row-major order for pairs.
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qstruct import (
     ClosurePair,
@@ -46,6 +52,7 @@ from qstruct import (
     powerset_logic,
     powerset_quasilogic,
     powerset_semiring,
+    quasicommutes,
     relative_complement,
     shuffled_powerset_semiring,
     subset_semilogic,
@@ -61,9 +68,18 @@ from qstruct import (
 import qstruct.semilogic
 from qstruct.order import UpsetIndex
 from qstruct.report import VerificationReport
+from qstruct.quasilogic import is_logic
 from qstruct.semilogic import EXACT_TOL, _family_violations
 
-from conftest import random_difference
+from conftest import (
+    flat_semilogic,
+    horizontal_sum_semilogic,
+    oracle_image_sum,
+    oracle_quasilogic_families,
+    random_difference,
+    random_logics,
+    random_order,
+)
 
 
 def test_powerset_semiring_verifies():
@@ -618,7 +634,7 @@ def oracle_lower_family_violations(s, fam):
     return out
 
 
-def test_family_checks_match_the_oracles():
+def test_family_checks_match_the_oracles(all_witnesses):
     rng = np.random.default_rng(11)
     structures = [powerset_semiring(k) for k in (1, 2, 3)]
     structures += [shuffled_powerset_semiring(4, seed=4), diamond_semiring(), mo2_semilogic()]
@@ -634,9 +650,11 @@ def test_family_checks_match_the_oracles():
             le = s.poset.le
             upper = _family_violations(le, s.labels, fam, ("i1", "i2"), "no member above")
             lower = _family_violations(le.T, s.labels, fam, ("k1", "k2"), "no member below")
-            assert upper == oracle_upper_family_violations(s, fam)
-            assert lower == oracle_lower_family_violations(s, fam)
-            kinds |= {frozenset(w) for w in upper + lower}
+            want_upper = oracle_upper_family_violations(s, fam)
+            want_lower = oracle_lower_family_violations(s, fam)
+            assert (upper.kept, upper.count) == (want_upper, len(want_upper))
+            assert (lower.kept, lower.count) == (want_lower, len(want_lower))
+            kinds |= {frozenset(w) for w in upper.kept + lower.kept}
     assert kinds == {
         frozenset({"a", "reason"}),
         frozenset({"a", "i1", "i2"}),
@@ -954,3 +972,322 @@ def test_closure_rejects_a_companion_on_other_labels():
         verify_closure(big, identity, chain_quasilogic(8))
     with pytest.raises(StructuralError, match="companion"):
         check_regularity(s, DistributionTable(np.zeros(4)), [3], [0], chain_quasilogic(4))
+
+
+def test_filters_and_ideals_reject_members_out_of_range():
+    s = mo2_semilogic()
+    for check, kind in ((verify_filter, Filter), (verify_ideal, Ideal)):
+        for members in ({-1}, {99}, {1, 99}, {-1, 0, 5}):
+            with pytest.raises(DomainError, match="member out of range"):
+                check(s, kind(frozenset(members)))
+
+
+# -- oracles for the homomorphism, filter and ideal kernels ------------------------
+
+
+def oracle_verify_homomorphism(h):
+    """The family walk, the one-family image sums and the pair loop that verify_homomorphism ran."""
+    rep = VerificationReport(subject="homomorphism")
+    src, tgt, f = h.source, h.target, h.mapping
+    sl, tl = src.labels, tgt.labels
+    sz, tz = src.zero(), tgt.zero()
+    rep.record(
+        "zero-preserved",
+        []
+        if sz is not None and tz is not None and f[sz] == tz
+        else [{"zero": sl[sz] if sz is not None else None}],
+    )
+    le, ids = src.poset.le, range(src.n)
+    rep.record(
+        "monotone",
+        [
+            {"a": sl[a], "b": sl[b]}
+            for a in ids
+            for b in ids
+            if le[a, b] and not tgt.poset.le[f[a], f[b]]
+        ],
+    )
+    if isinstance(src, Semilogic):
+        families = summable_families(src)
+    else:
+        families = oracle_quasilogic_families(src)
+    additive = []
+    for fam, total in families:
+        if len(fam) < 2:
+            continue
+        img = oracle_image_sum(tgt, [int(f[x]) for x in fam])
+        if img is None or img != f[total]:
+            additive.append(
+                {
+                    "family": [sl[x] for x in fam],
+                    "expected": tl[int(f[total])],
+                    "got": tl[img] if img is not None else None,
+                }
+            )
+    rep.record("additive", additive)
+    if isinstance(src, Quasilogic) and isinstance(tgt, Quasilogic):
+        rep.record(
+            "subtraction-preserved",
+            [
+                {"b": sl[b], "a": sl[a]}
+                for b in ids
+                for a in np.flatnonzero(src.diff[b] >= 0).tolist()
+                if tgt.diff[f[b], f[a]] < 0 or tgt.diff[f[b], f[a]] != f[src.diff[b, a]]
+            ],
+        )
+    if isinstance(tgt, Quasilogic) and is_logic(tgt):
+        if isinstance(src, Semilogic):
+            commutes = lambda a, b: src.prod[a, b] >= 0  # noqa: E731
+        else:
+            commutes = lambda a, b: quasicommutes(src, a, b)  # noqa: E731
+        rep.record(
+            "commutation-preserved",
+            [
+                {"a": sl[a], "b": sl[b]}
+                for a in ids
+                for b in range(a, src.n)
+                if commutes(a, b) and not quasicommutes(tgt, int(f[a]), int(f[b]))
+            ],
+        )
+    else:
+        rep.facts["commutation-check"] = "skipped (target is not a logic)"
+    return rep
+
+
+def oracle_verify_filter(s, members):
+    labels, z = s.labels, s.zero()
+    rep = VerificationReport(subject="filter")
+    rep.record("no-zero", [{"zero": labels[z]}] if z in members else [])
+    rep.record(
+        "upward-closed",
+        [
+            {"member": labels[b], "above": labels[c]}
+            for b in members
+            for c in np.flatnonzero(s.poset.le[b, :]).tolist()
+            if c not in members
+        ],
+    )
+    rep.record(
+        "product-closed",
+        [
+            {"a": labels[a], "b": labels[b], "product": labels[int(s.prod[a, b])]}
+            for a in members
+            for b in members
+            if s.prod[a, b] >= 0 and int(s.prod[a, b]) not in members
+        ],
+    )
+    rep.facts["maximal"] = all(
+        any(s.poset.meet_table()[a, b] == z for b in members) for a in range(s.n) if a not in members
+    )
+    rep.facts["members"] = sorted(labels[x] for x in members)
+    return rep
+
+
+def oracle_ideal_closure(s, seed):
+    mt, cur, grown = s.poset.meet_table(), set(), set(seed)
+    while grown != cur:
+        cur, meets = grown, mt[:, sorted(grown)]
+        sums = {sup for fam, sup in summable_families(s) if fam and set(fam) <= cur}
+        grown = cur | set(meets[meets >= 0].tolist()) | sums
+    return cur
+
+
+def oracle_verify_ideal(s, members):
+    labels, mt = s.labels, s.poset.meet_table()
+    rep = VerificationReport(subject="ideal")
+    rep.record(
+        "meet-absorbing",
+        [
+            {"a": labels[a], "b": labels[b], "meet": labels[int(mt[a, b])]}
+            for a in range(s.n)
+            for b in members
+            if mt[a, b] >= 0 and int(mt[a, b]) not in members
+        ],
+    )
+    rep.record(
+        "sum-closed",
+        [
+            {"family": [labels[x] for x in fam], "sum": labels[sup]}
+            for fam, sup in summable_families(s)
+            if fam and set(fam) <= members and sup not in members
+        ],
+    )
+    rep.facts["maximal"] = all(
+        len(oracle_ideal_closure(s, members | {x})) == s.n for x in range(s.n) if x not in members
+    )
+    rep.facts["members"] = sorted(labels[x] for x in members)
+    return rep
+
+
+def in_order(labels, witnesses, keys):
+    """Witnesses sorted by the element ids under ``keys``; a list key sorts by (size, members)."""
+    ids = {label: i for i, label in enumerate(labels)}
+
+    def key(w):
+        cells = [w[k] if isinstance(w[k], list) else [w[k]] for k in keys]
+        return [(len(c), [ids[x] for x in c]) for c in cells]
+
+    return sorted(witnesses, key=key)
+
+
+# the order the kernels give where the loops read a Python set or walked depth first
+REORDERED = {
+    "upward-closed": ("member", "above"),
+    "product-closed": ("a", "b"),
+    "meet-absorbing": ("a", "b"),
+}
+
+
+def assert_same_report(got, want, labels, reordered):
+    assert [c.name for c in got.checks] == [c.name for c in want.checks]
+    for check, oracle in zip(got.checks, want.checks):
+        witnesses = oracle.witnesses
+        if check.name in reordered:
+            witnesses = in_order(labels, witnesses, reordered[check.name])
+        assert (check.name, check.violation_count) == (oracle.name, oracle.violation_count)
+        assert check.witnesses == witnesses, check.name
+    assert got.facts == want.facts
+
+
+def assert_homomorphism_matches_the_oracle(src, tgt, f):
+    h = HomomorphismMap(src, tgt, np.asarray(f, dtype=np.int16))
+    reordered = {"additive": ("family",)} if isinstance(src, Quasilogic) else {}
+    got = verify_homomorphism(h)
+    assert_same_report(got, oracle_verify_homomorphism(h), src.labels, reordered)
+    return got
+
+
+def assert_filter_and_ideal_match_the_oracles(s, members):
+    members = set(members)
+    got = [
+        verify_filter(s, Filter(frozenset(members))),
+        verify_ideal(s, Ideal(frozenset(members))),
+    ]
+    want = [oracle_verify_filter(s, members), oracle_verify_ideal(s, members)]
+    for rep, oracle in zip(got, want):
+        assert_same_report(rep, oracle, s.labels, REORDERED)
+    return got
+
+
+def random_quasilogic(rng, n):
+    """A random order, half the time with a bottom, and a random difference table."""
+    le = random_order(rng, n)
+    if rng.random() < 0.5:
+        le[int(rng.integers(n))] = True
+    return Quasilogic(FinitePoset([f"q{i}" for i in range(n)], le), random_difference(rng, le, 0.6))
+
+
+def meet_semilogic(rng, n):
+    """A random order with a bottom, its meet as the product."""
+    le = random_order(rng, n)
+    le[int(rng.integers(n))] = True
+    poset = FinitePoset([f"m{i}" for i in range(n)], le)
+    return Semilogic(poset, poset.meet_table())
+
+
+def homomorphism_structures(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "logic":
+        return next(random_logics(1, seed))
+    if kind == "quasilogic":
+        return random_quasilogic(rng, int(rng.integers(2, 9)))
+    if kind == "flat":
+        return flat_semilogic(int(rng.integers(0, 6)))
+    if kind == "hsum":
+        return horizontal_sum_semilogic(int(rng.integers(1, 4)), int(rng.integers(2, 4)))
+    return [powerset_logic(3), mo2_logic(), powerset_quasilogic(2), powerset_semiring(3)][seed % 4]
+
+
+KINDS = ["logic", "quasilogic", "flat", "hsum", "standard"]
+
+
+@given(
+    st.sampled_from(KINDS),
+    st.sampled_from(KINDS),
+    st.integers(0, 2**16),
+    st.booleans(),
+)
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_homomorphisms_match_the_oracle(all_witnesses, source, target, seed, identity):
+    src = homomorphism_structures(source, seed)
+    tgt = src if identity else homomorphism_structures(target, seed + 1)
+    rng = np.random.default_rng(seed)
+    f = np.arange(src.n) if identity else rng.integers(0, tgt.n, size=src.n)
+    assert_homomorphism_matches_the_oracle(src, tgt, f)
+
+
+@given(st.sampled_from(["flat", "hsum", "meet", "standard"]), st.integers(0, 2**16))
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_filters_and_ideals_match_the_oracles(all_witnesses, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "meet":
+        s = meet_semilogic(rng, int(rng.integers(2, 9)))
+    elif kind == "standard":
+        s = [powerset_semiring(3), mo2_semilogic(), diamond_semiring()][seed % 3]
+    else:
+        s = homomorphism_structures(kind, seed)
+    a = int(rng.integers(s.n))
+    candidates = [
+        np.flatnonzero(s.poset.le[a]),  # a principal upset
+        np.flatnonzero(s.poset.le[:, a]),  # a principal downset
+        rng.choice(s.n, int(rng.integers(1, s.n)), replace=False),
+    ]
+    for members in candidates:
+        if 0 < len(members) < s.n:
+            assert_filter_and_ideal_match_the_oracles(s, members.tolist())
+
+
+def test_the_oracle_corpora_find_violations_of_every_changed_check(all_witnesses):
+    # the properties above compare whole lists; here the lists are not all empty
+    found = dict.fromkeys(
+        ["additive", "commutation-preserved", "upward-closed", "product-closed",
+         "meet-absorbing", "sum-closed", "maximal", "not maximal"], 0
+    )
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        for source in KINDS:
+            src = homomorphism_structures(source, seed)
+            tgt = homomorphism_structures(KINDS[seed % len(KINDS)], seed + 1)
+            for rep in (
+                assert_homomorphism_matches_the_oracle(src, src, np.arange(src.n)),
+                assert_homomorphism_matches_the_oracle(
+                    src, tgt, rng.integers(0, tgt.n, size=src.n)
+                ),
+            ):
+                for name in ("additive", "commutation-preserved"):
+                    found[name] += rep.has(name) and rep.get(name).violation_count
+        semilogics = [meet_semilogic(rng, int(rng.integers(3, 9))), powerset_semiring(3)]
+        for s in semilogics + [homomorphism_structures(["flat", "hsum"][seed % 2], seed)]:
+            members = rng.choice(s.n, int(rng.integers(1, s.n)), replace=False).tolist()
+            for rep in assert_filter_and_ideal_match_the_oracles(s, members):
+                for check in rep.checks:
+                    if check.name in found:
+                        found[check.name] += check.violation_count
+                if rep.subject == "ideal":
+                    found["maximal" if rep.facts["maximal"] else "not maximal"] += 1
+    assert min(found.values()) > 0, found
+
+
+def test_past_the_cap_a_quasilogic_source_fails_where_the_walk_did(all_witnesses, monkeypatch):
+    sources = [powerset_logic(3), mo2_quasilogic(), chain_quasilogic(4)]
+    sources += [random_quasilogic(np.random.default_rng(seed), 7) for seed in range(6)]
+    raised = set()
+    for src in sources:
+        count = len(oracle_quasilogic_families(src))
+        for cap in range(1, count + 2):
+            h = HomomorphismMap(src, src, np.arange(src.n, dtype=np.int16))
+            monkeypatch.setattr(qstruct.semilogic, "MAX_FAMILIES", cap)
+            try:
+                oracle_quasilogic_families(src, cap)
+            except StructuralError as exc:
+                with pytest.raises(StructuralError, match=str(exc)):
+                    verify_homomorphism(h)
+                raised.add(cap)
+                continue
+            assert cap >= count
+            assert_homomorphism_matches_the_oracle(src, src, np.arange(src.n))
+    assert raised
