@@ -10,11 +10,13 @@ witness carries the product norm and the overlap ||P1 P2 P1||.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
 from .matrix_core import (
+    STACK_ENTRIES,
     Array,
     Tolerance,
     as_complex,
@@ -22,13 +24,12 @@ from .matrix_core import (
     op_norms_exceed,
     operator_order,
     projection_defects,
-    range_join,
-    range_meet,
+    range_meets,
     screened_op_norm,
     screened_op_norms,
 )
 from .order import FinitePoset, first_nondistributive, sentinel_padded, verify_poset
-from .report import VerificationReport, Witnesses, labelled
+from .report import VerificationReport, labelled
 from .semilogic import additivity_witnesses, orthogonal_levels
 
 
@@ -88,79 +89,103 @@ def _first_within(stack: Array, tol: Tolerance) -> int:
     return int(hits[0]) if hits.size else -1
 
 
-def _match_member(clan: Clan, target: Array, tol: Tolerance) -> int:
-    return _first_within(clan.members - target, tol)
+def _match_members(clan: Clan, targets: Array, tol: Tolerance) -> np.ndarray:
+    """Per matrix of a (k, d, d) stack, the first member within eps of it, or -1."""
+    d = clan.dim
+    over = op_norms_exceed((clan.members - targets[:, None]).reshape(-1, d, d), tol.eps)
+    within = ~over.reshape(len(targets), clan.n)
+    return np.where(within.any(axis=1), within.argmax(axis=1), -1)
+
+
+def _pairwise(f: Callable, a: np.ndarray, b: np.ndarray, entries: int) -> np.ndarray:
+    """``f`` over blocks of the pair lists a, b, about ``STACK_ENTRIES`` entries a block, joined."""
+    step = max(1, STACK_ENTRIES // entries)
+    blocks = [f(a[lo : lo + step], b[lo : lo + step]) for lo in range(0, len(a), step)]
+    return np.concatenate(blocks) if blocks else np.zeros(0)
 
 
 def bound_tables(clan: Clan, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """Member indices of pairwise range meets and joins; closure is demanded."""
-    n = clan.n
-    meet_idx = np.full((n, n), -1, dtype=np.int16)
-    join_idx = np.full((n, n), -1, dtype=np.int16)
-    missing = []
-    for i in range(n):
-        for j in range(i, n):
-            m = range_meet(clan.members[i], clan.members[j], tol)
-            jn = range_join(clan.members[i], clan.members[j], tol)
-            mi, ji = _match_member(clan, m, tol), _match_member(clan, jn, tol)
-            meet_idx[i, j] = meet_idx[j, i] = mi
-            join_idx[i, j] = join_idx[j, i] = ji
-            if mi < 0:
-                missing.append({"kind": "meet", "a": clan.labels[i], "b": clan.labels[j]})
-            if ji < 0:
-                missing.append({"kind": "join", "a": clan.labels[i], "b": clan.labels[j]})
+    """Member indices of pairwise range meets and joins; closure is demanded.
+
+    The pairs i <= j go in row-major blocks: one ``range_meets`` over the
+    pairs and their complements gives a block's meets and joins, and one
+    ``_match_members`` finds both. ``missing`` names the first eight bounds
+    that are no member, pairs row-major, meet before join.
+    """
+    n, d, m = clan.n, clan.dim, clan.members
+    eye = np.eye(d, dtype=np.complex128)
+
+    def bounds(pa, pb):
+        p, q = m[pa], m[pb]
+        meets = range_meets(np.concatenate([p, eye - p]), np.concatenate([q, eye - q]), tol)
+        both = np.concatenate([meets[: len(p)], eye - meets[len(p) :]])
+        return _match_members(clan, both, tol).reshape(2, -1).T
+
+    a, b = np.triu_indices(n)
+    found = _pairwise(bounds, a, b, 2 * n * d * d)  # (pairs, 2): meet, join
+    missing = [
+        {"kind": ("meet", "join")[c % 2], "a": clan.labels[a[c // 2]], "b": clan.labels[b[c // 2]]}
+        for c in np.flatnonzero(found < 0)[:8].tolist()
+    ]
     if missing:
-        raise DomainError(
-            "clan is not closed under range meets and joins", missing=missing[:8]
-        )
+        raise DomainError("clan is not closed under range meets and joins", missing=missing)
+    meet_idx, join_idx = np.empty((2, n, n), dtype=np.int16)
+    meet_idx[a, b] = meet_idx[b, a] = found[:, 0]
+    join_idx[a, b] = join_idx[b, a] = found[:, 1]
     return meet_idx, join_idx
 
 
-def distributivity_criterion(clan: Clan, tol: Tolerance) -> dict:
-    """Lattice distributivity vs the zero-meet/zero-product criterion.
-
-    Returns both verdicts, their witnesses, and whether they agree. The
-    criterion witness reports the raw product norm alongside the overlap
-    ||P1 P2 P1|| = ||P1 P2||^2, the quantity that measures how far the pair
-    is from being compatible.
-    """
+def _criterion(clan: Clan, tol: Tolerance) -> dict:
     meet_idx, join_idx = _cached(clan, tol, bound_tables)
-    labels, m = clan.labels, clan.members
-    zero_i = _first_within(m, tol)
+    labels, m, d2 = clan.labels, clan.members, clan.dim**2
 
-    criterion, crit_witness = True, None
-    for i in range(clan.n):
-        js = i + 1 + np.flatnonzero(meet_idx[i, i + 1 :] == zero_i)
-        prods = m[i] @ m[js]
-        norms = screened_op_norms(prods, tol.eps)
-        hit = np.flatnonzero(norms > tol.eps)
-        for k, overlap in zip(hit, op_norms(prods[hit] @ m[i])):
-            criterion = False
-            if crit_witness is None or overlap > crit_witness["overlap"]:
-                crit_witness = {
-                    "a": labels[i],
-                    "b": labels[js[k]],
-                    "product_norm": float(norms[k]),
-                    "overlap": float(overlap),
-                }
+    # the zero-meet pairs, row-major, whose product is not zero
+    a, b = np.nonzero(np.triu(meet_idx == _first_within(m, tol), 1))
+    norms = _pairwise(lambda pa, pb: screened_op_norms(m[pa] @ m[pb], tol.eps), a, b, d2)
+    hits = np.flatnonzero(norms > tol.eps)
+    a, b, norms = a[hits], b[hits], norms[hits]
+    overlaps = _pairwise(lambda pa, pb: op_norms(m[pa] @ m[pb] @ m[pa]), a, b, d2)
+
+    crit_witness = None
+    if hits.size:
+        # the first maximum, as a running maximum that only a larger overlap replaces
+        k = 0 if np.isnan(overlaps[0]) else int(np.nanargmax(overlaps))
+        crit_witness = {
+            "a": labels[a[k]],
+            "b": labels[b[k]],
+            "product_norm": float(norms[k]),
+            "overlap": float(overlaps[k]),
+        }
 
     hit = first_nondistributive(meet_idx, join_idx)
     dist_witness = None if hit is None else dict(zip("abc", (labels[x] for x in hit)))
     return {
         "distributive": hit is None,
         "distributive_witness": dist_witness,
-        "criterion": criterion,
+        "criterion": not hits.size,
         "criterion_witness": crit_witness,
-        "agree": (hit is None) == criterion,
+        "agree": (hit is None) == (not hits.size),
     }
 
 
+def distributivity_criterion(clan: Clan, tol: Tolerance) -> dict:
+    """Lattice distributivity vs the zero-meet/zero-product criterion, once per tolerance.
+
+    Returns both verdicts, their witnesses, and whether they agree. The
+    criterion witness is the zero-meet pair with the first largest overlap
+    ||P1 P2 P1|| = ||P1 P2||^2, row-major, the quantity that measures how far
+    the pair is from being compatible; it reports the raw product norm too.
+    """
+    return _cached(clan, tol, _criterion)
+
+
 def _unit(clan: Clan, tol: Tolerance) -> int:
-    m = clan.members
-    for g in range(clan.n):
-        if not op_norms_exceed(m @ m[g] - m, tol.eps).any():
-            return g
-    return -1
+    """The first member g with A g = A for every member A, or -1."""
+    n, d, m = clan.n, clan.dim, clan.members
+    g, a = np.divmod(np.arange(n * n), n)
+    over = _pairwise(lambda pg, pa: op_norms_exceed(m[pa] @ m[pg] - m[pa], tol.eps), g, a, d * d)
+    absorbs = ~over.reshape(n, n).any(axis=1)
+    return int(absorbs.argmax()) if absorbs.any() else -1
 
 
 def unit_index(clan: Clan, tol: Tolerance) -> int:
@@ -173,17 +198,16 @@ def unit_index(clan: Clan, tol: Tolerance) -> int:
 
 def verify_clan(clan: Clan, tol: Tolerance) -> VerificationReport:
     rep = VerificationReport(subject="clan")
-    labels, m = clan.labels, clan.members
+    labels, m, d = clan.labels, clan.members, clan.dim
 
     bad, dh, di = projection_defects(m, tol.eps)
     named = labelled(labels, "member", hermitian=dh, idempotent=di)
     rep.record("members-are-projections", bad, named)
 
-    same = Witnesses()
-    for i in range(clan.n):
-        twins = ~op_norms_exceed(m[i] - m[i + 1 :], tol.eps)
-        same.add(twins, lambda k: {"a": labels[i], "b": labels[i + 1 + k]})
-    rep.record("members-distinct", same)
+    a, b = np.triu_indices(clan.n, 1)
+    twins = np.zeros((clan.n, clan.n), dtype=bool)
+    twins[a, b] = _pairwise(lambda pa, pb: ~op_norms_exceed(m[pa] - m[pb], tol.eps), a, b, d * d)
+    rep.record("members-distinct", twins, lambda i, j: {"a": labels[i], "b": labels[j]})
 
     tables = _cached(clan, tol, relation_tables)
     rep.facts["order_pairs"] = int(tables["order"].sum())

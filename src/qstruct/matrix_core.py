@@ -25,6 +25,9 @@ from .errors import DomainError
 
 Array = np.ndarray
 
+# complex entries per stacked temporary of the operator kernels: 1 MB
+STACK_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -54,7 +57,8 @@ def as_complex(a) -> Array:
 
 
 def herm(a: Array) -> Array:
-    return (a + a.conj().T) / 2.0
+    """The Hermitian part of a matrix, or of each matrix of a stack."""
+    return (a + np.swapaxes(a.conj(), -1, -2)) / 2.0
 
 
 def eig_herm(a: Array) -> tuple[Array, Array]:
@@ -224,14 +228,29 @@ def range_projector(a: Array, tol: Tolerance) -> Array:
     return v @ v.conj().T
 
 
+def range_meets(p: Array, q: Array, tol: Tolerance) -> Array:
+    """Projectors onto range(p) & range(q) per pair of (N, d, d) stacks: null spaces of (1-p)+(1-q).
+
+    One stacked eigh. The kept eigenvectors are multiplied out in groups of
+    equal count, laid out as for a lone pair, so each projector has its bits.
+    """
+    d = p.shape[-1]
+    eye = np.eye(d, dtype=np.complex128)
+    w, u = np.linalg.eigh(herm((eye - p) + (eye - q)))
+    keep = w <= tol.eps
+    counts = keep.sum(axis=1)
+    out = np.zeros(u.shape, dtype=np.complex128)
+    for k in np.flatnonzero(np.bincount(counts)).tolist():
+        idx = np.flatnonzero(counts == k)
+        # a lone pair's u[:, keep] is column-major: the kept rows of u^T, transposed
+        v = u[idx].transpose(0, 2, 1)[keep[idx]].reshape(len(idx), k, d).transpose(0, 2, 1)
+        out[idx] = v @ v.conj().transpose(0, 2, 1)
+    return out
+
+
 def range_meet(p: Array, q: Array, tol: Tolerance) -> Array:
-    """Projector onto range(p) & range(q), as the null space of (1-p)+(1-q)."""
-    p, q = as_complex(p), as_complex(q)
-    eye = np.eye(p.shape[0], dtype=np.complex128)
-    w, u = eig_herm((eye - p) + (eye - q))
-    keep = np.flatnonzero(w <= tol.eps)
-    v = u[:, keep]
-    return v @ v.conj().T
+    """Projector onto range(p) & range(q): the one-pair case of ``range_meets``."""
+    return range_meets(as_complex(p)[None], as_complex(q)[None], tol)[0]
 
 
 def range_join(p: Array, q: Array, tol: Tolerance) -> Array:

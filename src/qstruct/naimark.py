@@ -22,13 +22,14 @@ explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .boolean_rep import BooleanSemiring
 from .errors import DomainError, StructuralError
 from .matrix_core import (
+    STACK_ENTRIES,
     Array,
     Tolerance,
     as_complex,
@@ -42,10 +43,8 @@ from .matrix_core import (
     screened_op_norms,
 )
 from .report import VerificationReport, Witnesses, labelled
-from .semilogic import additivity_witnesses
+from .semilogic import additivity_witnesses, family_residual_blocks
 
-# complex entries per stacked temporary of verify_dilation: 1 MB
-STACK_ENTRIES = 1 << 16
 # complex entries of the images of a dilation, n * dim_e^2: 64 MB
 MAX_DILATION_ENTRIES = 1 << 22
 
@@ -235,9 +234,16 @@ def verify_dilation(dil: Dilation, tol: Tolerance) -> VerificationReport:
     rep.record("images-are-projections", proj_viol)
     rep.record("compression-recovers-measure", dilation_viol)
 
-    summable = bs._all_orthogonal_families().summable(2)
-    rep.record("additive", additivity_witnesses(labels, summable, images, tol.eps, tol.eps))
-    rep.record("multiplicative", _multiplicative(bs, images, tol.eps))
+    diag = _real_diagonals(images)
+    levels = bs._all_orthogonal_families().summable(2)
+    if diag is not None:  # only families with a nonzero diagonal residual reach the matrices
+        levels = (
+            (fams[keep], sups[keep])
+            for fams, sups in levels
+            for keep in [_nonzero_residuals(len(sups), family_residual_blocks(diag, fams, sups))]
+        )
+    rep.record("additive", additivity_witnesses(labels, levels, images, tol.eps, tol.eps))
+    rep.record("multiplicative", _multiplicative(bs, images, diag, tol.eps))
 
     iso_gap = screened_op_norm(fh @ dil.f - np.eye(d), tol.eps)
     rep.record("embedding-isometric", [] if iso_gap <= tol.eps else [{"defect": iso_gap}])
@@ -257,24 +263,48 @@ def verify_dilation(dil: Dilation, tol: Tolerance) -> VerificationReport:
     return rep
 
 
-def _multiplicative(bs: BooleanSemiring, images: Array, eps: float) -> Witnesses:
+def _real_diagonals(images: Array) -> Array | None:
+    """The (n, dim) diagonals when every image is a real diagonal, else None.
+
+    Sums and products of such images are those of their diagonals, each
+    entry rounded as in the matrix operation, with exact zeros elsewhere. So
+    a residual with a zero diagonal is the zero matrix and passes; only the
+    others (NaN included) need ``screened_op_norms`` on the full matrices.
+    """
+    dim = images.shape[1]
+    diag = images[:, np.arange(dim), np.arange(dim)]
+    if np.count_nonzero(images) == np.count_nonzero(diag) and not diag.imag.any():
+        return diag.real
+    return None
+
+
+def _nonzero_residuals(count: int, blocks: Iterable[tuple[int, Array]]) -> Array:
+    """Mask of ``count`` diagonal residuals, given as (lo, residual rows) blocks: True off zero."""
+    mask = np.zeros(count, dtype=bool)
+    for lo, residual in blocks:
+        rows = (residual != 0).any(axis=-1).ravel()
+        mask[lo : lo + rows.size] = rows
+    return mask
+
+
+def _multiplicative(
+    bs: BooleanSemiring, images: Array, diag: Array | None, eps: float
+) -> Witnesses:
     """Witnesses of h(a) h(b) = h(ab) over the ids a <= b, row-major.
 
-    On real diagonal images a product is the product of the diagonals, each
-    entry rounded once as in the matrix product, so a pair whose diagonal
-    residual is exactly zero passes. Only the other pairs (NaN included),
-    or all pairs when some image is not a real diagonal, go to
-    ``screened_op_norms`` on the full matrices; both passes go in blocks of
-    about ``STACK_ENTRIES`` entries.
+    Given the real diagonals, only the pairs whose diagonal residual is not
+    zero reach the full matrices. Both passes go in blocks of about
+    ``STACK_ENTRIES`` entries.
     """
     n, dim = images.shape[:2]
-    diag = images[:, np.arange(dim), np.arange(dim)]
     pairs = np.triu(np.ones((n, n), dtype=bool))
-    if np.count_nonzero(images) == np.count_nonzero(diag) and not diag.imag.any():
-        d, rows = diag.real, max(1, STACK_ENTRIES // max(1, n * dim))
-        for lo in range(0, n, rows):
-            residual = d[lo : lo + rows, None] * d - d[bs.prod[lo : lo + rows]]
-            pairs[lo : lo + rows] &= (residual != 0).any(axis=2)
+    if diag is not None:
+        rows = max(1, STACK_ENTRIES // max(1, n * dim))
+        blocks = (
+            (lo * n, diag[lo : lo + rows, None] * diag - diag[bs.prod[lo : lo + rows]])
+            for lo in range(0, n, rows)
+        )
+        pairs &= _nonzero_residuals(n * n, blocks).reshape(n, n)
     a, b = np.nonzero(pairs)
     mult, step = Witnesses(), max(1, STACK_ENTRIES // max(1, dim * dim))
     for lo in range(0, len(a), step):

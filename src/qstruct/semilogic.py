@@ -184,34 +184,42 @@ def orthogonal_levels(
     return levels
 
 
+def family_residual_blocks(
+    values: np.ndarray, members: np.ndarray, sups: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, residual) per ``FAMILY_BLOCK`` rows of one level: ``values[sup]`` minus the family sum.
+
+    A sup of -1 reads a zero row, which gives minus the family sum. Each sum
+    runs from 0 over the members left to right, like the builtin ``sum``, so
+    every float is the one a loop over single families gives, and no
+    temporary grows with the family count.
+    """
+    values = np.asarray(values)
+    padded = np.zeros((values.shape[0] + 1, *values.shape[1:]), dtype=values.dtype)
+    padded[:-1] = values
+    for lo in range(0, len(members), FAMILY_BLOCK):
+        block = members[lo : lo + FAMILY_BLOCK]
+        total = np.zeros((len(block), *values.shape[1:]), dtype=values.dtype)
+        for col in block.T:
+            total = total + padded[col]
+        yield lo, padded[sups[lo : lo + FAMILY_BLOCK]] - total
+
+
 def family_residuals(
     values: np.ndarray, members: np.ndarray, sups: np.ndarray, eps: float = 0.0
 ) -> np.ndarray:
-    """``values[sup]`` minus the sum of ``values`` over the family, per row of one level.
+    """``family_residual_blocks`` per row of one level, a matrix residual reduced to a norm.
 
     ``values`` stacks scalars ``(n,)`` or matrices ``(n, d, d)``. A matrix
     residual is reduced by ``screened_op_norms``: its exact operator norm
     where that exceeds ``eps``, and elsewhere a Frobenius bound that is at
     most ``eps``; so ``> eps`` reads the same either way, and every gap above
     eps is the exact norm. The default eps of 0 gives exact norms throughout.
-    A sup of -1 reads a zero row, which gives minus the family sum. Each sum
-    runs from 0 over the members left to right, like the builtin ``sum``, so
-    every float is the one a loop over single families gives. Rows go
-    ``FAMILY_BLOCK`` at a time, so no temporary grows with the family count.
     """
-    values = np.asarray(values)
-    padded = np.zeros((values.shape[0] + 1, *values.shape[1:]), dtype=values.dtype)
-    padded[:-1] = values
+    scalar = np.ndim(values) == 1
     out = np.empty(len(members))
-    for lo in range(0, len(members), FAMILY_BLOCK):
-        block = members[lo : lo + FAMILY_BLOCK]
-        total = np.zeros((len(block), *values.shape[1:]), dtype=values.dtype)
-        for col in block.T:
-            total = total + padded[col]
-        residual = padded[sups[lo : lo + FAMILY_BLOCK]] - total
-        out[lo : lo + len(block)] = (
-            residual if values.ndim == 1 else screened_op_norms(residual, eps)
-        )
+    for lo, residual in family_residual_blocks(values, members, sups):
+        out[lo : lo + len(residual)] = residual if scalar else screened_op_norms(residual, eps)
     return out
 
 
@@ -711,16 +719,17 @@ def verify_ideal(s: Semilogic, d: Ideal) -> VerificationReport:
         inside[:n] & ~inside[mt],
         lambda a, b: {"a": labels[a], "b": labels[b], "meet": labels[mt[a, b]]},
     )
+    levels = list(s._all_orthogonal_families().summable(1))
     outside = Witnesses()
-    for fams, sups in s._all_orthogonal_families().summable(1):
+    for fams, sups in levels:
         outside.add(
             inside[fams].all(axis=1) & ~inside[sups],
             lambda i: {"family": [labels[x] for x in fams[i].tolist()], "sum": labels[sups[i]]},
         )
     rep.record("sum-closed", outside)
     ids = np.arange(n)
-    grown = (_ideal_closure(s, inside[:n] | (ids == x)).all() for x in ids[~inside[:n]].tolist())
-    rep.facts["maximal"] = all(grown)
+    seeds = (inside[:n] | (ids == x) for x in ids[~inside[:n]].tolist())
+    rep.facts["maximal"] = all(_ideal_closure(s, seed, levels).all() for seed in seeds)
     rep.facts["members"] = sorted(labels[x] for x in members)
     return rep
 
@@ -734,14 +743,14 @@ def _members_in_range(s: Semilogic, fam: Sequence[int], what: str, **where: str)
     return fam
 
 
-def _ideal_closure(s: Semilogic, seed: np.ndarray) -> np.ndarray:
+def _ideal_closure(s: Semilogic, seed: np.ndarray, levels: list) -> np.ndarray:
     """The least superset of the ``seed`` mask closed under meets with any element and under sums.
 
-    A summable family is inside when all of its members are, and then its
-    sup must be inside too.
+    ``levels`` is ``list(FamilyTable.summable(1))``, built once by the
+    caller. A summable family is inside when all of its members are, and
+    then its sup must be inside too.
     """
-    mt, levels = s.poset.meet_table(), list(s._all_orthogonal_families().summable(1))
-    cur = seed
+    mt, cur = s.poset.meet_table(), seed
     while True:
         grown, meets = cur.copy(), mt[:, cur]
         grown[meets[meets >= 0]] = True

@@ -7,12 +7,16 @@ the smallest case where both verdicts go negative together, with the overlap
 The triple loop over the meet and join tables that ``distributivity_criterion``
 once ran is kept as the oracle for the shared table kernel, and the per-pair
 and per-member ``op_norm`` loops as oracles for the stacked threshold kernel.
+The per-pair ``range_meet``/``range_join`` loop of ``bound_tables`` and the
+per-row criterion, distinctness and unit loops are kept as oracles for the
+stacked clan kernels.
 """
 
 import numpy as np
 import pytest
 from conftest import crossed_clan, diagonal_clan, mo_clan, oracle_op_norm, skewed_clan
 
+import qstruct.clan
 from qstruct import (
     Clan,
     DomainError,
@@ -20,12 +24,15 @@ from qstruct import (
     distributivity_criterion,
     operator_distribution,
     op_norm,
+    range_join,
     range_meet,
     vector_state,
     verify_clan,
     verify_observable,
 )
-from qstruct.clan import _match_member, bound_tables, relation_tables, unit_index
+from qstruct.clan import _match_members, bound_tables, relation_tables, unit_index
+from qstruct.matrix_core import op_norms, op_norms_exceed, screened_op_norms
+from qstruct.report import VerificationReport, Witnesses
 
 TOL = Tolerance()
 
@@ -277,10 +284,10 @@ def test_member_matching_matches_the_member_loop():
         targets = [range_meet(a, b, tol) for a in clan.members for b in clan.members]
         targets += [m + tol.eps * s * np.eye(clan.dim) for m in clan.members for s in (0.5, 1.5)]
         targets += [m + tol.eps * rng.normal(size=m.shape) for m in clan.members]
-        for target in targets:
-            want = oracle_match_member(clan, target, tol)
-            assert _match_member(clan, target, tol) == want
-            hits, misses = hits + (want >= 0), misses + (want < 0)
+        want = [oracle_match_member(clan, target, tol) for target in targets]
+        assert _match_members(clan, np.array(targets), tol).tolist() == want
+        hits += sum(w >= 0 for w in want)
+        misses += sum(w < 0 for w in want)
     assert hits > 0 and misses > 0
 
 
@@ -315,3 +322,182 @@ def test_clan_checks_match_the_loops(all_witnesses):
             assert (verdicts["criterion"], verdicts["criterion_witness"]) == want
             criteria += not verdicts["criterion"]
     assert failed > 0 and criteria > 0 and twins > 0
+
+
+# -- the per-pair bound loop and the per-row loops that the stacked clan kernels replaced
+
+
+def oracle_range_meet(p, q, tol):
+    """The one-pair null-space projector, one eigh per call."""
+    eye = np.eye(p.shape[0], dtype=np.complex128)
+    a = (eye - p) + (eye - q)
+    w, u = np.linalg.eigh((a + a.conj().T) / 2.0)
+    v = u[:, np.flatnonzero(w <= tol.eps)]
+    return v @ v.conj().T
+
+
+def oracle_range_join(p, q, tol):
+    eye = np.eye(p.shape[0], dtype=np.complex128)
+    return eye - oracle_range_meet(eye - p, eye - q, tol)
+
+
+def oracle_bound_tables(clan, tol):
+    """The per-pair loop: both tables and the first eight missing bounds."""
+    n = clan.n
+    meet_idx, join_idx = (np.full((n, n), -1, dtype=np.int16) for _ in range(2))
+    missing = []
+    for i in range(n):
+        for j in range(i, n):
+            p, q = clan.members[i], clan.members[j]
+            mi = oracle_match_member(clan, oracle_range_meet(p, q, tol), tol)
+            ji = oracle_match_member(clan, oracle_range_join(p, q, tol), tol)
+            meet_idx[i, j] = meet_idx[j, i] = mi
+            join_idx[i, j] = join_idx[j, i] = ji
+            for kind, idx in (("meet", mi), ("join", ji)):
+                if idx < 0:
+                    missing.append({"kind": kind, "a": clan.labels[i], "b": clan.labels[j]})
+    return meet_idx, join_idx, missing[:8]
+
+
+def unclosed_clans():
+    """Clans missing a bound: lines without the unit (many joins), without 0 (meets)."""
+    out = []
+    for clan, drop in ((mo_clan(6), "1"), (mo_clan(3), "0"), (crossed_clan(), "x-")):
+        keep = [i for i, label in enumerate(clan.labels) if label != drop]
+        out.append((Clan(clan.members[keep], [clan.labels[i] for i in keep]), TOL))
+    return out
+
+
+def test_bound_tables_match_the_pair_loop():
+    closed, unclosed, cut = 0, 0, False
+    for clan, tol in clan_corpus() + unclosed_clans():
+        for p in clan.members[:4]:
+            for q in clan.members:
+                assert np.array_equal(range_meet(p, q, tol), oracle_range_meet(p, q, tol))
+                assert np.array_equal(range_join(p, q, tol), oracle_range_join(p, q, tol))
+        meet_idx, join_idx, missing = oracle_bound_tables(clan, tol)
+        if missing:
+            with pytest.raises(DomainError, match="not closed") as exc:
+                bound_tables(clan, tol)
+            assert exc.value.details["missing"] == missing
+            unclosed += 1
+            cut |= len(missing) == 8  # the lines of MO_6 without the unit miss 15 joins
+        else:
+            got = bound_tables(clan, tol)
+            assert np.array_equal(got[0], meet_idx) and np.array_equal(got[1], join_idx)
+            closed += 1
+    assert closed > 0 and unclosed > 0 and cut
+
+
+def oracle_row_criterion(clan, tol):
+    """The per-row zero-meet/zero-product loop, a running maximum of the overlap."""
+    meet_idx, _ = bound_tables(clan, tol)
+    labels, m = clan.labels, clan.members
+    zero = np.flatnonzero(~op_norms_exceed(m, tol.eps))
+    zero_i = int(zero[0]) if zero.size else -1
+    criterion, witness = True, None
+    for i in range(clan.n):
+        js = i + 1 + np.flatnonzero(meet_idx[i, i + 1 :] == zero_i)
+        prods = m[i] @ m[js]
+        norms = screened_op_norms(prods, tol.eps)
+        hit = np.flatnonzero(norms > tol.eps)
+        for k, overlap in zip(hit, op_norms(prods[hit] @ m[i])):
+            criterion = False
+            if witness is None or overlap > witness["overlap"]:
+                witness = {
+                    "a": labels[i],
+                    "b": labels[js[k]],
+                    "product_norm": float(norms[k]),
+                    "overlap": float(overlap),
+                }
+    return criterion, witness
+
+
+def oracle_row_unit(clan, tol):
+    m = clan.members
+    for g in range(clan.n):
+        if not op_norms_exceed(m @ m[g] - m, tol.eps).any():
+            return g
+    return -1
+
+
+def oracle_verify_clan(clan, tol):
+    """``verify_clan`` with its distinctness, unit and criterion rows looped, the rest copied."""
+    got = verify_clan(clan, tol)
+    labels, m = clan.labels, clan.members
+    rep = VerificationReport(subject="clan")
+    rep.checks.append(got.get("members-are-projections"))
+    same = Witnesses()
+    for i in range(clan.n):
+        twins = ~op_norms_exceed(m[i] - m[i + 1 :], tol.eps)
+        same.add(twins, lambda k: {"a": labels[i], "b": labels[i + 1 + k]})
+    rep.record("members-distinct", same)
+    rep.checks += [c for c in got.checks if c.name.startswith("order")]
+    rep.facts = {
+        k: v for k, v in got.facts.items() if k.endswith("_pairs") or k.startswith("order")
+    }
+    if not got.get("members-are-projections").passed:
+        return rep
+    g = oracle_row_unit(clan, tol)
+    rep.record("absorbing-unit", [] if g >= 0 else [{"reason": "no member absorbs all others"}])
+    if g >= 0:
+        rep.facts["unit"] = labels[g]
+    distributive, dist_witness = oracle_distributivity(clan, tol)
+    criterion, witness = oracle_row_criterion(clan, tol)
+    verdicts = {
+        "distributive": distributive,
+        "distributive_witness": dist_witness,
+        "criterion": criterion,
+        "criterion_witness": witness,
+        "agree": distributive == criterion,
+    }
+    rep.facts.update(verdicts)
+    rep.record("distributivity-criterion-agreement", [] if verdicts["agree"] else [verdicts])
+    return rep
+
+
+def test_criterion_unit_and_distinctness_match_the_row_loops(all_witnesses):
+    clans = [diagonal_clan(2), diagonal_clan(3), crossed_clan()]
+    clans += [mo_clan(n) for n in range(2, 9)]
+    base = diagonal_clan(2)  # with twins, so members-distinct has witnesses
+    twins = [*base.members, base.members[1], base.members[3]]
+    clans.append(Clan(twins, [*base.labels, "T1", "T3"]))
+    verdicts, skipped = set(), 0
+    for clan, tol in [(c, TOL) for c in clans] + clan_corpus():
+        if oracle_bound_tables(clan, tol)[2]:
+            skipped += 1  # not closed: verify_clan raises, as test_bound_tables checks
+            continue
+        got = verify_clan(clan, tol).to_dict()
+        assert got == oracle_verify_clan(clan, tol).to_dict()
+        if got["checks"][0]["passed"]:
+            assert distributivity_criterion(clan, tol) == {k: got["facts"][k] for k in VERDICTS}
+            verdicts.add(got["facts"]["criterion"])
+            assert unit_index(clan, tol) == oracle_row_unit(clan, tol)
+    assert verdicts == {True, False} and skipped < len(clan_corpus())
+
+
+VERDICTS = ("distributive", "distributive_witness", "criterion", "criterion_witness", "agree")
+
+
+def test_a_tie_on_overlap_goes_to_the_first_pair():
+    clan = crossed_clan()
+    m, i = clan.members, clan.labels.index
+    pairs = [("z+", "x+"), ("z+", "x-"), ("z-", "x+"), ("z-", "x-")]
+    assert {op_norm(m[i(a)] @ m[i(b)] @ m[i(a)]) for a, b in pairs} == {0.5}  # a four-way tie
+    witness = distributivity_criterion(clan, TOL)["criterion_witness"]
+    assert (witness["a"], witness["b"]) == pairs[0]
+    assert oracle_row_criterion(clan, TOL) == (False, witness)
+
+
+def test_a_second_criterion_call_builds_nothing(monkeypatch):
+    clan = mo_clan(4)
+    first = distributivity_criterion(clan, TOL)
+    kept = dict(clan._tables)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the criterion was built again")
+
+    for name in ("bound_tables", "screened_op_norms", "op_norms", "first_nondistributive"):
+        monkeypatch.setattr(qstruct.clan, name, forbidden)
+    assert distributivity_criterion(clan, TOL) is first
+    assert clan._tables == kept

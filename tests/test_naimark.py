@@ -337,6 +337,46 @@ def test_dilation_checks_match_the_image_loop(entries, all_witnesses, monkeypatc
     assert failed > 0
 
 
+def full_matrix_report(monkeypatch, dil):
+    """``verify_dilation`` with the diagonal decisions off: every residual is normed."""
+    with monkeypatch.context() as patch:
+        patch.setattr(qstruct.naimark, "_real_diagonals", lambda images: None)
+        return verify_dilation(dil, TOL)
+
+
+def test_diagonal_decisions_match_the_full_matrices(all_witnesses, monkeypatch):
+    rng = np.random.default_rng(53)
+    failed = dict.fromkeys(["clean", "flipped", "general", "imaginary"], 0)
+    for k, d in ((2, 2), (3, 2), (4, 3), (5, 2), (8, 2)):
+        dil = dilate(povm_from_outcomes(random_povm(k, d, seed=3 * k + d), dim=d), TOL)
+        images = np.array(dil.images)
+        b, i = int(rng.integers(1, len(images))), int(rng.integers(dil.dim_e))
+        cases = {kind: images.copy() for kind in failed}
+        cases["flipped"][b, i, i] = 1 - images[b, i, i]
+        # the general path: an entry off the diagonal, or a diagonal that is not real
+        cases["general"][b, i, (i + 1) % dil.dim_e] += 1e-3
+        cases["imaginary"][b, i, i] += 1e-3j
+        for kind, imgs in cases.items():
+            diagonal = kind in ("clean", "flipped")
+            assert (qstruct.naimark._real_diagonals(imgs) is not None) == diagonal
+            case = Dilation(dil.povm, dil.dim_e, imgs, dil.f)
+            rep = verify_dilation(case, TOL)
+            assert rep.to_dict() == full_matrix_report(monkeypatch, case).to_dict()
+            failed[kind] += rep.get("additive").violation_count > 0
+    assert failed.pop("clean") == 0 and min(failed.values()) > 0
+
+
+def test_dilate_json_is_the_same_without_the_diagonal_decisions(monkeypatch, capsys):
+    from qstruct.cli import main
+
+    path = str(ROOT / "tests" / "fixtures" / "valid" / "pvm2.json")
+    assert main(["dilate", path, "--json"]) == 0
+    fast = capsys.readouterr().out
+    monkeypatch.setattr(qstruct.naimark, "_real_diagonals", lambda images: None)
+    assert main(["dilate", path, "--json"]) == 0
+    assert capsys.readouterr().out == fast
+
+
 # -- the Mobius blocks against the Gram oracle ---------------------------------------
 
 

@@ -72,6 +72,7 @@ from qstruct.quasilogic import is_logic
 from qstruct.semilogic import EXACT_TOL, _family_violations
 
 from conftest import (
+    fixture_structures,
     flat_semilogic,
     horizontal_sum_semilogic,
     oracle_image_sum,
@@ -1270,6 +1271,50 @@ def test_the_oracle_corpora_find_violations_of_every_changed_check(all_witnesses
                 if rep.subject == "ideal":
                     found["maximal" if rep.facts["maximal"] else "not maximal"] += 1
     assert min(found.values()) > 0, found
+
+
+def oracle_maximal(s, members):
+    """The closure of the ideal plus each outside element, one closure per element."""
+    return all(
+        len(oracle_ideal_closure(s, members | {x})) == s.n for x in range(s.n) if x not in members
+    )
+
+
+def assert_maximal_matches_the_closure_loop(s, rng):
+    """``maximal`` on the proper principal downsets of ``s`` and as many random sets.
+
+    Returns the facts seen.
+    """
+    seen = set()
+    candidates = [np.flatnonzero(s.poset.le[:, a]) for a in range(s.n)]
+    candidates += [rng.choice(s.n, int(rng.integers(1, s.n)), replace=False) for _ in range(s.n)]
+    for members in candidates:
+        members = set(members.tolist())
+        if 0 < len(members) < s.n:
+            got = verify_ideal(s, Ideal(frozenset(members))).facts["maximal"]
+            assert got == oracle_maximal(s, members), (s.labels, members)
+            seen.add(got)
+    return seen
+
+
+def test_maximal_ideals_match_the_closure_loop_on_the_fixtures():
+    seen, rng = set(), np.random.default_rng(19)
+    for s in fixture_structures(Semilogic) + [powerset_semiring(4), mo2_semilogic()]:
+        seen |= assert_maximal_matches_the_closure_loop(s, rng)
+    assert seen == {True, False}
+
+
+@given(st.sampled_from(["flat", "hsum", "meet", "standard"]), st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_maximal_ideals_match_the_closure_loop(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "meet":
+        s = meet_semilogic(rng, int(rng.integers(2, 9)))
+    elif kind == "standard":
+        s = [powerset_semiring(3), mo2_semilogic(), diamond_semiring()][seed % 3]
+    else:
+        s = homomorphism_structures(kind, seed)
+    assert_maximal_matches_the_closure_loop(s, rng)
 
 
 def test_past_the_cap_a_quasilogic_source_fails_where_the_walk_did(all_witnesses, monkeypatch):
