@@ -87,27 +87,20 @@ def _payload(command: str, reports: list[VerificationReport], **extra) -> dict:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from .boolean_rep import BooleanSemiring, verify_semiring
-    from .io_formats import load_structure
-    from .order import FinitePoset, verify_poset
-    from .ortho import OrthoLogic, verify_logic
-    from .quasilogic import Quasilogic, check_de_morgan, check_sum_lattice_identity, classify
-    from .quasilogic import verify_quasilogic
-    from .semilogic import Semilogic, verify_semilogic
+    from importlib import import_module
+
+    from .io_formats import KINDS, kind_of, load_structure
 
     obj = load_structure(args.file)
-    extra: dict = {}
-    if isinstance(obj, Quasilogic):
-        first = verify_logic(obj) if isinstance(obj, OrthoLogic) else verify_quasilogic(obj)
-        reports = [first, check_de_morgan(obj), check_sum_lattice_identity(obj)]
+    kind = kind_of(obj)
+    module, _, verifier, _ = KINDS[kind]  # loading imported this module, no other kind's
+    verify = getattr(import_module(f".{module}", __package__), verifier)
+    reports, extra = [verify(obj)], {}
+    if kind in ("quasilogic", "ortho_logic"):
+        from .quasilogic import check_de_morgan, check_sum_lattice_identity, classify
+
+        reports += [check_de_morgan(obj), check_sum_lattice_identity(obj)]
         extra["classification"] = classify(obj)
-    elif isinstance(obj, BooleanSemiring):
-        reports = [verify_semiring(obj)]
-    elif isinstance(obj, Semilogic):
-        reports = [verify_semilogic(obj)]
-    else:
-        assert isinstance(obj, FinitePoset)
-        reports = [verify_poset(obj)]
     return _emit(args, _payload("check", reports, **extra), reports)
 
 

@@ -36,19 +36,20 @@ if TYPE_CHECKING:
 
     Structure = FinitePoset | Quasilogic | Semilogic
 
-# file kind -> (module, class, the tables its file lists), each after the kinds it extends
-KINDS: dict[str, tuple[str, str, tuple[str, ...]]] = {
-    "poset": ("order", "FinitePoset", ()),
-    "quasilogic": ("quasilogic", "Quasilogic", ("diff",)),
-    "semilogic": ("semilogic", "Semilogic", ("prod",)),
-    "ortho_logic": ("ortho", "OrthoLogic", ("diff", "neg")),
-    "boolean_semiring": ("boolean_rep", "BooleanSemiring", ("prod",)),
+# file kind -> (module, class, its verifier in that module, the tables its file
+# lists), each after the kinds it extends
+KINDS: dict[str, tuple[str, str, str, tuple[str, ...]]] = {
+    "poset": ("order", "FinitePoset", "verify_poset", ()),
+    "quasilogic": ("quasilogic", "Quasilogic", "verify_quasilogic", ("diff",)),
+    "semilogic": ("semilogic", "Semilogic", "verify_semilogic", ("prod",)),
+    "ortho_logic": ("ortho", "OrthoLogic", "verify_logic", ("diff", "neg")),
+    "boolean_semiring": ("boolean_rep", "BooleanSemiring", "verify_semiring", ("prod",)),
 }
 
 
-def _kind_of(obj: Any) -> str | None:
+def kind_of(obj: Any) -> str | None:
     """The most derived kind of ``obj``; a kind whose module is not loaded has no instances."""
-    for kind, (module, name, _) in reversed(KINDS.items()):
+    for kind, (module, name, _, _) in reversed(KINDS.items()):
         loaded = sys.modules.get(f"{__package__}.{module}")
         if loaded is not None and isinstance(obj, getattr(loaded, name)):
             return kind
@@ -200,7 +201,7 @@ def parse_structure(data: Any) -> Structure:
 
     if kind == "poset":
         return poset
-    module, name, names = KINDS[kind]
+    module, name, _, names = KINDS[kind]
     tables = [
         _neg_from_pairs(idx, data.get(t, []))
         if t == "neg"
@@ -211,11 +212,11 @@ def parse_structure(data: Any) -> Structure:
 
 
 def serialize_structure(obj: Structure) -> dict:
-    kind = _kind_of(obj)
+    kind = kind_of(obj)
     if kind is None:
         raise TypeError(f"not a serializable structure: {type(obj).__name__}")
 
-    names = KINDS[kind][2]
+    names = KINDS[kind][3]
     poset = obj if isinstance(obj, FinitePoset) else obj.poset
     labels = poset.labels
     out: dict[str, Any] = {
@@ -341,7 +342,7 @@ def parse_povm(data: Any, base_dir: Path | None = None) -> FinitePovm:
             path = base_dir / path
         semiring = load_structure(path)
     _require(
-        _kind_of(semiring) == "boolean_semiring",
+        kind_of(semiring) == "boolean_semiring",
         "semiring_file must contain a boolean_semiring",
         kind=type(semiring).__name__,
     )

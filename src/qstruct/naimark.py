@@ -220,6 +220,9 @@ def verify_dilation(dil: Dilation, tol: Tolerance) -> VerificationReport:
     u = bs.unit()
 
     images = np.array(dil.images)
+    finite = np.isfinite(images).all(axis=(1, 2))
+    if not finite.all():  # eigh would not converge on it
+        raise DomainError("dilation image has a non-finite entry", element=labels[finite.argmin()])
     effects = np.array(dil.povm.effects)
     fh = dil.f.conj().T
     proj_viol, dilation_viol = Witnesses(), Witnesses()

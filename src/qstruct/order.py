@@ -31,7 +31,7 @@ MAX_ELEMENTS = 256
 MAX_DIM = 64
 MAX_SPACE = 512
 BLOCK_ROWS = 64  # rows b per first_nondistributive block
-CELL_BLOCK = 2**12  # (a, b, c) cells per upper_cells block
+CELL_BLOCK = 2**12  # cells per pivot_cells block
 
 
 def check_element_count(n: int) -> None:
@@ -255,39 +255,54 @@ def flat_reader(table: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndar
     return lambda x, y: flat.take(np.multiply(x, n, dtype=np.int32) + y, mode="clip")
 
 
-def upper_cells(p: FinitePoset) -> Iterator[tuple[np.ndarray, ...]]:
-    """The cells (a, b, c), ids a <= b and c above both, as row-major blocks (pa, pb, r, c).
+def pivot_cells(
+    pairs: np.ndarray, pivot: Callable[[np.ndarray, np.ndarray], np.ndarray], rel: np.ndarray
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """The cells (x, y, z) with ``pairs[x, y]`` and ``rel[pivot(x, y), z]``, as row-major blocks.
 
-    A block lists its pairs (int16, also those without cells; none straddles
-    two blocks), then each cell's pair index r and its c, about ``CELL_BLOCK``
-    cells; pairs are formed per chunk of rows a. A pair's candidates are the
-    upset of its join (exactly its cells on a partial order), else of the one
-    of a, b with the smaller upset; then those not above both are dropped.
+    A block (px, py, r, z) lists its pairs (int16, also those without cells;
+    none straddles two blocks), then each cell's pair index r and its z,
+    about ``CELL_BLOCK`` cells. Pairs are formed per chunk of rows x, and
+    each cell is read from one flat list of the rows of ``rel``.
     """
-    le, n, jt = p.le, p.n, p.join_table()
-    size, ids = le.sum(axis=1), np.arange(n)
-    upsets = np.nonzero(le)[1].astype(np.int16)  # every upset, ascending, row after row
-    start = (np.cumsum(size) - size).astype(np.int32)  # where each upset starts in it
+    n, size = pairs.shape[0], rel.sum(axis=1)
+    members = np.nonzero(rel)[1].astype(np.int16)  # every row's members, ascending, row after row
+    start = (np.cumsum(size) - size).astype(np.int32)  # where each row starts in it
     rows = max(1, CELL_BLOCK // n)
-    for a0 in range(0, n, rows):
-        pa, pb = (x.astype(np.int16) for x in np.nonzero(ids[a0 : a0 + rows, None] <= ids))
-        pa += a0
-        pivot = jt[pa, pb]
-        loose = pivot < 0  # no join: the smaller upset of a and b holds the cells
-        pivot[loose] = np.where(size[pa] <= size[pb], pa, pb)[loose]
-        loose |= p.upsets().by_up is None  # not an order: a join's upset may hold more
-        count = size[pivot]
+    for x0 in range(0, n, rows):
+        px, py = (v.astype(np.int16) for v in np.nonzero(pairs[x0 : x0 + rows]))
+        px += x0
+        piv = pivot(px, py)
+        count = size[piv]
         ends = np.cumsum(count)
         cuts = np.flatnonzero(np.diff(ends // CELL_BLOCK)) + 1
-        for s, e in zip([0, *cuts.tolist()], [*cuts.tolist(), pa.size]):
-            # candidate k belongs to pair r[k] and is entry k - (its first candidate) of its upset
+        for s, e in zip([0, *cuts.tolist()], [*cuts.tolist(), px.size]):
+            # cell k belongs to pair r[k] and is entry k - (its pair's first cell) of its row
             r = np.repeat(np.arange(e - s), count[s:e])
-            shift = start[pivot[s:e]] - (ends[s:e] - count[s:e] - (ends[s - 1] if s else 0))
-            c = upsets[np.arange(r.size, dtype=np.int32) + shift[r]]
-            if loose[s:e].any():
-                above = le[pa[s:e][r], c] & le[pb[s:e][r], c]
-                r, c = r[above], c[above]
-            yield pa[s:e], pb[s:e], r, c
+            shift = start[piv[s:e]] - (ends[s:e] - count[s:e] - (ends[s - 1] if s else 0))
+            yield px[s:e], py[s:e], r, members[np.arange(r.size, dtype=np.int32) + shift[r]]
+
+
+def upper_cells(p: FinitePoset) -> Iterator[tuple[np.ndarray, ...]]:
+    """The cells (a, b, c), ids a <= b and c above both, as ``pivot_cells`` blocks (pa, pb, r, c).
+
+    A pair expands into the upset of its join (exactly its cells on a partial
+    order), else of the one of a, b with the smaller upset; unless every pair
+    has a join and the table is an order, the c not above both are dropped.
+    """
+    le, jt, size, ids = p.le, p.join_table(), p.le.sum(axis=1), np.arange(p.n)
+    # a missing join, or a table that is not an order: an upset may hold more than the cells
+    loose = p.upsets().by_up is None or bool((jt < 0).any())
+
+    def pivot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        j = jt[a, b]
+        return np.where(j >= 0, j, np.where(size[a] <= size[b], a, b))
+
+    for pa, pb, r, c in pivot_cells(ids[:, None] <= ids, pivot, le):
+        if loose:
+            above = le[pa[r], c] & le[pb[r], c]
+            r, c = r[above], c[above]
+        yield pa, pb, r, c
 
 
 def first_nondistributive(mt: np.ndarray, jt: np.ndarray) -> tuple[int, int, int] | None:
@@ -401,14 +416,9 @@ def atoms(p: FinitePoset) -> list[int]:
     zero = p.least()
     if zero is None:
         raise DomainError("poset has no least element")
-    out = []
-    for a in range(p.n):
-        if a == zero:
-            continue
-        below = np.flatnonzero(p.le[:, a])
-        if set(below.tolist()) == {zero, a}:
-            out.append(a)
-    return out
+    le, ids = p.le, np.arange(p.n)
+    # below a: exactly zero and a itself
+    return np.flatnonzero((ids != zero) & le[zero] & np.diag(le) & (le.sum(axis=0) == 2)).tolist()
 
 
 def is_upward_directed(p: FinitePoset) -> tuple[bool, tuple[str, str] | None]:

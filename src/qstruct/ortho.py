@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConstructionError, StructuralError
 from .order import FinitePoset, birkhoff_distributive, first_nondistributive, segment
-from .order import sentinel_padded
+from .order import pivot_cells, sentinel_padded
 from .quasilogic import Quasilogic, verify_quasilogic
 from .report import VerificationReport, Witnesses, labelled
 
@@ -103,22 +103,25 @@ def verify_logic(ol: OrthoLogic) -> VerificationReport:
 
 
 def _relative_distributivity(ol: OrthoLogic) -> Witnesses:
-    """(a v b) ^ c = a v (b ^ c) whenever a <= ~b <= c; one (a, c) block per b."""
+    """(a v b) ^ c = a v (b ^ c) whenever a <= ~b <= c.
+
+    One walk over the cells (b, a, c), row-major: the pairs (b, a) with
+    a <= ~b, each expanded into the upset of ~b. Bounds are read through the
+    padded tables, so an undefined one stays -1.
+    """
     labels, neg, le = ol.labels, ol.neg, ol.poset.le
     mt = sentinel_padded(ol.poset.meet_table())
     jt = sentinel_padded(ol.poset.join_table())
     rel = Witnesses()
-    for b in range(ol.n):
-        avals, cvals = np.flatnonzero(le[:, neg[b]]), np.flatnonzero(le[neg[b], :])
-        lhs = mt[jt[avals, b][:, None], cvals]
-        rhs = jt[avals[:, None], mt[b, cvals]]
+    for pb, pa, r, c in pivot_cells(le[:, neg].T, lambda b, a: neg[b], le):
+        a, b = pa[r], pb[r]
+        lhs, rhs = mt[jt[a, b], c], jt[a, mt[b, c]]
 
-        def cell(i: int, k: int) -> dict:
-            left, right = lhs[i, k], rhs[i, k]
-            w = {"a": labels[avals[i]], "b": labels[b], "c": labels[cvals[k]]}
-            if min(left, right) < 0:
+        def cell(k: int) -> dict:
+            w = {"a": labels[a[k]], "b": labels[b[k]], "c": labels[c[k]]}
+            if min(lhs[k], rhs[k]) < 0:
                 return w | {"reason": "bound undefined"}
-            return w | {"lhs": labels[left], "rhs": labels[right]}
+            return w | {"lhs": labels[lhs[k]], "rhs": labels[rhs[k]]}
 
         rel.add((lhs != rhs) | (lhs < 0), cell)
     return rel

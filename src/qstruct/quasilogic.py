@@ -5,10 +5,9 @@ pairs ``a <= b``. Partial sums are derived: ``a + b = c - ((c - a) - b)`` for
 any majorant ``c`` with ``c - a >= b``; independence of the witness ``c`` is
 verified whenever a sum is evaluated.
 
-The table scans run one (b, c) block per a: rows b >= a, columns c >= a with
-``c - a`` defined. The sum table marks the cells with b <= c and b <= c - a
-as admissible majorants and reads every formula value of the block at once;
-a pair whose majorants disagree, or leave the formula undefined, keeps
+The table scans are flat walks over cells (``order.pivot_cells``): the pairs
+of one table, each expanded into the upset or downset of a pivot element. A
+summable pair whose majorants disagree, or leave the formula undefined, keeps
 (i0, j0): its first admissible majorant and the first one that disagrees
 with it (i0 twice when all agree on an undefined value).
 """
@@ -20,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AxiomViolationError, DomainError, StructuralError
-from .order import FinitePoset, flat_reader, is_upward_directed, sentinel_padded, upper_cells
-from .order import verify_poset
+from .order import CELL_BLOCK, FinitePoset, flat_reader, is_upward_directed, packed_rows
+from .order import pivot_cells, sentinel_padded, upper_cells, verify_poset
 from .report import VerificationReport, Witnesses, labelled
 
 CLASSIFICATION_LABELS = (
@@ -88,44 +87,43 @@ class _SumInfo:
         self.conflicts: dict[tuple[int, int], tuple[int, int]] = {}
 
 
-def _above_with_difference(q: Quasilogic, a: int) -> np.ndarray:
-    """The elements c >= a with c - a defined, ascending: one block axis."""
-    return np.flatnonzero(q.poset.le[a] & (q.diff[:, a] >= 0))
-
-
 def _build_sum_info(q: Quasilogic) -> _SumInfo:
-    """One (b, c) block per a: rows b >= a, columns c >= a with c - a defined.
+    """One walk over the cells (a, c, b): c - a defined, b <= c - a, b <= c, ids b >= a.
 
-    A cell is admissible when b <= c and b <= c - a. Its formula value is
-    c - ((c - a) - b), read through the padded difference table: -1 where
-    the outer difference is undefined and -2 where the inner one is, so the
-    two stay apart.
+    The pairs (a, c) expand into the downset of c - a; each cell is an
+    admissible majorant c of the pair (a, b). Its value c - ((c - a) - b) is
+    read through the padded difference table: -1 where the outer difference
+    is undefined, -2 where the inner one is. Per pair a·n + b,
+    ``np.minimum.at`` keeps the least c·512 + value + 2: i0 and its value.
+    For each a the blocks come in ascending c, so that value is known from
+    the block where the pair first appears, and j0 is the least c differing.
     """
     le, n = q.poset.le, q.n
     diff = sentinel_padded(q.diff)
     diff[:n, n] = -2  # where (c - a) - b is -1, c - ((c - a) - b) reads -2
+    first = np.full(n * n, 2**31 - 1, dtype=np.int32)
+    j0 = np.full(n * n, n, dtype=np.int16)
+    for pa, pc, r, b in pivot_cells(q.diff.T >= 0, lambda a, c: q.diff[c, a], le.T):
+        a, c = pa[r], pc[r]
+        keep = (b >= a) & le[b, c]
+        a, b, c = a[keep], b[keep], c[keep]
+        key = a.astype(np.int32) * n + b
+        vals = diff[c, diff[diff[c, a], b]]
+        np.minimum.at(first, key, c.astype(np.int32) * 512 + vals + 2)
+        other = vals != first[key] % 512 - 2
+        np.minimum.at(j0, key[other], c[other])
+    pairs = np.flatnonzero(first < 2**31 - 1)
+    a, b = np.divmod(pairs, n)
+    i0, v0 = np.divmod(first[pairs], 512)
+    v0, j0 = v0 - 2, j0[pairs]
+    split = j0 < n
+    ok = ~split & (v0 >= 0)
     info = _SumInfo(n)
-    for a in range(n):
-        cs = _above_with_difference(q, a)
-        ca = diff[cs, a]  # c - a
-        adm = le[a:, cs] & le[a:, ca]  # [b, c]: b <= c and b <= c - a
-        rows = np.flatnonzero(adm.any(axis=1))
-        if rows.size == 0:
-            continue
-        adm, bs = adm[rows], a + rows
-        inner = diff[ca][:, bs].T  # (c - a) - b
-        vals = diff[cs, inner]
-        first = adm.argmax(axis=1)
-        v0 = vals[np.arange(bs.size), first]
-        other = adm & (vals != v0[:, None])
-        split = other.any(axis=1)
-        ok = ~split & (v0 >= 0)
-        info.summable[a, bs] = info.summable[bs, a] = True
-        info.value[a, bs[ok]] = info.value[bs[ok], a] = v0[ok]
-        for r in np.flatnonzero(~ok).tolist():
-            b, i0 = int(bs[r]), int(cs[first[r]])
-            j0 = int(cs[other[r].argmax()]) if split[r] else i0
-            info.conflicts[(a, b)] = info.conflicts[(b, a)] = (i0, j0)
+    info.summable[a, b] = info.summable[b, a] = True
+    info.value[a[ok], b[ok]] = info.value[b[ok], a[ok]] = v0[ok]
+    for k in np.flatnonzero(~ok).tolist():
+        pair, i = (int(a[k]), int(b[k])), int(i0[k])
+        info.conflicts[pair] = info.conflicts[pair[::-1]] = (i, int(j0[k]) if split[k] else i)
     return info
 
 
@@ -161,7 +159,8 @@ def verify_quasilogic(q: Quasilogic) -> VerificationReport:
         | {"got": labels[back[k]] if back[k] >= 0 else None},
     )
 
-    # one (b, c) block per a over a <= b <= c with b - a and c - a defined
+    # the chains a <= b <= c with b - a and c - a defined, row-major: the pairs
+    # (a, b) with b - a defined, each expanded into the upset of b
     names = (
         "minuend-monotone",
         "minuend-difference-identity",
@@ -169,42 +168,39 @@ def verify_quasilogic(q: Quasilogic) -> VerificationReport:
         "subtrahend-difference-identity",
     )
     viols = [Witnesses() for _ in names]
-    for a in range(n):
-        xs = _above_with_difference(q, a)  # b by row, c by column
-        xa = diff[xs, a]  # b - a by row, c - a by column
-        chain = le[xs[:, None], xs]
-        cb = diff[xs, xs[:, None]]  # [b, c] = c - b
-        # cells where c - b is undefined read index -1 below and are masked out
-        defined = chain & (cb >= 0)
-        mono = chain & ~le[xa[:, None], xa]  # b - a <= c - a fails
-        anti = defined & ~le[cb, xa]  # c - b <= c - a fails
+    get, below = flat_reader(diff), flat_reader(le)
+    for pa, pb, r, c in pivot_cells(diff.T >= 0, lambda a, b: b, le):
+        ca = get(c, pa[r])
+        r, c, ca = r[ca >= 0], c[ca >= 0], ca[ca >= 0]
+        a, b = pa[r], pb[r]
+        ba, cb = get(b, a), get(c, b)
+        # cells where c - b is undefined read some entry below and are masked out
+        defined = cb >= 0
+        mono = ~below(ba, ca)  # b - a <= c - a fails
+        anti = defined & ~below(cb, ca)  # c - b <= c - a fails
         found = (
             mono,
-            defined & ~mono & (diff[xa, xa[:, None]] != cb),  # (c-a) - (b-a) = c - b
+            defined & ~mono & (get(ca, ba) != cb),  # (c-a) - (b-a) = c - b
             anti,
-            defined & ~anti & (diff[xa, cb] != xa[:, None]),  # (c-a) - (c-b) = b - a
+            defined & ~anti & (get(ca, cb) != ba),  # (c-a) - (c-b) = b - a
         )
         for viol, bad in zip(viols, found):
-            viol.add(bad, lambda i, k: {"a": labels[a], "b": labels[xs[i]], "c": labels[xs[k]]})
+            viol.add(bad, lambda k: {"a": labels[a[k]], "b": labels[b[k]], "c": labels[c[k]]})
     for name, viol in zip(names, viols):
         rep.record(name, viol)
 
     directed, pair = is_upward_directed(q.poset)
     rep.record("upward-directed", [] if directed else [{"a": pair[0], "b": pair[1]}])
 
-    zeros = {int(diff[a, a]) for a in range(n) if diff[a, a] >= 0}
-    zero_viol = []
-    if len(zeros) > 1:
-        zs = sorted(zeros)
-        zero_viol = [{"z1": labels[zs[0]], "z2": labels[zs[1]]}]
-    rep.record("zero-unique", zero_viol)
+    aa = np.diag(diff)
+    zs = np.flatnonzero(np.bincount(aa[aa >= 0], minlength=n))  # the values a - a, ascending
+    rep.record("zero-unique", [{"z1": labels[zs[0]], "z2": labels[zs[1]]}] if zs.size > 1 else [])
     least_viol = []
-    if len(zeros) == 1:
-        z = next(iter(zeros))
+    if zs.size == 1:
+        z = zs[0]
         rep.facts["zero"] = labels[z]
-        if not le[z, :].all():
-            x = int(np.flatnonzero(~le[z, :])[0])
-            least_viol = [{"zero": labels[z], "not_above": labels[x]}]
+        not_above = np.flatnonzero(~le[z])[:1]
+        least_viol = [{"zero": labels[z], "not_above": labels[x]} for x in not_above]
     rep.record("zero-least", least_viol)
     return rep
 
@@ -252,13 +248,23 @@ def quasicommutes(q: Quasilogic, a: int, b: int) -> bool:
 
 
 def commutation_table(q: Quasilogic) -> np.ndarray:
-    """[a, b]: ``quasicommutes(q, a, b)``; per a, rows b and columns c >= a with c - a defined."""
-    le, diff = q.poset.le, q.diff
-    out = np.empty((q.n, q.n), dtype=bool)
-    for a in range(q.n):
-        cs = _above_with_difference(q, a)
-        (le[:, cs] & le[diff[cs, a]].T).any(axis=1, out=out[a])
-    return out
+    """[a, b]: ``quasicommutes(q, a, b)``, some c >= b with c - a defined and c - a <= b.
+
+    The b that a pair (a, c) with c - a defined admits are the interval
+    [c - a, c]: the AND of the packed upset of c - a and downset of c. The
+    pairs are formed per chunk of rows a, and their words ORed per a.
+    """
+    le, diff, n = q.poset.le, q.diff, q.n
+    up, down = packed_rows(le), packed_rows(le.T)
+    out = np.zeros_like(up)
+    rows = max(1, CELL_BLOCK // n)
+    for a0 in range(0, n, rows):
+        a, c = np.nonzero(diff[:, a0 : a0 + rows].T >= 0)
+        if a.size:
+            starts = np.flatnonzero(np.diff(a, prepend=-1))
+            words = up[diff[c, a0 + a]] & down[c]
+            out[a0 + a[starts]] = np.bitwise_or.reduceat(words, starts, axis=0)
+    return np.unpackbits(out.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
 
 
 def _product_witnesses(q: Quasilogic, a: int, b: int) -> list[int]:

@@ -35,33 +35,23 @@ def powerset_poset(k: int) -> FinitePoset:
 
 
 def powerset_quasilogic(k: int) -> Quasilogic:
-    n = 1 << k
     poset = powerset_poset(k)
-    diff = np.full((n, n), -1, dtype=np.int16)
-    for b in range(n):
-        for a in range(n):
-            if a & ~b == 0:
-                diff[b, a] = b & ~a
-    return Quasilogic(poset, diff)
+    b = np.arange(poset.n)[:, None]
+    return Quasilogic(poset, np.where(poset.le.T, b & ~b.T, -1))  # [b, a] = b - a
 
 
 def powerset_logic(k: int) -> OrthoLogic:
     full = (1 << k) - 1
     ql = powerset_quasilogic(k)
-    neg = np.array([full ^ a for a in range(1 << k)], dtype=np.int16)
-    return OrthoLogic(ql.poset, ql.diff, neg)
+    return OrthoLogic(ql.poset, ql.diff, np.arange(1 << k) ^ full)
 
 
 @lru_cache(maxsize=None)
 def powerset_semiring(k: int) -> BooleanSemiring:
     """Subsets of {0..k-1} under intersection; element index == bitmask."""
-    n = 1 << k
-    poset = powerset_poset(k)
-    prod = np.empty((n, n), dtype=np.int16)
-    for i in range(n):
-        for j in range(n):
-            prod[i, j] = i & j
-    return BooleanSemiring(poset, prod)
+    poset = powerset_poset(k)  # checks the element count before any table is built
+    masks = np.arange(poset.n)
+    return BooleanSemiring(poset, masks[:, None] & masks)
 
 
 def chain_quasilogic(n: int) -> Quasilogic:
@@ -69,12 +59,8 @@ def chain_quasilogic(n: int) -> Quasilogic:
     if n < 2:
         raise ValueError("chain needs at least two elements")
     labels = ["0"] + [_LETTERS[i] for i in range(n - 2)] + ["1"]
-    le = np.triu(np.ones((n, n), dtype=bool))
-    diff = np.full((n, n), -1, dtype=np.int16)
-    for b in range(n):
-        for a in range(b + 1):
-            diff[b, a] = b - a
-    return Quasilogic(FinitePoset(labels, le), diff)
+    le, ids = np.triu(np.ones((n, n), dtype=bool)), np.arange(n)
+    return Quasilogic(FinitePoset(labels, le), np.where(le.T, ids[:, None] - ids, -1))
 
 
 def _flat_poset(labels: list[str]) -> FinitePoset:
@@ -152,17 +138,9 @@ def o6_logic() -> OrthoLogic:
 def diamond_semiring() -> BooleanSemiring:
     """Three incomparable middles; a total-product lattice, not distributive."""
     labels = ["0", "x", "y", "z", "1"]
-    poset = _flat_poset(labels)
-    n = 5
-    prod = np.empty((n, n), dtype=np.int16)
-    for i in range(n):
-        for j in range(n):
-            if poset.le[i, j]:
-                prod[i, j] = i
-            elif poset.le[j, i]:
-                prod[i, j] = j
-            else:
-                prod[i, j] = 0
+    poset, ids = _flat_poset(labels), np.arange(5)
+    # comparable pairs give the lower one, the incomparable middles 0
+    prod = np.where(poset.le, ids[:, None], np.where(poset.le.T, ids, 0))
     return BooleanSemiring(poset, prod)
 
 
@@ -178,29 +156,15 @@ def _permute(k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 def shuffled_powerset_logic(k: int, seed: int) -> OrthoLogic:
     """Powerset logic with the element order scrambled; seeds are reproducible."""
     perm, pos = _permute(k, seed)
-    n = 1 << k
-    full = n - 1
     labels = [_mask_label(int(m)) for m in perm]
-    le = np.zeros((n, n), dtype=bool)
-    diff = np.full((n, n), -1, dtype=np.int16)
-    neg = np.empty(n, dtype=np.int16)
-    for i, mi in enumerate(perm):
-        neg[i] = pos[full ^ mi]
-        for j, mj in enumerate(perm):
-            le[i, j] = (mi & ~mj) == 0
-            if mj & ~mi == 0:
-                diff[i, j] = pos[mi & ~mj]
-    return OrthoLogic(FinitePoset(labels, le), diff, neg)
+    mi, mj = perm[:, None], perm[None, :]
+    le = (mi & ~mj) == 0
+    diff = np.where(le.T, pos[mi & ~mj], -1)
+    return OrthoLogic(FinitePoset(labels, le), diff, pos[((1 << k) - 1) ^ perm])
 
 
 def shuffled_powerset_semiring(k: int, seed: int) -> BooleanSemiring:
     perm, pos = _permute(k, seed)
-    n = 1 << k
     labels = [_mask_label(int(m)) for m in perm]
-    le = np.zeros((n, n), dtype=bool)
-    prod = np.empty((n, n), dtype=np.int16)
-    for i, mi in enumerate(perm):
-        for j, mj in enumerate(perm):
-            le[i, j] = (mi & ~mj) == 0
-            prod[i, j] = pos[mi & mj]
-    return BooleanSemiring(FinitePoset(labels, le), prod)
+    mi, mj = perm[:, None], perm[None, :]
+    return BooleanSemiring(FinitePoset(labels, (mi & ~mj) == 0), pos[mi & mj])

@@ -9,12 +9,14 @@ from qstruct import (
     FinitePoset,
     OrthoLogic,
     QstructError,
+    Quasilogic,
     Semilogic,
     StructuralError,
     join_of,
     load_structure,
     parse_structure,
     powerset_logic,
+    shuffled_powerset_logic,
 )
 from qstruct.matrix_core import screened_op_norms
 
@@ -74,6 +76,37 @@ def shuffled_difference_logic(k, seed):
     cells = np.nonzero(diff >= 0)
     diff[cells] = np.random.default_rng(seed).permutation(diff[cells])
     return OrthoLogic(logic.poset, diff, logic.neg)
+
+
+def permuted(q, rng):
+    """``q`` with its element ids shuffled: the same structure in another row-major order."""
+    perm = rng.permutation(q.n)
+    new_id = np.argsort(perm)
+    poset = FinitePoset([q.labels[i] for i in perm], q.poset.le[np.ix_(perm, perm)])
+    d = q.diff[np.ix_(perm, perm)]
+    diff = np.where(d >= 0, new_id[d], -1)
+    if isinstance(q, OrthoLogic):
+        return OrthoLogic(poset, diff, new_id[q.neg[perm]])
+    return Quasilogic(poset, diff)
+
+
+def corrupted_logic(k, seed):
+    """The shuffled powerset logic 2^k with one b - a set to b, a a nonzero proper subset of b."""
+    logic = shuffled_powerset_logic(k, seed)
+    ids, rng = np.arange(logic.n), np.random.default_rng(seed)
+    changes = logic.poset.le.T & (ids[:, None] != ids) & (logic.diff != ids[:, None])
+    b, a = rng.choice(np.argwhere(changes))
+    diff = logic.diff.copy()
+    diff[b, a] = b
+    return OrthoLogic(logic.poset, diff, logic.neg)
+
+
+def long_chain(n):
+    """0 < 1 < ... < n - 1 with arithmetic difference: the most cells per element."""
+    le = np.triu(np.ones((n, n), dtype=bool))
+    ids = np.arange(n)
+    diff = np.where(le.T, ids[:, None] - ids, -1)
+    return Quasilogic(FinitePoset([f"c{i}" for i in range(n)], le), diff)
 
 
 def random_order(rng, n, density=0.35):

@@ -366,6 +366,17 @@ def test_diagonal_decisions_match_the_full_matrices(all_witnesses, monkeypatch):
     assert failed.pop("clean") == 0 and min(failed.values()) > 0
 
 
+def test_a_non_finite_image_is_a_domain_error_naming_its_element():
+    dil = dilate(povm_from_outcomes(random_povm(3, 2, seed=5), dim=2), TOL)
+    labels = dil.povm.semiring.labels
+    for value in (np.nan, np.inf):
+        images = np.array(dil.images)
+        images[4, 1, 1] = value
+        with pytest.raises(DomainError, match="non-finite") as exc:
+            verify_dilation(Dilation(dil.povm, dil.dim_e, images, dil.f), TOL)
+        assert exc.value.details == {"element": labels[4]}
+
+
 def test_dilate_json_is_the_same_without_the_diagonal_decisions(monkeypatch, capsys):
     from qstruct.cli import main
 

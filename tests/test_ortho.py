@@ -5,6 +5,7 @@ The table loops that ``boolean_criterion``, ``is_distributive``,
 are kept here as oracles for their table kernels: verdicts, witness lists and
 errors must agree in full and in order. On lattices ``is_distributive`` first
 applies Birkhoff's test; random set lattices check it against the same oracle.
+The per-b block loop of relative distributivity is the oracle for its cell walk.
 """
 
 import tracemalloc
@@ -12,7 +13,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import fixture_structures, horizontal_sum, random_logics
+import qstruct.order
+from conftest import corrupted_logic, fixture_structures, horizontal_sum, long_chain, permuted
+from conftest import random_logics
 
 from qstruct import (
     ConstructionError,
@@ -35,7 +38,7 @@ from qstruct import (
     verify_quasilogic,
 )
 from qstruct.order import UpsetIndex, birkhoff_distributive, first_nondistributive, segment
-from qstruct.quasilogic import _build_sum_info
+from qstruct.quasilogic import _build_sum_info, commutation_table
 
 
 def test_powerset_logic_is_boolean_and_distributive():
@@ -210,6 +213,26 @@ def oracle_logic_witnesses(ol):
     return out
 
 
+def oracle_block_relative_distributivity(ol):
+    """The per-b (a, c) block loop that ran relative distributivity before the cell walk."""
+    labels, neg, le = ol.labels, ol.neg, ol.poset.le
+    mt = np.full((ol.n + 1, ol.n + 1), -1, dtype=np.int16)
+    jt = mt.copy()
+    mt[:-1, :-1], jt[:-1, :-1] = ol.poset.meet_table(), ol.poset.join_table()
+    out = []
+    for b in range(ol.n):
+        avals, cvals = np.flatnonzero(le[:, neg[b]]), np.flatnonzero(le[neg[b], :])
+        lhs = mt[jt[avals, b][:, None], cvals]
+        rhs = jt[avals[:, None], mt[b, cvals]]
+        for i, k in zip(*np.nonzero((lhs != rhs) | (lhs < 0))):
+            w = {"a": labels[avals[i]], "b": labels[b], "c": labels[cvals[k]]}
+            if min(lhs[i, k], rhs[i, k]) < 0:
+                out.append(w | {"reason": "bound undefined"})
+            else:
+                out.append(w | {"lhs": labels[lhs[i, k]], "rhs": labels[rhs[i, k]]})
+    return out
+
+
 def oracle_segment_logic(ol, lo, hi):
     """The pair loop that once built ``segment_logic``'s difference table."""
     sub, parents = segment(ol.poset, lo, hi)
@@ -304,6 +327,31 @@ def test_random_orders_with_missing_bounds_match_the_oracles(all_witnesses):
         assert_logic_matches_the_oracles(ol)
 
 
+@pytest.mark.parametrize("cell_block", [5, None])
+def test_relative_distributivity_walk_matches_the_block_loop(
+    all_witnesses, monkeypatch, cell_block
+):
+    small = cell_block is not None
+    if small:
+        monkeypatch.setattr(qstruct.order, "CELL_BLOCK", cell_block)
+    rng = np.random.default_rng(4)
+    chain = long_chain(12 if small else 90)
+    logics = [OrthoLogic(chain.poset, chain.diff, np.arange(chain.n)[::-1])]
+    logics += [
+        permuted(horizontal_sum(blocks, k), rng)
+        for blocks, k in (((2, 2), (3, 3)) if small else ((4, 4), (2, 5)))
+    ]
+    logics += [corrupted_logic(k, seed=k) for k in ((3, 4) if small else (5, 6))]
+    logics += random_logics(30, seed=11)
+    failed = 0
+    for ol in logics:
+        check = verify_logic(ol).get("relative-distributivity")
+        want = oracle_block_relative_distributivity(ol)
+        assert (check.violation_count, check.witnesses) == (len(want), want)
+        failed += bool(want)
+    assert failed > 0
+
+
 def set_lattice(rng, points, generators, union_closed):
     """Subsets of ``points`` points closed under intersection, with the full set.
 
@@ -373,6 +421,7 @@ def test_table_kernels_stay_small_at_the_size_ceiling():
         (check_de_morgan, ol),
         (verify_logic, ol),
         (_build_sum_info, ol),
+        (commutation_table, ol),
         (verify_quasilogic, ol),
         (UpsetIndex.table, ups),
     )

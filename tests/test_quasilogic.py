@@ -7,17 +7,25 @@ table, the difference axioms of ``verify_quasilogic`` and
 ``check_sum_lattice_identity`` once ran are kept as oracles for their table
 kernels, and so is the pair loop of the logic test that ``verify_homomorphism``
 once ran for ``is_logic``. ``quasicommutes`` is the oracle for
-``commutation_table``.
+``commutation_table``. The per-a block loops that the sum table, the chain
+axioms and ``commutation_table`` ran before their cell walks are oracles too,
+on inputs that stress the walks: a long chain, shuffled horizontal sums,
+corrupted logics and tables that are not orders, also cut into tiny blocks.
 """
 
 import numpy as np
 import pytest
+import qstruct.order
 from conftest import (
+    corrupted_logic,
     fixture_structures,
     horizontal_sum,
+    long_chain,
+    permuted,
     random_difference,
     random_logics,
     random_order,
+    shuffled_difference_logic,
 )
 from hypothesis import given, settings, strategies as st
 
@@ -404,6 +412,128 @@ def oracle_sum_lattice_identity(q):
             elif info.value[j, m] != info.value[a, b]:
                 viol.append(w)
     return viol
+
+
+# -- the per-a block loops that the cell walks replaced --------------------------
+
+
+def above_with_difference(q, a):
+    """The elements c >= a with c - a defined, ascending: one block axis."""
+    return np.flatnonzero(q.poset.le[a] & (q.diff[:, a] >= 0))
+
+
+def oracle_block_sum_info(q):
+    """The per-a (b, c) block loop that built the partial-sum table before the cell walk."""
+    le, n = q.poset.le, q.n
+    diff = np.full((n + 1, n + 1), -1, dtype=np.int16)
+    diff[:n, :n] = q.diff
+    diff[:n, n] = -2
+    info = _SumInfo(n)
+    for a in range(n):
+        cs = above_with_difference(q, a)
+        ca = diff[cs, a]
+        adm = le[a:, cs] & le[a:, ca]
+        rows = np.flatnonzero(adm.any(axis=1))
+        if rows.size == 0:
+            continue
+        adm, bs = adm[rows], a + rows
+        vals = diff[cs, diff[ca][:, bs].T]
+        first = adm.argmax(axis=1)
+        v0 = vals[np.arange(bs.size), first]
+        other = adm & (vals != v0[:, None])
+        split = other.any(axis=1)
+        ok = ~split & (v0 >= 0)
+        info.summable[a, bs] = info.summable[bs, a] = True
+        info.value[a, bs[ok]] = info.value[bs[ok], a] = v0[ok]
+        for r in np.flatnonzero(~ok).tolist():
+            b, i0 = int(bs[r]), int(cs[first[r]])
+            j0 = int(cs[other[r].argmax()]) if split[r] else i0
+            info.conflicts[(a, b)] = info.conflicts[(b, a)] = (i0, j0)
+    return info
+
+
+def oracle_block_difference_axioms(q):
+    """The per-a (b, c) block loop of the chain axioms, as (count, witnesses) per check."""
+    le, diff, labels = q.poset.le, q.diff, q.labels
+    names = (
+        "minuend-monotone",
+        "minuend-difference-identity",
+        "subtrahend-antitone",
+        "subtrahend-difference-identity",
+    )
+    out = {name: [] for name in names}
+    for a in range(q.n):
+        xs = above_with_difference(q, a)
+        xa = diff[xs, a]
+        chain = le[xs[:, None], xs]
+        cb = diff[xs, xs[:, None]]
+        defined = chain & (cb >= 0)
+        mono = chain & ~le[xa[:, None], xa]
+        anti = defined & ~le[cb, xa]
+        found = (
+            mono,
+            defined & ~mono & (diff[xa, xa[:, None]] != cb),
+            anti,
+            defined & ~anti & (diff[xa, cb] != xa[:, None]),
+        )
+        for name, bad in zip(names, found):
+            out[name] += [
+                {"a": labels[a], "b": labels[xs[i]], "c": labels[xs[k]]}
+                for i, k in zip(*np.nonzero(bad))
+            ]
+    return out
+
+
+def oracle_block_commutation(q):
+    """The per-a (b, c) block loop that built ``commutation_table`` before the cell walk."""
+    le, diff = q.poset.le, q.diff
+    out = np.empty((q.n, q.n), dtype=bool)
+    for a in range(q.n):
+        cs = above_with_difference(q, a)
+        (le[:, cs] & le[diff[cs, a]].T).any(axis=1, out=out[a])
+    return out
+
+
+def walk_stress_quasilogics(small):
+    """Inputs that stress the cell walks; the small ones are cut into many tiny blocks.
+
+    A long chain has the most cells per element, so one a spans several
+    blocks; shuffled ids put each pair's cells out of label order; a corrupted
+    logic has conflicting majorants; a table that is not an order has cells
+    that the pivot expansion must not invent.
+    """
+    rng = np.random.default_rng(21)
+    yield long_chain(12 if small else 90)
+    for blocks, k in ((2, 2), (3, 3)) if small else ((4, 4), (2, 5)):
+        yield permuted(horizontal_sum(blocks, k), rng)
+    for k in (3, 4) if small else (5, 6):
+        yield corrupted_logic(k, seed=k)
+        yield shuffled_difference_logic(k, seed=k)
+    for i in range(20 if small else 40):
+        le = random_order(rng, int(rng.integers(2, 10 if small else 24)))
+        if i % 2 == 0:  # not an order: a maximal element with nothing above it
+            top = np.flatnonzero(le.sum(axis=1) == 1)[0]
+            le[top, top] = False
+        poset = FinitePoset([f"e{i}" for i in range(le.shape[0])], le)
+        yield Quasilogic(poset, random_difference(rng, le, 0.8))
+
+
+@pytest.mark.parametrize("cell_block", [5, None])
+def test_cell_walks_match_the_block_loops(all_witnesses, monkeypatch, cell_block):
+    if cell_block is not None:
+        monkeypatch.setattr(qstruct.order, "CELL_BLOCK", cell_block)
+    conflicts = 0
+    for q in walk_stress_quasilogics(small=cell_block is not None):
+        got, want = _build_sum_info(q), oracle_block_sum_info(q)
+        assert np.array_equal(got.summable, want.summable)
+        assert np.array_equal(got.value, want.value)
+        assert list(got.conflicts.items()) == list(want.conflicts.items())
+        conflicts += len(got.conflicts)
+        assert_checks_match(verify_quasilogic(q), oracle_block_difference_axioms(q))
+        table = commutation_table(q)
+        assert np.array_equal(table, oracle_block_commutation(q))
+        assert table.tolist() == [[quasicommutes(q, a, b) for b in range(q.n)] for a in range(q.n)]
+    assert conflicts > 0
 
 
 def assert_checks_match(rep, wanted):

@@ -69,7 +69,7 @@ import qstruct.semilogic
 from qstruct.order import UpsetIndex
 from qstruct.report import VerificationReport
 from qstruct.quasilogic import is_logic
-from qstruct.semilogic import EXACT_TOL, _family_violations
+from qstruct.semilogic import EXACT_TOL, _family_violations, _ideal_closure
 
 from conftest import (
     fixture_structures,
@@ -1280,6 +1280,14 @@ def oracle_maximal(s, members):
     )
 
 
+def oracle_maximal_by_closures(s, members):
+    """``verify_ideal``'s loop before it skipped settled elements: one closure per element."""
+    levels = list(s._all_orthogonal_families().summable(1))
+    ids = np.arange(s.n)
+    inside = np.isin(ids, list(members))
+    return all(_ideal_closure(s, inside | (ids == x), levels).all() for x in ids[~inside])
+
+
 def assert_maximal_matches_the_closure_loop(s, rng):
     """``maximal`` on the proper principal downsets of ``s`` and as many random sets.
 
@@ -1293,8 +1301,19 @@ def assert_maximal_matches_the_closure_loop(s, rng):
         if 0 < len(members) < s.n:
             got = verify_ideal(s, Ideal(frozenset(members))).facts["maximal"]
             assert got == oracle_maximal(s, members), (s.labels, members)
+            assert got == oracle_maximal_by_closures(s, members), (s.labels, members)
             seen.add(got)
     return seen
+
+
+def nonorder_semilogic(rng, n):
+    """``meet_semilogic`` with a maximal element taken out of its own upset: not an order."""
+    s = meet_semilogic(rng, n)
+    le = s.poset.le.copy()
+    tops = np.flatnonzero(le.sum(axis=1) == 1)
+    le[tops[:1], tops[:1]] = False
+    poset = FinitePoset(s.labels, le)
+    return Semilogic(poset, poset.meet_table())
 
 
 def test_maximal_ideals_match_the_closure_loop_on_the_fixtures():
@@ -1304,12 +1323,14 @@ def test_maximal_ideals_match_the_closure_loop_on_the_fixtures():
     assert seen == {True, False}
 
 
-@given(st.sampled_from(["flat", "hsum", "meet", "standard"]), st.integers(0, 2**16))
+@given(st.sampled_from(["flat", "hsum", "meet", "nonorder", "standard"]), st.integers(0, 2**16))
 @settings(max_examples=60, deadline=None)
 def test_maximal_ideals_match_the_closure_loop(kind, seed):
     rng = np.random.default_rng(seed)
     if kind == "meet":
         s = meet_semilogic(rng, int(rng.integers(2, 9)))
+    elif kind == "nonorder":
+        s = nonorder_semilogic(rng, int(rng.integers(3, 9)))
     elif kind == "standard":
         s = [powerset_semiring(3), mo2_semilogic(), diamond_semiring()][seed % 3]
     else:

@@ -87,6 +87,13 @@ def test_check_on_a_logic_loads_no_operator_module(valid_dir):
     assert not loaded & OPERATOR_MODULES
 
 
+def test_check_on_a_logic_or_a_poset_loads_no_semilogic_module(valid_dir):
+    # the kind's module is loaded by the file; the semilogic path is never imported
+    for name in ("powerset4_logic.json", "poset_n.json"):
+        loaded = loaded_modules("check", str(valid_dir / name))
+        assert not loaded & {"semilogic", "boolean_rep", "matrix_core"}, name
+
+
 def test_dilate_loads_neither_gns_nor_properties(valid_dir):
     loaded = loaded_modules("dilate", str(valid_dir / "trine_povm.json"))
     assert "naimark" in loaded
