@@ -25,28 +25,27 @@ _EXPORTS = {
     "errors": """AxiomViolationError ConstructionError DomainError ParseError
         QstructError StructuralError""",
     "gns": """AlgebraState ConcreteStarAlgebra GnsRepresentation gns_construct
-        gram_matrix observable_norm positive_parts schwartz_check state_value
-        verify_algebra verify_gns verify_state""",
+        gram_matrix observable_norm positive_parts schwartz_check verify_algebra
+        verify_gns verify_state""",
     "io_formats": """load_algebra load_povm load_structure parse_algebra
         parse_povm parse_structure serialize_algebra serialize_dilation
         serialize_povm serialize_structure structures_equal""",
     "matrix_core": """Tolerance canonical_phases is_orthoprojection op_norm
-        operator_order pseudo_inverse range_join range_meet range_projector
-        rank_decomposition""",
+        operator_order pseudo_inverse range_join range_meet rank_decomposition""",
     "naimark": """Dilation FinitePovm dilate mobius_blocks povm_from_outcomes
         unitary_equivalence verify_dilation verify_povm""",
-    "order": """FinitePoset atoms is_upward_directed join join_of meet meet_of
-        segment transitive_reduction verify_poset""",
+    "order": """FinitePoset atoms is_upward_directed join join_of meet segment
+        transitive_reduction verify_poset""",
     "ortho": "OrthoLogic boolean_criterion is_distributive segment_logic verify_logic",
     "properties": "SUITES SuiteResult run_suite run_suites",
-    "quasilogic": """CLASSIFICATION_LABELS Quasilogic build_quasilogic
-        check_de_morgan check_sum_lattice_identity classify partial_sum
-        quasicommutes quasiproduct sum_family summable verify_quasilogic""",
+    "quasilogic": """CLASSIFICATION_LABELS Quasilogic check_de_morgan
+        check_sum_lattice_identity classify partial_sum quasicommutes
+        quasiproduct summable verify_quasilogic""",
     "report": "Check VerificationReport",
     "semilogic": """ClosurePair DistributionTable Filter HomomorphismMap Ideal
-        Semilogic check_regularity difference_table relative_complement
-        summable_families support verify_closure verify_distribution
-        verify_filter verify_homomorphism verify_ideal verify_semilogic""",
+        Semilogic check_regularity difference_table summable_families support
+        verify_closure verify_distribution verify_filter verify_homomorphism
+        verify_ideal verify_semilogic""",
     "standard": """chain_quasilogic diamond_semiring mo2_logic mo2_quasilogic
         mo2_semilogic o6_logic powerset_logic powerset_poset powerset_quasilogic
         powerset_semiring shuffled_powerset_logic shuffled_powerset_semiring""",

@@ -24,10 +24,13 @@ from .matrix_core import (
     Tolerance,
     as_complex,
     eig_herm,
+    herm,
     is_hermitian,
+    nonzero_spectrum,
     op_norms_exceed,
     projection_defects,
     pseudo_inverse,
+    psd_floor,
     rank_decomposition,
     screened_op_norm,
     screened_op_norms,
@@ -146,8 +149,7 @@ class ConcreteStarAlgebra:
 
     def span_rank(self, tol: Tolerance) -> int:
         w, _ = np.linalg.eigh(self._stack.conj().T @ self._stack)
-        hi = float(w[-1]) if w.size else 0.0
-        return int(np.count_nonzero(w > tol.rank_rel * max(hi, 0.0)))
+        return int(np.count_nonzero(nonzero_spectrum(w, tol)))
 
 
 @dataclass
@@ -163,10 +165,6 @@ class AlgebraState:
 
     def of_coords(self, c: np.ndarray) -> complex:
         return complex(np.dot(self.values, c))
-
-
-def state_value(alg: ConcreteStarAlgebra, state: AlgebraState, x: Array, tol: Tolerance) -> complex:
-    return state.of_coords(alg.coords(x, tol))
 
 
 def verify_algebra(alg: ConcreteStarAlgebra, tol: Tolerance) -> VerificationReport:
@@ -214,14 +212,14 @@ def verify_state(
     rep.record("hermitian", gap > tol.eps, labelled(alg.labels, "a", gap=gap))
 
     w, _ = eig_herm(gram_matrix(alg, state, tol))
-    lo, hi = float(w[0]), float(w[-1])
-    rep.record("positive", [] if lo >= -tol.eps * max(1.0, hi) else [{"min_eigenvalue": lo}])
+    lo = float(w[0])
+    rep.record("positive", [] if lo >= psd_floor(w, tol) else [{"min_eigenvalue": lo}])
     if alg.unit is not None:
         uv = complex(state.values[alg.unit])
         rep.record(
             "normalized", [] if abs(uv - 1.0) <= tol.eps else [{"unit_value": [uv.real, uv.imag]}]
         )
-    rep.facts["gram_rank"] = int(np.count_nonzero(w > tol.rank_rel * max(hi, 0.0)))
+    rep.facts["gram_rank"] = int(np.count_nonzero(nonzero_spectrum(w, tol)))
     return rep
 
 
@@ -394,7 +392,7 @@ def positive_parts(
     gap = screened_op_norm(plus - minus - a, tol.eps)
     rep.record("difference-recovers", [] if gap <= tol.eps else [{"defect": gap}])
     names, parts = ("plus", "minus"), np.array([plus, minus])
-    lo = np.linalg.eigh((parts + parts.conj().transpose(0, 2, 1)) / 2.0)[0][:, 0]
+    lo = np.linalg.eigh(herm(parts))[0][:, 0]
     rep.record("parts-positive", lo < -tol.eps, labelled(names, "part", min_eigenvalue=lo))
     leaks = screened_op_norms(e @ parts @ e - parts, tol.eps)
     rep.record("parts-supported", leaks > tol.eps, labelled(names, "part", defect=leaks))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ParseError, StructuralError
 from .order import MAX_DIM, MAX_SPACE, FinitePoset, check_element_count, transitive_reduction
-from .order import bool_product
+from .order import preorder_closure
 
 # a module is imported where a file needs it: checking a structure file loads
 # neither gns nor naimark, and an operator file loads only its structure kinds
@@ -101,11 +101,7 @@ def _closed_order(labels: list[str], idx: dict[str, int], pairs: Any) -> np.ndar
             isinstance(p, list) and len(p) == 2, "le entries are [below, above] pairs", entry=k
         )
         le[_lookup(idx, p[0], "le"), _lookup(idx, p[1], "le")] = True
-    while True:
-        closed = le | bool_product(le, le)
-        if (closed == le).all():
-            break
-        le = closed
+    le = preorder_closure(le)
     cyc = le & le.T & ~np.eye(n, dtype=bool)
     if cyc.any():
         a, b = (int(x) for x in np.argwhere(cyc)[0])

@@ -5,6 +5,13 @@ eigendecomposition: pseudo-inverses, operator norms, range projectors and
 PSD tests are all phrased in terms of it, so tolerance behaviour is uniform
 and reruns are bitwise reproducible.
 
+Two cuts on a spectrum are tolerance policy, and each is written once, here.
+``nonzero_spectrum`` is the rank cut: an eigenvalue counts as nonzero when it
+exceeds ``rank_rel`` times the top eigenvalue (floored at 0); ranks, kept
+eigenvectors and pseudo-inverses all read it. ``psd_floor`` is the PSD
+floor: a spectrum counts as positive while its least eigenvalue is at least
+``-eps * max(1, top)``. ``gns`` and ``naimark`` call both.
+
 Thresholds ``||A|| <= eps`` are screened first. The Frobenius norm F brackets
 the spectral norm, ||A|| <= F <= sqrt(k) ||A|| with k = min(rows, cols)
 (Golub & Van Loan, Matrix Computations, 2.3), so F alone settles every
@@ -187,19 +194,36 @@ def operator_order(a: Array, b: Array, tol: Tolerance) -> bool:
     return float(w[0]) >= -tol.eps
 
 
+def _top(w: Array) -> float:
+    """The largest eigenvalue of an ascending spectrum, or of a stack of them; 0 when empty."""
+    return float(w[..., -1].max()) if w.size else 0.0
+
+
+def nonzero_spectrum(w: Array, tol: Tolerance) -> Array:
+    """Mask of the eigenvalues that count as nonzero: above rank_rel times the top, floored at 0.
+
+    ``w`` is ascending along its last axis; a stack of spectra shares one top.
+    """
+    return w > tol.rank_rel * max(_top(w), 0.0)
+
+
+def psd_floor(w: Array, tol: Tolerance) -> float:
+    """The least eigenvalue a spectrum (or a stack of them) may have and still count as PSD."""
+    return -tol.eps * max(1.0, _top(w))
+
+
 def rank_decomposition(g: Array, tol: Tolerance) -> tuple[int, Array]:
     """Factor a PSD matrix as g = v v*; columns of v span its range.
 
-    Eigenvalues below rank_rel * lambda_max count as zero. A genuinely
-    negative spectrum is a domain error, not something to clip silently.
+    Eigenvalues cut by ``nonzero_spectrum`` count as zero. A spectrum below
+    ``psd_floor`` is a domain error, not something to clip silently.
     """
     g = as_complex(g)
     w, u = eig_herm(g)
-    lo, hi = float(w[0]), float(w[-1])
-    if lo < -tol.eps * max(1.0, hi):
+    lo = float(w[0])
+    if lo < psd_floor(w, tol):
         raise DomainError("matrix is not positive semidefinite", min_eigenvalue=lo)
-    cut = tol.rank_rel * max(hi, 0.0)
-    keep = np.flatnonzero(w > cut)
+    keep = np.flatnonzero(nonzero_spectrum(w, tol))
     v = u[:, keep] * np.sqrt(np.clip(w[keep], 0.0, None))
     return int(keep.size), v
 
@@ -210,22 +234,9 @@ def pseudo_inverse(a: Array, tol: Tolerance) -> Array:
     if a.size == 0:
         return a.conj().T
     w, u = np.linalg.eigh(a.conj().T @ a)
-    hi = float(w[-1]) if w.size else 0.0
-    cut = tol.rank_rel * max(hi, 0.0)
-    inv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
+    keep = nonzero_spectrum(w, tol)
+    inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
     return (u * inv) @ u.conj().T @ a.conj().T
-
-
-def range_projector(a: Array, tol: Tolerance) -> Array:
-    """Orthogonal projection onto the column span of a."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.size == 0:
-        return np.zeros((a.shape[0], a.shape[0]), dtype=np.complex128)
-    w, u = np.linalg.eigh(a @ a.conj().T)
-    hi = float(w[-1]) if w.size else 0.0
-    keep = np.flatnonzero(w > tol.rank_rel * max(hi, 0.0))
-    v = u[:, keep]
-    return v @ v.conj().T
 
 
 def range_meets(p: Array, q: Array, tol: Tolerance) -> Array:

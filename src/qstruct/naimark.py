@@ -35,10 +35,13 @@ from .matrix_core import (
     as_complex,
     canonical_phases,
     eig_herm,
+    herm,
+    nonzero_spectrum,
     op_norms,
     op_norms_exceed,
     projection_defects,
     pseudo_inverse,
+    psd_floor,
     screened_op_norm,
     screened_op_norms,
 )
@@ -92,9 +95,8 @@ def verify_povm(povm: FinitePovm, tol: Tolerance) -> VerificationReport:
     labels = bs.labels
     eye = np.eye(povm.dim)
 
-    adjoint = effects.conj().transpose(0, 2, 1)
-    skew = effects - adjoint
-    w, _ = np.linalg.eigh((effects + adjoint) / 2.0)
+    skew = effects - effects.conj().transpose(0, 2, 1)
+    w, _ = np.linalg.eigh(herm(effects))
     bad = op_norms_exceed(skew, tol.eps) | (w[:, 0] < -tol.eps) | (w[:, -1] > 1.0 + tol.eps)
     herm_gap = np.zeros(len(effects))
     herm_gap[bad] = op_norms(skew[bad])
@@ -188,17 +190,16 @@ def dilate(povm: FinitePovm, tol: Tolerance) -> Dilation:
         raise DomainError("unit effect exceeds the identity", defect=unit_gap)
 
     below, g = mobius_blocks(povm)
-    w, vecs = np.linalg.eigh((g + g.conj().transpose(0, 2, 1)) / 2.0)
-    hi = float(w[:, -1].max())
+    w, vecs = np.linalg.eigh(herm(g))
     x = int(np.argmin(w[:, 0]))
-    if w[x, 0] < -tol.eps * max(1.0, hi):
+    if w[x, 0] < psd_floor(w, tol):
         raise DomainError(
             "matrix is not positive semidefinite",
             min_eigenvalue=float(w[x, 0]),
             element=bs.labels[x],
         )
     # coordinate r of the dilation space is eigenvector j[r] of block x[r]
-    xs, js = np.nonzero(w > tol.rank_rel * max(hi, 0.0))
+    xs, js = np.nonzero(nonzero_spectrum(w, tol))
     dim_e = int(xs.size)
     if bs.n * dim_e * dim_e > MAX_DILATION_ENTRIES:
         raise StructuralError(
@@ -255,8 +256,7 @@ def verify_dilation(dil: Dilation, tol: Tolerance) -> VerificationReport:
 
     stacked = np.hstack([hb @ dil.f for hb in dil.images])
     wv, _ = np.linalg.eigh(stacked @ stacked.conj().T)
-    hi = float(wv[-1]) if wv.size else 0.0
-    rank = int(np.count_nonzero(wv > tol.rank_rel * max(hi, 0.0)))
+    rank = int(np.count_nonzero(nonzero_spectrum(wv, tol)))
     rep.record(
         "minimal",
         [] if rank == dil.dim_e else [{"span_rank": rank, "dim_e": dil.dim_e}],

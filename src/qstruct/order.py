@@ -234,6 +234,16 @@ def bool_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def preorder_closure(rel: np.ndarray) -> np.ndarray:
+    """The least reflexive and transitive relation containing rel: squared until fixed."""
+    le = rel | np.eye(len(rel), dtype=bool)
+    while True:
+        closed = le | bool_product(le, le)
+        if (closed == le).all():
+            return le
+        le = closed
+
+
 def sentinel_padded(table: np.ndarray) -> np.ndarray:
     """Copy of an n x n table that uses -1 for "undefined", padded to (n+1) x (n+1).
 
@@ -400,11 +410,6 @@ def meet(p: FinitePoset, a: int, b: int) -> int | None:
 def join(p: FinitePoset, a: int, b: int) -> int | None:
     j = int(p.join_table()[a, b])
     return None if j < 0 else j
-
-
-def meet_of(p: FinitePoset, items: Iterable[int]) -> int | None:
-    """Greatest lower bound of a set of elements (empty set -> greatest)."""
-    return p.downsets().bound(items)
 
 
 def join_of(p: FinitePoset, items: Iterable[int]) -> int | None:

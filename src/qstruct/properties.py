@@ -1,13 +1,15 @@
 """Seeded randomized suites behind the ``property`` CLI command.
 
 Each suite walks a ladder of generated cases, smallest first, so the first
-failure is already a small witness; the runner hands that witness back for
-the CLI to write out. Everything is driven by numpy's seeded generator and
-is bit-for-bit reproducible for a given seed.
+failure is already a small witness: ``_Run.check`` stops the suite there, and
+the runner hands that witness back for the CLI to write out. Everything is
+driven by numpy's seeded generator and is bit-for-bit reproducible for a
+given seed.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +65,7 @@ from .naimark import (
     verify_dilation,
     verify_povm,
 )
-from .order import FinitePoset, transitive_reduction, verify_poset
+from .order import FinitePoset, preorder_closure, transitive_reduction, verify_poset
 from .ortho import verify_logic
 from .quasilogic import classify, partial_sum, quasiproduct, summable, verify_quasilogic
 from .quasilogic import _product_witnesses  # deliberate: the witness-set property
@@ -100,25 +102,28 @@ class SuiteResult:
         return out
 
 
+class _Stop(Exception):
+    """Raised by ``_Run.check`` at a suite's first failing case."""
+
+
 @dataclass
 class _Run:
     cases: int = 0
     witness: dict | None = None
 
-    def check(self, ok: bool, case: str, **detail) -> bool:
-        """Count a case; on first failure store the witness and stop the suite."""
+    def check(self, ok: bool, case: str, **detail) -> None:
+        """Count a case; on a failure store it as the witness and stop the suite."""
         self.cases += 1
-        if not ok and self.witness is None:
+        if not ok:
             self.witness = {"case": case} | detail
-        return self.witness is None
+            raise _Stop
 
 
 def _report_detail(rep) -> dict:
     return {"failed_checks": [c.name for c in rep.checks if not c.passed][:6]}
 
 
-def _suite_order(seed: int, tol: Tolerance) -> _Run:
-    run = _Run()
+def _suite_order(run: _Run, seed: int, tol: Tolerance) -> None:
     for k, n in enumerate((3, 4, 6, 8, 12)):
         rng = np.random.default_rng([seed, 101, k])
         le = np.eye(n, dtype=bool)
@@ -126,15 +131,10 @@ def _suite_order(seed: int, tol: Tolerance) -> _Run:
             for j in range(i + 1, n):
                 if rng.random() < 0.3:
                     le[i, j] = True
-        while True:
-            closed = le | (le @ le)
-            if (closed == le).all():
-                break
-            le = closed
+        le = preorder_closure(le)
         p = FinitePoset([f"e{i}" for i in range(n)], le)
         rep = verify_poset(p)
-        if not run.check(rep.ok, f"random-dag-poset n={n}", **_report_detail(rep)):
-            return run
+        run.check(rep.ok, f"random-dag-poset n={n}", **_report_detail(rep))
 
         mt, jt = p.meet_table(), p.join_table()
         ok = True
@@ -148,82 +148,60 @@ def _suite_order(seed: int, tol: Tolerance) -> _Run:
                 if j >= 0:
                     above = le[a, :] & le[b, :]
                     ok &= bool(le[a, j] and le[b, j] and (~above | le[j, :]).all())
-        if not run.check(ok, f"bound-tables-extremal n={n}"):
-            return run
+        run.check(ok, f"bound-tables-extremal n={n}")
 
         covers = transitive_reduction(p)
-        re = np.eye(n, dtype=bool)
+        re = np.zeros((n, n), dtype=bool)
         for a, b in covers:
             re[p.index(a), p.index(b)] = True
-        while True:
-            closed = re | (re @ re)
-            if (closed == re).all():
-                break
-            re = closed
-        if not run.check(bool((re == le).all()), f"reduction-closure-roundtrip n={n}"):
-            return run
-    return run
+        run.check(bool((preorder_closure(re) == le).all()), f"reduction-closure-roundtrip n={n}")
 
 
-def _suite_quasilogic(seed: int, tol: Tolerance) -> _Run:
-    run = _Run()
+def _suite_quasilogic(run: _Run, seed: int, tol: Tolerance) -> None:
     for k in (1, 2, 3):
         for s in range(3):
             q = shuffled_powerset_logic(k, seed * 7 + s)
             rep = verify_logic(q)
-            if not run.check(rep.ok, f"powerset-logic k={k} s={s}", **_report_detail(rep)):
-                return run
-            if not run.check(
-                classify(q) == "boolean-algebra", f"classify-powerset k={k} s={s}"
-            ):
-                return run
+            run.check(rep.ok, f"powerset-logic k={k} s={s}", **_report_detail(rep))
+            run.check(classify(q) == "boolean-algebra", f"classify-powerset k={k} s={s}")
             mt, jt = q.poset.meet_table(), q.poset.join_table()
             for a in range(q.n):
                 for b in range(q.n):
                     if summable(q, a, b):
                         lhs = partial_sum(q, a, b)
                         rhs = partial_sum(q, int(jt[a, b]), int(mt[a, b]))
-                        if not run.check(
+                        run.check(
                             lhs == rhs,
                             f"sum-lattice-identity k={k}",
                             a=q.labels[a],
                             b=q.labels[b],
-                        ):
-                            return run
+                        )
                     wits = _product_witnesses(q, a, b)
                     vals = {int(quasiproduct(q, a, b, int(c))) for c in wits[:4]}
-                    if wits and not run.check(
-                        vals == {int(mt[a, b])},
-                        f"quasiproduct-is-meet k={k}",
-                        a=q.labels[a],
-                        b=q.labels[b],
-                    ):
-                        return run
+                    if wits:
+                        run.check(
+                            vals == {int(mt[a, b])},
+                            f"quasiproduct-is-meet k={k}",
+                            a=q.labels[a],
+                            b=q.labels[b],
+                        )
     for n in (2, 3, 4, 6):
         q = chain_quasilogic(n)
         rep = verify_quasilogic(q)
-        if not run.check(rep.ok, f"chain-verifies n={n}", **_report_detail(rep)):
-            return run
+        run.check(rep.ok, f"chain-verifies n={n}", **_report_detail(rep))
         want = "boolean-algebra" if n == 2 else "quasilogic"
-        if not run.check(classify(q) == want, f"classify-chain n={n}", got=classify(q)):
-            return run
+        run.check(classify(q) == want, f"classify-chain n={n}", got=classify(q))
     mo2 = mo2_logic()
     rep = verify_logic(mo2)
-    if not run.check(rep.ok and classify(mo2) == "logic", "mo2-is-a-logic"):
-        return run
+    run.check(rep.ok and classify(mo2) == "logic", "mo2-is-a-logic")
     rep = verify_logic(o6_logic())
     bad = rep.get("relative-distributivity")
-    run.check(
-        not rep.ok and not bad.passed, "hexagon-fails-relative-distributivity"
-    )
-    return run
+    run.check(not rep.ok and not bad.passed, "hexagon-fails-relative-distributivity")
 
 
-def _suite_semilogic(seed: int, tol: Tolerance) -> _Run:
-    run = _Run()
+def _suite_semilogic(run: _Run, seed: int, tol: Tolerance) -> None:
     rep = verify_semilogic(mo2_semilogic())
-    if not run.check(rep.ok, "mo2-semilogic", **_report_detail(rep)):
-        return run
+    run.check(rep.ok, "mo2-semilogic", **_report_detail(rep))
     for case, blocks in enumerate(((2,), (2, 1), (2, 2), (3, 1, 1))):
         rng = np.random.default_rng([seed, 202, case])
         parts, at = [], 0
@@ -239,41 +217,31 @@ def _suite_semilogic(seed: int, tol: Tolerance) -> _Run:
             sets.append(u)
         s, order = subset_semilogic(sets)
         rep = verify_semilogic(s)
-        if not run.check(rep.ok, f"partition-semilogic {blocks}", **_report_detail(rep)):
-            return run
+        run.check(rep.ok, f"partition-semilogic {blocks}", **_report_detail(rep))
 
         weights = rng.random(len(parts))
         vals = np.array(
             [sum(w for w, p in zip(weights, parts) if p <= st) for st in order]
         )
         drep = verify_distribution(s, DistributionTable(vals))
-        if not run.check(drep.ok, f"block-distribution {blocks}", **_report_detail(drep)):
-            return run
+        run.check(drep.ok, f"block-distribution {blocks}", **_report_detail(drep))
 
         point = int(rng.integers(at))
         pvals = np.array([1.0 if point in st else 0.0 for st in order])
         filt, frep = support(s, DistributionTable(pvals))
-        if not run.check(
-            frep.ok and frep.facts["maximal"], f"point-support-maximal {blocks}"
-        ):
-            return run
-    return run
+        run.check(frep.ok and frep.facts["maximal"], f"point-support-maximal {blocks}")
 
 
-def _suite_stone(seed: int, tol: Tolerance) -> _Run:
-    run = _Run()
+def _suite_stone(run: _Run, seed: int, tol: Tolerance) -> None:
     for k in (1, 2, 3, 4):
         for s in range(2):
             bs = shuffled_powerset_semiring(k, seed * 11 + s)
             rep = verify_semiring(bs)
-            if not run.check(rep.ok, f"semiring-verifies k={k}", **_report_detail(rep)):
-                return run
+            run.check(rep.ok, f"semiring-verifies k={k}", **_report_detail(rep))
             sr = stone_map(bs)
             srep = verify_stone(sr)
-            if not run.check(srep.ok, f"stone-verifies k={k}", **_report_detail(srep)):
-                return run
-            if not run.check(len(sr.points) == k, f"point-count k={k}", got=len(sr.points)):
-                return run
+            run.check(srep.ok, f"stone-verifies k={k}", **_report_detail(srep))
+            run.check(len(sr.points) == k, f"point-count k={k}", got=len(sr.points))
 
             rng = np.random.default_rng([seed, 303, k, s])
             atom_w = rng.random(k)
@@ -288,13 +256,9 @@ def _suite_stone(seed: int, tol: Tolerance) -> _Run:
                     atom_w[i] for i, a in enumerate(ats) if bs.poset.le[a, b]
                 )
             _, mrep = represent_distribution(sr, DistributionTable(vals))
-            if not run.check(mrep.ok, f"measure-representation k={k}", **_report_detail(mrep)):
-                return run
+            run.check(mrep.ok, f"measure-representation k={k}", **_report_detail(mrep))
     rep = verify_semiring(diamond_semiring())
-    if not run.check(
-        not rep.get("product-additivity").passed, "diamond-breaks-distributivity"
-    ):
-        return run
+    run.check(not rep.get("product-additivity").passed, "diamond-breaks-distributivity")
 
     src = stone_map(powerset_semiring(2))
     dst = stone_map(powerset_semiring(3))
@@ -303,7 +267,6 @@ def _suite_stone(seed: int, tol: Tolerance) -> _Run:
     h = induced_homomorphism(src, dst, pm)
     hrep = verify_homomorphism(h)
     run.check(hrep.ok, "preimage-homomorphism", **_report_detail(hrep))
-    return run
 
 
 def _random_unitary(rng, d: int) -> np.ndarray:
@@ -312,8 +275,7 @@ def _random_unitary(rng, d: int) -> np.ndarray:
     return u
 
 
-def _suite_matrix(seed: int, tol: Tolerance) -> _Run:
-    run = _Run()
+def _suite_matrix(run: _Run, seed: int, tol: Tolerance) -> None:
     for case, d in enumerate((2, 3, 4, 6)):
         rng = np.random.default_rng([seed, 404, case])
         u = _random_unitary(rng, d)
@@ -321,10 +283,7 @@ def _suite_matrix(seed: int, tol: Tolerance) -> _Run:
         p = u[:, :k1] @ u[:, :k1].conj().T
         v = _random_unitary(rng, d)
         q = v[:, :k2] @ v[:, :k2].conj().T
-        if not run.check(
-            is_orthoprojection(p, tol) and is_orthoprojection(q, tol), f"projections d={d}"
-        ):
-            return run
+        run.check(is_orthoprojection(p, tol) and is_orthoprojection(q, tol), f"projections d={d}")
         m, j = range_meet(p, q, tol), range_join(p, q, tol)
         ok = (
             is_orthoprojection(m, tol)
@@ -334,36 +293,26 @@ def _suite_matrix(seed: int, tol: Tolerance) -> _Run:
             and operator_order(p, j, tol)
             and operator_order(q, j, tol)
         )
-        if not run.check(ok, f"meet-join-bounds d={d}"):
-            return run
+        run.check(ok, f"meet-join-bounds d={d}")
         eye = np.eye(d)
         ok = (
             op_norm(range_meet(p, p, tol) - p) <= 1e-8
             and op_norm(range_join(p, eye - p, tol) - eye) <= 1e-8
         )
-        if not run.check(ok, f"meet-join-identities d={d}"):
-            return run
+        run.check(ok, f"meet-join-identities d={d}")
 
         a = rng.standard_normal((d, d + 1)) + 1j * rng.standard_normal((d, d + 1))
         g = a @ a.conj().T
         r, vfac = rank_decomposition(g, tol)
-        if not run.check(
+        run.check(
             op_norm(vfac @ vfac.conj().T - g) <= 1e-8 * max(1.0, op_norm(g)) and r == d,
             f"rank-factorization d={d}",
-        ):
-            return run
+        )
         pinv = pseudo_inverse(a, tol)
-        if not run.check(
-            op_norm(a @ pinv @ a - a) <= 1e-8 * max(1.0, op_norm(a)), f"pseudo-inverse d={d}"
-        ):
-            return run
+        run.check(op_norm(a @ pinv @ a - a) <= 1e-8 * max(1.0, op_norm(a)), f"pseudo-inverse d={d}")
         # not bitwise: the phase factor rounds before the multiply
         c1 = canonical_phases(u, tol)
-        if not run.check(
-            op_norm(canonical_phases(c1, tol) - c1) <= 1e-12, f"phase-idempotent d={d}"
-        ):
-            return run
-    return run
+        run.check(op_norm(canonical_phases(c1, tol) - c1) <= 1e-12, f"phase-idempotent d={d}")
 
 
 def _diag_mask(d: int, mask: int) -> np.ndarray:
@@ -380,25 +329,21 @@ def _mo2_clan() -> Clan:
     )
 
 
-def _suite_clan(seed: int, tol: Tolerance) -> _Run:
-    run = _Run()
+def _suite_clan(run: _Run, seed: int, tol: Tolerance) -> None:
     for d in (2, 3):
         clan = Clan([_diag_mask(d, m) for m in range(1 << d)])
         rep = verify_clan(clan, tol)
-        if not run.check(rep.ok, f"diagonal-clan d={d}", **_report_detail(rep)):
-            return run
+        run.check(rep.ok, f"diagonal-clan d={d}", **_report_detail(rep))
         verdict = distributivity_criterion(clan, tol)
-        if not run.check(
+        run.check(
             verdict["distributive"] and verdict["criterion"] and verdict["agree"],
             f"diagonal-clan-boolean d={d}",
-        ):
-            return run
+        )
         rng = np.random.default_rng([seed, 505, d])
         xi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         xi /= np.linalg.norm(xi)
         _, srep = vector_state(clan, xi, tol)
-        if not run.check(srep.ok, f"diagonal-vector-state d={d}", **_report_detail(srep)):
-            return run
+        run.check(srep.ok, f"diagonal-vector-state d={d}", **_report_detail(srep))
 
     verdict = distributivity_criterion(_mo2_clan(), tol)
     w = verdict["criterion_witness"]
@@ -410,7 +355,6 @@ def _suite_clan(seed: int, tol: Tolerance) -> _Run:
         and abs(w["overlap"] - w["product_norm"] ** 2) <= 1e-9
     )
     run.check(ok, "mo2-clan-nondistributive", verdict=verdict)
-    return run
 
 
 def _matrix_unit_algebra(d: int) -> ConcreteStarAlgebra:
@@ -440,8 +384,7 @@ def _random_density(rng, d: int, rank: int | None = None) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-def _suite_gns(seed: int, tol: Tolerance) -> _Run:
-    run = _Run()
+def _suite_gns(run: _Run, seed: int, tol: Tolerance) -> None:
     for d in (2, 3):
         alg = _matrix_unit_algebra(d)
         for case, rank in enumerate([1, d]):
@@ -449,36 +392,25 @@ def _suite_gns(seed: int, tol: Tolerance) -> _Run:
             rho = _random_density(rng, d, rank)
             state = AlgebraState.from_density(alg, rho)
             srep = verify_state(alg, state, tol)
-            if not run.check(srep.ok, f"density-state d={d} rank={rank}", **_report_detail(srep)):
-                return run
+            run.check(srep.ok, f"density-state d={d} rank={rank}", **_report_detail(srep))
             rep_obj = gns_construct(alg, state, tol)
-            if not run.check(
+            run.check(
                 rep_obj.space_dim == d * rank,
                 f"gns-dimension d={d} rank={rank}",
                 got=rep_obj.space_dim,
-            ):
-                return run
+            )
             grep = verify_gns(rep_obj, tol)
-            if not run.check(grep.ok, f"gns-verifies d={d} rank={rank}", **_report_detail(grep)):
-                return run
+            run.check(grep.ok, f"gns-verifies d={d} rank={rank}", **_report_detail(grep))
             sw = schwartz_check(alg, state, samples=200, seed=seed + case)
-            if not run.check(
-                sw.ok and sw.facts["min_slack"] >= -1e-12, f"schwartz d={d} rank={rank}"
-            ):
-                return run
+            run.check(sw.ok and sw.facts["min_slack"] >= -1e-12, f"schwartz d={d} rank={rank}")
 
         rng = np.random.default_rng([seed, 607, d])
         spec = rng.standard_normal(d)
         a = np.diag(spec.astype(complex))
         got = observable_norm(alg, a, 0, tol)
-        if not run.check(
-            abs(got - float(np.max(np.abs(spec)))) <= 1e-9, f"observable-norm d={d}"
-        ):
-            return run
+        run.check(abs(got - float(np.max(np.abs(spec)))) <= 1e-9, f"observable-norm d={d}")
         _, _, prep = positive_parts(alg, a, 0, tol)
-        if not run.check(prep.ok, f"positive-parts d={d}", **_report_detail(prep)):
-            return run
-    return run
+        run.check(prep.ok, f"positive-parts d={d}", **_report_detail(prep))
 
 
 def _random_povm(rng, outcomes: int, dim: int) -> FinitePovm:
@@ -506,48 +438,39 @@ def _conjugated(dil: Dilation, v: np.ndarray) -> Dilation:
     )
 
 
-def _suite_naimark(seed: int, tol: Tolerance) -> _Run:
-    run = _Run()
+def _suite_naimark(run: _Run, seed: int, tol: Tolerance) -> None:
     trivial = povm_from_outcomes([np.eye(1, dtype=complex)], 1)
     _, g = mobius_blocks(trivial)
-    if not run.check(
-        np.array_equal(g, np.array([[[0]], [[1]]], dtype=complex)), "unit-interval-gram"
-    ):
-        return run
+    run.check(np.array_equal(g, np.array([[[0]], [[1]]], dtype=complex)), "unit-interval-gram")
 
     eq_tol = Tolerance.with_eps(1e-8)
     for case, (outcomes, dim) in enumerate(((2, 1), (2, 2), (3, 2), (3, 3))):
         rng = np.random.default_rng([seed, 707, case])
         povm = _random_povm(rng, outcomes, dim)
         prep = verify_povm(povm, tol)
-        if not run.check(prep.ok, f"povm-verifies o={outcomes} d={dim}", **_report_detail(prep)):
-            return run
+        run.check(prep.ok, f"povm-verifies o={outcomes} d={dim}", **_report_detail(prep))
         dil = dilate(povm, tol)
         drep = verify_dilation(dil, tol)
-        if not run.check(drep.ok, f"dilation-verifies o={outcomes} d={dim}", **_report_detail(drep)):
-            return run
+        run.check(drep.ok, f"dilation-verifies o={outcomes} d={dim}", **_report_detail(drep))
 
         again = dilate(povm, tol)
         u, urep = unitary_equivalence(dil, again, eq_tol)
-        if not run.check(
+        run.check(
             urep.ok and urep.facts["identity"], f"rerun-bitwise-identity o={outcomes} d={dim}"
-        ):
-            return run
+        )
 
         v = _random_unitary(rng, dil.dim_e)
         u2, urep2 = unitary_equivalence(dil, _conjugated(dil, v), eq_tol)
-        if not run.check(
+        run.check(
             urep2.ok and op_norm(u2 - v) <= 1e-8, f"conjugation-recovered o={outcomes} d={dim}"
-        ):
-            return run
+        )
 
     for d in (2, 3):
         rng = np.random.default_rng([seed, 708, d])
         u = _random_unitary(rng, d)
         atoms = [np.outer(u[:, i], u[:, i].conj()) for i in range(d)]
         dil = dilate(povm_from_outcomes(atoms, d), tol)
-        if not run.check(dil.dim_e == d, f"projective-measure-tight d={d}", got=dil.dim_e):
-            return run
+        run.check(dil.dim_e == d, f"projective-measure-tight d={d}", got=dil.dim_e)
 
     thetas = [2 * np.pi * k / 3 for k in range(3)]
     trine = [
@@ -558,11 +481,9 @@ def _suite_naimark(seed: int, tol: Tolerance) -> _Run:
     ]
     dil = dilate(povm_from_outcomes(trine, 2), tol)
     run.check(dil.dim_e == 3, "trine-needs-three-dimensions", got=dil.dim_e)
-    return run
 
 
-def _suite_io(seed: int, tol: Tolerance) -> _Run:
-    run = _Run()
+def _suite_io(run: _Run, seed: int, tol: Tolerance) -> None:
     samples = [
         chain_quasilogic(3),
         mo2_logic(),
@@ -574,15 +495,9 @@ def _suite_io(seed: int, tol: Tolerance) -> _Run:
     ]
     for obj in samples:
         back = parse_structure(serialize_structure(obj))
-        if not run.check(
-            structures_equal(obj, back), f"structure-roundtrip {type(obj).__name__}"
-        ):
-            return run
+        run.check(structures_equal(obj, back), f"structure-roundtrip {type(obj).__name__}")
         again = parse_structure(serialize_structure(back))
-        if not run.check(
-            structures_equal(back, again), f"serialize-stable {type(obj).__name__}"
-        ):
-            return run
+        run.check(structures_equal(back, again), f"serialize-stable {type(obj).__name__}")
 
     rng = np.random.default_rng([seed, 808])
     povm = _random_povm(rng, 2, 2)
@@ -591,8 +506,7 @@ def _suite_io(seed: int, tol: Tolerance) -> _Run:
         back.semiring.labels == povm.semiring.labels
         and all(np.array_equal(a, b) for a, b in zip(back.effects, povm.effects))
     )
-    if not run.check(ok, "povm-roundtrip"):
-        return run
+    run.check(ok, "povm-roundtrip")
 
     alg = _matrix_unit_algebra(2)
     state = AlgebraState.from_density(alg, _random_density(rng, 2))
@@ -604,7 +518,6 @@ def _suite_io(seed: int, tol: Tolerance) -> _Run:
         and np.allclose(state2.values, state.values, atol=0, rtol=0)
     )
     run.check(ok, "algebra-roundtrip")
-    return run
 
 
 SUITES = {
@@ -623,7 +536,9 @@ SUITES = {
 def run_suite(name: str, seed: int = 0, tol: Tolerance = Tolerance()) -> SuiteResult:
     if name not in SUITES:
         raise QstructError(f"unknown suite: {name}", available=sorted(SUITES))
-    run = SUITES[name](seed, tol)
+    run = _Run()
+    with suppress(_Stop):
+        SUITES[name](run, seed, tol)
     return SuiteResult(name=name, passed=run.witness is None, cases=run.cases, witness=run.witness)
 
 

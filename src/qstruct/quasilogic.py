@@ -14,8 +14,6 @@ with it (i0 twice when all agree on an undefined value).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import AxiomViolationError, DomainError, StructuralError
@@ -127,10 +125,6 @@ def _build_sum_info(q: Quasilogic) -> _SumInfo:
     return info
 
 
-def build_quasilogic(labels: Sequence[str], le: np.ndarray, diff: np.ndarray) -> Quasilogic:
-    return Quasilogic(FinitePoset(labels, le), diff)
-
-
 # -- verification -----------------------------------------------------------
 
 
@@ -229,17 +223,6 @@ def partial_sum(q: Quasilogic, a: int, b: int) -> int:
             c2=q.labels[c2],
         )
     return int(info.value[a, b])
-
-
-def sum_family(q: Quasilogic, items: Sequence[int]) -> int:
-    """Left fold of partial sums; raises DomainError when any step fails."""
-    zero = q.zero()
-    if zero is None:
-        raise DomainError("quasilogic has no zero element")
-    acc = zero
-    for x in items:
-        acc = partial_sum(q, acc, x)
-    return acc
 
 
 def quasicommutes(q: Quasilogic, a: int, b: int) -> bool:

@@ -283,12 +283,6 @@ def _sum_families(q: Quasilogic) -> FamilyTable:
     return FamilyTable([(np.zeros((1, 0), np.int16), np.array([z])), *levels])
 
 
-def relative_complement(s: Semilogic, a: int, k: int) -> int | None:
-    """Unique x with a ^ x = 0 and a v x = k, if any; None otherwise."""
-    d = int(difference_table(s)[k, a])
-    return d if d >= 0 else None
-
-
 def difference_table(s: Semilogic, companion: Quasilogic | None = None) -> np.ndarray:
     """``table[top, a]`` = top - a as an n x n int16 table, -1 where undefined.
 

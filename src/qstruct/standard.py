@@ -55,10 +55,11 @@ def powerset_semiring(k: int) -> BooleanSemiring:
 
 
 def chain_quasilogic(n: int) -> Quasilogic:
-    """Totally ordered 0 < a < b < ... < 1 with arithmetic difference."""
+    """Totally ordered 0 < a < ... < z < a1 < ... < z1 < a2 < ... < 1 with arithmetic difference."""
     if n < 2:
         raise ValueError("chain needs at least two elements")
-    labels = ["0"] + [_LETTERS[i] for i in range(n - 2)] + ["1"]
+    check_element_count(n)  # before anything of size n is allocated
+    labels = ["0"] + [f"{_LETTERS[i % 26]}{i // 26 or ''}" for i in range(n - 2)] + ["1"]
     le, ids = np.triu(np.ones((n, n), dtype=bool)), np.arange(n)
     return Quasilogic(FinitePoset(labels, le), np.where(le.T, ids[:, None] - ids, -1))
 

@@ -101,14 +101,6 @@ def corrupted_logic(k, seed):
     return OrthoLogic(logic.poset, diff, logic.neg)
 
 
-def long_chain(n):
-    """0 < 1 < ... < n - 1 with arithmetic difference: the most cells per element."""
-    le = np.triu(np.ones((n, n), dtype=bool))
-    ids = np.arange(n)
-    diff = np.where(le.T, ids[:, None] - ids, -1)
-    return Quasilogic(FinitePoset([f"c{i}" for i in range(n)], le), diff)
-
-
 def random_order(rng, n, density=0.35):
     """Transitive closure of a random DAG on n elements, in shuffled element order."""
     le = np.triu(rng.random((n, n)) < density, 1) | np.eye(n, dtype=bool)

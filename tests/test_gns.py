@@ -31,7 +31,6 @@ from qstruct import (
     observable_norm,
     positive_parts,
     schwartz_check,
-    state_value,
     verify_algebra,
     verify_gns,
     verify_state,
@@ -107,7 +106,7 @@ def test_representation_reproduces_state_values():
     rng = np.random.default_rng(9)
     for _ in range(5):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        expected = state_value(alg, state, a, TOL)
+        expected = state.of_coords(alg.coords(a, TOL))
         xi = rep_obj.xi
         got = complex(np.vdot(rep_obj.represent(a) @ xi, xi))
         assert got == pytest.approx(expected, abs=1e-9)

@@ -2,23 +2,29 @@
 
 import numpy as np
 import pytest
-from conftest import oracle_op_norm
+from conftest import oracle_op_norm, random_povm
 
 from qstruct import (
     DomainError,
     Tolerance,
     canonical_phases,
-    is_orthoprojection,
     op_norm,
     operator_order,
     pseudo_inverse,
     range_join,
     range_meet,
-    range_projector,
     rank_decomposition,
 )
 import qstruct.matrix_core
-from qstruct.matrix_core import op_norms, op_norms_exceed, screened_op_norms
+from qstruct.matrix_core import (
+    herm,
+    nonzero_spectrum,
+    op_norms,
+    op_norms_exceed,
+    psd_floor,
+    screened_op_norms,
+)
+from qstruct.naimark import mobius_blocks, povm_from_outcomes
 
 TOL = Tolerance()
 
@@ -66,6 +72,51 @@ def test_rank_decomposition_rejects_indefinite_matrices():
         rank_decomposition(np.diag([1.0, -1.0]), TOL)
 
 
+def inline_top(w):
+    """The top eigenvalue as each call site read it before the cuts moved here."""
+    if w.ndim == 2:  # dilate's blocks
+        return float(w[:, -1].max())
+    return float(w[-1]) if w.size else 0.0
+
+
+def inline_rank_cut(w, tol):
+    return w > tol.rank_rel * max(inline_top(w), 0.0)
+
+
+def inline_psd_floor(w, tol):
+    return -tol.eps * max(1.0, inline_top(w))
+
+
+def cut_spectra():
+    cut = Tolerance().rank_rel * 2.0
+    yield np.zeros(0)
+    yield np.zeros(4)
+    yield np.array([-3.0, -2.0, -1e-12])
+    yield np.array([-1e-12, -1e-20, 0.0])
+    yield np.array([0.0, cut, np.nextafter(cut, np.inf), 1.0, 2.0])
+    yield np.array([[-1e-11, 0.5], [0.0, 3.0], [-2.0, -1.0]])
+    for outcomes, dim, seed in ((2, 1, 0), (3, 2, 1), (4, 3, 2)):
+        # the block spectra dilate cuts: one 2-D stack, one shared top
+        _, g = mobius_blocks(povm_from_outcomes(random_povm(outcomes, dim, seed), dim))
+        yield np.linalg.eigh(herm(g))[0]
+
+
+@pytest.mark.parametrize("tol", [TOL, Tolerance.with_eps(1e-6)])
+def test_the_spectral_cuts_match_the_inline_expressions(tol):
+    for w in cut_spectra():
+        assert np.array_equal(nonzero_spectrum(w, tol), inline_rank_cut(w, tol)), w
+        assert psd_floor(w, tol) == inline_psd_floor(w, tol), w
+
+
+def test_the_rank_cut_drops_a_value_exactly_at_the_cut():
+    cut = TOL.rank_rel * 2.0
+    w = np.array([0.0, cut, np.nextafter(cut, np.inf), 1.0, 2.0])
+    assert nonzero_spectrum(w, TOL).tolist() == [False, False, True, True, True]
+    assert not nonzero_spectrum(np.array([-3.0, -2.0, -1.0]), TOL).any()
+    assert psd_floor(np.zeros(0), TOL) == -TOL.eps
+    assert psd_floor(np.array([-1.0, 4.0]), TOL) == -4.0 * TOL.eps
+
+
 def test_pseudo_inverse_matches_numpy():
     rng = np.random.default_rng(11)
     shapes = [(4, 2), (2, 4), (3, 3)]
@@ -74,14 +125,6 @@ def test_pseudo_inverse_matches_numpy():
         assert op_norm(pseudo_inverse(a, TOL) - np.linalg.pinv(a)) <= 1e-9
     low = rng.normal(size=(4, 1)) @ rng.normal(size=(1, 4))
     assert op_norm(pseudo_inverse(low, TOL) - np.linalg.pinv(low)) <= 1e-9
-
-
-def test_range_projector_is_an_orthoprojection_onto_the_columns():
-    a = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
-    p = range_projector(a, TOL)
-    assert is_orthoprojection(p, TOL)
-    assert op_norm(p @ a - a) <= 1e-10
-    assert np.trace(p).real == pytest.approx(1.0)  # rank-one column space
 
 
 def test_commuting_projector_lattice_is_elementwise():

@@ -24,7 +24,6 @@ from qstruct import (
     join,
     join_of,
     meet,
-    meet_of,
     mo2_quasilogic,
     powerset_poset,
     segment,
@@ -68,7 +67,7 @@ def assert_bounds_match_the_scan(p, subsets_drawn):
     assert np.array_equal(p.meet_table(), scan_bound_table(p.le, lower=True))
     assert np.array_equal(p.join_table(), scan_bound_table(p.le, lower=False))
     for items in subsets_drawn:
-        assert meet_of(p, items) == scan_bound_of(p, items, lower=True)
+        assert p.downsets().bound(items) == scan_bound_of(p, items, lower=True)
         assert join_of(p, items) == scan_bound_of(p, items, lower=False)
 
 
@@ -162,9 +161,9 @@ def test_atoms_need_a_least_element():
 
 def test_meet_of_empty_family_is_greatest():
     p = powerset_poset(2)
-    assert meet_of(p, []) == 3
+    assert p.downsets().bound([]) == 3
     assert join_of(p, []) == 0
-    assert meet_of(p, [1, 2]) == 0
+    assert p.downsets().bound([1, 2]) == 0
     assert join_of(p, [1, 2]) == 3
 
 

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import qstruct.order
-from conftest import corrupted_logic, fixture_structures, horizontal_sum, long_chain, permuted
+from conftest import corrupted_logic, fixture_structures, horizontal_sum, permuted
 from conftest import random_logics
 
 from qstruct import (
@@ -335,7 +335,7 @@ def test_relative_distributivity_walk_matches_the_block_loop(
     if small:
         monkeypatch.setattr(qstruct.order, "CELL_BLOCK", cell_block)
     rng = np.random.default_rng(4)
-    chain = long_chain(12 if small else 90)
+    chain = chain_quasilogic(12 if small else 90)
     logics = [OrthoLogic(chain.poset, chain.diff, np.arange(chain.n)[::-1])]
     logics += [
         permuted(horizontal_sum(blocks, k), rng)

@@ -13,6 +13,8 @@ on inputs that stress the walks: a long chain, shuffled horizontal sums,
 corrupted logics and tables that are not orders, also cut into tiny blocks.
 """
 
+from functools import reduce
+
 import numpy as np
 import pytest
 import qstruct.order
@@ -20,7 +22,6 @@ from conftest import (
     corrupted_logic,
     fixture_structures,
     horizontal_sum,
-    long_chain,
     permuted,
     random_difference,
     random_logics,
@@ -36,7 +37,6 @@ from qstruct import (
     FinitePoset,
     Quasilogic,
     StructuralError,
-    build_quasilogic,
     chain_quasilogic,
     check_de_morgan,
     check_sum_lattice_identity,
@@ -49,7 +49,6 @@ from qstruct import (
     quasicommutes,
     quasiproduct,
     shuffled_powerset_logic,
-    sum_family,
     summable,
     verify_quasilogic,
 )
@@ -84,9 +83,13 @@ def test_chain_sums_are_arithmetic():
 
 def test_sum_family_folds_disjoint_parts():
     q = powerset_quasilogic(3)
-    assert sum_family(q, [0b001, 0b010, 0b100]) == 0b111
+
+    def fold(items):
+        return reduce(lambda acc, x: partial_sum(q, acc, x), items, q.zero())
+
+    assert fold([0b001, 0b010, 0b100]) == 0b111
     with pytest.raises(DomainError, match="not summable"):
-        sum_family(q, [0b011, 0b001])
+        fold([0b011, 0b001])
 
 
 def test_classification_ladder():
@@ -134,7 +137,7 @@ def two_majorant_quasilogic():
     diff[3, 2] = 1
     diff[4, 1] = 2  # d - a = b
     diff[4, 2] = 1
-    return build_quasilogic(labels, le, diff)
+    return Quasilogic(FinitePoset(labels, le), diff)
 
 
 def test_partial_sum_raises_when_majorants_disagree():
@@ -156,7 +159,7 @@ def test_quasiproduct_raises_when_formulas_disagree():
         diff[x, x] = 0
     diff[3, 1] = 2
     diff[3, 2] = 2
-    q = build_quasilogic(labels, le, diff)
+    q = Quasilogic(FinitePoset(labels, le), diff)
     with pytest.raises(AxiomViolationError, match="formulas disagree"):
         quasiproduct(q, 1, 2, 3)
 
@@ -220,6 +223,27 @@ def test_chain_difference_cancellation(n):
     for b in range(n):
         for a in range(b + 1):
             assert q.diff[b, q.diff[b, a]] == a
+
+
+def test_chains_up_to_28_elements_keep_their_letter_labels():
+    assert chain_quasilogic(28).labels == ("0", *"abcdefghijklmnopqrstuvwxyz", "1")
+    assert chain_quasilogic(4).labels == ("0", "a", "b", "1")
+
+
+@pytest.mark.parametrize("n", [29, 90, 256])
+def test_longer_chains_get_unique_labels_and_verify(n):
+    q = chain_quasilogic(n)
+    assert len(set(q.labels)) == n
+    assert (q.labels[26], q.labels[27], q.labels[-1]) == ("z", "a1", "1")
+    assert verify_quasilogic(q).ok
+    assert classify(q) == "quasilogic"
+
+
+def test_chain_sizes_outside_the_range_are_refused():
+    with pytest.raises(StructuralError, match="too many elements"):
+        chain_quasilogic(257)
+    with pytest.raises(ValueError, match="at least two"):
+        chain_quasilogic(1)
 
 
 # -- oracles for the table kernels ---------------------------------------------
@@ -503,7 +527,7 @@ def walk_stress_quasilogics(small):
     that the pivot expansion must not invent.
     """
     rng = np.random.default_rng(21)
-    yield long_chain(12 if small else 90)
+    yield chain_quasilogic(12 if small else 90)
     for blocks, k in ((2, 2), (3, 3)) if small else ((4, 4), (2, 5)):
         yield permuted(horizontal_sum(blocks, k), rng)
     for k in (3, 4) if small else (5, 6):

@@ -25,22 +25,22 @@ ClosurePair ConcreteStarAlgebra ConstructionError Dilation DistributionTable
 DomainError Filter FinitePoset FinitePovm GnsRepresentation HomomorphismMap Ideal
 OrthoLogic ParseError QstructError Quasilogic SUITES Semilogic StoneRepresentation
 StructuralError SubsetTopology SuiteResult Tolerance VerificationReport atoms
-boolean_criterion boolean_rep build_quasilogic canonical_phases chain_quasilogic
+boolean_criterion boolean_rep canonical_phases chain_quasilogic
 check_de_morgan check_regularity check_sum_lattice_identity clan classify
 diamond_semiring difference_table dilate distributivity_criterion errors gns
 gns_construct gram_matrix induced_homomorphism io_formats is_distributive
 is_orthoprojection is_upward_directed join join_of load_algebra load_povm
-load_structure matrix_core maximal_filters meet meet_of mo2_logic mo2_quasilogic
+load_structure matrix_core maximal_filters meet mo2_logic mo2_quasilogic
 mo2_semilogic mobius_blocks naimark o6_logic observable_norm op_norm
 operator_distribution operator_order order ortho parse_algebra parse_povm
 parse_structure partial_sum positive_parts povm_from_outcomes powerset_logic
 powerset_poset powerset_quasilogic powerset_semiring properties pseudo_inverse
-quasicommutes quasilogic quasiproduct range_join range_meet range_projector
-rank_decomposition relative_complement report represent_distribution run_suite
+quasicommutes quasilogic quasiproduct range_join range_meet
+rank_decomposition report represent_distribution run_suite
 run_suites schwartz_check segment segment_logic semilogic serialize_algebra
 serialize_dilation serialize_povm serialize_structure shuffled_powerset_logic
-shuffled_powerset_semiring standard state_value stone_map structures_equal
-subset_semilogic sum_family summable summable_families support transitive_reduction
+shuffled_powerset_semiring standard stone_map structures_equal
+subset_semilogic summable summable_families support transitive_reduction
 unitary_equivalence vector_state verify_algebra verify_clan verify_closure
 verify_dilation verify_distribution verify_filter verify_gns verify_homomorphism
 verify_ideal verify_logic verify_observable verify_poset verify_povm
