@@ -9,24 +9,32 @@ the state. It is factored, classes become coordinate vectors, and right
 multiplication by the adjoint descends to the quotient, so basis images are
 slabs of the table. Residuals are measured in operator or 2-norm against eps;
 operator-norm thresholds run on stacks through ``matrix_core``'s screen.
+
+``multiplicative`` reads pi(a_i a_j) = sum_k conj(c_ijk) pi(a_k) off the pair
+table's structure constants; cells within a recheck band of eps, and kept
+witnesses, go back through ``represent`` (``_multiplicative``). The Schwartz
+slacks are screened by two matrix products before the einsums that give
+``min_slack`` its bits (``_min_slack``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConstructionError, DomainError, ParseError, StructuralError
 from .matrix_core import (
+    SCREEN_MARGIN,
+    STACK_ENTRIES,
     Array,
     Tolerance,
     as_complex,
     eig_herm,
     herm,
     is_hermitian,
-    nonzero_spectrum,
+    op_norms,
     op_norms_exceed,
     projection_defects,
     pseudo_inverse,
@@ -34,6 +42,7 @@ from .matrix_core import (
     rank_decomposition,
     screened_op_norm,
     screened_op_norms,
+    spectral_rank,
 )
 from .report import VerificationReport, labelled
 
@@ -41,6 +50,8 @@ from .report import VerificationReport, labelled
 # basis size x samples per coefficient array drawn by schwartz_check, which
 # holds several such complex arrays at once; 2^20 entries are 16 MiB each
 MAX_SAMPLE_CELLS = 1 << 20
+# unit roundoff u of float64, for the rounding allowances of the fast routes
+ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 def check_basis_size(n: int, dim: int) -> None:
@@ -120,6 +131,7 @@ class ConcreteStarAlgebra:
         self._mats = np.array(self.basis)
         self._stack = self._mats.reshape(self.n, -1).T
         self._tables: dict[Tolerance, PairTable] = {}
+        self._ranks: dict[Tolerance, int] = {}
 
     def pairs(self, tol: Tolerance) -> PairTable:
         """The pair table, built once per tolerance."""
@@ -148,8 +160,11 @@ class ConcreteStarAlgebra:
         return self.solve(as_complex(x)[None], tol).inside()[0]
 
     def span_rank(self, tol: Tolerance) -> int:
-        w, _ = np.linalg.eigh(self._stack.conj().T @ self._stack)
-        return int(np.count_nonzero(nonzero_spectrum(w, tol)))
+        """Rank of the basis span, counted once per tolerance."""
+        if tol not in self._ranks:
+            w, _ = np.linalg.eigh(self._stack.conj().T @ self._stack)
+            self._ranks[tol] = spectral_rank(w, tol)
+        return self._ranks[tol]
 
 
 @dataclass
@@ -219,7 +234,7 @@ def verify_state(
         rep.record(
             "normalized", [] if abs(uv - 1.0) <= tol.eps else [{"unit_value": [uv.real, uv.imag]}]
         )
-    rep.facts["gram_rank"] = int(np.count_nonzero(nonzero_spectrum(w, tol)))
+    rep.facts["gram_rank"] = spectral_rank(w, tol)
     return rep
 
 
@@ -238,6 +253,8 @@ class GnsRepresentation:
 
     def represent(self, b: Array) -> Array:
         """Image of a matrix b, or of each matrix of a stack: x -> x b* on the quotient.
+
+        It is conjugate-linear in b: sum_k c_k a_k goes to sum_k conj(c_k) times the image of a_k.
 
         Column l of the transfer holds the least-squares coordinates of a_l b*.
         """
@@ -293,12 +310,11 @@ def verify_gns(rep_obj: GnsRepresentation, tol: Tolerance) -> VerificationReport
     kernel = screened_op_norms(rep_obj.w @ table.adjs.coords.transpose(1, 2, 0) @ ker_proj, eps)
     rep.record("kernel-invariant", kernel > eps, labelled(labels, "b", defect=kernel))
 
-    # one row a_i at a time: represent(a_i a_j) solves a_l (a_i a_j)* for every j and l
-    mult = np.array(
-        [screened_op_norms(rep_obj.represent(a @ mats) - pa @ images, eps)
-         for a, pa in zip(mats, images)]
-    )
-    rep.record("multiplicative", mult > eps, labelled(labels, "a", "b", defect=mult))
+    # pi(a_i a_j) from the structure constants, with the cells near eps, or
+    # whose product residual could carry them across it, and every kept
+    # witness recomputed through represent(a_i a_j); see _multiplicative
+    mult, witness = _multiplicative(rep_obj, table, images, eps)
+    rep.record("multiplicative", mult > eps, witness)
 
     star_images = rep_obj.w @ table.prods.coords.transpose(1, 2, 0) @ rep_obj.w_pinv
     d_star = screened_op_norms(star_images - images.conj().transpose(0, 2, 1), eps)
@@ -317,6 +333,82 @@ def verify_gns(rep_obj: GnsRepresentation, tol: Tolerance) -> VerificationReport
     )
     rep.facts.update(split, seed=labels[rep_obj.seed])
     return rep
+
+
+def _multiplicative(
+    rep_obj: GnsRepresentation, table: PairTable, images: Array, eps: float
+) -> tuple[Array, Callable[[int, int], dict]]:
+    """Defects ||pi(a_i a_j) - pi(a_i) pi(a_j)|| of every cell (i, j), and a witness formatter.
+
+    ``represent`` is x -> w P C(x) W+, with P the basis pseudo-inverse, W+ =
+    ``w_pinv`` and a_l x* in column l of C(x). C is conjugate-linear in x, so
+    with a_i a_j = sum_k c_k a_k + r (c = ``prods.coords[i, j]``, r the span
+    residual) and R = represent(basis),
+
+        pi(a_i a_j) = sum_k conj(c_k) R_k + w P C(r) W+,
+
+    one (cells, n) by (n, s^2) product per block, with no solve. Row-major,
+    C(r) = (I (x) conj r) S for the basis stack S, so the last term has
+    spectral norm at most K ||r|| <= K ``prods.residual[i, j]``, K = ||w||
+    ||P|| ||S|| ||W+||: in exact arithmetic the two routes' defects differ
+    by at most that. Rounding moves them by about gamma K (||a_i|| ||a_j|| +
+    ||c|| ||S||_F) + gamma ||pi(a_i)|| ||pi(a_j)||, gamma = u (m^2 + m + 3n +
+    s), the inner dimensions of the products: the first-order bound of
+    Higham (Accuracy and Stability of Numerical Algorithms, 3.5) with norms
+    for its componentwise form, a model rather than a proof. On 142 algebras
+    (matrix units up to M_8, the benchmark's, complex bases of M_2 to M_4,
+    perturbed representations) the routes differed by at most 3% of it.
+
+    K residual, the rounding term and SCREEN_MARGIN eps make the recheck
+    band. A cell whose fast defect lies farther from eps than its band is on
+    the same side of eps on both routes; the cells inside it (and every NaN)
+    are recomputed through ``represent``, and so is each witness the report
+    keeps, when it is formatted. The mask and every reported value are those
+    of the represent route.
+    """
+    alg = rep_obj.algebra
+    n, m, mats, labels, coords = alg.n, alg.space_size, alg._mats, alg.labels, table.prods.coords
+    s = images.shape[-1]
+    flat = rep_obj.represent(mats).reshape(n, s * s)
+    defect = np.empty((n, n))
+    # blocks of rows by columns; a block's gap and image products are live at
+    # once, with STACK_ENTRIES entries between them
+    cells = max(1, STACK_ENTRIES // (2 * s * s))
+    cols = min(n, cells)
+    rows = max(1, cells // cols)
+    for i0 in range(0, n, rows):
+        for j0 in range(0, n, cols):
+            ri, cj = slice(i0, i0 + rows), slice(j0, j0 + cols)
+            c = coords[ri, cj].conj()
+            gap = (c.reshape(-1, n) @ flat).reshape(*c.shape[:2], s, s)
+            gap -= images[ri, None] @ images[None, cj]
+            defect[ri, cj] = screened_op_norms(gap.reshape(-1, s, s), eps).reshape(c.shape[:2])
+
+    # spectral norms, each from the smaller of its factor's two Gram matrices
+    factors = (rep_obj.w, table.pinv, alg._stack, rep_obj.w_pinv)
+    k = float(np.prod([op_norms((x if len(x) >= x.shape[1] else x.T)[None]) for x in factors]))
+    gamma = (m * m + m + 3 * n + s) * ROUNDOFF
+    a, p = (np.linalg.norm(x, axis=(1, 2)) for x in (mats, images))
+    parts = np.ascontiguousarray(coords).view(np.float64)  # no temporary the size of the table
+    c_norms = np.sqrt(np.einsum("ijk,ijk->ij", parts, parts))
+    scale = np.outer(a, a) + c_norms * np.linalg.norm(alg._stack)
+    band = k * (table.prods.residual + gamma * scale) + gamma * np.outer(p, p) + SCREEN_MARGIN * eps
+    exact = ~(np.abs(defect - eps) > band)
+    for i in np.flatnonzero(exact.any(axis=1)).tolist():
+        defect[i, exact[i]] = _represented(rep_obj, images, i, np.flatnonzero(exact[i]), eps)
+
+    def witness(i: int, j: int) -> dict:
+        if not exact[i, j]:
+            defect[i, j] = _represented(rep_obj, images, i, np.array([j]), eps)[0]
+        return {"a": labels[i], "b": labels[j], "defect": float(defect[i, j])}
+
+    return defect, witness
+
+
+def _represented(rep_obj: GnsRepresentation, images: Array, i: int, js: Array, eps: float) -> Array:
+    """The defects of cells (i, js) on the represent route: a_l (a_i a_j)* solved for every l."""
+    mats = rep_obj.algebra._mats
+    return screened_op_norms(rep_obj.represent(mats[i] @ mats[js]) - images[i] @ images[js], eps)
 
 
 def schwartz_check(
@@ -342,15 +434,44 @@ def schwartz_check(
     c /= np.linalg.norm(c, axis=0, keepdims=True)
     d /= np.linalg.norm(d, axis=0, keepdims=True)
 
-    cross = np.einsum("jn,jk,kn->n", np.conj(d), g, c)
-    aa = np.real(np.einsum("jn,jk,kn->n", np.conj(c), g, c))
-    bb = np.real(np.einsum("jn,jk,kn->n", np.conj(d), g, d))
-    slack = bb * aa - np.abs(cross) ** 2
-    worst = float(slack.min()) if samples else 0.0
+    worst = _min_slack(g, c, d) if samples else 0.0
     rep.record("schwartz-inequality", [] if worst >= -slack_tol else [{"min_slack": worst}])
     rep.facts["min_slack"] = worst
     rep.facts["samples"] = samples
     return rep
+
+
+def _min_slack(g: Array, c: Array, d: Array) -> float:
+    """The least slack bb aa - |cross|^2 over the columns, with the bits of full-width einsums.
+
+    The slacks are screened with g c and g d and column dots. For unit
+    columns each term of either route is off by at most (n^2 + 2n + 4) u
+    ||g||_F (u = 2^-53), so one column's two slacks differ by at most
+    margin = 16 (n^2 + 2n + 5) u ||g||_F^2, and the column with the least
+    einsum slack screens within 2 margin of the screened minimum. The
+    three-operand einsums run on the window of columns from the first to the
+    last within that reach; each column there gets the bits it gets at full
+    width. A one-column window lets the iterator drop the sample axis and sum
+    in another order (seen with n = 2), so the window is at least two wide; a
+    NaN or an overflow widens it to every column.
+    """
+    n, samples = c.shape
+    # one (n, samples) buffer holds conj(g c), then conj(g d): the column dots
+    # take no conjugated copies, and the cross term comes out conjugated
+    gx = np.empty_like(c)
+    np.conjugate(np.matmul(g, c, out=gx), out=gx)
+    aa, cross = np.einsum("jn,jn->n", c, gx).real, np.einsum("jn,jn->n", d, gx)
+    np.conjugate(np.matmul(g, d, out=gx), out=gx)
+    screen = np.einsum("jn,jn->n", d, gx).real * aa - np.abs(cross) ** 2
+    margin = 16 * (n * n + 2 * n + 5) * ROUNDOFF * float(np.vdot(g, g).real)
+    near = np.flatnonzero(~(screen > screen.min() + 2 * margin))
+    lo = max(0, min(int(near[0]), samples - 2))
+    cols = slice(lo, max(int(near[-1]) + 1, min(lo + 2, samples)))
+    c, d = c[:, cols], d[:, cols]
+    cross = np.einsum("jn,jk,kn->n", np.conj(d), g, c)
+    aa = np.real(np.einsum("jn,jk,kn->n", np.conj(c), g, c))
+    bb = np.real(np.einsum("jn,jk,kn->n", np.conj(d), g, d))
+    return float((bb * aa - np.abs(cross) ** 2).min())
 
 
 def observable_norm(

@@ -7,10 +7,11 @@ and reruns are bitwise reproducible.
 
 Two cuts on a spectrum are tolerance policy, and each is written once, here.
 ``nonzero_spectrum`` is the rank cut: an eigenvalue counts as nonzero when it
-exceeds ``rank_rel`` times the top eigenvalue (floored at 0); ranks, kept
-eigenvectors and pseudo-inverses all read it. ``psd_floor`` is the PSD
-floor: a spectrum counts as positive while its least eigenvalue is at least
-``-eps * max(1, top)``. ``gns`` and ``naimark`` call both.
+exceeds ``rank_rel`` times the top eigenvalue (floored at 0); ranks
+(``spectral_rank``), kept eigenvectors and pseudo-inverses all read it.
+``psd_floor`` is the PSD floor: a spectrum counts as positive while its least
+eigenvalue is at least ``-eps * max(1, top)``. ``gns`` and ``naimark`` call
+both.
 
 Thresholds ``||A|| <= eps`` are screened first. The Frobenius norm F brackets
 the spectral norm, ||A|| <= F <= sqrt(k) ||A|| with k = min(rows, cols)
@@ -205,6 +206,11 @@ def nonzero_spectrum(w: Array, tol: Tolerance) -> Array:
     ``w`` is ascending along its last axis; a stack of spectra shares one top.
     """
     return w > tol.rank_rel * max(_top(w), 0.0)
+
+
+def spectral_rank(w: Array, tol: Tolerance) -> int:
+    """How many eigenvalues ``nonzero_spectrum`` counts as nonzero: the rank the spectrum gives."""
+    return int(np.count_nonzero(nonzero_spectrum(w, tol)))
 
 
 def psd_floor(w: Array, tol: Tolerance) -> float:

@@ -44,6 +44,7 @@ from .matrix_core import (
     psd_floor,
     screened_op_norm,
     screened_op_norms,
+    spectral_rank,
 )
 from .report import VerificationReport, Witnesses, labelled
 from .semilogic import additivity_witnesses, family_residual_blocks
@@ -256,7 +257,7 @@ def verify_dilation(dil: Dilation, tol: Tolerance) -> VerificationReport:
 
     stacked = np.hstack([hb @ dil.f for hb in dil.images])
     wv, _ = np.linalg.eigh(stacked @ stacked.conj().T)
-    rank = int(np.count_nonzero(nonzero_spectrum(wv, tol)))
+    rank = spectral_rank(wv, tol)
     rep.record(
         "minimal",
         [] if rank == dil.dim_e else [{"span_rank": rank, "dim_e": dil.dim_e}],

@@ -36,6 +36,7 @@ from qstruct import (
     verify_state,
 )
 from qstruct.gns import GnsRepresentation
+from qstruct.io_formats import load_algebra
 from qstruct.matrix_core import as_complex, eig_herm, pseudo_inverse, rank_decomposition
 from qstruct.report import VerificationReport
 
@@ -507,6 +508,112 @@ def test_corner_seeds_false_declarations_and_large_scales_match_the_oracles(all_
     assert {c["name"]: c for c in got["algebra"]["checks"]}["product-closed"]["passed"]
 
 
+def complex_basis_algebra(d, seed):
+    """M_d over a random complex basis that keeps the unit first: complex structure constants.
+
+    ``represent`` is conjugate-linear, so coordinates enter the pair-table
+    route of ``multiplicative`` conjugated. The matrix units' structure
+    constants are real and cannot show a missing conjugation; these are not.
+    """
+    units = matrix_unit_algebra(d)
+    rng = np.random.default_rng(seed)
+    k = d * d - 1  # a unitary mix of the units other than I keeps the basis well conditioned
+    mix, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    basis = [units.basis[0], *np.einsum("ij,jab->iab", mix, np.array(units.basis[1:]))]
+    return ConcreteStarAlgebra(basis, [f"b{i}" for i in range(d * d)], unit=0, idempotents=(0,))
+
+
+def test_complex_structure_constants_match_the_oracles(all_witnesses):
+    alg = complex_basis_algebra(4, seed=5)
+    assert np.abs(alg.pairs(TOL).prods.coords.imag).max() > 0.1
+    for rank in (1, 2, 4):
+        got = assert_matches_the_oracles(alg, AlgebraState.from_density(alg, density(4, rank, 3)))
+        assert got["gns"]["ok"], rank
+
+
+def test_a_family_short_of_product_closure_matches_the_oracles(all_witnesses, monkeypatch):
+    """M_2 + C in M_3, with E01 tilted by 3e-10 towards E02.
+
+    Products leave the span by up to 3e-10, inside the span tolerance, so the
+    representation is built and the residual term of ``multiplicative``'s
+    recheck band reaches eps: some cells go back through ``represent``.
+    """
+    full = matrix_unit_algebra(3)
+    keep = [k for k, lab in enumerate(full.labels) if lab not in ("E02", "E12", "E20", "E21")]
+    basis, labels = [full.basis[k].copy() for k in keep], [full.labels[k] for k in keep]
+    basis[labels.index("E01")][0, 2] = 3e-10
+    idempotents = (0, labels.index("E11"), labels.index("E22"))
+    alg = ConcreteStarAlgebra(basis, labels, unit=0, idempotents=idempotents)
+    rechecked, represented = [], qstruct.gns._represented
+
+    def counted(rep_obj, images, i, js, eps):
+        rechecked.append(len(js))
+        return represented(rep_obj, images, i, js, eps)
+
+    monkeypatch.setattr(qstruct.gns, "_represented", counted)
+    for rank in (1, 2, 3):
+        assert_matches_the_oracles(alg, AlgebraState.from_density(alg, density(3, rank, 5)))
+    assert alg.pairs(TOL).prods.residual.max() > 1e-10
+    assert sum(rechecked) > 0
+
+
+def full_width_min_slack(alg, state, samples, seed, tol=TOL):
+    """``schwartz_check``'s draws, with every slack from three-operand einsums over all columns."""
+    if not samples:
+        return 0.0
+    g = np.conj(gram_matrix(alg, state, tol))
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((alg.n, samples)) + 1j * rng.standard_normal((alg.n, samples))
+    d = rng.standard_normal((alg.n, samples)) + 1j * rng.standard_normal((alg.n, samples))
+    c /= np.linalg.norm(c, axis=0, keepdims=True)
+    d /= np.linalg.norm(d, axis=0, keepdims=True)
+    cross = np.einsum("jn,jk,kn->n", np.conj(d), g, c)
+    aa = np.real(np.einsum("jn,jk,kn->n", np.conj(c), g, c))
+    bb = np.real(np.einsum("jn,jk,kn->n", np.conj(d), g, d))
+    return float((bb * aa - np.abs(cross) ** 2).min())
+
+
+def test_min_slack_is_the_full_width_einsum_minimum_bit_for_bit(valid_dir):
+    # slacks of the 1e4-scaled algebras reach about 1e16, and a character
+    # (I + iX -> 1 + i) leaves every slack at rounding level: a fixed absolute
+    # screening margin would pick the wrong columns. On the two-element
+    # algebra a one-column einsum sums in another order than the full width.
+    m3 = matrix_unit_algebra(3)
+    cases = [(m3, AlgebraState.from_density(m3, density(3, 1, seed=2)))]
+    for scale in (1.0, 1e4):
+        big = ConcreteStarAlgebra([scale * b for b in m3.basis], m3.labels, 0, m3.idempotents)
+        cases.append((big, AlgebraState.from_density(big, density(3, 2, seed=6))))
+        unit, skew = np.eye(2), np.eye(2) + 1j * np.array([[0.0, 1.0], [1.0, 0.0]])
+        pair = ConcreteStarAlgebra([scale * unit, scale * skew], ["I", "I+iX"], unit=0)
+        cases += [(pair, AlgebraState(scale * np.array([1.0, 1.0 + x]))) for x in (1j, 0.4j)]
+    cases += [load_algebra(valid_dir / f"m2_algebra{tail}.json") for tail in ("", "_full_rank")]
+    for alg, state in cases:
+        for samples in (0, 1, 2, 3, 17, 1000):
+            for seed in range(4):
+                got = schwartz_check(alg, state, samples=samples, seed=seed, tol=TOL)
+                want = full_width_min_slack(alg, state, samples, seed)
+                assert got.facts["min_slack"] == want, (alg.labels, samples, seed)
+                assert got.ok == (want >= -1e-12)
+
+
+def test_one_span_rank_per_tolerance(monkeypatch):
+    counted, rank = [], qstruct.gns.spectral_rank
+
+    def spy(w, tol):
+        counted.append(len(w))
+        return rank(w, tol)
+
+    monkeypatch.setattr(qstruct.gns, "spectral_rank", spy)
+    alg = matrix_unit_algebra(3)
+    state = AlgebraState.from_density(alg, density(3, 2, seed=1))
+    verify_algebra(alg, TOL)
+    verify_state(alg, state, TOL)
+    verify_gns(gns_construct(alg, state, TOL), TOL)
+    assert counted == [9, 9]  # the span once, the Gram matrix once
+    loose = Tolerance.with_eps(1e-6)
+    assert alg.span_rank(loose) == 9 and counted == [9, 9, 9]
+
+
 @pytest.mark.parametrize("field", ["images", "w"])
 def test_perturbed_representations_match_the_oracles(field, all_witnesses):
     alg = matrix_unit_algebra(3)
@@ -556,8 +663,9 @@ def test_gns_thresholds_are_stacked_and_the_pair_table_is_built_once(monkeypatch
     assert calls["op_norm"] == 1
 
 
-# twice the 24.6 MB that gns_construct + verify_gns peak at on M_8 at full
-# rank; one (n^2, d, d) temporary there (n = d = 64) alone would be 268 MB
+# twice the 24.6 MiB that gns_construct + verify_gns peak at on M_8 at full
+# rank, with multiplicative on pair-table blocks as with the per-row loop;
+# one (n^2, d, d) temporary there (n = d = 64) alone would be 268 MB
 PEAK_BOUND = 48 * 2**20
 
 
