@@ -1,9 +1,10 @@
 """JSON formats for structures, operator measures and algebras.
 
-Order files list `le` pairs (covers suffice; the reflexive-transitive
-closure is taken at parse time), difference tables as [b, a, b-a] triples,
-products as [a, b, ab] triples and complements as [a, ~a] pairs. Matrices
-are flat row-major lists of [re, im] pairs, dim^2 of them.
+Order files list `le` pairs (covers or any pairs of the order; the
+reflexive-transitive closure is taken at parse time), difference tables as
+[b, a, b-a] triples, products as [a, b, ab] triples and complements as
+[a, ~a] pairs. Matrices are flat row-major lists of [re, im] pairs, dim^2 of
+them.
 
 ParseError marks input that does not describe a structure at all: bad JSON,
 unknown labels, order cycles, conflicting duplicate entries. Structures that
@@ -16,15 +17,18 @@ import json
 import math
 import sys
 from collections import Counter
+from functools import reduce
 from importlib import import_module
+from itertools import accumulate, chain
+from operator import or_
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .errors import ParseError, StructuralError
-from .order import MAX_DIM, MAX_SPACE, FinitePoset, check_element_count, transitive_reduction
-from .order import preorder_closure
+from .order import MAX_DIM, MAX_SPACE, FinitePoset, check_element_count, check_powerset_count
+from .order import preorder_closure, transitive_reduction
 
 # a module is imported where a file needs it: checking a structure file loads
 # neither gns nor naimark, and an operator file loads only its structure kinds
@@ -71,6 +75,11 @@ def _finite_real(x: Any) -> bool:
         return False
 
 
+def _require_distinct(labels: list, what: str) -> None:
+    dup = [e for e, count in Counter(labels).items() if count > 1]
+    _require(not dup, f"duplicate {what} label", label=min(dup) if dup else None)
+
+
 def _labels(data: dict) -> tuple[list[str], dict[str, int]]:
     elements = data.get("elements")
     _require(isinstance(elements, list) and elements, "elements must be a nonempty list")
@@ -79,8 +88,7 @@ def _labels(data: dict) -> tuple[list[str], dict[str, int]]:
         "element labels must be nonempty strings",
     )
     check_element_count(len(elements))  # before the n x n order closure
-    dup = [e for e, count in Counter(elements).items() if count > 1]
-    _require(not dup, "duplicate element label", label=min(dup) if dup else None)
+    _require_distinct(elements, "element")
     return list(elements), {e: i for i, e in enumerate(elements)}
 
 
@@ -92,21 +100,104 @@ def _lookup(idx: dict[str, int], label: Any, where: str) -> int:
     return idx[label]
 
 
+def _label_ids(
+    idx: dict[str, int], entries: list, where: str, shape: str, width: int
+) -> tuple[np.ndarray, ParseError | None]:
+    """The (m, width) int16 ids of ``entries``, lists of ``width`` labels, and the first bad one's error.
+
+    One C-level pass checks entry types and lengths and one ``np.fromiter``
+    maps the labels. Only a list with a bad entry is walked with ``_lookup``;
+    the ids then stop before it, and its error is left for the caller to raise.
+    """
+    # list.__len__ raises TypeError on a non-list; labels are str keys, so any
+    # other label misses (KeyError) or is unhashable (TypeError)
+    try:
+        if set(map(list.__len__, entries)) - {width}:
+            raise KeyError
+        flat = map(idx.__getitem__, chain.from_iterable(entries))
+        return np.fromiter(flat, np.int16, len(entries) * width).reshape(-1, width), None
+    except (KeyError, TypeError):
+        ids, bad = [], None
+        for k, e in enumerate(entries):
+            try:
+                if not (isinstance(e, list) and len(e) == width):
+                    raise ParseError(f"{where} entries are {shape}", entry=k)
+                ids += [_lookup(idx, x, where) for x in e]  # whole entries only
+            except ParseError as exc:
+                bad = exc
+                break
+        return np.array(ids, dtype=np.int16).reshape(-1, width), bad
+
+
+def _write_once(
+    shape: tuple[int, ...], writes: list[tuple[np.ndarray, ...]], v: np.ndarray
+) -> tuple[np.ndarray, tuple[int, list[int]] | None]:
+    """A -1-filled int16 array with ``v[k]`` written at ``at[k]`` for each index tuple ``at``.
+
+    With it comes None, or, if a cell was given two values (it then reads back
+    wrong somewhere), the first entry whose write met another value and the two.
+    """
+    table = np.full(shape, -1, dtype=np.int16)
+    for at in writes:
+        table[at] = v
+    if all((table[at] == v).all() for at in writes):
+        return table, None
+    # entry k makes writes k * len(writes) + d; each cell holds its first value
+    cells = np.stack([np.ravel_multi_index(at, shape) for at in writes], axis=1).ravel()
+    _, first, cell = np.unique(cells, return_index=True, return_inverse=True)
+    vals = v.repeat(len(writes))
+    held = vals[first][cell]
+    w = int(np.flatnonzero(held != vals)[0])
+    return table, (w // len(writes), sorted({int(held[w]), int(vals[w])}))
+
+
+def _upsets(rel: np.ndarray) -> list[int] | None:
+    """Each element's upset in the closure of ``rel`` (no loops) as an int bitset; None on a cycle.
+
+    An upset is the element's own bit ORed with the upsets of the elements
+    listed above it (the upset-bitset encoding of Ait-Kaci, Boyer, Lincoln and
+    Nasr, TOPLAS 11(1), 1989), taken sinks first along a topological order.
+    The walk stalls short of n elements exactly when ``rel`` has a cycle.
+    """
+    n = len(rel)
+    # above[s[b] : s[b + 1]] are the elements listed above b, below[p[b] : p[b + 1]] below it
+    above, below = np.nonzero(rel)[1].tolist(), np.nonzero(rel.T)[1].tolist()
+    waits = rel.sum(axis=1).tolist()  # elements listed above each one and not yet closed
+    s = [0, *accumulate(waits)]
+    p = [0, *accumulate(rel.sum(axis=0).tolist())]
+    up = [0] * n
+    ready = [a for a in range(n) if not waits[a]]
+    for b in ready:  # grows while it is walked
+        up[b] = reduce(or_, map(up.__getitem__, above[s[b] : s[b + 1]]), 1 << b)
+        for a in below[p[b] : p[b + 1]]:
+            waits[a] -= 1
+            if not waits[a]:
+                ready.append(a)
+    return up if len(ready) == n else None
+
+
 def _closed_order(labels: list[str], idx: dict[str, int], pairs: Any) -> np.ndarray:
+    """The reflexive-transitive closure of the listed pairs, unpacked once from ``_upsets``.
+
+    Only a cycle is closed by ``preorder_closure``, to name its first pair.
+    """
     n = len(labels)
     _require(isinstance(pairs, list), "le must be a list of [below, above] pairs")
-    le = np.eye(n, dtype=bool)
-    for k, p in enumerate(pairs):
-        _require(
-            isinstance(p, list) and len(p) == 2, "le entries are [below, above] pairs", entry=k
-        )
-        le[_lookup(idx, p[0], "le"), _lookup(idx, p[1], "le")] = True
-    le = preorder_closure(le)
-    cyc = le & le.T & ~np.eye(n, dtype=bool)
-    if cyc.any():
-        a, b = (int(x) for x in np.argwhere(cyc)[0])
+    ids, bad = _label_ids(idx, pairs, "le", "[below, above] pairs", 2)
+    if bad is not None:
+        raise bad
+    rel = np.zeros((n, n), dtype=bool)
+    rel[ids[:, 0], ids[:, 1]] = True
+    np.fill_diagonal(rel, False)
+    up = _upsets(rel)
+    if up is None:
+        le = preorder_closure(rel)
+        a, b = (int(x) for x in np.argwhere(le & le.T & ~np.eye(n, dtype=bool))[0])
         raise ParseError("order contains a cycle", between=[labels[a], labels[b]])
-    return le
+    width = (n + 7) // 8
+    rows = np.frombuffer(b"".join(u.to_bytes(width, "little") for u in up), dtype=np.uint8)
+    bits = rows.reshape(n, width, 1) >> np.arange(8, dtype=np.uint8) & 1
+    return bits.reshape(n, -1)[:, :n].astype(bool)
 
 
 def _table_from_triples(
@@ -114,49 +205,18 @@ def _table_from_triples(
 ) -> np.ndarray:
     """An n x n int16 table, -1 where no triple [a, b, v] sets [a, b] (and [b, a]).
 
-    Triples are mapped to indices with plain dict reads once every entry is
-    a list of three; only a file with a malformed entry or unknown label is
-    walked again with ``_lookup``, up to that entry. The mapped triples are
-    written with one assignment per direction. A cell given two values reads
-    back wrong somewhere; only then is the first write that met another
-    value found, which always precedes the bad entry, so the error names the
-    first offending triple in file order.
+    A conflicting duplicate before the first malformed triple is named first,
+    so the error names the first offending triple in file order.
     """
     n = len(idx)
     _require(isinstance(triples, list), f"{where} must be a list of triples")
-    bad = None
-    try:  # labels are str keys, so any other label misses (KeyError) or is unhashable
-        # entry types, then lengths, as two C-level passes with no per-entry Python step
-        if set(map(type, triples)) - {list} or set(map(len, triples)) - {3}:
-            raise KeyError
-        ids = [idx[x] for t in triples for x in t]
-    except (KeyError, TypeError):
-        ids = []
-        for k, t in enumerate(triples):
-            try:
-                if not (isinstance(t, list) and len(t) == 3):
-                    raise ParseError(f"{where} entries are triples", entry=k)
-                ids += tuple(_lookup(idx, x, where) for x in t)  # whole triples only
-            except ParseError as exc:
-                bad = exc
-                break
-    i, j, v = np.array(ids, dtype=np.int16).reshape(-1, 3).T
-    writes = ((i, j), (j, i)) if symmetric else ((i, j),)
-    table = np.full((n, n), -1, dtype=np.int16)
-    for a, b in writes:
-        table[a, b] = v
-    if any((table[a, b] != v).any() for a, b in writes):
-        # triple k makes writes k * len(writes) + d; each cell holds its first value
-        cells = np.stack([a.astype(np.intp) * n + b for a, b in writes], axis=1).ravel()
-        _, first, cell = np.unique(cells, return_index=True, return_inverse=True)
-        vals = v.repeat(len(writes))
-        held = vals[first][cell]
-        w = int(np.flatnonzero(held != vals)[0])
-        t = triples[w // len(writes)]
+    ids, bad = _label_ids(idx, triples, where, "triples", 3)
+    i, j, v = ids.T
+    table, clash = _write_once((n, n), [(i, j), (j, i)] if symmetric else [(i, j)], v)
+    if clash is not None:
+        k, values = clash
         raise ParseError(
-            f"{where}: conflicting duplicate entries",
-            pair=[t[0], t[1]],
-            values=sorted({int(held[w]), int(vals[w])}),
+            f"{where}: conflicting duplicate entries", pair=triples[k][:2], values=values
         )
     if bad is not None:
         raise bad
@@ -164,15 +224,13 @@ def _table_from_triples(
 
 
 def _neg_from_pairs(idx: dict[str, int], pairs: Any) -> np.ndarray:
-    n = len(idx)
-    neg = np.full(n, -1, dtype=np.int16)
     _require(isinstance(pairs, list), "neg must be a list of [a, complement] pairs")
-    for k, p in enumerate(pairs):
-        _require(isinstance(p, list) and len(p) == 2, "neg entries are pairs", entry=k)
-        a, na = _lookup(idx, p[0], "neg"), _lookup(idx, p[1], "neg")
-        if neg[a] >= 0 and neg[a] != na:
-            raise ParseError("neg: conflicting duplicate entries", label=p[0])
-        neg[a] = na
+    ids, bad = _label_ids(idx, pairs, "neg", "pairs", 2)
+    neg, clash = _write_once((len(idx),), [(ids[:, 0],)], ids[:, 1])
+    if clash is not None:
+        raise ParseError("neg: conflicting duplicate entries", label=pairs[clash[0]][0])
+    if bad is not None:
+        raise bad
     return neg
 
 
@@ -262,6 +320,31 @@ def structures_equal(x: Structure, y: Structure) -> bool:
 # -- matrices -------------------------------------------------------------------
 
 
+def _complex_pairs(pairs: list, message: str) -> np.ndarray:
+    """[re, im] number pairs as a flat complex128 array, read whole when every pair is sound.
+
+    An int past float range raises ``OverflowError`` in ``np.fromiter``; a
+    list with a bad pair is read pair by pair, and the first bad pair is named.
+    """
+    try:  # list.__len__ raises TypeError on a non-list
+        sound = set(map(list.__len__, pairs)) <= {2}
+        if sound and set(map(type, chain.from_iterable(pairs))) <= {float, int}:
+            parts = np.fromiter(chain.from_iterable(pairs), np.float64, 2 * len(pairs))
+            if np.isfinite(parts).all():
+                return parts.view(np.complex128)
+    except (TypeError, OverflowError):
+        pass
+    flat = np.empty(len(pairs), dtype=np.complex128)
+    for k, e in enumerate(pairs):
+        _require(
+            isinstance(e, list) and len(e) == 2 and all(_finite_real(x) for x in e),
+            message,
+            entry=k,
+        )
+        flat[k] = complex(e[0], e[1])
+    return flat
+
+
 def matrix_from_json(entries: Any, dim: int, where: str) -> np.ndarray:
     _require(isinstance(entries, list), f"{where}: matrix must be a list of [re, im] pairs")
     _require(
@@ -270,15 +353,7 @@ def matrix_from_json(entries: Any, dim: int, where: str) -> np.ndarray:
         expected=dim * dim,
         got=len(entries),
     )
-    flat = np.empty(dim * dim, dtype=np.complex128)
-    for k, e in enumerate(entries):
-        _require(
-            isinstance(e, list) and len(e) == 2 and all(_finite_real(x) for x in e),
-            f"{where}: entries are [re, im] number pairs",
-            entry=k,
-        )
-        flat[k] = complex(e[0], e[1])
-    return flat.reshape(dim, dim)
+    return _complex_pairs(entries, f"{where}: entries are [re, im] number pairs").reshape(dim, dim)
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[float]]:
@@ -315,12 +390,14 @@ def parse_povm(data: Any, base_dir: Path | None = None) -> FinitePovm:
             isinstance(outcomes, list) and outcomes and all(isinstance(o, str) for o in outcomes),
             "outcomes must be a nonempty list of labels",
         )
+        _require_distinct(outcomes, "outcome")
         _require(
             set(effects) == set(outcomes),
             "effects must cover exactly the outcomes",
             missing=sorted(set(outcomes) - set(effects)),
             extra=sorted(set(effects) - set(outcomes)),
         )
+        check_powerset_count(len(outcomes))  # before 1 << k is formed
         _check_operator_size(1 << len(outcomes), dim)
         atoms = [matrix_from_json(effects[o], dim, f"effects[{o}]") for o in outcomes]
         return povm_from_outcomes(atoms, dim)
@@ -420,15 +497,7 @@ def parse_algebra(data: Any) -> tuple[ConcreteStarAlgebra, AlgebraState | None]:
             "state must list one [re, im] value per basis element",
             expected=len(labels),
         )
-        parsed = []
-        for k, v in enumerate(vals):
-            _require(
-                isinstance(v, list) and len(v) == 2 and all(_finite_real(x) for x in v),
-                "state values are [re, im] pairs",
-                entry=k,
-            )
-            parsed.append(complex(v[0], v[1]))
-        state = AlgebraState(np.array(parsed))
+        state = AlgebraState(_complex_pairs(vals, "state values are [re, im] pairs"))
     return alg, state
 
 

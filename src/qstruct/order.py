@@ -40,6 +40,13 @@ def check_element_count(n: int) -> None:
         raise StructuralError(f"too many elements ({n} > {MAX_ELEMENTS})")
 
 
+def check_powerset_count(k: int) -> None:
+    """``check_element_count(2**k)``, decided from k, so that no huge 2**k is formed or printed."""
+    if k >= MAX_ELEMENTS.bit_length():
+        count = 1 << k if k <= 64 else f"2^{k}"
+        raise StructuralError(f"too many elements ({count} > {MAX_ELEMENTS})")
+
+
 class FinitePoset:
     """Immutable finite poset. Do not mutate ``le`` after construction."""
 

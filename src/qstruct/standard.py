@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .boolean_rep import BooleanSemiring
-from .order import FinitePoset, check_element_count
+from .order import FinitePoset, check_element_count, check_powerset_count
 from .ortho import OrthoLogic
 from .quasilogic import Quasilogic
 from .semilogic import Semilogic
@@ -27,8 +27,8 @@ def _mask_label(mask: int) -> str:
 
 
 def powerset_poset(k: int) -> FinitePoset:
+    check_powerset_count(k)  # before 2^k is formed
     n = 1 << k
-    check_element_count(n)  # before anything of size n is allocated
     masks = np.arange(n)
     le = (masks[:, None] & ~masks[None, :]) == 0
     return FinitePoset([_mask_label(m) for m in range(n)], le)

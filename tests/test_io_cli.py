@@ -9,6 +9,7 @@ machine interface stable.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -296,10 +297,183 @@ def test_order_closure_matches_the_squaring_loop():
                 rank = rng.permutation(n)
                 ends = [(a, b) if rank[a] <= rank[b] else (b, a) for a, b in ends]
         pairs = [[labels[a], labels[b]] for a, b in ends]
+        if case % 7 == 0 and pairs:  # one malformed entry somewhere
+            k = int(rng.integers(0, len(pairs)))
+            pairs[k] = broken_entry(rng, pairs[k])
         want = outcome(oracle_closed_order, labels, idx, pairs)
         assert outcome(qstruct.io_formats._closed_order, labels, idx, pairs) == want
-        seen.add(want[0])
-    assert seen == {"table", "error"}
+        seen.add(want[0] if want[0] == "table" else want[1])
+    # the dense lists: every pair of a 256-chain, and every pair of 2^8
+    chain = [f"e{k}" for k in range(256)]
+    boolean = powerset_semiring(8).labels
+    dense = [
+        (chain, [[chain[a], chain[b]] for a in range(256) for b in range(a + 1, 256)]),
+        (boolean, [[boolean[a], boolean[b]] for a in range(256) for b in range(256) if a & ~b == 0]),
+    ]
+    for labels, pairs in dense:
+        idx = {lab: k for k, lab in enumerate(labels)}
+        pairs = [pairs[k] for k in rng.permutation(len(pairs))]
+        want = outcome(oracle_closed_order, labels, idx, pairs)
+        assert want[0] == "table"
+        assert outcome(qstruct.io_formats._closed_order, labels, idx, pairs) == want
+    assert seen == {
+        "table",
+        "order contains a cycle",
+        "le entries are [below, above] pairs",
+        "le: labels must be strings",
+        "le: unknown label",
+    }
+
+
+def broken_entry(rng, entry):
+    """A label list broken in one of the ways a file can break it."""
+    entry = list(entry)
+    fault = int(rng.integers(0, 8))
+    k = int(rng.integers(0, len(entry)))
+    if fault == 0:
+        entry[k] = "nowhere"
+    elif fault == 1:
+        entry[k] = [True, 7, None, 1.5][int(rng.integers(0, 4))]
+    elif fault == 2:
+        entry = entry[:-1]
+    elif fault == 3:
+        entry = entry + entry[:1]
+    elif fault == 4:  # a string of the right length, each letter a label
+        entry = "".join(x[0] for x in entry)
+    elif fault == 5:
+        entry = dict.fromkeys(range(len(entry)))
+    elif fault == 6:
+        entry = tuple(entry)
+    else:
+        entry[k] = [entry[k]]
+    return entry
+
+
+def oracle_neg_from_pairs(idx, pairs):
+    """The per-pair loop that once parsed complements."""
+    n = len(idx)
+    neg = np.full(n, -1, dtype=np.int16)
+    _require(isinstance(pairs, list), "neg must be a list of [a, complement] pairs")
+    for k, p in enumerate(pairs):
+        _require(isinstance(p, list) and len(p) == 2, "neg entries are pairs", entry=k)
+        a, na = _lookup(idx, p[0], "neg"), _lookup(idx, p[1], "neg")
+        if neg[a] >= 0 and neg[a] != na:
+            raise ParseError("neg: conflicting duplicate entries", label=p[0])
+        neg[a] = na
+    return neg
+
+
+def test_complements_match_the_per_pair_oracle():
+    labels = ["a", "b", "c", "d", "ab"]
+    idx = {lab: i for i, lab in enumerate(labels)}
+    rng = np.random.default_rng(29)
+    seen = set()
+    for _ in range(600):
+        pairs = []
+        for _ in range(int(rng.integers(0, 10))):
+            a, b = (labels[int(x)] for x in rng.integers(0, len(labels), size=2))
+            pairs.append([a, b])
+            if rng.random() < 0.15:  # the pair again, or with another complement
+                pairs.append([a, labels[int(rng.integers(0, len(labels)))]])
+        for _ in range(int(rng.integers(0, 3)) if rng.random() < 0.4 else 0):
+            pair = [labels[int(x)] for x in rng.integers(0, len(labels), size=2)]
+            pairs.insert(int(rng.integers(0, len(pairs) + 1)), broken_entry(rng, pair))
+        want = outcome(oracle_neg_from_pairs, idx, pairs)
+        assert outcome(qstruct.io_formats._neg_from_pairs, idx, pairs) == want, pairs
+        seen.add(want[0] if want[0] == "table" else want[1])
+    for pairs in ({}, "ab", None):
+        want = outcome(oracle_neg_from_pairs, idx, pairs)
+        assert outcome(qstruct.io_formats._neg_from_pairs, idx, pairs) == want
+        seen.add(want[1])
+    assert seen == {
+        "table",
+        "neg entries are pairs",
+        "neg: labels must be strings",
+        "neg: unknown label",
+        "neg: conflicting duplicate entries",
+        "neg must be a list of [a, complement] pairs",
+    }
+
+
+def oracle_finite_real(x):
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def oracle_matrix_from_json(entries, dim, where):
+    """The per-entry loop that once read every matrix."""
+    _require(isinstance(entries, list), f"{where}: matrix must be a list of [re, im] pairs")
+    _require(
+        len(entries) == dim * dim,
+        f"{where}: expected dim^2 entries",
+        expected=dim * dim,
+        got=len(entries),
+    )
+    flat = np.empty(dim * dim, dtype=np.complex128)
+    for k, e in enumerate(entries):
+        _require(
+            isinstance(e, list) and len(e) == 2 and all(oracle_finite_real(x) for x in e),
+            f"{where}: entries are [re, im] number pairs",
+            entry=k,
+        )
+        flat[k] = complex(e[0], e[1])
+    return flat.reshape(dim, dim)
+
+
+def matrix_outcome(fn, *args):
+    try:
+        m = fn(*args)
+        return "matrix", m.shape, m.dtype.str, m.tobytes()
+    except ParseError as exc:
+        return "error", str(exc), exc.details
+
+
+NOT_A_NUMBER = [True, False, math.nan, math.inf, -math.inf, 10**400, "1.0", None, [1.0], {}]
+
+
+def test_matrices_match_the_per_entry_oracle():
+    rng = np.random.default_rng(31)
+    seen = set()
+    for case in range(500):
+        dim = int(rng.integers(1, 4))
+        entries = [
+            [float(x) for x in rng.normal(size=2)] for _ in range(dim * dim)
+        ]
+        for e in entries:  # exact values too: ints, ints near and past 2^53, signed zeros
+            if rng.random() < 0.2:
+                e[int(rng.integers(0, 2))] = [3, -0.0, 2**53 + 1, 10**300, -(10**20)][
+                    int(rng.integers(0, 5))
+                ]
+        for _ in range(int(rng.integers(0, 3)) if case % 2 and dim > 1 else 0):
+            k = int(rng.integers(0, len(entries)))
+            fault = int(rng.integers(0, 6))
+            if fault == 0:
+                entries[k][int(rng.integers(0, 2))] = NOT_A_NUMBER[
+                    int(rng.integers(0, len(NOT_A_NUMBER)))
+                ]
+            elif fault == 1:
+                entries[k] = entries[k][:1]
+            elif fault == 2:
+                entries[k] = entries[k] + [0.0]
+            elif fault == 3:
+                entries[k] = ["ab", "abc"][int(rng.integers(0, 2))]
+            elif fault == 4:
+                entries[k] = {"re": 0.0, "im": 0.0}
+            else:
+                entries.pop(k)  # dim^2 - 1 entries
+        args = (entries, dim, "effects[x]")
+        want = matrix_outcome(oracle_matrix_from_json, *args)
+        assert matrix_outcome(qstruct.io_formats.matrix_from_json, *args) == want, entries
+        seen.add(want[0] if want[0] == "matrix" else want[1])
+    assert seen == {
+        "matrix",
+        "effects[x]: entries are [re, im] number pairs",
+        "effects[x]: expected dim^2 entries",
+    }
 
 
 @pytest.mark.parametrize("n", [257, 5000])
@@ -754,6 +928,42 @@ def test_too_many_outcomes_exit_2_with_the_error_object(capsys, tmp_path):
     error = error_payload(out)
     assert error["type"] == "StructuralError"
     assert error["message"].startswith("too many elements")
+
+
+def test_twenty_thousand_outcomes_exit_2_with_the_count_as_a_power(capsys, tmp_path):
+    # 2^20000 has 6,021 digits, past the int-to-str limit: formatting it escaped
+    outcomes = [f"o{i}" for i in range(20_000)]
+    data = {
+        "kind": "povm",
+        "dim": 1,
+        "outcomes": outcomes,
+        "effects": dict.fromkeys(outcomes, [[1.0 / 20_000, 0.0]]),
+    }
+    path = tmp_path / "wider_povm.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "dilate", "--json", str(path))
+    assert code == 2
+    error = error_payload(out)
+    assert error["type"] == "StructuralError"
+    assert error["message"] == "too many elements (2^20000 > 256)"
+
+
+def test_duplicate_outcome_labels_are_a_parse_error(capsys, tmp_path):
+    # read as four outcomes, this once ended in "unit effect exceeds the identity"
+    data = {
+        "kind": "povm",
+        "dim": 1,
+        "outcomes": ["b", "a", "b", "a"],
+        "effects": {"a": [[0.5, 0.0]], "b": [[0.5, 0.0]]},
+    }
+    path = tmp_path / "repeated_outcomes.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "dilate", "--json", str(path))
+    assert code == 2
+    error = error_payload(out)
+    assert error["type"] == "ParseError"
+    assert error["message"] == "duplicate outcome label"
+    assert error["details"] == {"label": "a"}
 
 
 def _flat_identity(dim, scale):

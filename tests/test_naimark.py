@@ -72,6 +72,13 @@ def test_too_many_outcomes_are_rejected_before_any_allocation(outcomes, monkeypa
         povm_from_outcomes(effects, dim=1)
 
 
+def test_a_count_past_the_digit_limit_is_named_as_a_power_of_two():
+    # 2^20000 in decimal is past Python's 4,300-digit int-to-str limit
+    effects = [np.eye(1) / 20_000] * 20_000
+    with pytest.raises(StructuralError, match=r"^too many elements \(2\^20000 > 256\)$"):
+        povm_from_outcomes(effects, dim=1)
+
+
 def test_trivial_measure_has_the_unit_interval_gram():
     povm = povm_from_outcomes([np.eye(1)], dim=1)
     assert np.array_equal(gram_block(povm), np.array([[0.0, 0.0], [0.0, 1.0]]))
