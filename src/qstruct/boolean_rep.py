@@ -138,11 +138,9 @@ def verify_stone(sr: StoneRepresentation) -> VerificationReport:
     rep.record("separating", ~le & sub, pair)
 
     # perfect: the image ring of sets has no maximal filters beyond the points
-    perfect = []
-    known = set(ext)
-    distinct = sorted(known, key=lambda s: (len(s), sorted(s)))
-    if len(distinct) == len(ext) and all(a & b in known for a in distinct for b in distinct):
-        image, order = subset_semilogic(distinct)
+    perfect, (image, order) = [], subset_semilogic(ext)
+    # distinct extents, closed under intersection: the product is defined exactly there
+    if image.n == len(ext) and (image.prod >= 0).all():
         try:
             img_bs = BooleanSemiring(image.poset, image.prod)
             derived = {
@@ -288,15 +286,21 @@ def subset_semilogic(sets: Sequence[frozenset]) -> tuple[Semilogic, list[frozens
     carrier = sorted({x for s in order for x in s}, key=str)
     labels = [_set_label(s, carrier) for s in order]
     n = len(order)
-    le = np.zeros((n, n), dtype=bool)
-    prod = np.full((n, n), -1, dtype=np.int16)
-    pos = {s: i for i, s in enumerate(order)}
-    for i, a in enumerate(order):
-        for j, b in enumerate(order):
-            le[i, j] = a <= b
-            k = pos.get(a & b)
-            if k is not None:
-                prod[i, j] = k
+    # membership rows, one spare column so that every row has a word on an empty carrier
+    bits = np.array([[x in s for x in carrier] + [False] for s in order], bool)
+    words = packed_rows(bits.reshape(n, len(carrier) + 1))
+    # a row's words as one key: an intersection is looked up among the sorted keys
+    key = np.dtype((np.void, words.itemsize * words.shape[1]))
+    keys = words.view(key)[:, 0]
+    by_key = np.argsort(keys)
+    le, prod = np.empty((n, n), dtype=bool), np.empty((n, n), dtype=np.int16)
+    rows = max(1, 2**12 // max(1, words.size))  # 32 KB of words per block
+    for lo in range(0, n, rows):
+        meet = words[lo : lo + rows, None] & words  # a & b = a exactly when a <= b
+        le[lo : lo + rows] = (meet == words[lo : lo + rows, None]).all(axis=2)
+        meet = meet.view(key)[..., 0]
+        at = by_key[np.searchsorted(keys, meet, sorter=by_key).clip(max=n - 1)]
+        prod[lo : lo + rows] = np.where(keys[at] == meet, at, -1)
     return Semilogic(FinitePoset(labels, le), prod), order
 
 

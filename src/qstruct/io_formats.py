@@ -518,6 +518,16 @@ def serialize_algebra(alg: ConcreteStarAlgebra, state: AlgebraState | None = Non
 # -- file loading -------------------------------------------------------------------
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object as a dict; a repeated key is a ParseError, not read last-wins."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ParseError("duplicate key in JSON object", key=key)
+    return obj
+
+
 def _load_json(path: Path | str) -> Any:
     path = Path(path)
     try:
@@ -525,7 +535,7 @@ def _load_json(path: Path | str) -> Any:
     except OSError as exc:
         raise ParseError("cannot read file", path=str(path), error=str(exc))
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON", path=str(path), error=str(exc))
 

@@ -3,8 +3,8 @@
 Powerset semirings index elements by bitmask and their points are the atoms,
 so every extent is predictable from popcounts; the diamond provides the
 canonical non-representable contrast. The frozenset loops that
-``verify_topology`` and ``verify_stone`` once ran are kept as the oracles for
-their index kernels.
+``verify_topology``, ``verify_stone`` and ``subset_semilogic`` once ran are
+kept as the oracles for their index kernels and packed rows.
 """
 
 import tracemalloc
@@ -19,6 +19,7 @@ from qstruct import (
     BooleanSemiring,
     DistributionTable,
     DomainError,
+    FinitePoset,
     QstructError,
     StructuralError,
     SubsetTopology,
@@ -142,10 +143,13 @@ def oracle_stone_pairs(sr):
     }
 
 
-def test_stone_checks_match_the_set_loops_on_corrupted_extents(all_witnesses):
-    rng = np.random.default_rng(31)
+NOT_A_RING = {"reason": "image is not an intersection-closed faithful ring"}
+
+
+def corrupted_stone_maps(seed):
+    """Stone maps with a few points flipped in a few extents."""
+    rng = np.random.default_rng(seed)
     semirings = [powerset_semiring(3), shuffled_powerset_semiring(4, 4), diamond_semiring()]
-    failed = set()
     for bs in semirings:
         for trial in range(6):
             sr = stone_map(bs)
@@ -153,11 +157,28 @@ def test_stone_checks_match_the_set_loops_on_corrupted_extents(all_witnesses):
             for b in rng.choice(bs.n, size=1 + trial % 3, replace=False):
                 flip = int(rng.integers(points))
                 sr.extent[b] = sr.extent[b] ^ frozenset([flip])
-            rep = verify_stone(sr)
-            for name, want in oracle_stone_pairs(sr).items():
-                assert rep.get(name).witnesses == want, name
-                failed |= {name} if want else set()
+            yield sr
+    # distinct extents not closed under intersection: x's & y's is {1}
+    sr = stone_map(diamond_semiring())
+    sr.extent[1:3] = frozenset({0, 1}), frozenset({1, 2})
+    yield sr
+
+
+def test_stone_checks_match_the_set_loops_on_corrupted_extents(all_witnesses):
+    failed, rings = set(), set()
+    for sr in corrupted_stone_maps(31):
+        rep = verify_stone(sr)
+        for name, want in oracle_stone_pairs(sr).items():
+            assert rep.get(name).witnesses == want, name
+            failed |= {name} if want else set()
+        # the set loop that once guarded the perfect check
+        known = set(sr.extent)
+        distinct = len(known) == len(sr.extent)
+        ring = distinct and all(a & b in known for a in known for b in known)
+        assert (NOT_A_RING in rep.get("perfect").witnesses) != ring
+        rings.add((distinct, ring))
     assert failed == set(oracle_stone_pairs(sr))
+    assert rings == {(True, True), (True, False), (False, False)}
 
 
 def test_distribution_pushes_to_a_measure():
@@ -217,6 +238,78 @@ def test_subset_semilogic_orders_by_inclusion():
     assert (s.prod >= 0).all()  # intersection-closed family
     partial, _ = subset_semilogic([frozenset({0}), frozenset({1})])
     assert (partial.prod < 0).any()  # {0} & {1} leaves the family
+
+
+def oracle_subset_semilogic(sets):
+    """The pair loop that subset_semilogic once ran: (labels, le, prod, order)."""
+    distinct = set(sets)
+    order = sorted(distinct, key=lambda s: (len(s), sorted(map(str, s))))
+    carrier = sorted({x for s in order for x in s}, key=str)
+    labels = tuple(qstruct.boolean_rep._set_label(s, carrier) for s in order)
+    n = len(order)
+    le = np.zeros((n, n), dtype=bool)
+    prod = np.full((n, n), -1, dtype=np.int16)
+    pos = {s: i for i, s in enumerate(order)}
+    for i, a in enumerate(order):
+        for j, b in enumerate(order):
+            le[i, j] = a <= b
+            k = pos.get(a & b)
+            if k is not None:
+                prod[i, j] = k
+    FinitePoset(labels, le)  # the same errors: duplicate labels, no sets
+    return labels, le.tolist(), prod.tolist(), order
+
+
+def random_families(count, seed):
+    """Families over int, str and mixed carriers of up to 150 points.
+
+    Rows take one to three words. Some families are closed under
+    intersection and some hold the empty set; a few mixed carriers hold both
+    1 and "1", which are distinct points with the same label text.
+    """
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        size = int(rng.choice([3, 8, 40, 64, 65, 150]))
+        carrier = [
+            range(size),
+            [f"p{i}" for i in range(size)],
+            [i if i % 2 else str(i) for i in range(size)] + (["1"] if case % 7 == 0 else []),
+        ][case % 3]
+        carrier = list(carrier)
+        sets = [
+            frozenset(x for x in carrier if rng.random() < density)
+            for density in rng.random(int(rng.integers(1, 12)))
+        ]
+        if case % 4 == 0:
+            sets = list({a & b for a in sets for b in sets})
+        if case % 5 < 2:
+            sets.append(frozenset())
+        else:
+            sets = [x for x in sets if x] or [frozenset(carrier[:1])]
+        yield [sets[i] for i in rng.permutation(len(sets))]
+
+
+def subset_outcome(fn, sets):
+    try:
+        return fn(sets)
+    except QstructError as exc:
+        return type(exc), str(exc), exc.details
+
+
+def subset_tables(sets):
+    s, order = subset_semilogic(sets)
+    return s.labels, s.poset.le.tolist(), s.prod.tolist(), order
+
+
+def test_subset_semilogic_matches_the_pair_loop():
+    closed = set()
+    cases = [*random_families(300, seed=41), [], [frozenset()], [frozenset({1}), frozenset({"1"})]]
+    for sets in cases:
+        want = subset_outcome(oracle_subset_semilogic, sets)
+        assert subset_outcome(subset_tables, sets) == want
+        if not isinstance(want[0], type):
+            closed.add(min(map(min, want[2])) >= 0)
+    assert closed == {True, False}
 
 
 def all_subsets(k):

@@ -602,6 +602,49 @@ def test_error_payload_is_machine_readable(capsys, mutants_dir):
     assert payload["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "command, name, old, new, key",
+    [
+        ("dilate FILE", "pvm2.json", '"{1}": [', '"{0}": [', "{0}"),
+        ("gns FILE", "m2_algebra.json", '"E10": [', '"E01": [', "E01"),
+        (
+            "stone powerset2_semiring.json --distribution FILE",
+            "powerset2_distribution.json",
+            '"{1}": 0.75',
+            '"{0}": 0.75',
+            "{0}",
+        ),
+        (
+            "check FILE",
+            "chain3.json",
+            '"kind": "quasilogic",',
+            '"kind": "logic", "kind": "quasilogic",',
+            "kind",
+        ),
+    ],
+)
+def test_repeated_json_keys_are_a_parse_error(
+    capsys, valid_dir, tmp_path, command, name, old, new, key
+):
+    # json.loads alone keeps the last of repeated keys: a POVM listing an
+    # effect twice would dilate the second matrix
+    text = (valid_dir / name).read_text()
+    assert text.count(old) == 1
+    path = tmp_path / name
+    path.write_text(text.replace(old, new))
+    argv = [
+        str(path) if a == "FILE" else str(valid_dir / a) if a.endswith(".json") else a
+        for a in command.split()
+    ]
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ParseError",
+        "message": "duplicate key in JSON object",
+        "details": {"key": key},
+    }
+
+
 def test_stone_reports_points_and_measure(capsys, valid_dir):
     code, out, _ = run_cli(
         capsys,

@@ -598,6 +598,57 @@ def test_semilogic_on_a_non_order_table_matches_the_oracles(all_witnesses):
     assert_matches_the_oracles(Semilogic(poset, prod))
 
 
+def test_restricted_associativity_is_decided_by_the_meet(all_witnesses, monkeypatch):
+    # only a total product equal to the meet table of a partial order skips
+    # the scan; every other product is scanned, and both agree with the loop
+    scanned = []
+    scan = qstruct.semilogic._associativity_violations
+
+    def spy(s, total):
+        scanned.append(s)
+        return scan(s, total)
+
+    monkeypatch.setattr(qstruct.semilogic, "_associativity_violations", spy)
+
+    def assert_matches_the_loop(s, scans):
+        scanned.clear()
+        check = verify_semilogic(s).get("restricted-associativity")
+        want = oracle_restricted_associativity(s)
+        assert (check.violation_count, check.witnesses) == (len(want), want)
+        assert scanned == ([s] if scans else [])
+        return want
+
+    for k in range(1, 6):
+        assert_matches_the_loop(powerset_semiring(k), False)
+        assert_matches_the_loop(shuffled_powerset_semiring(k, seed=k), False)
+
+    # the diamond's product is the meet of a lattice that is not distributive:
+    # associative, so not scanned; the zeroed product is total and not the meet
+    assert_matches_the_loop(diamond_semiring(), False)
+    assert_matches_the_loop(zeroed_semiring(4, 0b0011, 0b0110), True)
+
+    # the meet above the diagonal and not below it: product-is-meet reads the
+    # upper triangle only and passes, yet the product is not associative
+    good = powerset_semiring(3)  # cached: the copy below is the one changed
+    s = Semilogic(good.poset, good.prod)
+    s.prod = good.prod.copy()
+    s.prod[0b110, 0b011] = 0b000  # {1,2} . {0,1} is {1} above the diagonal
+    assert verify_semilogic(s).get("product-is-meet").passed
+    assert assert_matches_the_loop(s, True)
+
+    # the meet table of a relation that is not transitive (1 <= 2 <= 3, not
+    # 1 <= 3) is total and symmetric here, and not associative
+    le = np.eye(4, dtype=bool)
+    le[0, :] = le[1, 2] = le[2, 3] = True
+    poset = FinitePoset(["0", "a", "b", "c"], le)
+    assert (poset.meet_table() >= 0).all()
+    assert assert_matches_the_loop(Semilogic(poset, poset.meet_table()), True)
+
+    meet = powerset_semiring(3).prod
+    for s in perturbed_semilogics(60, seed=7):  # partial products among them
+        assert_matches_the_loop(s, not (s.prod == meet).all())
+
+
 # -- oracles for the upper and lower family checks -----------------------------
 
 
