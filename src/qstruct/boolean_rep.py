@@ -25,12 +25,12 @@ from .order import MAX_ELEMENTS, FinitePoset, atoms, bool_product, packed_rows
 from .report import VerificationReport, Witnesses, labelled
 from .semilogic import (
     EXACT_TOL,
-    FAMILY_BLOCK,
     DistributionTable,
     Filter,
     HomomorphismMap,
     Semilogic,
     distribution_mass,
+    family_blocks,
     family_mask,
     verify_semilogic,
 )
@@ -126,8 +126,8 @@ def verify_stone(sr: StoneRepresentation) -> VerificationReport:
     rep.record("meets-to-intersections", split, pair)
     words, unions = packed_rows(bits), Witnesses()
     for members, sups in bs._all_orthogonal_families().summable(1):
-        for lo in range(0, len(members), FAMILY_BLOCK):
-            block, tops = members[lo : lo + FAMILY_BLOCK], sups[lo : lo + FAMILY_BLOCK]
+        for rows in family_blocks(len(members), members.shape[1] * words.shape[1]):
+            block, tops = members[rows], sups[rows]
             unions.add(
                 (np.bitwise_or.reduce(words[block], axis=1) != words[tops]).any(axis=1),
                 lambda f: {"family": [labels[x] for x in block[f].tolist()]}

@@ -16,8 +16,6 @@ other candidates.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -136,12 +134,14 @@ class UpsetIndex:
         self.top = (1 << rel.shape[0]) - 1
         self.up = row_bits(rel)
         by_up = {u: i for i, u in enumerate(self.up)}
-        # reflexive and transitive (up[a] is the OR of the upsets inside it);
-        # then distinct upsets are exactly antisymmetry
-        is_order = len(by_up) == len(self.up) and all(
-            u >> a & 1
-            and reduce(or_, (self.up[b] for b in np.flatnonzero(rel[a]).tolist())) == u
-            for a, u in enumerate(self.up)
+        # reflexive, and transitive: no b above a has an upset outside a's (runs
+        # of rows a, about 128 KB of words each); then distinct upsets are antisymmetry
+        words = packed_rows(rel)
+        rows = max(1, 2**14 // words.size)
+        is_order = len(by_up) == len(self.up) and np.diagonal(rel).all() and not any(
+            (words[b] & ~words[a + x]).any()
+            for x in range(0, len(rel), rows)
+            for a, b in [np.nonzero(rel[x : x + rows])]
         )
         self.by_up = by_up if is_order else None
         self._packed: tuple[np.ndarray, np.ndarray] | None = None
@@ -178,20 +178,20 @@ class UpsetIndex:
     def table(self) -> np.ndarray:
         """Bounds of all pairs as int16; -1 where there is none.
 
-        Runs of rows x are ANDed with every y at once, about 128 KB of words
-        per run; relations that are not orders scan pair by pair.
+        On an order the table is symmetric: each run of rows x is ANDed with
+        the y >= its first x at once, about 128 KB of words per run, and
+        mirrored. Relations that are not orders scan pair by pair.
         """
         n = len(self.up)
         if self.by_up is None:
-            bounds = [[self.bound_of(x & y) for y in self.up] for x in self.up]
-            return np.array(
-                [[-1 if g is None else g for g in row] for row in bounds], dtype=np.int16
-            )
+            return self.bounds(np.indices((n, n)).reshape(2, -1).T).reshape(n, n)
         words = self.words()[0]
-        out = np.empty((n, n), dtype=np.int16)
-        rows = max(1, 2**17 // words[:1].nbytes // n)
-        for x0 in range(0, n, rows):
-            out[x0 : x0 + rows] = self._element_of(words[x0 : x0 + rows, None] & words[None])
+        out, x0 = np.empty((n, n), dtype=np.int16), 0
+        while x0 < n:
+            x1 = x0 + max(1, 2**14 // words.shape[1] // (n - x0))
+            strip = self._element_of(words[x0:x1, None] & words[None, x0:])
+            out[x0:x1, x0:], out[x0:, x0:x1] = strip, strip.T
+            x0 = x1
         return out
 
     def bounds(self, rows: np.ndarray) -> np.ndarray:
@@ -373,10 +373,8 @@ def birkhoff_distributive(p: FinitePoset) -> bool:
 
 def row_bits(rel: np.ndarray) -> list[int]:
     """Each row of a boolean matrix as an int with bit j = ``rel[i, j]``."""
-    return [
-        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        for row in rel
-    ]
+    raw, w = packed_rows(rel).tobytes(), -(-rel.shape[1] // 64) * 8
+    return [int.from_bytes(raw[i * w : i * w + w], "little") for i in range(len(rel))]
 
 
 def _scan_bound(rel: np.ndarray, mask: np.ndarray) -> int | None:

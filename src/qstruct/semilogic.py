@@ -20,8 +20,7 @@ from .quasilogic import Quasilogic, commutation_table, is_logic
 from .report import VerificationReport, Witnesses, labelled
 
 MAX_FAMILIES = 200_000
-FAMILY_BLOCK = 256  # families per block in family_residuals
-EXPAND_ROWS = 1024  # family rows unpacked at a time in orthogonal_levels
+FAMILY_BLOCK = 1 << 13  # entries per family_blocks temporary: 128 KB of complex128
 BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # popcounts
 ADDITIVITY_BLOCK = 1 << 16  # (family, member pair, element) cells per product-additivity block
 # (a, b, c) cells per restricted-associativity block, but at least one row a:
@@ -134,10 +133,10 @@ def orthogonal_levels(
 
     A family's packed ``allowed`` row holds the elements that may follow its
     last member: of larger id and orthogonal to every member. The set bits
-    of level L's rows, unpacked ``EXPAND_ROWS`` rows at a time and read in
-    row-major order, are the rows of level L + 1, again in lexicographic
-    order. Their popcount sizes the next level, so past ``cap`` families in
-    all StructuralError is raised before that level is allocated.
+    of level L's rows, read in row-major order from their nonzero bytes, are
+    the rows of level L + 1, again in lexicographic order. Their popcount
+    sizes the next level, so past ``cap`` families in all StructuralError is
+    raised before that level is allocated.
 
     ``join`` is a sentinel-padded join table. A singleton is its own sup
     and a child's is join[sup(parent), y]: on a partial order the upper
@@ -164,12 +163,9 @@ def orthogonal_levels(
         if cap is not None and count > cap:
             raise StructuralError("orthogonal family count exceeds enumeration cap")
         if levels:
-            cells = [
-                np.flatnonzero(np.unpackbits(expand[lo : lo + EXPAND_ROWS], axis=1, count=n))
-                + lo * n
-                for lo in range(0, len(members), EXPAND_ROWS)
-            ]
-            parent, last = np.divmod(np.concatenate(cells), n)
+            cells = np.flatnonzero(expand)  # the nonzero bytes, row-major
+            hit, bit = np.nonzero(np.unpackbits(expand.ravel()[cells][:, None], axis=1))
+            parent, last = np.divmod(cells[hit] * 8 + bit, 8 * expand.shape[1])
             members = np.concatenate([members[parent], last[:, None].astype(np.int16)], axis=1)
             allowed, parents = allowed[parent] & after[last], sups[parent]
             if join is None:
@@ -184,10 +180,16 @@ def orthogonal_levels(
     return levels
 
 
+def family_blocks(count: int, row_entries: int) -> Iterator[slice]:
+    """Slices of ``count`` rows of ``row_entries`` entries: at most ``FAMILY_BLOCK``, or one row."""
+    step = max(1, FAMILY_BLOCK // max(1, row_entries))
+    return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
 def family_residual_blocks(
     values: np.ndarray, members: np.ndarray, sups: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """(lo, residual) per ``FAMILY_BLOCK`` rows of one level: ``values[sup]`` minus the family sum.
+    """(lo, residual) per ``family_blocks`` slice of a level: ``values[sup]`` minus the family sum.
 
     A sup of -1 reads a zero row, which gives minus the family sum. Each sum
     runs from 0 over the members left to right, like the builtin ``sum``, so
@@ -197,12 +199,12 @@ def family_residual_blocks(
     values = np.asarray(values)
     padded = np.zeros((values.shape[0] + 1, *values.shape[1:]), dtype=values.dtype)
     padded[:-1] = values
-    for lo in range(0, len(members), FAMILY_BLOCK):
-        block = members[lo : lo + FAMILY_BLOCK]
+    for rows in family_blocks(len(members), values[0].size):
+        block = members[rows]
         total = np.zeros((len(block), *values.shape[1:]), dtype=values.dtype)
         for col in block.T:
-            total = total + padded[col]
-        yield lo, padded[sups[lo : lo + FAMILY_BLOCK]] - total
+            total += padded[col]
+        yield rows.start, padded[sups[rows]] - total
 
 
 def family_residuals(

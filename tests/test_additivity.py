@@ -9,12 +9,16 @@ check, are kept here as oracles: witness lists in full and in order, with the
 same floats bit for bit. So are the depth-first family walk with its sort and
 the padded residual loop (in conftest.py), for the level-wise family table
 that replaced them: the same families, sups, order and count, and the same
-residuals. The walk through the whole family table is in turn the oracle for
-``verify_semilogic``'s decisions by orthogonal pairs: with the walk forced,
-hypothesis-built semilogics give the same reports, and past a lowered cap
-the same verdicts with the walk's witnesses of at most two members.
+residuals. So is the expansion that unpacked every row of a level, for the
+reader of set bits from nonzero bytes in ``orthogonal_levels``: the same
+levels, and the cap raised at the same level. The walk through the whole
+family table is in turn the oracle for ``verify_semilogic``'s decisions by
+orthogonal pairs: with the walk forced, hypothesis-built semilogics give the
+same reports, and past a lowered cap the same verdicts with the walk's
+witnesses of at most two members.
 """
 
+import inspect
 import json
 import math
 import sys
@@ -39,6 +43,7 @@ from conftest import (
     structure_file,
 )
 
+import qstruct.clan
 import qstruct.semilogic
 from qstruct import (
     Dilation,
@@ -50,11 +55,14 @@ from qstruct import (
     FinitePovm,
     Tolerance,
     atoms,
+    chain_quasilogic,
     diamond_semiring,
     dilate,
+    mo2_quasilogic,
     mo2_semilogic,
     operator_distribution,
     povm_from_outcomes,
+    powerset_quasilogic,
     powerset_semiring,
     shuffled_powerset_semiring,
     summable_families,
@@ -64,28 +72,28 @@ from qstruct import (
     verify_povm,
     verify_semilogic,
 )
-from qstruct.clan import bound_tables, relation_tables
+from qstruct.clan import _orthogonal_member_families, bound_tables, relation_tables
+from qstruct.order import sentinel_padded
 from qstruct.semilogic import (
     _certified_refinements,
     _decompositions,
     _has_common_refinement,
     _pairs_decide_additivity,
+    _sum_families,
     distribution_mass,
     family_residuals,
+    orthogonal_levels,
 )
 
 TOL = Tolerance()
 
 
-@pytest.fixture(params=[(256, 1024), (5, 3)], ids=["block256", "block5"])
+@pytest.fixture(params=[qstruct.semilogic.FAMILY_BLOCK, 5], ids=["block256", "block5"])
 def block(request, monkeypatch, all_witnesses):
-    """Run each oracle test at the shipped block sizes and at ones that split every corpus.
-
-    The first size is the residual block of ``family_residuals``, the second
-    the rows ``orthogonal_levels`` unpacks at a time.
-    """
-    monkeypatch.setattr(qstruct.semilogic, "FAMILY_BLOCK", request.param[0])
-    monkeypatch.setattr(qstruct.semilogic, "EXPAND_ROWS", request.param[1])
+    """Run each oracle test at the shipped entry budget of ``family_blocks`` (id block256)
+    and at five entries (id block5), one matrix or a few scalars per block, which splits
+    every corpus."""
+    monkeypatch.setattr(qstruct.semilogic, "FAMILY_BLOCK", request.param)
 
 
 # -- the old loops ----------------------------------------------------------------
@@ -361,6 +369,154 @@ def test_the_family_residuals_match_the_padded_loop(block):
             assert got.tolist() == list(want)
 
 
+# -- the set-bit reader of orthogonal_levels against the unpacking it replaced ------
+
+
+def oracle_orthogonal_levels(orth, elems, join, bounds=None, cap=None, most=None, follow=None):
+    """``orthogonal_levels`` as it was: each level's packed rows unpacked to n bytes,
+    1,024 rows at a time, and their set bits found by ``flatnonzero``."""
+    popcount = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+    n, ids = orth.shape[0], np.arange(orth.shape[0])
+    after = np.packbits(orth & np.isin(ids, elems) & (ids > ids[:, None]), axis=1)
+    members = np.asarray(elems, dtype=np.int16)[:, None]
+    if follow is not None:
+        members = members[np.unpackbits(follow[-1], count=n)[members[:, 0]] > 0]
+        sups = join[-1, members[:, 0]]
+    else:
+        sups = members[:, 0] if join is not None else bounds(members)
+    allowed = after[members[:, 0]]
+    count, levels, size = 0, [], len(members)
+    while size and (most is None or len(levels) < most):
+        count += size
+        if cap is not None and count > cap:
+            raise StructuralError("orthogonal family count exceeds enumeration cap")
+        if levels:
+            cells = [
+                np.flatnonzero(np.unpackbits(expand[lo : lo + 1024], axis=1, count=n)) + lo * n
+                for lo in range(0, len(members), 1024)
+            ]
+            parent, last = np.divmod(np.concatenate(cells), n)
+            members = np.concatenate([members[parent], last[:, None].astype(np.int16)], axis=1)
+            allowed, parents = allowed[parent] & after[last], sups[parent]
+            if join is None:
+                sups = bounds(members)
+            else:
+                sups = join.ravel()[parents.astype(np.intp) * (n + 1) + last]
+                if bounds is not None and (parents < 0).any():
+                    sups[parents < 0] = bounds(members[parents < 0])
+        levels.append((members, sups))
+        expand = allowed if follow is None else allowed & follow[sups]
+        size = int(popcount[expand].sum())
+    return levels
+
+
+def recorded_level_calls(run):
+    """The arguments, by name, of every ``orthogonal_levels`` call that ``run()`` makes."""
+    calls, signature = [], inspect.signature(orthogonal_levels)
+
+    def spy(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return orthogonal_levels(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (qstruct.semilogic, qstruct.clan):
+            patch.setattr(module, "orthogonal_levels", spy)
+        try:
+            run()
+        except StructuralError:
+            pass
+    return calls
+
+
+def assert_same_levels(got, want):
+    assert len(got) == len(want)
+    for (members, sups), (want_members, want_sups) in zip(got, want):
+        assert members.dtype == want_members.dtype and np.array_equal(members, want_members)
+        assert sups.dtype == want_sups.dtype and np.array_equal(sups, want_sups)
+
+
+def assert_levels_match(call):
+    """Equal levels, and a cap one short of each level's running count raises at that level.
+
+    The cap stops both at level L when with ``most = L`` a cap one below the
+    count through L raises and the count itself builds all L levels.
+    """
+    try:
+        want = oracle_orthogonal_levels(**call)
+    except StructuralError:
+        with pytest.raises(StructuralError, match="exceeds enumeration cap"):
+            orthogonal_levels(**call)
+        return
+    assert_same_levels(orthogonal_levels(**call), want)
+    for size, count in enumerate(np.cumsum([len(sups) for _, sups in want]).tolist(), 1):
+        for levels in (orthogonal_levels, oracle_orthogonal_levels):
+            with pytest.raises(StructuralError, match="exceeds enumeration cap"):
+                levels(**call | {"cap": count - 1, "most": size})
+        assert_same_levels(orthogonal_levels(**call | {"cap": count, "most": size}), want[:size])
+
+
+def direct_level_calls(rng):
+    """Random inputs at n = 1, 8, 9 and 256, so that the last byte is full or partial.
+
+    Sups by a scan only (``join`` None), by a join table with -1 cells whose
+    children fall back to ``bounds``, and on the ``follow`` path.
+    """
+    calls = []
+    for n in (1, 8, 9, 256):
+        for density in (0.02, 0.1) if n == 256 else (0.0, 0.3, 0.7):
+            orth = rng.random((n, n)) < density
+            orth |= orth.T
+            elems = np.flatnonzero(rng.random(n) < 0.9)
+
+            def bounds(members, n=n):
+                return (members.astype(np.int64).sum(axis=1) % (n + 1) - 1).astype(np.int16)
+
+            join = sentinel_padded(rng.integers(-1, n, (n, n)).astype(np.int16))
+            # a partial-sum table: row n holds the empty family's sums, the singletons
+            partial = rng.integers(-1, n, (n + 1, n + 1)).astype(np.int16)
+            partial[rng.random((n + 1, n + 1)) * n >= 4 + 40 * density] = -1
+            partial[:, n] = -1
+            follow = np.packbits(partial[:, :n] >= 0, axis=1)
+            calls += [
+                {"orth": orth, "elems": elems, "join": None, "bounds": bounds},
+                {"orth": orth, "elems": elems, "join": join, "bounds": bounds, "cap": 50_000},
+                {"orth": np.ones((n, n), bool), "elems": np.arange(n), "join": partial,
+                 "cap": 50_000, "follow": follow},
+            ]
+    return calls
+
+
+def test_the_set_bit_reader_matches_the_unpacking():
+    tol = Tolerance()
+    semilogics = family_corpus() + [powerset_semiring(8), mo2_semilogic(), flat_semilogic(7)]
+    quasilogics = [mo2_quasilogic(), chain_quasilogic(6)] + [powerset_quasilogic(k) for k in (3, 4)]
+    clans = [diagonal_clan(3), diagonal_clan(4), crossed_clan(), mo_clan(4)]
+    calls = direct_level_calls(np.random.default_rng(25))
+    for s in semilogics:
+        calls += recorded_level_calls(
+            lambda: (fresh(s)._all_orthogonal_families(), fresh(s)._family_levels(most=2))
+        )
+    for q in quasilogics:
+        calls += recorded_level_calls(lambda: _sum_families(q))
+    for clan in clans:
+        calls += recorded_level_calls(lambda: _orthogonal_member_families(clan, tol))
+    for call in calls:
+        assert_levels_match(call)
+    # every path was taken: the scan, join tables with and without -1 parents,
+    # follow rows, most = 2, and n = 1, 8, 9 and 256
+    assert {call["join"] is None for call in calls} == {True, False}
+    assert any(call.get("follow") is not None for call in calls)
+    assert any(call.get("most") == 2 for call in calls)
+    assert {1, 8, 9, 256} <= {call["orth"].shape[0] for call in calls}
+    # and a child of a parent without a sup took its sup from ``bounds``
+    fallbacks = []
+    for call in calls:
+        if call["join"] is not None and call.get("bounds") is not None:
+            bounds = call["bounds"]
+            orthogonal_levels(**call | {"bounds": lambda m, b=bounds: fallbacks.append(m) or b(m)})
+    assert fallbacks
+
+
 def test_twelve_orthogonal_atoms_get_a_verdict(capsys, tmp_path, all_witnesses):
     path = tmp_path / "flat12.json"
     path.write_text(json.dumps(flat_semilogic_file(12)))
@@ -375,24 +531,21 @@ def test_twelve_orthogonal_atoms_get_a_verdict(capsys, tmp_path, all_witnesses):
 def test_eighteen_orthogonal_atoms_get_a_verdict_from_the_pairs(capsys, tmp_path, monkeypatch):
     # levels 0 to 10 hold 1, 19 (the atoms and 1) and C(18, L) families,
     # 199,141 in all, under MAX_FAMILIES = 200,000, and the 31,824 of level 11
-    # do not fit; so levels 1 to 9 are unpacked to build levels 2 to 10, and
-    # level 10 never is. Then level 1 is unpacked once more for the pairs.
+    # do not fit; so levels 1 to 9 are expanded to build levels 2 to 10, and
+    # level 10 never is. Then level 1 is expanded once more for the pairs.
     path = tmp_path / "flat18.json"
     path.write_text(json.dumps(flat_semilogic_file(18)))
-    unpacked = []
-    unpackbits, levels = np.unpackbits, qstruct.semilogic.orthogonal_levels.__code__
+    expanded = []
+    flatnonzero, levels = np.flatnonzero, qstruct.semilogic.orthogonal_levels.__code__
 
     def spy(a, *args, **kwargs):
-        # only the calls of orthogonal_levels count, from its body or its comprehension
-        caller = sys._getframe(1)
-        while caller.f_code.co_name.startswith("<"):
-            caller = caller.f_back
-        if caller.f_code is levels:
-            unpacked.append(len(a))
-        return unpackbits(a, *args, **kwargs)
+        # orthogonal_levels reads the packed rows of each level it expands in one call
+        if sys._getframe(1).f_code is levels:
+            expanded.append(len(a))
+        return flatnonzero(a, *args, **kwargs)
 
-    monkeypatch.setattr(np, "unpackbits", spy)
-    np.unpackbits(np.zeros(5, np.uint8))  # a call from elsewhere is not counted
+    monkeypatch.setattr(np, "flatnonzero", spy)
+    np.flatnonzero(np.zeros((5, 1), np.uint8))  # a call from elsewhere is not counted
     assert cli.main(["check", "--json", str(path)]) == 1
     semilogic = json.loads(capsys.readouterr().out)["reports"][0]
     failed = [c for c in semilogic["checks"] if not c["passed"]]
@@ -410,7 +563,7 @@ def test_eighteen_orthogonal_atoms_get_a_verdict_from_the_pairs(capsys, tmp_path
         "product_additivity_count": "lower bound: families of at most two members",
         "zero": "0",
     }
-    assert sum(unpacked) == 19 + sum(math.comb(18, size) for size in range(2, 10)) + 19
+    assert sum(expanded) == 19 + sum(math.comb(18, size) for size in range(2, 10)) + 19
     with pytest.raises(StructuralError, match="exceeds enumeration cap"):
         oracle_all_orthogonal_families(flat_semilogic(18))
 
@@ -563,6 +716,16 @@ def test_a_certified_pair_is_one_the_search_accepts(s):
     by_sup, joins = _decompositions(s, z), {}
     for x, y in zip(a[certified].tolist(), b[certified].tolist()):
         assert _has_common_refinement(s, by_sup, joins, x, y, int(s.prod[x, y]))
+
+
+@given(small_semilogics())
+@settings(max_examples=100, deadline=None)
+def test_the_set_bit_reader_matches_the_unpacking_on_small_semilogics(s):
+    calls = recorded_level_calls(
+        lambda: (fresh(s)._all_orthogonal_families(), fresh(s)._family_levels(most=2))
+    )
+    for call in calls:
+        assert_levels_match(call)
 
 
 @given(small_semilogics(), st.integers(1, 40))

@@ -5,10 +5,13 @@ set operations so the table code is checked against an independent oracle.
 The direct candidate scan that once computed every bound is kept below as a
 second oracle for the bitset view, on random posets and on tables that are
 not partial orders, and so is the pair loop that once filled the bound tables
-from ``bound_of``.
+from ``bound_of``, and the Python-int loop that once decided whether a relation
+is an order.
 """
 
 import itertools
+from functools import reduce
+from operator import or_
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from qstruct import (
     transitive_reduction,
     verify_poset,
 )
-from qstruct.order import UpsetIndex
+from qstruct.order import UpsetIndex, preorder_closure
 
 
 def _extremal(le, mask, lower):
@@ -318,3 +321,63 @@ def test_bound_tables_match_the_pair_loop():
             assert np.array_equal(ups.table(), want)
             seen.add((ups.by_up is not None, bool((want < 0).any())))
     assert seen == {(True, True), (True, False), (False, True)}
+
+
+def test_one_triangle_tables_match_the_scan_in_both_triangles():
+    # lattices, non-lattices with -1 cells, and sizes that are no multiple of a
+    # run of rows (the runs grow as the triangle narrows)
+    rng = np.random.default_rng(25)
+    chain = np.triu(np.ones((100, 100), dtype=bool))
+    orders = [powerset_poset(k).le for k in (1, 4, 8)] + [chain]
+    orders += [random_order(rng, n, d) for n, d in ((3, 0.5), (37, 0.3), (130, 0.05), (200, 0.1))]
+    seen = set()
+    for le in orders:
+        p = FinitePoset([f"e{i}" for i in range(len(le))], le)
+        for got, lower in ((p.meet_table(), True), (p.join_table(), False)):
+            want = scan_bound_table(le, lower)
+            assert np.array_equal(got, want) and np.array_equal(got, got.T)
+            seen.add(bool((want < 0).any()))
+    assert seen == {True, False}
+
+
+def oracle_by_up(rel):
+    """The Python-int loop that once decided whether ``rel`` is an order: ``by_up`` or None."""
+    up = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in rel]
+    by_up = {u: i for i, u in enumerate(up)}
+    is_order = len(by_up) == len(up) and all(
+        u >> a & 1 and reduce(or_, (up[b] for b in np.flatnonzero(rel[a]).tolist())) == u
+        for a, u in enumerate(up)
+    )
+    return by_up if is_order else None
+
+
+def test_the_order_test_matches_the_int_loop():
+    rng = np.random.default_rng(25)
+    relations = []
+    for n in (1, 2, 3, 5, 8, 13, 64, 65):
+        for kind in range(25):
+            rel = rng.random((n, n)) < rng.random()  # mostly not reflexive
+            if kind % 5 == 1:  # reflexive, rarely transitive
+                rel |= np.eye(n, dtype=bool)
+            elif kind % 5 == 2:  # preorders: 2-cycles give equal upsets
+                rel = preorder_closure(rel)
+            elif kind % 5 >= 3:
+                rel = random_order(rng, n, rng.random())
+                a, b = rng.integers(n, size=2)
+                if kind % 5 == 3:
+                    rel[a, b] = a == b  # less one pair: not transitive if some c is between
+                else:
+                    rel[a] = rel[b]  # a duplicate row
+            relations.append(rel)
+    # at the ceiling a chain spans several runs of rows; the missing pair is in a late one
+    chain = np.triu(np.ones((256, 256), dtype=bool))
+    gap, loop = chain.copy(), chain.copy()
+    gap[200, 255] = False
+    loop[255, 255] = False
+    relations += [chain, chain.T, gap, loop]
+    seen = set()
+    for rel in relations:
+        want = oracle_by_up(rel)
+        assert UpsetIndex(rel).by_up == want
+        seen.add((want is not None, len({r.tobytes() for r in rel}) < len(rel)))
+    assert seen == {(True, False), (False, False), (False, True)}
