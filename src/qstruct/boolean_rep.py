@@ -25,6 +25,7 @@ from .order import MAX_ELEMENTS, FinitePoset, atoms, bool_product, packed_rows
 from .report import VerificationReport, Witnesses, labelled
 from .semilogic import (
     EXACT_TOL,
+    MAX_FAMILIES,
     DistributionTable,
     Filter,
     HomomorphismMap,
@@ -32,6 +33,8 @@ from .semilogic import (
     distribution_mass,
     family_blocks,
     family_mask,
+    family_residuals,
+    orthogonal_levels,
     verify_semilogic,
 )
 
@@ -110,21 +113,26 @@ def stone_map(bs: BooleanSemiring) -> StoneRepresentation:
     return StoneRepresentation(bs, points, extent)
 
 
+def _extent_rows(ext: Sequence[frozenset[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """bits[b, i]: point i lies in ext[b], with at least one column; and their packed rows."""
+    bits = np.zeros((len(ext), 1 + max((max(e) for e in ext if e), default=0)), dtype=bool)
+    for b, e in enumerate(ext):
+        bits[b, list(e)] = True
+    return bits, packed_rows(bits)
+
+
 def verify_stone(sr: StoneRepresentation) -> VerificationReport:
     rep = VerificationReport(subject="stone-representation")
     bs, ext = sr.semiring, sr.extent
     labels, le, z = bs.labels, bs.poset.le, bs.zero()
 
     rep.record("empty-at-zero", [] if not ext[z] else [{"extent": sorted(ext[z])}])
-    # bits[b, i]: point i lies in ext[b]; sub[a, b]: ext[a] <= ext[b]
-    bits = np.zeros((bs.n, 1 + max((max(e) for e in ext if e), default=0)), dtype=bool)
-    for b, e in enumerate(ext):
-        bits[b, list(e)] = True
+    bits, words = _extent_rows(ext)  # sub[a, b]: ext[a] <= ext[b]
     sub, pair = ~bool_product(bits, ~bits.T), labelled(labels, "a", "b")
     rep.record("monotone", le & ~sub, pair)
     split = np.triu((bits[bs.prod] != bits[:, None] & bits).any(axis=2))
     rep.record("meets-to-intersections", split, pair)
-    words, unions = packed_rows(bits), Witnesses()
+    unions = Witnesses()
     for members, sups in bs._all_orthogonal_families().summable(1):
         for rows in family_blocks(len(members), members.shape[1] * words.shape[1]):
             block, tops = members[rows], sups[rows]
@@ -173,62 +181,75 @@ def represent_distribution(
 ) -> tuple[dict[frozenset[int], float], VerificationReport]:
     """Push a distribution to a measure on the ring generated by the extents.
 
-    The ring is grown by disjoint unions; every set remembers one
-    decomposition, and any rediscovery must agree within tol.
+    The ring is the closure of the extents under disjoint unions: the unions
+    of the families of pairwise-disjoint, distinct, nonempty extents. Each
+    distinct extent is stood for by the last element with it, whose value it
+    takes; the families are ``orthogonal_levels`` of those elements under
+    disjointness, in (size, members) order, with StructuralError past
+    ``MAX_FAMILIES`` in all, the empty one included. A family is keyed by the
+    OR of its members' packed rows. A union's measure is the sum of its first
+    family, for a nonempty extent its singleton, so its value; the empty set
+    keeps the value of an empty extent, 0.0 without one. additive-consistency
+    lists each (union, family) whose sum differs from that by more than tol.
     """
     rep = VerificationReport(subject="measure")
     bs, ext = sr.semiring, sr.extent
     vals = np.asarray(m.values, dtype=float)
 
-    measure: dict[frozenset[int], float] = {frozenset(): 0.0}
+    value: dict[frozenset[int], float] = {frozenset(): 0.0}
     conflicts = []
     for b in range(bs.n):
         v = float(vals[b])
-        if ext[b] in measure and abs(measure[ext[b]] - v) > tol:
+        if ext[b] in value and abs(value[ext[b]] - v) > tol:
             conflicts.append(
-                {"set": sorted(ext[b]), "values": [measure[ext[b]], v], "element": bs.labels[b]}
+                {"set": sorted(ext[b]), "values": [value[ext[b]], v], "element": bs.labels[b]}
             )
-        measure[ext[b]] = v
+        value[ext[b]] = v
     rep.record("well-defined-on-extents", conflicts)
 
-    # close under disjoint unions, cross-checking every rediscovery
-    disagreements = []
-    frontier = list(measure)
-    while frontier:
-        new = []
-        items = list(measure.items())
-        for a_set, a_val in items:
-            for b_set, b_val in items:
-                if a_set & b_set:
-                    continue
-                u = a_set | b_set
-                total = a_val + b_val
-                if u in measure:
-                    if abs(measure[u] - total) > tol:
-                        disagreements.append(
-                            {
-                                "set": sorted(u),
-                                "values": [measure[u], total],
-                                "parts": [sorted(a_set), sorted(b_set)],
-                            }
-                        )
-                else:
-                    measure[u] = total
-                    new.append(u)
-        frontier = new
+    bits, words = _extent_rows(ext)
+    last = np.array(sorted({e: b for b, e in enumerate(ext) if e}.values()), dtype=np.intp)
+    levels = orthogonal_levels(
+        ~bool_product(bits, bits.T), last, None, lambda f: np.full(len(f), -1), MAX_FAMILIES - 1
+    )
+    levels = [(np.zeros((1, 0), np.int16), np.full(1, -1)), *levels]
+    keys, sums = [], []
+    for members, sups in levels:
+        keys.append(np.bitwise_or.reduce(words[members], axis=1))
+        sums.append(0.0 - family_residuals(vals, members, sups))  # a zero sum is 0.0, not -0.0
+    keys, sums = np.concatenate(keys), np.concatenate(sums)
+    void = np.dtype((np.void, keys.itemsize * keys.shape[1]))
+    _, first, union = np.unique(keys.view(void)[:, 0], return_index=True, return_inverse=True)
+    at = sums[first]
+    at[union[0]] = value[frozenset()]  # family 0 is the empty one
+    held = np.unpackbits(keys[first].view(np.uint8), axis=1, bitorder="little")
+    points, ends = np.nonzero(held)[1].tolist(), np.cumsum(held.sum(axis=1)).tolist()
+    ring = [frozenset(points[a:b]) for a, b in zip([0, *ends], ends)]
+
+    disagreements, lo = Witnesses(), 0
+    for members, _ in levels:
+        u, total = union[lo : lo + len(members)], sums[lo : lo + len(members)]
+        disagreements.add(
+            np.abs(total - at[u]) > tol,
+            lambda f: {
+                "set": sorted(ring[u[f]]),
+                "values": [float(at[u[f]]), float(total[f])],
+                "parts": [sorted(ext[x]) for x in members[f].tolist()],
+                "family": [bs.labels[x] for x in members[f].tolist()],
+            },
+        )
+        lo += len(members)
     rep.record("additive-consistency", disagreements)
 
-    full = frozenset(range(len(sr.points)))
-    dist_mass = distribution_mass(bs, vals)
-    if full in measure:
-        rep.record(
-            "mass-preserved",
-            []
-            if abs(measure[full] - dist_mass) <= tol
-            else [{"measure": measure[full], "mass": dist_mass}],
-        )
-    else:
+    by_first = np.argsort(first)
+    measure = dict(zip([ring[g] for g in by_first.tolist()], at[by_first].tolist()))
+    full, dist_mass = frozenset(range(len(sr.points))), distribution_mass(bs, vals)
+    if full not in measure:
         rep.record("mass-preserved", [{"reason": "full point set not in ring"}])
+    elif abs(measure[full] - dist_mass) <= tol:
+        rep.record("mass-preserved", [])
+    else:
+        rep.record("mass-preserved", [{"measure": measure[full], "mass": dist_mass}])
     rep.facts["ring_size"] = len(measure)
     rep.facts["mass"] = measure.get(full, dist_mass)
     return measure, rep

@@ -127,10 +127,8 @@ def cmd_stone(args: argparse.Namespace) -> int:
     if args.distribution:
         dist = load_distribution(args.distribution, obj)
         measure, mrep = represent_distribution(sr, dist)
-        mrep.facts["measure"] = {
-            "{" + ",".join(str(p) for p in sorted(s)) + "}": v
-            for s, v in sorted(measure.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-        }
+        rows = sorted((len(s), sorted(s), v) for s, v in measure.items())  # sets are distinct
+        mrep.facts["measure"] = {"{" + ",".join(map(str, s)) + "}": v for _, s, v in rows}
         reports.append(mrep)
     return _emit(args, _payload("stone", reports, **extra), reports)
 

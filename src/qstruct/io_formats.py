@@ -278,20 +278,11 @@ def serialize_structure(obj: Structure) -> dict:
         "elements": list(labels),
         "le": [[a, b] for a, b in transitive_reduction(poset)],
     }
-    if "diff" in names:
-        out["diff"] = [
-            [labels[b], labels[a], labels[int(obj.diff[b, a])]]
-            for b in range(poset.n)
-            for a in range(poset.n)
-            if obj.diff[b, a] >= 0
-        ]
-    if "prod" in names:
-        out["prod"] = [
-            [labels[a], labels[b], labels[int(obj.prod[a, b])]]
-            for a in range(poset.n)
-            for b in range(a, poset.n)
-            if obj.prod[a, b] >= 0
-        ]
+    for t in ("diff", "prod"):  # defined cells as triples, row-major; prod's upper triangle
+        if t in names:
+            table = getattr(obj, t)
+            cells = np.nonzero(np.triu(table >= 0) if t == "prod" else table >= 0)
+            out[t] = [[labels[x], labels[y], labels[table[x, y]]] for x, y in zip(*cells)]
     if "neg" in names:
         out["neg"] = [[labels[a], labels[int(obj.neg[a])]] for a in range(poset.n)]
         out["unit"] = labels[obj.top]

@@ -296,20 +296,21 @@ def _multiplicative(
 ) -> Witnesses:
     """Witnesses of h(a) h(b) = h(ab) over the ids a <= b, row-major.
 
-    Given the real diagonals, only the pairs whose diagonal residual is not
-    zero reach the full matrices. Both passes go in blocks of about
-    ``STACK_ENTRIES`` entries.
+    Given the real diagonals, the pairs of the triangle are screened first,
+    and only those whose diagonal residual is not zero reach the full
+    matrices. Both passes go in blocks of about ``STACK_ENTRIES`` entries.
     """
     n, dim = images.shape[:2]
-    pairs = np.triu(np.ones((n, n), dtype=bool))
+    a, b = np.triu_indices(n)  # row-major
     if diag is not None:
-        rows = max(1, STACK_ENTRIES // max(1, n * dim))
+        step = max(1, STACK_ENTRIES // max(1, dim))
         blocks = (
-            (lo * n, diag[lo : lo + rows, None] * diag - diag[bs.prod[lo : lo + rows]])
-            for lo in range(0, n, rows)
+            (lo, diag[pa] * diag[pb] - diag[bs.prod[pa, pb]])
+            for lo in range(0, len(a), step)
+            for pa, pb in [(a[lo : lo + step], b[lo : lo + step])]
         )
-        pairs &= _nonzero_residuals(n * n, blocks).reshape(n, n)
-    a, b = np.nonzero(pairs)
+        keep = _nonzero_residuals(len(a), blocks)
+        a, b = a[keep], b[keep]
     mult, step = Witnesses(), max(1, STACK_ENTRIES // max(1, dim * dim))
     for lo in range(0, len(a), step):
         pa, pb = a[lo : lo + step], b[lo : lo + step]

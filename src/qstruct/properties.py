@@ -136,18 +136,12 @@ def _suite_order(run: _Run, seed: int, tol: Tolerance) -> None:
         rep = verify_poset(p)
         run.check(rep.ok, f"random-dag-poset n={n}", **_report_detail(rep))
 
-        mt, jt = p.meet_table(), p.join_table()
+        # a meet is a lower bound above every lower bound, a join the same in the dual order
         ok = True
-        for a in range(n):
-            for b in range(n):
-                m = int(mt[a, b])
-                if m >= 0:
-                    below = le[:, a] & le[:, b]
-                    ok &= bool(le[m, a] and le[m, b] and (~below | le[:, m]).all())
-                j = int(jt[a, b])
-                if j >= 0:
-                    above = le[a, :] & le[b, :]
-                    ok &= bool(le[a, j] and le[b, j] and (~above | le[j, :]).all())
+        for table, rel in ((p.meet_table(), le), (p.join_table(), le.T)):
+            a, b = np.nonzero(table >= 0)
+            m = table[a, b]
+            ok &= bool((rel[m, a] & rel[m, b]).all() and (rel[:, a] & rel[:, b] <= rel[:, m]).all())
         run.check(ok, f"bound-tables-extremal n={n}")
 
         covers = transitive_reduction(p)
@@ -204,17 +198,12 @@ def _suite_semilogic(run: _Run, seed: int, tol: Tolerance) -> None:
     run.check(rep.ok, "mo2-semilogic", **_report_detail(rep))
     for case, blocks in enumerate(((2,), (2, 1), (2, 2), (3, 1, 1))):
         rng = np.random.default_rng([seed, 202, case])
-        parts, at = [], 0
-        for b in blocks:
-            parts.append(frozenset(range(at, at + b)))
-            at += b
-        sets = []
-        for mask in range(1 << len(parts)):
-            u = frozenset()
-            for i, p in enumerate(parts):
-                if mask >> i & 1:
-                    u |= p
-            sets.append(u)
+        ends = np.cumsum(blocks).tolist()
+        parts = [frozenset(range(hi - b, hi)) for b, hi in zip(blocks, ends)]
+        sets = [
+            frozenset().union(*(p for i, p in enumerate(parts) if mask >> i & 1))
+            for mask in range(1 << len(parts))
+        ]
         s, order = subset_semilogic(sets)
         rep = verify_semilogic(s)
         run.check(rep.ok, f"partition-semilogic {blocks}", **_report_detail(rep))
@@ -226,7 +215,7 @@ def _suite_semilogic(run: _Run, seed: int, tol: Tolerance) -> None:
         drep = verify_distribution(s, DistributionTable(vals))
         run.check(drep.ok, f"block-distribution {blocks}", **_report_detail(drep))
 
-        point = int(rng.integers(at))
+        point = int(rng.integers(ends[-1]))
         pvals = np.array([1.0 if point in st else 0.0 for st in order])
         filt, frep = support(s, DistributionTable(pvals))
         run.check(frep.ok and frep.facts["maximal"], f"point-support-maximal {blocks}")
@@ -244,17 +233,8 @@ def _suite_stone(run: _Run, seed: int, tol: Tolerance) -> None:
             run.check(len(sr.points) == k, f"point-count k={k}", got=len(sr.points))
 
             rng = np.random.default_rng([seed, 303, k, s])
-            atom_w = rng.random(k)
-            ats = sorted(
-                int(a)
-                for a in range(bs.n)
-                if (bs.poset.le[:, a].sum() == 2)
-            )
-            vals = np.zeros(bs.n)
-            for b in range(bs.n):
-                vals[b] = sum(
-                    atom_w[i] for i, a in enumerate(ats) if bs.poset.le[a, b]
-                )
+            atoms = np.flatnonzero(bs.poset.le.sum(axis=0) == 2)  # one element strictly below
+            vals = rng.random(k) @ bs.poset.le[atoms]  # the atom weights under each element
             _, mrep = represent_distribution(sr, DistributionTable(vals))
             run.check(mrep.ok, f"measure-representation k={k}", **_report_detail(mrep))
     rep = verify_semiring(diamond_semiring())

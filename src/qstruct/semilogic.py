@@ -614,7 +614,14 @@ def _has_common_refinement(
     b: int,
     ab: int,
 ) -> bool:
-    """Search decompositions A of a, B of b inside one orthogonal family."""
+    """Search decompositions A of a, B of b inside one orthogonal family.
+
+    Per pair it tries at most |decompositions of a| x |decompositions of b|
+    pairs of summable families (``by_sup``), each one bit test and at most
+    one ``join_of`` per distinct common part (cached in ``joins``). Only the
+    pairs that ``_certified_refinements`` leaves open reach it; on the valid
+    fixtures, flat semilogics and horizontal sums none is left.
+    """
     for fam_a, mask_a, allowed_a in by_sup.get(a, ()):
         for _, mask_b, _ in by_sup.get(b, ()):
             if mask_b & ~allowed_a:  # some pair of members is neither equal nor orthogonal

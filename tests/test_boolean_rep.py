@@ -4,14 +4,18 @@ Powerset semirings index elements by bitmask and their points are the atoms,
 so every extent is predictable from popcounts; the diamond provides the
 canonical non-representable contrast. The frozenset loops that
 ``verify_topology``, ``verify_stone`` and ``subset_semilogic`` once ran are
-kept as the oracles for their index kernels and packed rows.
+kept as the oracles for their index kernels and packed rows, and the dict
+closure under disjoint unions as the oracle of ``represent_distribution``,
+which reads its ring off the family levels.
 """
 
+import json
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import fixture_structures, oracle_summable_families
+from conftest import fixture_structures, oracle_summable_families, structure_file
 
 import qstruct.boolean_rep
 
@@ -23,6 +27,7 @@ from qstruct import (
     QstructError,
     StructuralError,
     SubsetTopology,
+    cli,
     diamond_semiring,
     induced_homomorphism,
     maximal_filters,
@@ -37,9 +42,10 @@ from qstruct import (
     verify_stone,
     verify_topology,
 )
-from qstruct.boolean_rep import _is_maximal_filter
+from qstruct.boolean_rep import StoneRepresentation, _is_maximal_filter
 from qstruct.order import MAX_ELEMENTS
 from qstruct.report import VerificationReport
+from qstruct.semilogic import distribution_mass
 
 
 def test_semiring_rejects_partial_products_and_trivial_carriers():
@@ -198,10 +204,149 @@ def test_distribution_pushes_to_a_measure():
 def test_non_additive_distribution_is_caught_twice():
     bs = powerset_semiring(2)
     sr = stone_map(bs)
-    m = DistributionTable.from_dict(bs, {"{0}": 0.25, "{1}": 0.75, "{0,1}": 0.9})
-    _, rep = represent_distribution(sr, m)
-    assert not rep.get("additive-consistency").passed
-    assert not rep.get("mass-preserved").passed
+    for values, total in (((0.25, 0.75, 0.9), 1.0), ((0.3, 0.3, 0.5), 0.6)):
+        m = DistributionTable.from_dict(bs, dict(zip(("{0}", "{1}", "{0,1}"), values)))
+        _, rep = represent_distribution(sr, m)
+        # one bad decomposition is one (union, family) cell, whatever the member order
+        check = rep.get("additive-consistency")
+        assert check.violation_count == 1
+        assert check.witnesses == [
+            {"set": [0, 1], "values": [values[2], total], "parts": [[0], [1]], "family": ["{0}", "{1}"]}
+        ]
+        assert not rep.get("mass-preserved").passed
+
+
+def oracle_represent_distribution(sr, m, tol=1e-12):
+    """The dict closure under disjoint unions that represent_distribution once ran.
+
+    Returns the measure and the verdict of each of its checks.
+    """
+    bs, ext = sr.semiring, sr.extent
+    vals = np.asarray(m.values, dtype=float)
+    measure = {frozenset(): 0.0}
+    conflicts = []
+    for b in range(bs.n):
+        v = float(vals[b])
+        if ext[b] in measure and abs(measure[ext[b]] - v) > tol:
+            conflicts.append(b)
+        measure[ext[b]] = v
+    disagreements = []
+    frontier = list(measure)
+    while frontier:
+        new = []
+        items = list(measure.items())
+        for a_set, a_val in items:
+            for b_set, b_val in items:
+                if a_set & b_set:
+                    continue
+                u = a_set | b_set
+                total = a_val + b_val
+                if u in measure:
+                    if abs(measure[u] - total) > tol:
+                        disagreements.append(u)
+                else:
+                    measure[u] = total
+                    new.append(u)
+        frontier = new
+    full = frozenset(range(len(sr.points)))
+    mass = distribution_mass(bs, vals)
+    return measure, {
+        "well-defined-on-extents": not conflicts,
+        "additive-consistency": not disagreements,
+        "mass-preserved": full in measure and abs(measure[full] - mass) <= tol,
+    }
+
+
+def atom_semiring(k):
+    """0 and k pairwise-orthogonal atoms with no sums: the Stone ring has 2^k sets."""
+    labels = ["0", *(f"a{i}" for i in range(k))]
+    le = np.eye(k + 1, dtype=bool)
+    le[0] = True
+    prod = np.diag(np.arange(k + 1)).astype(np.int16)
+    return BooleanSemiring(FinitePoset(labels, le), prod)
+
+
+def point_measure(sr, rng):
+    """Values adding up random point weights over each extent."""
+    weights = rng.random(len(sr.points))
+    return np.array([weights[sorted(e)].sum() for e in sr.extent])
+
+
+def measure_cases(rng):
+    semirings = fixture_structures(BooleanSemiring) + [powerset_semiring(k) for k in range(1, 6)]
+    for bs in semirings + [atom_semiring(k) for k in range(1, 9)]:
+        sr = stone_map(bs)
+        vals = point_measure(sr, rng)
+        yield sr, vals
+        for step in (0.1, 1e-9):
+            perturbed = vals.copy()
+            perturbed[rng.integers(bs.n)] += step
+            yield sr, perturbed
+        at_zero = vals.copy()
+        at_zero[bs.zero()] = 0.2
+        yield sr, at_zero
+    # duplicate and empty extents, failing Stone checks
+    for sr in corrupted_stone_maps(31):
+        yield sr, point_measure(sr, rng)
+        for _ in range(3):
+            yield sr, rng.random(sr.semiring.n)
+
+
+def test_measures_match_the_dict_closure():
+    verdicts = set()
+    for sr, vals in measure_cases(np.random.default_rng(7)):
+        m = DistributionTable(vals)
+        got, rep = represent_distribution(sr, m)
+        want, checks = oracle_represent_distribution(sr, m)
+        assert set(got) == set(want)
+        assert rep.facts["ring_size"] == len(want)
+        # extents keep their values bit for bit; other unions may add in another order
+        extents = set(sr.extent) | {frozenset()}
+        for s, v in want.items():
+            assert got[s] == v if s in extents else abs(got[s] - v) <= 1e-12
+        for name, passed in checks.items():
+            assert rep.get(name).passed == passed, name
+        verdicts.add(tuple(checks.values()))
+    assert len(verdicts) >= 4
+
+
+def test_the_atom_ring_ends_at_the_ceiling(capsys, tmp_path):
+    # the ring of k disjoint extents has 2^k sets: a valid input at the family cap
+    for k in (16, 18):
+        bs = atom_semiring(k)
+        path, dist = tmp_path / f"atoms{k}.json", tmp_path / f"atoms{k}_dist.json"
+        path.write_text(json.dumps(structure_file(bs) | {"kind": "boolean_semiring"}))
+        dist.write_text(json.dumps({"values": {x: 1 / k for x in bs.labels[1:]}}))
+        start = time.process_time()
+        code = cli.main(["stone", "--json", str(path), "--distribution", str(dist)])
+        out = json.loads(capsys.readouterr().out)
+        if k == 16:
+            assert time.process_time() - start < 10.0  # about 1 s on a 2-vCPU VM
+            assert code == 0
+            assert out["reports"][2]["facts"]["ring_size"] == 2**16
+        else:  # 2^18 families are past MAX_FAMILIES
+            assert code == 2
+            assert "enumeration cap" in out["error"]["message"]
+
+
+def test_the_ring_family_cap_is_its_own(monkeypatch):
+    # a chain has no orthogonal pair, but k disjoint extents have 2^k families
+    ids = np.arange(19)
+    chain = BooleanSemiring(
+        FinitePoset([f"c{i}" for i in ids], ids[:, None] <= ids),
+        np.minimum.outer(ids, ids).astype(np.int16),
+    )
+    sr = StoneRepresentation(chain, [], [frozenset()] + [frozenset([i]) for i in range(18)])
+    with pytest.raises(StructuralError, match="enumeration cap"):
+        represent_distribution(sr, DistributionTable(np.zeros(19)))
+    # three distinct extents among duplicates: 8 families with the empty one
+    sr.extent[4:] = [frozenset([i % 3]) for i in range(15)]
+    monkeypatch.setattr(qstruct.boolean_rep, "MAX_FAMILIES", 8)
+    _, rep = represent_distribution(sr, DistributionTable(np.zeros(19)))
+    assert rep.facts["ring_size"] == 8
+    monkeypatch.setattr(qstruct.boolean_rep, "MAX_FAMILIES", 7)
+    with pytest.raises(StructuralError, match="enumeration cap"):
+        represent_distribution(sr, DistributionTable(np.zeros(19)))
 
 
 def test_induced_homomorphism_pulls_back_along_points():
