@@ -5,6 +5,12 @@ structure. The headline computation compares genuine lattice distributivity
 against the annihilation criterion "zero meet implies zero product"; the two
 agree, and both fail together on non-boolean clans, where the criterion
 witness carries the product norm and the overlap ||P1 P2 P1||.
+
+Meets and joins are matched to members by trace window: for any square X,
+|tr X| <= sum |X_ii| <= d ||X||, so a member can lie within eps of a target
+only if their traces differ by at most d eps. The members' traces are sorted
+once per clan, and each target's norm tests run only on the members inside
+its window whose diagonals also match its own within eps.
 """
 
 from __future__ import annotations
@@ -16,17 +22,19 @@ import numpy as np
 
 from .errors import DomainError
 from .matrix_core import (
+    SCREEN_FLOOR,
+    SCREEN_MARGIN,
     STACK_ENTRIES,
     Array,
     Tolerance,
     as_complex,
+    op_norm_bounds,
     op_norms,
     op_norms_exceed,
     operator_order,
     projection_defects,
     range_meets,
     screened_op_norm,
-    screened_op_norms,
 )
 from .order import FinitePoset, first_nondistributive, sentinel_padded, verify_poset
 from .report import VerificationReport, labelled
@@ -68,19 +76,26 @@ def _cached(clan: Clan, tol: Tolerance, build):
 
 
 def relation_tables(clan: Clan, tol: Tolerance) -> dict[str, np.ndarray]:
-    """Boolean order / orthogonality / commutation tables over member pairs."""
-    n, m = clan.n, clan.members
-    order = np.zeros((n, n), dtype=bool)
-    orth = np.zeros((n, n), dtype=bool)
-    comm = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        ab = m[i] @ m
-        ba = m @ m[i]
-        over = op_norms_exceed(np.concatenate([ab - m[i], ba - m[i], ab, ab - ba]), tol.eps)
-        order[i] = ~(over[:n] | over[n : 2 * n])
-        orth[i] = ~over[2 * n : 3 * n]
-        comm[i] = ~over[3 * n :]
-    return {"order": order, "orthogonal": orth, "commute": comm}
+    """Boolean order / orthogonality / commutation tables over member pairs, in (i, j) blocks.
+
+    ``absorbed`` holds A_i A_j = A_i within eps, the half of the order test that finds units.
+    """
+    n, d, m = clan.n, clan.dim, clan.members
+
+    def tests(pa, pb):
+        a, b = m[pa], m[pb]
+        ab, ba = a @ b, b @ a
+        over = op_norms_exceed(np.concatenate([ab - a, ba - a, ab, ab - ba]), tol.eps)
+        return over.reshape(4, -1).T
+
+    i, j = np.divmod(np.arange(n * n), n)
+    over = _pairwise(tests, i, j, 6 * d * d).reshape(n, n, 4)
+    return {
+        "order": ~(over[..., 0] | over[..., 1]),
+        "orthogonal": ~over[..., 2],
+        "commute": ~over[..., 3],
+        "absorbed": ~over[..., 0],
+    }
 
 
 def _first_within(stack: Array, tol: Tolerance) -> int:
@@ -89,28 +104,78 @@ def _first_within(stack: Array, tol: Tolerance) -> int:
     return int(hits[0]) if hits.size else -1
 
 
+def _trace_order(clan: Clan, tol: Tolerance) -> tuple[Array, Array, float, bool]:
+    """Member ids by Re tr, the traces in that order, the largest sum of |Re M_ii|.
+
+    The last item says whether ``op_norm_bounds`` makes a claim on every member.
+    """
+    diag = clan.members.diagonal(axis1=1, axis2=2).real
+    tr = diag.sum(axis=1)
+    order = np.argsort(tr, kind="stable")
+    claim = bool(np.isfinite(op_norm_bounds(clan.members)[1]).all())
+    return order, tr[order], float(np.abs(diag).sum(axis=1).max()), claim
+
+
 def _match_members(clan: Clan, targets: Array, tol: Tolerance) -> np.ndarray:
-    """Per matrix of a (k, d, d) stack, the first member within eps of it, or -1."""
-    d = clan.dim
-    over = op_norms_exceed((clan.members - targets[:, None]).reshape(-1, d, d), tol.eps)
-    within = ~over.reshape(len(targets), clan.n)
-    return np.where(within.any(axis=1), within.argmax(axis=1), -1)
+    """Per matrix of a (k, d, d) stack, the first member within eps of it, or -1.
+
+    For any square X, |X_ii| <= ||X|| and |tr X| <= d ||X||. So a target T
+    is tested only against the members whose Re tr lies within
+    d eps (1 + m) + m (S + S_T) of its own (m = SCREEN_MARGIN, S_T the sum of
+    |Re T_ii|, S the largest such sum over the members), a window found by
+    ``np.searchsorted`` in the traces sorted once per clan, and of those only
+    against the ones whose Re diagonal is within eps (1 + m) of T's entry by
+    entry. Why m covers the rounding, with u = 2^-53: a computed norm at most
+    eps means an exact ||M - T|| below eps (1 + 3 d^2 u), as in ``_screen``;
+    a computed trace is off by at most d u S, a window end or a diagonal gap
+    by u of itself. A target that ``op_norm_bounds`` claims nothing on (a
+    non-finite entry, a norm near overflow, a side above SCREEN_MAX_SIDE) is
+    tested against every member, and so is every target when some member is
+    such a matrix or eps is below SCREEN_FLOOR: a NaN still meets eigh.
+    """
+    n, d, eps = clan.n, clan.dim, tol.eps
+    order, keys, spread, claim = _cached(clan, tol, _trace_order)
+    t_diag = targets.diagonal(axis1=1, axis2=2).real
+    tr, s = t_diag.sum(axis=1), np.abs(t_diag).sum(axis=1)
+    tame = np.isfinite(op_norm_bounds(targets)[1]) & claim & (eps >= SCREEN_FLOOR)
+    with np.errstate(invalid="ignore"):
+        half = d * eps * (1.0 + SCREEN_MARGIN) + SCREEN_MARGIN * (spread + s)
+        lo = np.where(tame, np.searchsorted(keys, tr - half), 0)
+        hi = np.where(tame, np.searchsorted(keys, tr + half, "right"), n)
+    ends = np.cumsum(hi - lo)  # target t's candidates are order[lo[t]:hi[t]]
+    m_diag, first = clan.members.diagonal(axis1=1, axis2=2).real, np.full(len(targets), n)
+
+    def test(tt, mm):
+        return ~op_norms_exceed(clan.members[mm] - targets[tt], eps)
+
+    step = max(1, STACK_ENTRIES // d)  # candidate pairs a block, d diagonal entries each
+    for p0 in range(0, int(ends[-1]) if ends.size else 0, step):
+        t = np.searchsorted(ends, np.arange(p0, min(p0 + step, ends[-1])), "right")
+        mem = order[np.arange(p0, p0 + len(t)) - ends[t] + hi[t]]
+        # |M_ii - T_ii| <= ||M - T||: a tame pair apart on the diagonal is no match
+        apart = np.abs(m_diag[mem] - t_diag[t]).max(axis=1) > eps * (1.0 + SCREEN_MARGIN)
+        keep = ~(tame[t] & apart)
+        t, mem = t[keep], mem[keep]
+        hit = _pairwise(test, t, mem, d * d)
+        np.minimum.at(first, t[hit], mem[hit])
+    return np.where(first < n, first, -1)
 
 
 def _pairwise(f: Callable, a: np.ndarray, b: np.ndarray, entries: int) -> np.ndarray:
     """``f`` over blocks of the pair lists a, b, about ``STACK_ENTRIES`` entries a block, joined."""
     step = max(1, STACK_ENTRIES // entries)
-    blocks = [f(a[lo : lo + step], b[lo : lo + step]) for lo in range(0, len(a), step)]
-    return np.concatenate(blocks) if blocks else np.zeros(0)
+    blocks = range(0, max(len(a), 1), step)  # one empty block when there are no pairs
+    return np.concatenate([f(a[lo : lo + step], b[lo : lo + step]) for lo in blocks])
 
 
 def bound_tables(clan: Clan, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """Member indices of pairwise range meets and joins; closure is demanded.
 
-    The pairs i <= j go in row-major blocks: one ``range_meets`` over the
-    pairs and their complements gives a block's meets and joins, and one
-    ``_match_members`` finds both. ``missing`` names the first eight bounds
-    that are no member, pairs row-major, meet before join.
+    The pairs i <= j go in row-major blocks of about ``STACK_ENTRIES``
+    entries, 4 d^2 a pair: one ``range_meets`` over the pairs and their
+    complements gives a block's meets and joins, and one ``_match_members``
+    finds both. ``missing`` names the first eight bounds that are no member,
+    pairs row-major, meet before join.
     """
     n, d, m = clan.n, clan.dim, clan.members
     eye = np.eye(d, dtype=np.complex128)
@@ -122,7 +187,7 @@ def bound_tables(clan: Clan, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
         return _match_members(clan, both, tol).reshape(2, -1).T
 
     a, b = np.triu_indices(n)
-    found = _pairwise(bounds, a, b, 2 * n * d * d)  # (pairs, 2): meet, join
+    found = _pairwise(bounds, a, b, 4 * d * d)  # (pairs, 2): meet, join
     missing = [
         {"kind": ("meet", "join")[c % 2], "a": clan.labels[a[c // 2]], "b": clan.labels[b[c // 2]]}
         for c in np.flatnonzero(found < 0)[:8].tolist()
@@ -141,19 +206,28 @@ def _criterion(clan: Clan, tol: Tolerance) -> dict:
 
     # the zero-meet pairs, row-major, whose product is not zero
     a, b = np.nonzero(np.triu(meet_idx == _first_within(m, tol), 1))
-    norms = _pairwise(lambda pa, pb: screened_op_norms(m[pa] @ m[pb], tol.eps), a, b, d2)
-    hits = np.flatnonzero(norms > tol.eps)
-    a, b, norms = a[hits], b[hits], norms[hits]
-    overlaps = _pairwise(lambda pa, pb: op_norms(m[pa] @ m[pb] @ m[pa]), a, b, d2)
+    hits = _pairwise(lambda pa, pb: op_norms_exceed(m[pa] @ m[pb], tol.eps), a, b, d2)
+    a, b = a[hits], b[hits]
 
     crit_witness = None
-    if hits.size:
-        # the first maximum, as a running maximum that only a larger overlap replaces
-        k = 0 if np.isnan(overlaps[0]) else int(np.nanargmax(overlaps))
+    if a.size:
+        # the first maximum, as a running maximum that only a larger overlap replaces;
+        # op_norms runs only on the overlaps whose upper bound reaches the largest lower one
+        def overlap(pa, pb):
+            return m[pa] @ m[pb] @ m[pa]
+
+        def bounds(pa, pb):
+            return np.stack(op_norm_bounds(overlap(pa, pb)), axis=1)
+
+        lo, hi = _pairwise(bounds, a, b, d2).T
+        near = np.flatnonzero(hi >= lo.max())
+        overlaps = _pairwise(lambda pa, pb: op_norms(overlap(pa, pb)), a[near], b[near], d2)
+        k = 0 if near[0] == 0 and np.isnan(overlaps[0]) else int(np.nanargmax(overlaps))
+        i, j = a[near[k]], b[near[k]]
         crit_witness = {
-            "a": labels[a[k]],
-            "b": labels[b[k]],
-            "product_norm": float(norms[k]),
+            "a": labels[i],
+            "b": labels[j],
+            "product_norm": float(op_norms(m[[i]] @ m[[j]])[0]),
             "overlap": float(overlaps[k]),
         }
 
@@ -162,9 +236,9 @@ def _criterion(clan: Clan, tol: Tolerance) -> dict:
     return {
         "distributive": hit is None,
         "distributive_witness": dist_witness,
-        "criterion": not hits.size,
+        "criterion": not a.size,
         "criterion_witness": crit_witness,
-        "agree": (hit is None) == (not hits.size),
+        "agree": (hit is None) == (not a.size),
     }
 
 
@@ -181,10 +255,7 @@ def distributivity_criterion(clan: Clan, tol: Tolerance) -> dict:
 
 def _unit(clan: Clan, tol: Tolerance) -> int:
     """The first member g with A g = A for every member A, or -1."""
-    n, d, m = clan.n, clan.dim, clan.members
-    g, a = np.divmod(np.arange(n * n), n)
-    over = _pairwise(lambda pg, pa: op_norms_exceed(m[pa] @ m[pg] - m[pa], tol.eps), g, a, d * d)
-    absorbs = ~over.reshape(n, n).any(axis=1)
+    absorbs = _cached(clan, tol, relation_tables)["absorbed"].all(axis=0)
     return int(absorbs.argmax()) if absorbs.any() else -1
 
 

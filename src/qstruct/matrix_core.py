@@ -91,6 +91,13 @@ SCREEN_FLOOR = 1e-140
 SCREEN_MAX_SIDE = 256
 
 
+def _frobenius(a: Array) -> Array:
+    """Frobenius norm of each matrix in an (N, r, c) stack: one sum of squares each."""
+    n, r, c = a.shape
+    x = np.ascontiguousarray(a, dtype=np.complex128).reshape(n, r * c).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
+
+
 def _screen(a: Array, eps: float) -> tuple[Array, Array, Array]:
     """Frobenius norms of an (N, r, c) stack, and which matrices they decide.
 
@@ -113,8 +120,7 @@ def _screen(a: Array, eps: float) -> tuple[Array, Array, Array]:
     accuracy), nothing is screened.
     """
     n, r, c = a.shape
-    x = np.ascontiguousarray(a, dtype=np.complex128).reshape(n, -1).view(np.float64)
-    fro = np.sqrt(np.einsum("ij,ij->i", x, x))
+    fro = _frobenius(a)
     if not (eps >= SCREEN_FLOOR and max(r, c) <= SCREEN_MAX_SIDE):
         return fro, np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
     over = np.isfinite(fro) & (fro > np.sqrt(min(r, c)) * eps * (1.0 + SCREEN_MARGIN))
@@ -135,6 +141,27 @@ def op_norms_exceed(a: Array, eps: float) -> Array:
     if idx.size:
         over[idx] = op_norms(a[idx]) > eps
     return over
+
+
+# above this Frobenius norm op_norm_bounds claims nothing: a*a stays far from overflow below it
+BOUNDS_MAX_NORM = 2.0**500
+
+
+def op_norm_bounds(a: Array) -> tuple[Array, Array]:
+    """Bounds lo <= op_norms(a) <= hi per matrix of an (N, r, c) stack, from Frobenius norms.
+
+    F / sqrt(k) <= ||A|| <= F, with the relative margin of ``_screen`` for
+    rounding and SCREEN_FLOOR more for squares gone subnormal. Where F is
+    not finite or above BOUNDS_MAX_NORM, or a side is above SCREEN_MAX_SIDE,
+    nothing is claimed: lo = 0 and hi = inf.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    _, r, c = a.shape
+    fro = _frobenius(a)
+    claim = np.isfinite(fro) & (fro <= BOUNDS_MAX_NORM) & (max(r, c) <= SCREEN_MAX_SIDE)
+    fro = np.where(claim, fro, 0.0)
+    lo = np.maximum(fro * (1.0 - SCREEN_MARGIN) - SCREEN_FLOOR, 0.0) / np.sqrt(max(min(r, c), 1))
+    return lo, np.where(claim, fro * (1.0 + SCREEN_MARGIN) + SCREEN_FLOOR, np.inf)
 
 
 def screened_op_norms(a: Array, eps: float) -> Array:

@@ -8,7 +8,7 @@ layer only adds totality of the product and distributivity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -108,14 +108,20 @@ class FamilyTable:
     """
 
     levels: list[tuple[np.ndarray, np.ndarray]]
+    # level size -> its rows that have a sup, filled by summable
+    _summable: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return sum(len(sups) for _, sups in self.levels)
 
     def summable(self, min_size: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Per level of at least ``min_size`` members, the rows that have a sup."""
-        for members, sups in self.levels[min_size:]:
-            yield members[sups >= 0], sups[sups >= 0]
+        """Per level of at least ``min_size`` members, the rows that have a sup, masked once."""
+        for size in range(min_size, len(self.levels)):
+            if size not in self._summable:
+                members, sups = self.levels[size]
+                keep = sups >= 0
+                self._summable[size] = (members, sups) if keep.all() else (members[keep], sups[keep])
+            yield self._summable[size]
 
 
 def orthogonal_levels(

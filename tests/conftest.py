@@ -352,6 +352,14 @@ def diagonal_clan(d):
     return Clan(members, labels)
 
 
+def rotated_diagonal_clan(d, seed):
+    """The 2^d coordinate projections of C^d turned by one seeded unitary; member i has mask i."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    masks = [np.diag([float(m >> i & 1) for i in range(d)]) for m in range(1 << d)]
+    return Clan([u @ m @ u.conj().T for m in masks])
+
+
 def crossed_clan():
     plus = np.full((2, 2), 0.5)
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]])

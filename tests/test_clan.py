@@ -9,12 +9,23 @@ once ran is kept as the oracle for the shared table kernel, and the per-pair
 and per-member ``op_norm`` loops as oracles for the stacked threshold kernel.
 The per-pair ``range_meet``/``range_join`` loop of ``bound_tables`` and the
 per-row criterion, distinctness and unit loops are kept as oracles for the
-stacked clan kernels.
+stacked clan kernels, and the stacked match of every target against every
+member as the oracle for the trace-window match on non-finite members.
 """
+
+import json
+import time
 
 import numpy as np
 import pytest
-from conftest import crossed_clan, diagonal_clan, mo_clan, oracle_op_norm, skewed_clan
+from conftest import (
+    crossed_clan,
+    diagonal_clan,
+    mo_clan,
+    oracle_op_norm,
+    rotated_diagonal_clan,
+    skewed_clan,
+)
 
 import qstruct.clan
 from qstruct import (
@@ -267,6 +278,9 @@ def clan_corpus():
     base = diagonal_clan(2)
     twins = [base.members[1] + s * np.diag([1.0, 0.0]) for s in (0.5e-9, 1e-9 * (1 + 1e-12), 3e-9)]
     corpus.append((Clan([*base.members, *twins], [*base.labels, "T1", "T2", "T3"]), TOL))
+    # traces that are no integers: scaled projections, and a complex diagonal
+    odd = [0.5 * base.members[1], np.diag([0.3, 0.45 + 0.2j]), np.diag([0.3 + 1e-10, 0.45 + 0.2j])]
+    corpus.append((Clan([*base.members, *odd], [*base.labels, "H1", "C", "C'"]), TOL))
     return corpus
 
 
@@ -497,7 +511,122 @@ def test_a_second_criterion_call_builds_nothing(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the criterion was built again")
 
-    for name in ("bound_tables", "screened_op_norms", "op_norms", "first_nondistributive"):
+    names = ("bound_tables", "_match_members", "_trace_order", "range_meets", "_pairwise")
+    names += ("op_norms", "op_norms_exceed", "op_norm_bounds", "first_nondistributive")
+    for name in names:
         monkeypatch.setattr(qstruct.clan, name, forbidden)
     assert distributivity_criterion(clan, TOL) is first
     assert clan._tables == kept
+
+
+# -- the trace window: its edges, non-finite members, and clans of many blocks ------
+
+
+def stacked_match_members(clan, targets, tol):
+    """Every target against every member in one stack: the match before the trace window."""
+    d = clan.dim
+    over = op_norms_exceed((clan.members - targets[:, None]).reshape(-1, d, d), tol.eps)
+    within = ~over.reshape(len(targets), clan.n)
+    return np.where(within.any(axis=1), within.argmax(axis=1), -1)
+
+
+def test_member_matching_at_the_window_edges():
+    hits = misses = 0
+    for clan, tol in clan_corpus():
+        d, eps = clan.dim, tol.eps
+        corner, swing, off = (np.zeros((d, d)) for _ in range(3))
+        corner[0, 0] = 1.0
+        swing[0, 0], swing[-1, -1] = 1.0, -1.0  # no trace, a diagonal gap
+        off[0, -1] = off[-1, 0] = 1.0  # no trace and no diagonal gap
+        targets = []
+        for m in clan.members:
+            for s in (1 - 1e-12, 1 + 1e-12):  # just inside and just outside
+                targets += [m + s * eps * np.eye(d), m + s * d * eps * corner]
+                targets += [m + s * eps * swing, m + s * eps * off]
+        want = [oracle_match_member(clan, target, tol) for target in targets]
+        assert _match_members(clan, np.array(targets), tol).tolist() == want
+        hits += sum(w >= 0 for w in want)
+        misses += sum(w < 0 for w in want)
+    assert hits > 0 and misses > 0
+
+
+def outcome(f):
+    """The JSON of what ``f()`` returns, or the type and message of what it raises."""
+    try:
+        return json.dumps(f(), default=repr)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return f"{type(exc).__name__}: {exc}"
+
+
+def non_finite_clans():
+    base = diagonal_clan(2)
+    out = []
+    for bad in (np.nan, np.inf, -np.inf):
+        for cell in ((0, 0), (0, 1)):
+            members = base.members.copy()
+            members[2][cell] = bad
+            out.append(Clan(members, base.labels))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_members_match_as_the_stacked_kernel_did(monkeypatch):
+    for clan in non_finite_clans():
+        targets = np.concatenate([clan.members, clan.members[::-1] + 0.5e-9, clan.members[:1] * np.nan])
+        assert outcome(lambda: _match_members(clan, targets, TOL).tolist()) == outcome(
+            lambda: stacked_match_members(clan, targets, TOL).tolist()
+        )
+
+        def calls(c):
+            return {
+                "bounds": outcome(lambda: [t.tolist() for t in bound_tables(c, TOL)]),
+                "report": outcome(lambda: verify_clan(c, TOL).to_dict()),
+                "state": outcome(lambda: vector_state(c, np.array([0.6, 0.8]), TOL)[1].to_dict()),
+            }
+
+        got = calls(Clan(clan.members, clan.labels))
+        with monkeypatch.context() as m:
+            m.setattr(qstruct.clan, "_match_members", stacked_match_members)
+            assert got == calls(Clan(clan.members, clan.labels))
+
+
+def ladder_clans():
+    """Rotated diagonal clans of 64 and 128 members and MO_16: kernels of many blocks."""
+    return [rotated_diagonal_clan(6, 6), rotated_diagonal_clan(7, 7), mo_clan(16)]
+
+
+def test_ladder_clans_match_the_loops(monkeypatch):
+    for clan in ladder_clans():
+        got = relation_tables(clan, TOL)
+        want = oracle_relation_tables(clan, TOL)
+        assert all(np.array_equal(got[name], want[name]) for name in want)
+        meet_idx, join_idx = bound_tables(clan, TOL)
+        if clan.n == 34:  # MO_16
+            want = oracle_bound_tables(clan, TOL)
+            assert np.array_equal(meet_idx, want[0]) and np.array_equal(join_idx, want[1])
+        else:  # boolean: member i has mask i
+            ids = np.arange(clan.n)
+            assert np.array_equal(meet_idx, ids[:, None] & ids)
+            assert np.array_equal(join_idx, ids[:, None] | ids)
+            rng = np.random.default_rng(clan.n)
+            targets = [m + TOL.eps * s * np.eye(clan.dim) for m in clan.members for s in (0.1, 0.9)]
+            targets += [m + TOL.eps * rng.normal(size=m.shape) for m in clan.members]
+            want = [oracle_match_member(clan, target, TOL) for target in targets]
+            assert _match_members(clan, np.array(targets), TOL).tolist() == want
+        with monkeypatch.context() as m:
+            m.setattr(qstruct.clan, "_match_members", stacked_match_members)
+            stacked = bound_tables(Clan(clan.members, clan.labels), TOL)
+        assert np.array_equal(meet_idx, stacked[0]) and np.array_equal(join_idx, stacked[1])
+        v = distributivity_criterion(clan, TOL)
+        assert (v["criterion"], v["criterion_witness"]) == oracle_row_criterion(clan, TOL)
+
+
+def test_the_clan_calls_end_at_the_ceiling():
+    # the three calls the benchmark times, on a fresh clan of 128 members
+    clan = rotated_diagonal_clan(7, 7)
+    xi = np.ones(clan.dim) / np.sqrt(clan.dim)
+    start = time.process_time()
+    assert verify_clan(clan, TOL).ok
+    assert distributivity_criterion(clan, TOL)["agree"]
+    assert vector_state(clan, xi, TOL)[1].ok
+    assert time.process_time() - start < 5.0  # about 0.3 s on a 2-vCPU VM
