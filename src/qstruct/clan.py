@@ -43,7 +43,7 @@ from .semilogic import additivity_witnesses, orthogonal_levels
 
 @dataclass
 class Clan:
-    """Members as one read-only (n, d, d) stack, so tables built from them can be kept."""
+    """Finite members as one read-only (n, d, d) stack, so tables built from them can be kept."""
 
     members: Array
     labels: list[str] = field(default_factory=list)
@@ -62,6 +62,10 @@ class Clan:
         if len(self.labels) != len(members):
             raise DomainError("label count mismatch")
         self.members = np.array(members)
+        finite = np.isfinite(self.members).all(axis=(1, 2))
+        if not finite.all():
+            bad = self.labels[finite.argmin()]
+            raise DomainError("clan member has a non-finite entry", member=bad)
         self.members.setflags(write=False)
         self.dim = d
         self.n = len(members)
@@ -320,6 +324,9 @@ def vector_state(clan: Clan, xi: np.ndarray, tol: Tolerance) -> tuple[np.ndarray
     xi = np.asarray(xi, dtype=np.complex128).reshape(-1)
     if xi.shape[0] != clan.dim:
         raise DomainError("vector dimension mismatch", expected=clan.dim)
+    finite = np.isfinite(xi)
+    if not finite.all():
+        raise DomainError("state vector has a non-finite entry", index=int(finite.argmin()))
     rep = VerificationReport(subject="vector-state")
     vals = np.array([float(np.real(xi.conj() @ (m @ xi))) for m in clan.members])
 

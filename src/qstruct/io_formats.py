@@ -520,14 +520,19 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 
 def _load_json(path: Path | str) -> Any:
+    """The JSON value of a UTF-8 file (RFC 8259 8.1), whatever the locale's encoding."""
     path = Path(path)
     try:
-        text = path.read_text()
+        raw = path.read_bytes()
     except OSError as exc:
         raise ParseError("cannot read file", path=str(path), error=str(exc))
     try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("file is not UTF-8", path=str(path), error=str(exc))
+    try:
         return json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError("invalid JSON", path=str(path), error=str(exc))
 
 

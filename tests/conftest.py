@@ -5,6 +5,7 @@ import pytest
 
 import qstruct.report
 from qstruct import (
+    BooleanSemiring,
     Clan,
     FinitePoset,
     OrthoLogic,
@@ -184,6 +185,15 @@ def structure_file(s):
             for a, b in zip(*np.nonzero(np.triu(s.prod >= 0)))
         ],
     }
+
+
+def atom_semiring(k):
+    """0 and k pairwise-orthogonal atoms with no sums: the Stone ring has 2^k sets."""
+    labels = ["0", *(f"a{i}" for i in range(k))]
+    le = np.eye(k + 1, dtype=bool)
+    le[0] = True
+    prod = np.diag(np.arange(k + 1)).astype(np.int16)
+    return BooleanSemiring(FinitePoset(labels, le), prod)
 
 
 def horizontal_sum_semilogic(blocks, k):

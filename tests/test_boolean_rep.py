@@ -15,7 +15,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import fixture_structures, oracle_summable_families, structure_file
+from conftest import (
+    atom_semiring,
+    fixture_structures,
+    oracle_summable_families,
+    structure_file,
+)
 
 import qstruct.boolean_rep
 
@@ -255,15 +260,6 @@ def oracle_represent_distribution(sr, m, tol=1e-12):
         "additive-consistency": not disagreements,
         "mass-preserved": full in measure and abs(measure[full] - mass) <= tol,
     }
-
-
-def atom_semiring(k):
-    """0 and k pairwise-orthogonal atoms with no sums: the Stone ring has 2^k sets."""
-    labels = ["0", *(f"a{i}" for i in range(k))]
-    le = np.eye(k + 1, dtype=bool)
-    le[0] = True
-    prod = np.diag(np.arange(k + 1)).astype(np.int16)
-    return BooleanSemiring(FinitePoset(labels, le), prod)
 
 
 def point_measure(sr, rng):

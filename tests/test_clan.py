@@ -558,36 +558,38 @@ def outcome(f):
         return f"{type(exc).__name__}: {exc}"
 
 
-def non_finite_clans():
+def non_finite_stacks():
+    """diagonal_clan(2)'s members with NaN or an infinity in one cell of D2."""
     base = diagonal_clan(2)
     out = []
     for bad in (np.nan, np.inf, -np.inf):
         for cell in ((0, 0), (0, 1)):
             members = base.members.copy()
             members[2][cell] = bad
-            out.append(Clan(members, base.labels))
+            out.append(members)
     return out
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_non_finite_members_match_as_the_stacked_kernel_did(monkeypatch):
-    for clan in non_finite_clans():
-        targets = np.concatenate([clan.members, clan.members[::-1] + 0.5e-9, clan.members[:1] * np.nan])
-        assert outcome(lambda: _match_members(clan, targets, TOL).tolist()) == outcome(
-            lambda: stacked_match_members(clan, targets, TOL).tolist()
+def test_non_finite_members_match_as_the_stacked_kernel_did():
+    base = diagonal_clan(2)
+    for members in non_finite_stacks():
+        with pytest.raises(DomainError, match="non-finite") as exc:
+            Clan(members, base.labels)
+        assert exc.value.details == {"member": "D2"}
+        # as targets, non-finite matrices still get the stacked kernel's answer
+        targets = np.concatenate([members, base.members[::-1] + 0.5e-9, base.members[:1] * np.nan])
+        assert outcome(lambda: _match_members(base, targets, TOL).tolist()) == outcome(
+            lambda: stacked_match_members(base, targets, TOL).tolist()
         )
 
-        def calls(c):
-            return {
-                "bounds": outcome(lambda: [t.tolist() for t in bound_tables(c, TOL)]),
-                "report": outcome(lambda: verify_clan(c, TOL).to_dict()),
-                "state": outcome(lambda: vector_state(c, np.array([0.6, 0.8]), TOL)[1].to_dict()),
-            }
 
-        got = calls(Clan(clan.members, clan.labels))
-        with monkeypatch.context() as m:
-            m.setattr(qstruct.clan, "_match_members", stacked_match_members)
-            assert got == calls(Clan(clan.members, clan.labels))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_state_vectors_are_a_domain_error(bad):
+    clan = diagonal_clan(2)
+    with pytest.raises(DomainError, match="non-finite") as exc:
+        vector_state(clan, np.array([0.6, bad]), TOL)
+    assert exc.value.details == {"index": 1}
 
 
 def ladder_clans():

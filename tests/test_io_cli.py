@@ -645,6 +645,51 @@ def test_repeated_json_keys_are_a_parse_error(
     }
 
 
+UNDECODABLE = {
+    # a UTF-16 byte order mark: JSON files are UTF-8 (RFC 8259 8.1)
+    "utf16": (lambda key: b"\xff\xfe" + "{}".encode("utf-16-le"), "file is not UTF-8", "utf-8"),
+    "brackets": (lambda key: b"[" * 100_000, "invalid JSON", "recursion"),
+    "deep": (
+        lambda key: f'{{"{key}": {"[" * 50_000}{"]" * 50_000}}}'.encode(),
+        "invalid JSON",
+        "recursion",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("check FILE", "le"),
+        ("stone powerset2_semiring.json --distribution FILE", "values"),
+        ("dilate FILE", "effects"),
+        ("dilate REF", "le"),  # a POVM whose semiring_file is the bad file
+        ("gns FILE", "basis"),
+    ],
+)
+def test_undecodable_files_are_a_parse_error(capsys, valid_dir, tmp_path, command, key, case):
+    make, message, cause = UNDECODABLE[case]
+    path = tmp_path / "bad.json"
+    path.write_bytes(make(key))
+    ref = tmp_path / "ref.json"
+    text = (valid_dir / "pvm2_by_reference.json").read_text()
+    ref.write_text(text.replace('"pvm2_semiring.json"', '"bad.json"'))
+    files = {"FILE": str(path), "REF": str(ref)}
+    argv = [
+        files.get(a) or (str(valid_dir / a) if a.endswith(".json") else a)
+        for a in command.split()
+    ]
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (2, "")
+    payload = json.loads(out)
+    jsonschema.validate(payload, ERROR_SCHEMA)
+    error = payload["error"]
+    assert (error["type"], error["message"]) == ("ParseError", message)
+    assert error["details"]["path"] == str(path)
+    assert cause in error["details"]["error"]
+
+
 def test_stone_reports_points_and_measure(capsys, valid_dir):
     code, out, _ = run_cli(
         capsys,

@@ -3,21 +3,38 @@
 The module-loading tests run a fresh interpreter, since this test process has
 long since imported everything. The namespace test pins every public name
 that ``qstruct`` resolved when its ``__init__`` still imported all
-submodules eagerly.
+submodules eagerly. The process entry ``cli.run`` is tested the same way: it
+must print what ``cli.main`` prints in process, with no collector pass.
 """
 
+import gc
+import importlib
 import json
 import os
 import subprocess
 import sys
 import types
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from conftest import atom_semiring
 
 import qstruct
 import qstruct.cli
+from qstruct.io_formats import serialize_structure
 from qstruct.properties import SUITES
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def child_env() -> dict[str, str]:
+    """This environment, with the qstruct under test first on the path."""
+    env = dict(os.environ)
+    src = str(Path(qstruct.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
 
 PUBLIC_NAMES = """
 AlgebraState AxiomViolationError BooleanSemiring CLASSIFICATION_LABELS Check Clan
@@ -64,11 +81,8 @@ def loaded_modules(*argv: str) -> set[str]:
         "        assert qstruct.cli.main(sys.argv[1:]) == 0\n"
         "print(json.dumps(sorted(sys.modules)))\n"
     )
-    env = dict(os.environ)
-    src = str(Path(qstruct.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == 0, proc.stderr
     names = json.loads(proc.stdout.splitlines()[-1])
@@ -142,3 +156,131 @@ def test_unknown_suite_is_an_argparse_error(capsys):
         qstruct.cli.main(["property", "--suite", "nonsense"])
     assert exc.value.code == 2
     assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+
+
+# -- the process entry ------------------------------------------------------------
+
+
+def corpus_argvs() -> list[list[str]]:
+    """The benchmark's fixture corpus, one argv per fixture, as its CLI processes run it."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    fixtures = ROOT / "tests" / "fixtures"
+    argvs = []
+    for rel, sub, _, _ in workloads.CORPUS:
+        path = str(fixtures / rel)
+        if rel.endswith("powerset2_distribution.json"):
+            semiring = str(fixtures / "valid" / "powerset2_semiring.json")
+            argvs.append([sub, semiring, "--distribution", path])
+        else:
+            argvs.append([sub, path])
+    return argvs
+
+
+def test_the_entry_prints_what_main_prints_on_the_corpus(capsys):
+    argvs = [argv + flag for argv in corpus_argvs() for flag in ([], ["--json"])]
+    assert len(argvs) == 78
+
+    def by_process(argv):
+        return subprocess.run(
+            [sys.executable, "-m", "qstruct.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=120,
+        )
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        procs = list(pool.map(by_process, argvs))
+    for argv, proc in zip(argvs, procs):
+        code = qstruct.cli.main(argv)
+        assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out), argv
+        assert "Traceback" not in proc.stderr, argv
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(capsys, valid_dir, mutants_dir, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    frozen = gc.get_freeze_count()
+    try:
+        for argv in (
+            ["check", str(valid_dir / "chain3.json")],
+            ["dilate", str(valid_dir / "trine_povm.json"), "--json"],
+            ["check", str(mutants_dir / "bad_json.json")],
+        ):
+            qstruct.cli.main(argv)
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen), argv
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_the_entry_runs_no_collection(valid_dir):
+    # the same child through main() is the control: the hook does see collections there
+    code = (
+        "import gc, json, sys\n"
+        "import qstruct.cli\n"
+        "entry = getattr(qstruct.cli, sys.argv.pop(1))\n"
+        "starts = []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info))\n"
+        "code = entry()\n"
+        "gc.callbacks.clear()\n"
+        "print(json.dumps([code, len(starts), gc.get_freeze_count() > 0]))\n"
+    )
+    seen = {}
+    for entry in ("run", "main"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, entry, "dilate", str(valid_dir / "trine_povm.json")],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen[entry] = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["run"] == [0, 0, True]
+    code, starts, frozen = seen["main"]
+    assert (code, frozen) == (0, False) and starts > 0
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("report, read", [("large", 1), ("large --json", 1), ("small", 0)])
+def test_a_reader_that_closes_early_ends_the_run_with_exit_2(
+    tmp_path, valid_dir, report, read, unbuffered
+):
+    # The large report (about 150 kB plain, 200 kB as JSON) is more than the
+    # pipe holds, so the child is still writing when the reader goes away.
+    # The small one has no reader from the start, so a buffered stdout still
+    # holds it for the flush at shutdown.
+    s = atom_semiring(12)
+    path, dist = tmp_path / "atoms.json", tmp_path / "uniform.json"
+    path.write_text(json.dumps(serialize_structure(s)))
+    dist.write_text(json.dumps({"values": {label: 1 / 12 for label in s.labels[1:]}}))
+    argv = {
+        "large": ["stone", str(path), "--distribution", str(dist)],
+        "large --json": ["stone", str(path), "--distribution", str(dist), "--json"],
+        "small": ["check", str(valid_dir / "chain3.json")],
+    }[report]
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    reader, writer = os.pipe()
+    if not read:
+        os.close(reader)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qstruct.cli", *argv],
+        stdout=writer,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    os.close(writer)
+    if read:
+        assert len(os.read(reader, read)) == read
+        os.close(reader)
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err, err
